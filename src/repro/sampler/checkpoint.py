@@ -57,8 +57,9 @@ from repro.util.hashing import stable_hex_digest
 #: Version history: 1 = original layout; 2 = lockstep batch capture
 #: (``batch_lanes`` joined the key material, so batched and per-input
 #: captures — bit-identical by the differential test battery, but produced
-#: by different code paths — never share an entry).
-CHECKPOINT_FORMAT_VERSION = 2
+#: by different code paths — never share an entry); 3 = key hash changed:
+#: SipHash → BLAKE2b.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Default warm-up budget (instructions replayed cycle-accurately before the
 #: ROI).  Generous enough to cover every bundled workload's prologue, so the
@@ -122,6 +123,11 @@ def checkpoint_key(program: Program, memory_map: MemoryMap | None,
     that width).  Captures are bit-identical across modes — the batch
     differential tests enforce that — but the producing code paths differ,
     so they deliberately do not share cache entries.
+
+    The program text is digested once per instruction list (the memo in
+    :func:`~repro.sampler.trace_cache.program_fingerprint`).  Pool workers
+    receive unpickled tasks, so that memo is per process: a worker pays the
+    text digest once per pickled lane group, whose tasks share one list.
     """
     # Imported lazily: trace_cache imports exec_backend at module scope, and
     # exec_backend reaches back into this module from its worker path.

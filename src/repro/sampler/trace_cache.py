@@ -55,12 +55,14 @@ from repro.util.hashing import stable_hex_digest
 #: 6 = cross-config sweeps (the key material canonicalizes the core
 #: configuration as its memoized :func:`config_digest` instead of the raw
 #: ``asdict`` dict, and payloads record the producing config's name and
-#: digest so ``cache stats`` can break warm entries down per core config).
+#: digest so ``cache stats`` can break warm entries down per core config);
+#: 7 = key hash changed: SipHash → BLAKE2b (and the program text enters
+#: the key material as its memoized digest).
 #: Entries written by older versions fail the version check and decode as
 #: misses, so campaigns needing localization inputs are transparently
 #: re-simulated instead of replaying traces without them; ``microsampler
 #: cache prune`` garbage-collects the stale files.
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "MICROSAMPLER_CACHE_DIR"
@@ -75,13 +77,35 @@ def default_cache_dir() -> Path:
     return base / "microsampler"
 
 
+#: Memoized program-text digests: ``id(instructions) -> (instructions,
+#: digest)``.  ``patch_program`` shares one instruction list across every
+#: patched input of a campaign, so the text — most of the key material on a
+#: large program — is canonicalized once per list instead of once per key.
+#: Entries hold a strong reference to their list and lookups check ``is``,
+#: so a recycled id can never alias; the oldest entry is evicted at the
+#: bound.  Instruction operand fields are never mutated after assembly.
+_TEXT_DIGESTS: dict = {}
+_TEXT_DIGESTS_MAX = 32
+
+
+def _text_digest(instructions) -> str:
+    return stable_hex_digest(tuple(
+        (inst.mnemonic, inst.rd, inst.rs1, inst.rs2, inst.imm, inst.pc)
+        for inst in instructions
+    ))
+
+
 def program_fingerprint(program) -> tuple:
     """Canonical content of an assembled program (text, data, symbols)."""
+    instructions = program.instructions
+    entry = _TEXT_DIGESTS.get(id(instructions))
+    if entry is None or entry[0] is not instructions:
+        if len(_TEXT_DIGESTS) >= _TEXT_DIGESTS_MAX:
+            del _TEXT_DIGESTS[next(iter(_TEXT_DIGESTS))]
+        entry = (instructions, _text_digest(instructions))
+        _TEXT_DIGESTS[id(instructions)] = entry
     return (
-        tuple(
-            (inst.mnemonic, inst.rd, inst.rs1, inst.rs2, inst.imm, inst.pc)
-            for inst in program.instructions
-        ),
+        entry[1],
         program.text_base,
         bytes(program.data),
         program.data_base,

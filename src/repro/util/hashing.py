@@ -8,10 +8,17 @@ implementation whose output is stable across runs and machines.
 For speed, per-cycle state rows are first reduced with :func:`row_digest`
 (CPython's deterministic tuple-of-ints hash, computed in C) and the final
 per-iteration hash is SipHash-2-4 over the packed row digests.
+
+Content addressing (trace-cache and checkpoint keys) is a separate concern:
+:func:`stable_digest` canonicalizes plain values into a type-tagged byte
+stream and hashes it with keyed BLAKE2b-64 from :mod:`hashlib` — C speed,
+where the pure-Python SipHash would cost tens of milliseconds per key on a
+large program image.  Snapshots stay on SipHash-2-4, as in the paper.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -183,10 +190,14 @@ def stable_digest(value, key: tuple[int, int] = DEFAULT_KEY) -> int:
     Supports None/bool/int/float/str/bytes and tuples/lists/sets/dicts
     thereof.  Unlike :func:`row_digest` this is independent of CPython's
     hash implementation and safe to persist across interpreter versions.
+    The canonical stream is hashed with BLAKE2b-64 keyed by the packed
+    ``key``.
     """
     out: list = []
     _canonical_bytes(value, out)
-    return siphash24(b"".join(out), key)
+    digest = hashlib.blake2b(b"".join(out), digest_size=8,
+                             key=struct.pack("<2Q", *key)).digest()
+    return int.from_bytes(digest, "little")
 
 
 def stable_hex_digest(value, key: tuple[int, int] = DEFAULT_KEY) -> str:

@@ -364,7 +364,7 @@ main:
     old_trace.parent.mkdir(parents=True, exist_ok=True)
     old_trace.write_bytes(pickle.dumps(
         (4, (), (0, {}, "", ()), 0, 0.0, 0, old_ckpt.stem)))
-    assert CACHE_FORMAT_VERSION == 6
+    assert CACHE_FORMAT_VERSION == 7
 
     result = prune_cache(root)
     assert result["removed"]["trace"] == 1

@@ -2,7 +2,14 @@
 
 from hypothesis import given, strategies as st
 
-from repro.util.hashing import DEFAULT_KEY, combine_digests, row_digest, siphash24
+from repro.util.hashing import (
+    DEFAULT_KEY,
+    combine_digests,
+    row_digest,
+    siphash24,
+    stable_digest,
+    stable_hex_digest,
+)
 
 #: Official SipHash-2-4 test vectors (key 000102...0f, inputs 00..0e).
 _REFERENCE_VECTORS = {
@@ -58,6 +65,26 @@ def test_siphash_in_range_and_stable(data):
     value = siphash24(data)
     assert 0 <= value < 2**64
     assert siphash24(data) == value
+
+
+def test_stable_hex_digest_known_answer():
+    # Pins canonicalization + keyed BLAKE2b-64.  Trace-cache and checkpoint
+    # keys are built from this digest, so changing either one orphans every
+    # cache entry: update this pin together with CACHE_FORMAT_VERSION and
+    # CHECKPOINT_FORMAT_VERSION.
+    value = {"none": None, "flags": (True, False), "ints": (0, -1, 255, 2**64),
+             "str": "µsampler", "bytes": b"\x00\xff",
+             "set": frozenset({3, 1, 2}), "nested": [1, (2, {"k": b"v"})]}
+    assert stable_hex_digest(value) == "35052e15b49e41f0"
+
+
+def test_stable_digest_canonicalization():
+    assert stable_digest({"a": 1, "b": 2}) == stable_digest({"b": 2, "a": 1})
+    assert stable_digest({1, 2, 3}) == stable_digest(frozenset({3, 2, 1}))
+    assert stable_digest(1) != stable_digest(b"\x01")
+    assert stable_digest(True) != stable_digest(1)
+    assert stable_digest("x", (1, 2)) != stable_digest("x", DEFAULT_KEY)
+    assert len(stable_hex_digest(())) == 16
 
 
 @given(st.binary(min_size=1, max_size=32))

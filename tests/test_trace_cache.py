@@ -133,6 +133,83 @@ class TestKeying:
             _task(workload, warmup_insts=64, batch_lanes=8,
                   checkpoint=checkpoint))
 
+    def test_key_is_pinned(self):
+        # A literal key for a fixed tiny program.  Canonicalization, the key
+        # hash and the key material (incl. the package version) all feed
+        # it: a change to any of them must update this pin *and* bump
+        # CACHE_FORMAT_VERSION, or old entries linger as live in ``prune``.
+        assert task_key(_task(_workload())) == "f87d9a1154ff812a"
+
+
+class TestTextDigestMemo:
+    """The program text is digested once per instruction list."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        from repro.sampler import trace_cache
+
+        monkeypatch.setattr(trace_cache, "_TEXT_DIGESTS", {})
+        return trace_cache
+
+    def test_equal_text_in_distinct_lists_keys_identically(self):
+        from repro.sampler.checkpoint import checkpoint_key
+
+        a, b = _task(_workload()), _task(_workload())
+        assert a.program.instructions is not b.program.instructions
+        assert task_key(a) == task_key(b)
+        assert checkpoint_key(a.program, None, 64) == \
+            checkpoint_key(b.program, None, 64)
+
+    def test_shared_list_still_keys_on_data(self):
+        from repro.sampler import patch_program
+        from repro.sampler.checkpoint import checkpoint_key
+
+        program = _workload().assemble()
+        one, two, one_again = (patch_program(program, {"key": bytes([k])})
+                               for k in (1, 2, 1))
+        assert one.instructions is two.instructions is one_again.instructions
+        keys = [task_key(_task(_workload(), program=p))
+                for p in (one, two, one_again)]
+        assert keys[0] != keys[1] and keys[0] == keys[2]
+        ckpts = [checkpoint_key(p, None, 64) for p in (one, two, one_again)]
+        assert ckpts[0] != ckpts[1] and ckpts[0] == ckpts[2]
+
+    def test_campaign_canonicalizes_text_once(self, fresh_memo, monkeypatch,
+                                              tmp_path):
+        from repro.cli import build_workload
+        from repro.sampler.checkpoint import checkpoint_key
+        from repro.sampler.runner import prepare_campaign
+
+        calls = []
+        real = fresh_memo._text_digest
+
+        def counting(instructions):
+            calls.append(1)
+            return real(instructions)
+
+        monkeypatch.setattr(fresh_memo, "_text_digest", counting)
+        workload = build_workload("chacha20", inputs=64)
+        plan = prepare_campaign(workload, SMALL_BOOM,
+                                cache=TraceCache(tmp_path), warmup_insts=512)
+        assert len(set(plan.keys)) == 64
+        for task in plan.tasks:
+            checkpoint_key(task.program, task.memory_map, task.warmup_insts)
+        assert len(calls) == 1
+
+    def test_memo_is_bounded_and_identity_checked(self, fresh_memo):
+        memo, bound = fresh_memo._TEXT_DIGESTS, fresh_memo._TEXT_DIGESTS_MAX
+        programs = [_workload().assemble() for _ in range(bound + 5)]
+        expected = task_key(_task(_workload()))
+        for program in programs:
+            assert task_key(_task(_workload(), program=program)) == expected
+            assert len(memo) <= bound
+        assert len(memo) == bound
+        # An entry whose list is not the one looked up (a recycled id)
+        # is recomputed, never trusted.
+        program = programs[-1]
+        memo[id(program.instructions)] = ([], "0" * 16)
+        assert task_key(_task(_workload(), program=program)) == expected
+
 
 class TestReplay:
     def test_hit_is_bit_identical_to_cold_run(self, cache):
@@ -302,6 +379,28 @@ class TestPrune:
                                      "checkpoint": len(checkpoints),
                                      "orphan": 0}
         assert not list(cache.root.rglob("*.ckpt"))
+
+    def test_prune_sweeps_pre_blake2b_entries(self, cache):
+        # Trace format 6 and checkpoint format 2 were keyed with SipHash:
+        # their keys can never be derived again, so prune must count them
+        # stale (not live, not orphaned) and reclaim them.
+        from repro.sampler.trace_cache import prune_cache
+
+        traces, checkpoints = self._populate(cache)
+        old_ckpt = checkpoints[0].with_name("0" * 16 + ".ckpt")
+        payload = pickle.loads(checkpoints[0].read_bytes())
+        old_ckpt.write_bytes(pickle.dumps((2,) + payload[1:]))
+        old_trace = traces[0].with_name("0" * 16 + ".pkl")
+        payload = pickle.loads(traces[0].read_bytes())
+        old_trace.write_bytes(pickle.dumps(
+            (6,) + payload[1:6] + (old_ckpt.stem,) + payload[7:]))
+
+        result = prune_cache(cache.root)
+        assert result["removed"] == {"trace": 1, "checkpoint": 1,
+                                     "orphan": 0}
+        assert not old_trace.exists() and not old_ckpt.exists()
+        assert sorted(cache.root.rglob("*.pkl")) == traces
+        assert sorted(cache.root.rglob("*.ckpt")) == checkpoints
 
     def test_prune_all_empties_both_stores(self, cache):
         from repro.sampler.trace_cache import prune_cache
