@@ -97,6 +97,14 @@ def _jobs_argument(value: str) -> int:
     return jobs
 
 
+def _permutations_argument(value: str) -> int:
+    permutations = int(value)
+    if permutations < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = no permutation test), got {permutations}")
+    return permutations
+
+
 def _warmup_insts_argument(value: str):
     from repro.sampler.checkpoint import parse_warmup
 
@@ -807,7 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     localize.add_argument("--features", nargs="*",
                           help="localize these units directly, skipping "
                                "the detection phase")
-    localize.add_argument("--permutations", type=int, default=199,
+    localize.add_argument("--permutations", type=_permutations_argument,
+                          default=199,
                           help="label permutations for the attribution "
                                "significance test")
     localize.add_argument("--top", type=int, default=5,

@@ -338,14 +338,17 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
     return outputs
 
 
-def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
+def execute_run_batch(tasks: list[RunTask], *,
+                      _nested: bool = False) -> list[RunOutput]:
     """Execute one lane group, falling back to scalar on divergence.
 
     On :class:`~repro.uarch.batch_core.LaneDivergence` the lanes are
     partitioned by their divergence keys (lanes that still agree stay
     batched together) and re-run from the start; the event — with lanes
     remapped to campaign run indices — is attached to the group's first
-    output as a first-class leak signal.
+    output as a first-class leak signal.  The fallback's wall time is
+    charged once, by the outermost call, however often an agreement class
+    diverges again (``_nested`` marks the recursive calls).
     """
     from repro.uarch.batch_core import LaneDivergence
 
@@ -372,7 +375,8 @@ def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
         else:
             for key in order:
                 members = groups[key]
-                results = execute_run_batch([tasks[lane] for lane in members])
+                results = execute_run_batch([tasks[lane] for lane in members],
+                                            _nested=True)
                 for member, result in zip(members, results):
                     outputs[member] = result
         events = [event]
@@ -381,7 +385,7 @@ def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
                 events.extend(output.divergences)
                 output.divergences = ()
         outputs[0].divergences = tuple(events)
-        if outputs[0].profile is not None:
+        if not _nested and outputs[0].profile is not None:
             outputs[0].profile.fallback_seconds += (
                 time.perf_counter() - fallback_started)
         return outputs

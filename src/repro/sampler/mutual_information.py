@@ -15,6 +15,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MutualInformationResult:
@@ -57,6 +59,46 @@ def mutual_information(labels, hashes) -> float:
     return max(h_label + h_hash - h_joint, 0.0)
 
 
+#: Permutation index rows by ``(n, permutations, seed)``, oldest evicted at
+#: the bound.  Every PC and unit of a campaign shares one key.
+_PERMUTATION_ROWS: dict = {}
+_PERMUTATION_ROWS_MAX = 8
+#: Joint-count cells per chunk of permutation rows (bounds the buffer).
+_CHUNK_CELLS = 1 << 20
+
+
+def permutation_rows(n: int, permutations: int, seed: int):
+    """Read-only ``(permutations, n)`` index rows: ``labels[rows[k]]`` is
+    the k-th cumulative ``random.Random(seed).shuffle`` of ``labels``.
+
+    ``shuffle`` picks its swap positions from the length and the RNG stream
+    only, never from the list's contents, so shuffling ``range(n)`` once
+    serves every label list of length ``n``.
+    """
+    key = (n, permutations, seed)
+    rows = _PERMUTATION_ROWS.get(key)
+    if rows is None:
+        rng = random.Random(seed)
+        index = list(range(n))
+        rows = np.empty((permutations, n), dtype=np.intp)
+        for row in rows:
+            rng.shuffle(index)
+            row[:] = index
+        rows.flags.writeable = False
+        if len(_PERMUTATION_ROWS) >= _PERMUTATION_ROWS_MAX:
+            del _PERMUTATION_ROWS[next(iter(_PERMUTATION_ROWS))]
+        _PERMUTATION_ROWS[key] = rows
+    return rows
+
+
+def _codes(values) -> tuple:
+    """Integer codes for arbitrary hashables, and the category count."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values),
+                        dtype=np.intp, count=len(values))
+    return codes, len(index)
+
+
 def measure_mutual_information(labels, hashes, *, permutations: int = 200,
                                seed: int = 0) -> MutualInformationResult:
     """MI with a label-permutation significance test.
@@ -65,18 +107,36 @@ def measure_mutual_information(labels, hashes, *, permutations: int = 200,
     shares some spurious information); the permutation test measures how
     often shuffled labels achieve the observed MI, which controls exactly
     the false positives the paper's p-value gate controls for Cramér's V.
+    The shuffles are :func:`permutation_rows`, and each row's joint entropy
+    is counted in numpy, in chunks of at most ``_CHUNK_CELLS`` cells.
     """
+    if permutations < 0:
+        raise ValueError(f"permutations must be >= 0, got {permutations}")
     labels = list(labels)
     hashes = list(hashes)
     observed = mutual_information(labels, hashes)
-    h_label = _entropy(Counter(labels), len(labels)) if labels else 0.0
-    rng = random.Random(seed)
-    at_least = 0
-    shuffled = list(labels)
-    for _ in range(permutations):
-        rng.shuffle(shuffled)
-        if mutual_information(shuffled, hashes) >= observed - 1e-12:
-            at_least += 1
+    n = len(labels)
+    h_label = _entropy(Counter(labels), n) if labels else 0.0
+    threshold = observed - 1e-12
+    at_least = permutations  # MI >= 0 always clears a threshold <= 0
+    if threshold > 0.0:
+        rows = permutation_rows(n, permutations, seed)
+        label_codes, n_labels = _codes(labels)
+        hash_codes, n_hashes = _codes(hashes)
+        cells = n_labels * n_hashes
+        h_margins = h_label + _entropy(Counter(hashes), n)
+        p = np.arange(1, n + 1) / n
+        terms = np.concatenate(([0.0], -p * np.log2(p)))
+        step = max(1, _CHUNK_CELLS // cells)
+        at_least = 0
+        for start in range(0, permutations, step):
+            block = rows[start:start + step]
+            joint = (label_codes[block] * n_hashes + hash_codes
+                     + cells * np.arange(len(block))[:, None])
+            counts = np.bincount(joint.ravel(), minlength=cells * len(block))
+            h_joint = terms[counts].reshape(len(block), cells).sum(axis=1)
+            mi = np.maximum(h_margins - h_joint, 0.0)
+            at_least += int(np.count_nonzero(mi >= threshold))
     p_value = (at_least + 1) / (permutations + 1)
     fraction = observed / h_label if h_label > 0 else 0.0
     return MutualInformationResult(

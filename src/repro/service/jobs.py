@@ -165,6 +165,9 @@ class JobSpec:
             raise JobSpecError("priority must be an integer")
         if not isinstance(self.taint, bool):
             raise JobSpecError("taint must be a boolean")
+        if self.permutations is not None and not (
+                isinstance(self.permutations, int) and self.permutations >= 0):
+            raise JobSpecError("permutations must be a non-negative integer")
         names = known_workloads()
         if self.kind in ("analyze", "localize"):
             if not self.workload:

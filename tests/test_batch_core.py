@@ -288,6 +288,27 @@ def test_fallback_outputs_identical_to_scalar():
     assert all(output.divergences == () for output in batched[1:])
 
 
+def test_nested_fallback_time_is_charged_once():
+    """Re-partitioned agreement classes must not re-count the fallback."""
+    import time
+
+    from repro.cli import build_workload
+    from repro.sampler.runner import prepare_campaign
+    from repro.util.profiling import merge_profiles
+
+    plan = prepare_campaign(build_workload("sam-leaky", inputs=8, seed=3),
+                            SMALL_BOOM, batch_lanes=8, profile=True)
+    tasks = plan.pending_tasks
+    assert len(tasks) == 8 and tasks[0].core_lanes == 8
+    started = time.perf_counter()
+    outputs = execute_run_batch(tasks)
+    wall = time.perf_counter() - started
+    # More than one event: some agreement class diverged again.
+    assert len(outputs[0].divergences) > 1
+    profile = merge_profiles(output.profile for output in outputs)
+    assert 0.0 < profile.fallback_seconds <= wall
+
+
 def test_lane_groups_partitioning():
     scalar_task = _tasks(_TRIGGERS["branch"], (b"\x00",), lanes=None)[0]
     scalar_task = RunTask(**{**scalar_task.__dict__, "core_lanes": None})

@@ -295,6 +295,27 @@ class TestGolden:
                     pinned_i["p_value"], abs=GOLDEN_TOLERANCE)
 
 
+class TestReferencePermutationTest:
+    def test_localization_equals_reference_permutation_loop(self, tmp_path,
+                                                            monkeypatch):
+        """The array permutation test localizes exactly like the old loop."""
+        from repro.cli import build_workload
+        from repro.localize import attribution
+        from tests.test_mutual_information import (
+            reference_measure_mutual_information,
+        )
+
+        workload = build_workload("ee-mem-cmp", inputs=2)
+        sampler = MicroSampler(cache=TraceCache(tmp_path / "cache"))
+        fresh = localization_to_dict(sampler.localize(workload))
+        monkeypatch.setattr(attribution, "measure_mutual_information",
+                            reference_measure_mutual_information)
+        reference = localization_to_dict(sampler.localize(workload))
+        assert fresh["leakage_localized"]
+        fresh["timings_seconds"] = reference["timings_seconds"] = {}
+        assert fresh == reference
+
+
 class TestMeasureMI:
     def test_mi_column_in_report(self):
         workload = make_early_exit_memcmp(n_pairs=8, seed=2, n_runs=2)
@@ -339,6 +360,12 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "No cycle window passed the localization gate" in out
+
+    def test_localize_rejects_negative_permutations(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["localize", "ee-mem-cmp", "--permutations", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_localize_json(self, capsys):
         # 199 permutations so the best achievable p (0.005) clears the

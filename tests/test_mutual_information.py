@@ -1,16 +1,58 @@
 """Mutual-information analysis tests."""
 
+import dataclasses
+import importlib
 import math
+import random
+import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sampler import (
     measure_mutual_information,
     mutual_information,
     mutual_information_by_unit,
 )
+from repro.sampler.mutual_information import (
+    MutualInformationResult,
+    _entropy,
+    permutation_rows,
+)
 from repro.trace.tracer import FeatureIteration, IterationRecord
+
+# ``repro.sampler`` re-exports the function of the same name.
+mi_module = importlib.import_module("repro.sampler.mutual_information")
+
+
+def reference_measure_mutual_information(labels, hashes, *,
+                                         permutations: int = 200,
+                                         seed: int = 0):
+    """The original per-permutation loop: shuffle, then three Counters.
+
+    The oracle for the array permutation test, which must reproduce it
+    field for field.
+    """
+    labels = list(labels)
+    hashes = list(hashes)
+    observed = mutual_information(labels, hashes)
+    h_label = _entropy(Counter(labels), len(labels)) if labels else 0.0
+    rng = random.Random(seed)
+    at_least = 0
+    shuffled = list(labels)
+    for _ in range(permutations):
+        rng.shuffle(shuffled)
+        if mutual_information(shuffled, hashes) >= observed - 1e-12:
+            at_least += 1
+    p_value = (at_least + 1) / (permutations + 1)
+    fraction = observed / h_label if h_label > 0 else 0.0
+    return MutualInformationResult(
+        mutual_information_bits=observed,
+        label_entropy_bits=h_label,
+        leakage_fraction=min(fraction, 1.0),
+        p_value=p_value,
+    )
 
 
 def test_independent_variables_have_zero_mi():
@@ -105,3 +147,97 @@ def test_property_mi_symmetry(values):
     other = list(reversed(values))
     assert mutual_information(values, other) == pytest.approx(
         mutual_information(other, values))
+
+
+@st.composite
+def permutation_cases(draw):
+    """Labels and heavily tied hashes, sometimes coupled to the labels."""
+    n = draw(st.integers(1, 300))
+    classes = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, classes - 1),
+                           min_size=n, max_size=n))
+    noise = draw(st.lists(st.integers(0, draw(st.integers(0, 5))),
+                          min_size=n, max_size=n))
+    coupling = draw(st.sampled_from(("none", "partial", "full")))
+    if coupling == "none":
+        values = noise
+    elif coupling == "partial":
+        values = [label + tie for label, tie in zip(labels, noise)]
+    else:
+        values = labels
+    if draw(st.booleans()):  # offset tuples, like attribution signatures
+        hashes = [tuple(range(value)) for value in values]
+    else:
+        hashes = values
+    permutations = draw(st.sampled_from((0, 1, 19, 199, 200)))
+    seed = draw(st.sampled_from((0, 1, 7)))
+    return labels, hashes, permutations, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_cases())
+def test_array_permutation_test_equals_reference_loop(case):
+    labels, hashes, permutations, seed = case
+    got = measure_mutual_information(labels, hashes,
+                                     permutations=permutations, seed=seed)
+    want = reference_measure_mutual_information(
+        labels, hashes, permutations=permutations, seed=seed)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
+def test_empty_and_zero_permutations_match_reference():
+    for labels, hashes, permutations in (([], [], 5), ([0, 1], [3, 4], 0),
+                                         ([1], [(2,)], 19)):
+        got = measure_mutual_information(labels, hashes,
+                                         permutations=permutations)
+        want = reference_measure_mutual_information(
+            labels, hashes, permutations=permutations)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert measure_mutual_information([0, 1], [3, 4],
+                                      permutations=0).p_value == 1.0
+
+
+def test_negative_permutations_rejected():
+    with pytest.raises(ValueError, match="permutations"):
+        measure_mutual_information([0, 1], [3, 4], permutations=-1)
+    with pytest.raises(ValueError, match="permutations"):
+        measure_mutual_information([0, 1], [3, 4], permutations=-2)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (37, 0), (120, 7)])
+def test_permutation_rows_are_successive_shuffles(n, seed):
+    rows = permutation_rows(n, 25, seed)
+    assert rows.shape == (25, n)
+    assert not rows.flags.writeable
+    rng = random.Random(seed)
+    index = list(range(n))
+    for row in rows:
+        rng.shuffle(index)
+        assert row.tolist() == index
+
+
+def test_permutation_rows_memo_is_shared_and_bounded():
+    first = permutation_rows(50, 19, 0)
+    assert permutation_rows(50, 19, 0) is first
+    for n in range(2, 2 + 3 * mi_module._PERMUTATION_ROWS_MAX):
+        permutation_rows(n, 3, 0)
+        assert len(mi_module._PERMUTATION_ROWS) <= \
+            mi_module._PERMUTATION_ROWS_MAX
+    assert (50, 19, 0) not in mi_module._PERMUTATION_ROWS
+
+
+def test_many_categories_stay_within_memory_bound():
+    """300 classes x 300 hash categories: 18M joint cells over 200
+    permutations if counted at once; chunking keeps the buffers small."""
+    labels = list(range(300))
+    hashes = [(index * 7) % 300 for index in range(300)]
+    tracemalloc.start()
+    try:
+        result = measure_mutual_information(labels, hashes, permutations=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    want = reference_measure_mutual_information(labels, hashes,
+                                                permutations=200)
+    assert dataclasses.astuple(result) == dataclasses.astuple(want)

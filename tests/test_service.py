@@ -197,6 +197,15 @@ def test_jobspec_rejects_bad_payloads(payload, match):
         JobSpec.from_dict(payload)
 
 
+def test_jobspec_rejects_negative_permutations():
+    with pytest.raises(JobSpecError, match="permutations"):
+        JobSpec.from_dict({"kind": "localize", "workload": "ee-mem-cmp",
+                           "permutations": -1})
+    spec = JobSpec.from_dict({"kind": "localize", "workload": "ee-mem-cmp",
+                              "permutations": 0})
+    assert spec.permutations == 0
+
+
 def test_jobspec_defaults_mirror_cli():
     spec = JobSpec.from_dict({"kind": "analyze", "workload": "sam-ct"})
     assert spec.inputs == 8
