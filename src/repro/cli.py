@@ -184,10 +184,12 @@ def _add_profile_argument(parser) -> None:
 
 
 def _add_backend_arguments(parser) -> None:
-    parser.add_argument("--jobs", type=_jobs_argument, default=1,
-                        help="simulate this many inputs concurrently "
-                             "(0 = one per CPU); results are bit-identical "
-                             "to serial execution")
+    parser.add_argument("--jobs", type=_jobs_argument, default=0,
+                        help="simulation worker processes (default: 0 = "
+                             "one per CPU; 1 = in-process).  Lane groups "
+                             "fan out over them, and audit/sweep plan the "
+                             "next campaign while workers simulate; results "
+                             "are bit-identical to serial execution")
     parser.add_argument("--no-cache", action="store_true",
                         help="always simulate, bypassing the trace cache")
     parser.add_argument("--cache-dir", default=None,
@@ -861,7 +863,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipeview.set_defaults(func=cmd_pipeview)
 
     audit = sub.add_parser(
-        "audit", help="run the full verification suite with expectations")
+        "audit", help="run the full verification suite with expectations",
+        description="Analyze every workload of the suite (default: all "
+                    "built-ins) against its expected verdict; exit 1 on "
+                    "any unexpected verdict.  The time column is each "
+                    "campaign's own planning + simulation + statistics "
+                    "time; under --jobs > 1 campaigns overlap, so the "
+                    "column can sum to more than the wall clock.")
     audit.add_argument("workloads", nargs="*",
                        help="workload names (default: the full suite)")
     audit.add_argument("--config", choices=["mega", "medium", "small"], default="mega")

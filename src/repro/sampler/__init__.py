@@ -31,6 +31,7 @@ from repro.sampler.exec_backend import (
     execute_run,
     execute_tasks,
     resolve_jobs,
+    stream_plans,
 )
 from repro.sampler.matrix import TraceMatrix, encode_column
 from repro.sampler.stats_vec import (
@@ -158,6 +159,7 @@ __all__ = [
     "execute_run",
     "execute_tasks",
     "resolve_jobs",
+    "stream_plans",
     "significance_sweep",
     "run_audit",
     "run_campaign",

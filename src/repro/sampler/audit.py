@@ -9,7 +9,7 @@ regression gate (exit non-zero on any unexpected flip, in either direction).
 
 from __future__ import annotations
 
-import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.sampler.pipeline import MicroSampler
@@ -25,6 +25,9 @@ class AuditEntry:
     leaky_units: list
     max_v: float
     n_iterations: int
+    #: This campaign's own time: planning, its lane groups' in-worker
+    #: simulation, merge and statistics.  Under ``jobs > 1`` campaigns
+    #: overlap, so the entries can sum to more than the audit's wall clock.
     seconds: float
     expected: bool | None = None
     #: Taint prescreen outcome (``--taint on`` only, else all None/empty):
@@ -125,7 +128,7 @@ class AuditResult:
 def audit_to_dict(result: AuditResult) -> dict:
     """JSON-serializable audit verdict table.
 
-    Per-entry ``seconds`` is wall clock and varies run to run; strip it
+    Per-entry ``seconds`` is host time and varies run to run; strip it
     (see :func:`repro.service.strip_volatile`) before comparing audits
     for bit-identity.
     """
@@ -181,7 +184,13 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     records the taint-vs-statistics agreement per entry;
     ``taint_expectations[name]`` = True means "should escalate" (folded
     into ``as_expected``, so the audit gates the taint engine too).  A
-    ``TAINT-DISAGREE`` status on any unit also fails the entry."""
+    ``TAINT-DISAGREE`` status on any unit also fails the entry.
+
+    The workloads run as one stream
+    (:meth:`~repro.sampler.pipeline.MicroSampler.analyze_stream`): with
+    ``jobs > 1`` the next workload is planned while workers simulate the
+    current one, and the entries are identical to a ``jobs=1`` audit but
+    for ``seconds``."""
     sampler = sampler or MicroSampler(config, jobs=jobs, cache=cache,
                                       warmup_insts=warmup_insts,
                                       batch_lanes=batch_lanes,
@@ -191,25 +200,25 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     taint_expectations = taint_expectations or {}
     result = AuditResult(config_name=config.name)
     profiles = []
-    for workload in workloads:
-        started = time.perf_counter()
-        report = sampler.analyze(workload)
-        profiles.append(report.profile)
-        result.entries.append(AuditEntry(
-            name=workload.name,
-            leakage_detected=report.leakage_detected,
-            leaky_units=report.leaky_units,
-            max_v=max(report.cramers_v_by_unit().values()),
-            n_iterations=report.n_iterations,
-            seconds=time.perf_counter() - started,
-            expected=expectations.get(workload.name),
-            taint_escalated=(report.taint.escalated
-                             if report.taint is not None else None),
-            taint_expected=(taint_expectations.get(workload.name)
-                            if report.taint is not None else None),
-            taint_agreement=(dict(report.taint.agreement)
-                             if report.taint is not None else {}),
-        ))
+    with closing(sampler.analyze_stream(workloads)) as reports:
+        for report, seconds in reports:
+            name = report.workload_name
+            profiles.append(report.profile)
+            result.entries.append(AuditEntry(
+                name=name,
+                leakage_detected=report.leakage_detected,
+                leaky_units=report.leaky_units,
+                max_v=max(report.cramers_v_by_unit().values()),
+                n_iterations=report.n_iterations,
+                seconds=seconds,
+                expected=expectations.get(name),
+                taint_escalated=(report.taint.escalated
+                                 if report.taint is not None else None),
+                taint_expected=(taint_expectations.get(name)
+                                if report.taint is not None else None),
+                taint_agreement=(dict(report.taint.agreement)
+                                 if report.taint is not None else {}),
+            ))
     if any(profile is not None for profile in profiles):
         from repro.util.profiling import merge_profiles
 

@@ -1,11 +1,13 @@
 """Campaign execution backends: serial and process-parallel.
 
-``run_campaign`` fans the per-input simulations of a workload out over this
-module.  Each input is wrapped in a self-contained, picklable
-:class:`RunTask` (patched program + core configuration + tracer settings); a
-worker — in-process for ``jobs=1``, a ``multiprocessing`` pool member
-otherwise — rebuilds the core from the task, runs it to completion under a
-private :class:`~repro.trace.tracer.MicroarchTracer`, and returns a
+``run_campaign``, ``sweep_configs`` and ``run_audit`` fan the per-input
+simulations of their campaigns out over this module, through one
+dispatcher, :func:`stream_plans`.  Each input is wrapped in a
+self-contained, picklable :class:`RunTask` (patched program + core
+configuration + tracer settings); a worker — in-process for ``jobs=1``, a
+``multiprocessing`` pool member otherwise — rebuilds the core from the
+task, runs it to completion under a private
+:class:`~repro.trace.tracer.MicroarchTracer`, and returns a
 :class:`RunOutput` of finalized iteration snapshots.
 
 Determinism is the design constraint: outputs are merged **in input order**
@@ -421,14 +423,6 @@ def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
     return groups
 
 
-def execute_task_list(tasks: list[RunTask]) -> list[RunOutput]:
-    """Execute tasks in order, lane-batching eligible consecutive groups."""
-    outputs: list[RunOutput] = []
-    for group in _lane_groups(tasks):
-        outputs.extend(execute_run_batch(group))
-    return outputs
-
-
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a job-count request: ``None``/``0`` means "all CPUs"."""
     if not jobs:
@@ -449,39 +443,216 @@ def _pool_context():
     )
 
 
+def _timed_group(tasks: list[RunTask]) -> tuple[list[RunOutput], float]:
+    """Worker entry: execute one lane group, reporting its in-worker wall.
+
+    Module-level so it pickles under every ``multiprocessing`` start
+    method.  The timing is observational: the outputs are exactly
+    :func:`execute_run_batch`'s.
+    """
+    started = time.perf_counter()
+    outputs = execute_run_batch(tasks)
+    return outputs, time.perf_counter() - started
+
+
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    """Start the process pool of one :func:`stream_plans` call."""
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=_pool_context())
+
+
+#: Campaign plans :func:`stream_plans` holds at once, per worker: planned
+#: ahead, simulating, or finished and waiting for an earlier plan.
+PLANS_PER_WORKER = 2
+
+
+class _Flight:
+    """One plan inside :func:`stream_plans`: its lane groups, and one
+    future per group dispatched so far."""
+
+    __slots__ = ("plan", "groups", "futures")
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.groups = _lane_groups(plan.pending_tasks)
+        self.futures: list[concurrent.futures.Future] = []
+
+    def undispatched(self) -> list:
+        return self.groups[len(self.futures):]
+
+    def running(self) -> list:
+        return [future for future in self.futures if not future.done()]
+
+    def done(self) -> bool:
+        return (len(self.futures) == len(self.groups)
+                and not self.running())
+
+
+class _Backend:
+    """Where :func:`stream_plans` sends lane groups.
+
+    In-process for ``jobs <= 1``; the campaign service's
+    :class:`WorkerPool` when one is given; otherwise a process pool that
+    is started only once two lane groups could overlap.
+    """
+
+    def __init__(self, jobs: int | None, pool: "WorkerPool | None"):
+        self.pool = pool
+        self.workers = (pool.n_workers if pool is not None
+                        else resolve_jobs(jobs))
+        self.executor: ProcessPoolExecutor | None = None
+
+    def dispatch(self, window, *, more: bool, room: bool) -> None:
+        """Send every undispatched group in ``window`` somewhere.
+
+        ``more`` says later plans may still arrive, ``room`` that the
+        caller may plan another before it must wait.  Before a pool runs,
+        groups wait while the caller can still learn whether another plan
+        follows: a lone group runs in-process when none can overlap it,
+        and a pool for one last plan gets at most one worker per group.
+        """
+        pending = [(flight, group) for flight in window
+                   for group in flight.undispatched()]
+        if not pending:
+            return
+        in_process = self.pool is None and self.workers <= 1
+        if not in_process and self.pool is None and self.executor is None:
+            if more and room and (len(pending) == 1 or len(window) == 1):
+                return
+            if len(pending) == 1 and not more:
+                in_process = True
+            else:
+                self.executor = _process_pool(
+                    self.workers if more
+                    else min(self.workers, len(pending)))
+        for flight, group in pending:
+            if in_process:
+                # Runs now; an exception propagates as in a serial loop.
+                future = concurrent.futures.Future()
+                future.set_result(_timed_group(group))
+            elif self.pool is not None:
+                future = self.pool.submit(group)
+            else:
+                future = self.executor.submit(_timed_group, group)
+            flight.futures.append(future)
+
+    def finish(self, flight: _Flight):
+        """Fill a finished flight's plan with its outputs, in task order."""
+        plan = flight.plan
+        outputs: list[RunOutput] = []
+        for future in flight.futures:
+            result = future.result()
+            if self.pool is not None:
+                # WorkerPool shards report no in-worker time.
+                result = (result, 0.0)
+            outputs.extend(result[0])
+            plan.execute_seconds += result[1]
+        for index, output in zip(plan.to_run, outputs):
+            plan.fill(index, output)
+        return plan
+
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def stream_plans(plans, *, jobs: int | None = 1,
+                 pool: "WorkerPool | None" = None):
+    """Simulate campaign plans on one backend; yield each plan, filled.
+
+    ``plans`` is any iterable, possibly lazy, of campaign plans
+    (:class:`~repro.sampler.runner.CampaignPlan`, or anything with
+    ``pending_tasks``, ``to_run``, ``fill(index, output)`` and
+    ``execute_seconds``).  Every plan's pending tasks are split into lane
+    groups (:func:`_lane_groups`, per plan: adjacent campaigns never share
+    a group), and the groups of all plans go to one backend:
+
+    * ``jobs <= 1``: in-process, one plan at a time — plan, simulate,
+      yield, then draw the next plan;
+    * a ``pool`` (the campaign service's :class:`WorkerPool`): one shard
+      per group;
+    * otherwise a process pool of ``jobs`` workers (``0``/``None`` = one
+      per CPU), started the first time two groups could overlap.  A lone
+      group, e.g. a one-campaign ``analyze``, runs in-process.
+
+    Plans come back **strictly in input order**, each as soon as its own
+    groups finish, with outputs filled in and ``execute_seconds``
+    increased by its groups' in-worker seconds (0 under a
+    :class:`WorkerPool`).  While workers simulate, the next plans are
+    drawn from ``plans`` — so a lazy iterable plans campaign k+1 while
+    campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
+    worker in hand.  A plan with nothing pending (warm cache) comes back
+    before the next plan is drawn, so an all-warm stream never starts a
+    pool and holds one campaign at a time.
+
+    Failures keep serial order: a worker's exception (e.g.
+    :class:`~repro.sampler.runner.WorkloadError`) is raised when its plan
+    is due, and one raised while drawing a plan only after every earlier
+    plan came back.  The process pool is shut down when the stream ends,
+    fails or is closed.
+    """
+    backend = _Backend(jobs, pool)
+    limit = backend.workers * PLANS_PER_WORKER
+    source = iter(plans)
+    window: collections.deque[_Flight] = collections.deque()
+    failure: Exception | None = None
+    try:
+        while True:
+            more = source is not None
+            room = len(window) < limit
+            backend.dispatch(window, more=more, room=room)
+            if window and window[0].done():
+                yield backend.finish(window.popleft())
+            elif more and room:
+                # The head is still simulating (or nothing is in hand):
+                # plan ahead.  No local keeps a plan, so a yielded plan is
+                # freed before the next one is drawn.
+                try:
+                    window.append(_Flight(next(source)))
+                except StopIteration:
+                    source = None
+                except Exception as exc:  # noqa: BLE001 - re-raised in order
+                    failure, source = exc, None
+            elif window:
+                concurrent.futures.wait(
+                    [future for flight in window
+                     for future in flight.running()],
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+            elif failure is not None:
+                raise failure
+            else:
+                return
+    finally:
+        backend.close()
+
+
+class _TaskBatch:
+    """A bare task list dressed as a plan for :func:`stream_plans`."""
+
+    def __init__(self, tasks: list[RunTask]):
+        self.pending_tasks = list(tasks)
+        self.to_run = range(len(self.pending_tasks))
+        self.outputs: list[RunOutput | None] = [None] * len(self.to_run)
+        self.execute_seconds = 0.0
+
+    def fill(self, index: int, output: RunOutput) -> None:
+        self.outputs[index] = output
+
+
 def execute_tasks(tasks: list[RunTask], jobs: int | None = 1,
                   pool: "WorkerPool | None" = None) -> list[RunOutput]:
     """Execute ``tasks``, returning outputs in **task order**.
 
-    With a ``pool`` (a long-lived :class:`WorkerPool`, e.g. the campaign
-    service's), every lane group is dispatched as its own shard and the
-    outputs are gathered in submission order.  Otherwise ``jobs <= 1`` (or
-    a single group) runs in-process, and ``jobs > 1`` spins up a per-call
-    process pool; ``Executor.map`` yields results in submission order, so
-    completion order never influences the merge, and a worker's
-    ``WorkloadError`` propagates to the caller unchanged.
-
-    The dispatch unit is a *lane group* (see :func:`_lane_groups`): a
-    batched-core group must land whole in one worker, and without core
-    batching every group is a singleton, so this degenerates to the
-    original per-task behaviour.
+    A one-plan :func:`stream_plans`: with a ``pool`` every lane group is
+    its own shard; otherwise ``jobs <= 1`` or a single group runs
+    in-process, and ``jobs > 1`` starts a process pool of at most one
+    worker per group.  Completion order never influences the merge, and a
+    worker's ``WorkloadError`` propagates to the caller unchanged.
     """
-    if pool is not None and len(tasks) > 0:
-        futures = [pool.submit(group) for group in _lane_groups(tasks)]
-        outputs: list[RunOutput] = []
-        for future in futures:
-            outputs.extend(future.result())
-        return outputs
-    groups = _lane_groups(tasks)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(groups) <= 1:
-        return execute_task_list(tasks)
-    workers = min(jobs, len(groups))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_pool_context()) as pool_:
-        return [output
-                for outputs in pool_.map(execute_run_batch, groups)
-                for output in outputs]
+    batch = _TaskBatch(tasks)
+    for _ in stream_plans([batch], jobs=jobs, pool=pool):
+        pass
+    return batch.outputs
 
 
 # -- persistent worker pool (campaign service) -------------------------------

@@ -8,6 +8,7 @@ class/state association per tracked unit with chi-squared + Cramér's V, and
 
 from __future__ import annotations
 
+import collections
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +19,13 @@ from repro.sampler.mutual_information import (
     MutualInformationResult,
     mutual_information_by_unit,
 )
-from repro.sampler.runner import CampaignResult, Workload, run_campaign
+from repro.sampler.exec_backend import stream_plans
+from repro.sampler.runner import (
+    CampaignResult,
+    Workload,
+    finalize_campaign,
+    prepare_campaign,
+)
 from repro.sampler.stats import (
     SIGNIFICANCE_ALPHA,
     STRONG_ASSOCIATION_THRESHOLD,
@@ -243,16 +250,53 @@ class MicroSampler:
     def analyze(self, workload: Workload, *,
                 max_cycles_per_run: int = 5_000_000) -> LeakageReport:
         """Run the complete Figure 1 flow on ``workload``."""
-        taint_summary = self.compute_taint(workload) if self.taint else None
-        campaign = run_campaign(
-            workload, self.config, features=self.features,
-            max_cycles_per_run=max_cycles_per_run,
-            jobs=self.jobs, cache=self.cache,
-            warmup_insts=self.warmup_insts,
-            batch_lanes=self.batch_lanes, profile=self.profile,
-            pruned=taint_summary.pruned if taint_summary else (),
-        )
-        return self.analyze_campaign(campaign, taint=taint_summary)
+        [(report, _seconds)] = self.analyze_stream(
+            [workload], max_cycles_per_run=max_cycles_per_run)
+        return report
+
+    def analyze_stream(self, workloads, *,
+                       max_cycles_per_run: int = 5_000_000):
+        """Analyze ``workloads`` in order, simulating them as one stream.
+
+        Each workload is planned here — taint prescreen, trace-cache
+        consult, checkpoint prepass (:func:`prepare_campaign`) — and its
+        pending lane groups go to one dispatcher
+        (:func:`~repro.sampler.exec_backend.stream_plans`, ``self.jobs``
+        workers), so under ``jobs > 1`` workload k+1 is planned while
+        workers simulate workload k.  Yields
+        ``(report, seconds)`` per workload, in input order; every report
+        equals :meth:`analyze` of that workload alone with the same cache
+        state.  ``seconds`` is that campaign's own time: its planning, its
+        lane groups' in-worker simulation, and its merge + statistics.
+        Overlapped campaigns' seconds can therefore sum to more than the
+        stream's wall clock.
+        """
+        planned = collections.deque()  # (taint summary, planning seconds)
+
+        def plan_campaign(workload):
+            started = time.perf_counter()
+            taint = self.compute_taint(workload) if self.taint else None
+            campaign_plan = prepare_campaign(
+                workload, self.config, features=self.features,
+                max_cycles_per_run=max_cycles_per_run,
+                cache=self.cache, warmup_insts=self.warmup_insts,
+                batch_lanes=self.batch_lanes, profile=self.profile,
+                pruned=taint.pruned if taint else (),
+            )
+            planned.append((taint, time.perf_counter() - started))
+            return campaign_plan
+
+        plans = (plan_campaign(workload) for workload in workloads)
+        for plan in stream_plans(plans, jobs=self.jobs):
+            taint, plan_seconds = planned.popleft()
+            started = time.perf_counter()
+            report = self.analyze_campaign(finalize_campaign(plan),
+                                           taint=taint)
+            seconds = (plan_seconds + plan.execute_seconds
+                       + time.perf_counter() - started)
+            # Drop the simulated outputs before the next plan is drawn.
+            del plan
+            yield report, seconds
 
     def compute_taint(self, workload: Workload, *,
                       publicness=None) -> TaintSummary:

@@ -24,8 +24,8 @@ from repro.sampler.exec_backend import (
     RunOutput,
     RunTask,
     execute_run,
-    execute_tasks,
     merge_outputs,
+    stream_plans,
 )
 from repro.trace.tracer import MicroarchTracer
 from repro.uarch.config import CoreConfig, MEGA_BOOM
@@ -167,11 +167,12 @@ class CampaignPlan:
     immediately and **never occupy a simulation slot**), folds in-campaign
     duplicates, and runs the lockstep batch prepass.  What remains —
     ``to_run`` — is the shard-able simulation work: any scheduler (the
-    in-process backends via :func:`run_campaign`, or the campaign service's
-    persistent worker pool) may execute those tasks in any order and on any
-    machine, fill the outputs in with :meth:`fill`, and obtain a campaign
-    bit-identical to a serial run from :func:`finalize_campaign` — the
-    deterministic input-order merge is what makes placement free.
+    :func:`~repro.sampler.exec_backend.stream_plans` dispatcher, or the
+    campaign service's persistent worker pool) may execute those tasks in
+    any order and on any machine, fill the outputs in with :meth:`fill`,
+    and obtain a campaign bit-identical to a serial run from
+    :func:`finalize_campaign` — the deterministic input-order merge is what
+    makes placement free.
     """
 
     workload: Workload
@@ -193,12 +194,15 @@ class CampaignPlan:
     keep_raw: object
     log_commits: bool
     profile: bool
-    started: float
     #: Wall-clock the batch checkpoint prepass spent capturing (or loading)
     #: checkpoints while this plan was prepared.  The sweep engine reports
     #: it separately: the first config leg pays the capture, every later
     #: leg's prepass degenerates to store loads.
     capture_seconds: float = 0.0
+    #: In-worker wall-clock of this plan's simulated lane groups, summed
+    #: (added by :func:`~repro.sampler.exec_backend.stream_plans`; 0 when
+    #: everything replayed from cache, or under a ``WorkerPool``).
+    execute_seconds: float = 0.0
 
     def fill(self, index: int, output: RunOutput) -> None:
         """Record one simulated output (and persist it to the cache)."""
@@ -227,10 +231,11 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     """Plan a campaign: build tasks, replay cache hits, batch-prepass.
 
     This is everything :func:`run_campaign` does before simulation.  The
-    returned plan's ``to_run`` tasks must each be passed through
-    :func:`~repro.sampler.exec_backend.execute_run` (anywhere — in-process,
-    process pool, persistent service worker) and recorded with
-    ``plan.fill(index, output)``; then :func:`finalize_campaign` merges.
+    returned plan's ``to_run`` tasks must each be executed and recorded
+    with ``plan.fill(index, output)`` —
+    :func:`~repro.sampler.exec_backend.stream_plans` does both for any
+    number of plans on one backend — then :func:`finalize_campaign`
+    merges.
 
     ``programs`` optionally supplies the per-input patched programs (one
     per ``workload.inputs`` entry), skipping the assemble + patch phase —
@@ -275,7 +280,6 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         programs=programs,
     )
 
-    started = time.perf_counter()
     outputs: list[RunOutput | None] = [None] * len(tasks)
     keys: list[str] | None = None
     duplicate_of: dict[int, str] = {}
@@ -322,7 +326,7 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         keys=keys, outputs=outputs, duplicate_of=duplicate_of,
         to_run=to_run, n_cached=n_cached, divergences=divergences,
         features=features, keep_raw=keep_raw, log_commits=log_commits,
-        profile=profile, started=started, capture_seconds=capture_seconds,
+        profile=profile, capture_seconds=capture_seconds,
     )
 
 
@@ -334,11 +338,20 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     the store failed), then all outputs merge **in input order** — the
     deterministic merge from the parallel backend, so the result is
     bit-identical no matter where or in what order shards executed.
+
+    ``simulate_seconds`` is the plan's own work — checkpoint capture plus
+    its lane groups' in-worker seconds — less the parse (snapshot) time
+    inside them; never a difference of two clock readings, which would
+    absorb other campaigns' work when plans stream through one pool.
     """
     for index, key in plan.duplicate_of.items():
         # Replay the stored twin; fall back to simulating if the store failed.
-        plan.outputs[index] = plan.cache.load(key) or execute_run(
-            plan.tasks[index])
+        output = plan.cache.load(key)
+        if output is None:
+            started = time.perf_counter()
+            output = execute_run(plan.tasks[index])
+            plan.execute_seconds += time.perf_counter() - started
+        plan.outputs[index] = output
     missing = [index for index, output in enumerate(plan.outputs)
                if output is None]
     if missing:
@@ -356,7 +369,6 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     divergences = list(plan.divergences)
     for output in plan.outputs:
         divergences.extend(output.divergences)
-    elapsed = time.perf_counter() - plan.started
     parse_seconds = tracer.sample_seconds
     merged_profile = None
     if plan.profile:
@@ -369,7 +381,8 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
         config=plan.config,
         tracer=tracer,
         runs=runs,
-        simulate_seconds=max(elapsed - parse_seconds, 0.0),
+        simulate_seconds=max(plan.capture_seconds + plan.execute_seconds
+                             - parse_seconds, 0.0),
         parse_seconds=parse_seconds,
         n_cached_runs=plan.n_cached,
         profile=merged_profile,
@@ -428,7 +441,5 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
         batch_lanes=batch_lanes, profile=profile, pruned=pruned,
     )
-    fresh = execute_tasks(plan.pending_tasks, jobs=jobs, pool=pool)
-    for index, output in zip(plan.to_run, fresh):
-        plan.fill(index, output)
+    [plan] = stream_plans([plan], jobs=jobs, pool=pool)
     return finalize_campaign(plan)

@@ -1,17 +1,15 @@
 """Association statistics: Pearson chi-squared and Cramér's V (Section V-C2).
 
-Implements Equations 2-4 of the paper directly.  The chi-squared *p*-value
-uses the regularized upper incomplete gamma function from scipy; everything
-else is computed from first principles so the statistical machinery itself
-is part of the reproduction.
+Implements Equations 2-4 of the paper directly, and the chi-squared
+*p*-value in closed form for integer degrees of freedom, so the statistical
+machinery itself is part of the reproduction (scipy is only the test
+oracle).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaincc
 
 from repro.sampler.contingency import ContingencyTable
 
@@ -70,12 +68,34 @@ def chi_squared_statistic(table: ContingencyTable) -> tuple[float, int]:
 def chi_squared_p_value(statistic: float, dof: int) -> float:
     """Upper-tail p-value of the chi-squared distribution.
 
-    Uses the identity P(X >= x) = Q(dof/2, x/2) with Q the regularized upper
-    incomplete gamma function.
+    P(X >= x) = Q(dof/2, x/2), with Q the regularized upper incomplete
+    gamma function, which has a closed form for integer ``dof``.  With
+    y = x/2 and m = dof // 2:
+
+    * even ``dof``: Q = sum_{j<m} e^-y y^j / j!
+    * odd ``dof``:  Q = erfc(sqrt(y)) + sum_{j<m} e^-y y^(j+1/2) / G(j+3/2)
+
+    Each series term is formed in log space (``math.lgamma``) and the sum
+    is scaled by its largest term, so a large statistic or ``dof`` can
+    neither overflow nor underflow a term that matters.
     """
     if dof <= 0:
         return 1.0
-    return float(gammaincc(dof / 2.0, statistic / 2.0))
+    y = statistic / 2.0
+    if y <= 0.0:
+        return 1.0
+    half, odd = divmod(int(dof), 2)
+    shift = 0.5 * odd
+    log_y = math.log(y)
+    logs = [(j + shift) * log_y - y - math.lgamma(j + shift + 1.0)
+            for j in range(half)]
+    series = 0.0
+    if logs:
+        peak = max(logs)
+        series = math.exp(peak + math.log(
+            math.fsum(math.exp(term - peak) for term in logs)))
+    tail = math.erfc(math.sqrt(y)) if odd else 0.0
+    return min(1.0, tail + series)
 
 
 def _cramers_v_from_statistic(statistic: float, table: ContingencyTable) -> float:

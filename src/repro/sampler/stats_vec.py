@@ -2,9 +2,9 @@
 
 The numpy analysis engine: contingency counts come from one ``bincount``
 per (unit, variant), the chi-squared statistic from a masked array
-reduction over all cells at once, and the p-values for every unit from a
-single vectorized ``gammaincc`` call.  The only Python-level loop left is
-over the tracked units (~14 for the paper's Table IV) — all per-cell and
+reduction over all cells at once, and the p-values from the scalar
+closed-form survival function.  The only Python-level loops left are over
+the tracked units (~14 for the paper's Table IV) — all per-cell and
 per-iteration work runs inside numpy.
 
 The scalar implementation in :mod:`repro.sampler.stats` remains the golden
@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc
 
 from repro.sampler.matrix import TraceMatrix
-from repro.sampler.stats import AssociationResult
+from repro.sampler.stats import AssociationResult, chi_squared_p_value
 
 
 def chi_squared_from_counts(counts: np.ndarray) -> tuple[float, int]:
@@ -81,16 +80,15 @@ def cramers_v_corrected_from_statistic(statistic: float, total: float,
 def p_values(statistics, dofs) -> np.ndarray:
     """Upper-tail chi-squared p-values for whole arrays at once.
 
-    Vectorized counterpart of :func:`repro.sampler.stats.chi_squared_p_value`
-    (``dof <= 0`` maps to 1.0).
+    Array counterpart of :func:`repro.sampler.stats.chi_squared_p_value`
+    (``dof <= 0`` maps to 1.0), evaluated element by element: a campaign
+    or a temporal scan scores at most a few thousand tables.
     """
     statistics = np.asarray(statistics, dtype=np.float64)
-    dofs = np.asarray(dofs, dtype=np.float64)
-    valid = dofs > 0
-    out = np.ones_like(statistics)
-    if valid.any():
-        out[valid] = gammaincc(dofs[valid] / 2.0, statistics[valid] / 2.0)
-    return out
+    dofs = np.asarray(dofs, dtype=np.int64)
+    return np.array([chi_squared_p_value(float(statistic), int(dof))
+                     for statistic, dof in zip(statistics, dofs)],
+                    dtype=np.float64)
 
 
 def measure_association_counts(counts: np.ndarray) -> AssociationResult:
@@ -118,8 +116,8 @@ def batched_association(matrix: TraceMatrix, *,
     """Association measurements for every unit of a campaign matrix.
 
     Returns ``{feature_id: AssociationResult}``.  Counts and chi-squared are
-    computed per unit in numpy; the p-values for all units come from one
-    vectorized incomplete-gamma evaluation.
+    computed per unit in numpy; the p-values for all units come from
+    :func:`p_values`.
     """
     statistics = np.zeros(matrix.n_units)
     dofs = np.zeros(matrix.n_units, dtype=np.int64)

@@ -34,17 +34,11 @@ from __future__ import annotations
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
-from repro.sampler.exec_backend import (
-    _lane_groups,
-    _pool_context,
-    execute_run_batch,
-    resolve_jobs,
-)
+from repro.sampler.exec_backend import stream_plans
 from repro.sampler.pipeline import LeakageReport, MicroSampler
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import (
@@ -339,40 +333,6 @@ def sweep_to_dict(result: SweepResult) -> dict:
     }
 
 
-def _timed_group(tasks) -> tuple:
-    """Worker entry: execute one lane group, reporting its in-worker wall.
-
-    Module-level so it pickles under every ``multiprocessing`` start
-    method.  The timing wrapper is observational — the outputs are exactly
-    :func:`execute_run_batch`'s, which is what keeps sweep legs
-    bit-identical to standalone campaigns.
-    """
-    started = time.perf_counter()
-    outputs = execute_run_batch(tasks)
-    return outputs, time.perf_counter() - started
-
-
-def _execute_shards(groups, *, jobs=1, pool=None) -> list:
-    """Run lane groups (from any mix of config legs) in submission order.
-
-    Returns ``[(outputs, seconds), ...]`` aligned with ``groups``.  Mirrors
-    :func:`~repro.sampler.exec_backend.execute_tasks`'s backend selection:
-    a :class:`WorkerPool` gets one shard per group (seconds unavailable:
-    reported as 0), ``jobs > 1`` maps groups over a process pool, anything
-    else runs in-process.
-    """
-    if pool is not None and groups:
-        futures = [pool.submit(group) for group in groups]
-        return [(future.result(), 0.0) for future in futures]
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(groups) <= 1:
-        return [_timed_group(group) for group in groups]
-    workers = min(jobs, len(groups))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_pool_context()) as pool_:
-        return list(pool_.map(_timed_group, groups))
-
-
 def sweep_configs(workload: Workload, configs, *,
                   features=None,
                   v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
@@ -456,9 +416,9 @@ def sweep_configs(workload: Workload, configs, *,
     try:
         samplers = []
         taints = []
-        plans = []
         plan_seconds = []
-        for config in configs:
+
+        def plan_leg(config):
             sampler = MicroSampler(
                 config, features=features, v_threshold=v_threshold,
                 alpha=alpha, analyze_timing_removed=analyze_timing_removed,
@@ -484,28 +444,17 @@ def sweep_configs(workload: Workload, configs, *,
                 programs=patched)
             samplers.append(sampler)
             taints.append(taint_summary)
-            plans.append(plan)
             plan_seconds.append(time.perf_counter() - started)
+            return plan
 
-        # Fan-out: every leg's pending lane groups through one backend.
-        shards = []  # (leg index, lane group)
-        for leg_index, plan in enumerate(plans):
-            for group in _lane_groups(plan.pending_tasks):
-                shards.append((leg_index, group))
-        shard_results = _execute_shards([group for _, group in shards],
-                                        jobs=jobs, pool=pool)
-        leg_outputs: dict = {index: [] for index in range(len(plans))}
-        leg_exec_seconds = [0.0] * len(plans)
-        for (leg_index, _), (outputs, seconds) in zip(shards, shard_results):
-            leg_outputs[leg_index].extend(outputs)
-            leg_exec_seconds[leg_index] += seconds
-        for leg_index, plan in enumerate(plans):
-            for index, output in zip(plan.to_run, leg_outputs[leg_index]):
-                plan.fill(index, output)
-
-        # Per-leg merge + statistics (stages 3-4 are config-specific).
+        # Fan-out: legs are planned in config order (the first captures
+        # the checkpoints, later legs load them) while earlier legs'
+        # config × lane-group shards simulate on one backend; then each
+        # leg's merge + statistics (stages 3-4 are config-specific).
         legs = []
-        for leg_index, plan in enumerate(plans):
+        plans = (plan_leg(config) for config in configs)
+        for leg_index, plan in enumerate(stream_plans(plans, jobs=jobs,
+                                                      pool=pool)):
             stats_started = time.perf_counter()
             campaign = finalize_campaign(plan)
             report = samplers[leg_index].analyze_campaign(
@@ -515,7 +464,7 @@ def sweep_configs(workload: Workload, configs, *,
                 report=report,
                 plan_seconds=plan_seconds[leg_index],
                 capture_seconds=plan.capture_seconds,
-                execute_seconds=leg_exec_seconds[leg_index],
+                execute_seconds=plan.execute_seconds,
                 stats_seconds=time.perf_counter() - stats_started,
                 n_inputs=len(workload.inputs),
                 n_cached=plan.n_cached,

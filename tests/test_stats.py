@@ -88,6 +88,51 @@ class TestChiSquared:
     def test_p_value_degenerate_dof(self):
         assert chi_squared_p_value(5.0, 0) == 1.0
 
+    @pytest.mark.parametrize("statistic, dof", [
+        (0.0, 1), (0.0, 2), (1e-300, 1), (1e-12, 3), (0.5, 599),
+        (498.75, 564), (1500.0, 1000), (700.0, 1), (1490.0, 2),
+        (5000.0, 600), (1e5, 2), (1e6, 1), (1e6, 600),
+    ])
+    def test_p_value_closed_form_edges(self, statistic, dof):
+        """Even/odd dof, huge statistics and dof: no overflow, no early
+        underflow, within 1e-12 of scipy's incomplete gamma."""
+        from scipy.special import gammaincc
+
+        value = chi_squared_p_value(statistic, dof)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(
+            float(gammaincc(dof / 2.0, statistic / 2.0)), abs=1e-12)
+
+    def test_p_value_matches_scipy_on_random_pairs(self):
+        import random
+
+        from scipy.special import gammaincc
+
+        rng = random.Random(1)
+        for _ in range(2000):
+            dof = rng.randint(1, 600)
+            statistic = rng.choice([rng.uniform(0, 2 * dof),
+                                    rng.uniform(0, 10 * dof + 50),
+                                    rng.expovariate(0.01)])
+            assert chi_squared_p_value(statistic, dof) == pytest.approx(
+                float(gammaincc(dof / 2.0, statistic / 2.0)), abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test oracle only: starting the CLI must not import it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert probe.stdout.strip() == "False"
+
 
 class TestCramersV:
     def test_perfect_association(self):
