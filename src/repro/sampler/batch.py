@@ -22,17 +22,20 @@ propagate into reports.
 * ``auto`` — batch at ``min(n_inputs, DEFAULT_MAX_LANES)`` lanes.
 * ``N`` — batch at exactly ``N`` lanes (chunking inputs as needed).
 
-The same lane width also drives the *cycle-accurate* phase: tasks are
-stamped with ``core_lanes`` and consecutive stamped tasks simulate as one
-lockstep :class:`~repro.uarch.batch_core.BatchCore` group (see
-``exec_backend._lane_groups``), with the identical divergence-as-signal
+The width is resolved once per campaign (``core_lanes``, in
+``prepare_campaign``) and drives both phases: it chunks the prepass, and
+tasks stamped with it simulate, consecutive ones together, as one lockstep
+:class:`~repro.uarch.batch_core.BatchCore` group (see
+``exec_backend._lane_groups``) — so each prepass chunk is one
+cycle-accurate lane group — with the identical divergence-as-signal
 semantics at microarchitectural granularity.
 
 The differential test battery (``tests/test_batch_interpreter.py``,
 ``tests/test_checkpoint.py``) enforces that batched captures are
-bit-identical to scalar ones; modes still never share checkpoint-store
-entries (``batch_lanes`` is part of the key) so a capture bug in one mode
-cannot poison the other.
+bit-identical to scalar ones, so the checkpoint store keeps one entry per
+input whatever produced it: a campaign re-run at another lane width, with
+only some inputs pending, or with ``--batch-lanes off`` loads the
+checkpoints an earlier run captured.
 """
 
 from __future__ import annotations
@@ -80,11 +83,13 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
                              checkpoint_dir: str | None) -> list:
     """Capture (or load) checkpoints for ``to_run`` tasks, lockstep-batched.
 
+    ``to_run`` is chunked ``lanes`` at a time — the campaign's
+    ``core_lanes``, so each chunk is one cycle-accurate lane group.
     Mutates ``tasks`` in place: every task in ``to_run`` is replaced with a
-    copy carrying ``batch_lanes=lanes`` and its captured
+    copy carrying its captured
     :class:`~repro.sampler.checkpoint.Checkpoint` (or ``None`` when
-    fast-forwarding is inapplicable, in which case the worker's scalar
-    fallback re-scouts under the same batch-keyed store entry).  Returns the
+    fast-forwarding is inapplicable, in which case the worker re-scouts
+    through the scalar path under the same store entry).  Returns the
     :class:`~repro.isa.batch_interpreter.DivergenceEvent`\\ s observed, with
     ``lanes`` remapped from batch-local positions to campaign run indices.
     """
@@ -106,7 +111,7 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
             cached = None
             if store is not None:
                 key = checkpoint_key(task.program, task.memory_map,
-                                     warmup_insts, batch_lanes=lanes)
+                                     warmup_insts)
                 keys[index] = key
                 cached = store.load(key)
             if cached is not None:
@@ -130,7 +135,5 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
                     store.store(keys[index], checkpoint)
         for index in chunk:
             tasks[index] = dataclasses.replace(
-                tasks[index], batch_lanes=lanes,
-                checkpoint=attached.get(index),
-            )
+                tasks[index], checkpoint=attached.get(index))
     return divergences

@@ -5,7 +5,7 @@ every run used to pay full cycle-accurate simulation for the program's
 bootstrap — key and buffer setup, copy loops, library-style initialisation.
 This module runs that prefix on the fast functional interpreter instead,
 captures the architectural state just before the ROI, and lets the
-out-of-order core start from there (``Core.restore_architectural_state``).
+out-of-order core start from there (``Core.restore_architectural_states``).
 
 Because the checkpoint is purely architectural, restoring it discards the
 microarchitectural residue the skipped instructions would have left (D-cache
@@ -57,9 +57,11 @@ from repro.util.hashing import stable_hex_digest
 #: Version history: 1 = original layout; 2 = lockstep batch capture
 #: (``batch_lanes`` joined the key material, so batched and per-input
 #: captures — bit-identical by the differential test battery, but produced
-#: by different code paths — never share an entry); 3 = key hash changed:
-#: SipHash → BLAKE2b.
-CHECKPOINT_FORMAT_VERSION = 3
+#: by different code paths — never shared an entry); 3 = key hash changed:
+#: SipHash → BLAKE2b; 4 = ``batch_lanes`` left the key material again: one
+#: entry per input, shared by every lane width and by ``--batch-lanes off``
+#: (``cache prune`` sweeps the width-keyed v3 entries).
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Default warm-up budget (instructions replayed cycle-accurately before the
 #: ROI).  Generous enough to cover every bundled workload's prologue, so the
@@ -114,15 +116,13 @@ class Checkpoint:
 
 
 def checkpoint_key(program: Program, memory_map: MemoryMap | None,
-                   warmup_insts: int,
-                   batch_lanes: int | None = None) -> str:
+                   warmup_insts: int) -> str:
     """Content-addressed key for a (program, memory map, warm-up) triple.
 
-    ``batch_lanes`` records which execution mode produced the entry
-    (``None`` = scalar per-input capture, ``N`` = lockstep batch capture at
-    that width).  Captures are bit-identical across modes — the batch
-    differential tests enforce that — but the producing code paths differ,
-    so they deliberately do not share cache entries.
+    How the entry was captured — one scalar functional pass, or one lane
+    of a lockstep batch pass at any width — is not part of the key: the
+    captures are bit-identical (the batch differential tests enforce
+    that), so every mode loads what any other mode stored.
 
     The program text is digested once per instruction list (the memo in
     :func:`~repro.sampler.trace_cache.program_fingerprint`).  Pool workers
@@ -139,7 +139,6 @@ def checkpoint_key(program: Program, memory_map: MemoryMap | None,
         program_fingerprint(program),
         dataclasses.asdict(memory_map) if memory_map else None,
         warmup_insts,
-        batch_lanes,
     )
     return stable_hex_digest(material)
 
@@ -376,20 +375,17 @@ def load_or_capture(program: Program, *,
                     memory_map: MemoryMap | None = None,
                     warmup_insts: int = 0,
                     store: CheckpointStore | None = None,
-                    batch_lanes: int | None = None,
                     max_steps: int = MAX_CAPTURE_STEPS) -> Checkpoint | None:
     """Fetch a checkpoint from ``store`` or capture (and persist) one.
 
     A missing ``roi.begin`` is not cached as a negative entry: programs
     without markers re-run the (cheap, aborted) scout pass each time.
-    ``batch_lanes`` only keys the lookup (a worker falling back after the
-    batch prepass skipped a lane must address the same entry the prepass
-    would have written); the capture itself is always scalar here.
+    The capture itself is always scalar here; the entry is the one the
+    lockstep batch prepass (:mod:`repro.sampler.batch`) reads and writes.
     """
     key = None
     if store is not None:
-        key = checkpoint_key(program, memory_map, warmup_insts,
-                             batch_lanes=batch_lanes)
+        key = checkpoint_key(program, memory_map, warmup_insts)
         cached = store.load(key)
         if cached is not None:
             return cached

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
 from repro.kernel.memory_map import MemoryMap
-from repro.kernel.proxy_kernel import ProxyKernel
-from repro.trace.tracer import IterationRecord, MicroarchTracer
+from repro.trace.tracer import BatchTracer, IterationRecord, MicroarchTracer
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import Core, RunResult
 
@@ -77,11 +76,6 @@ class RunTask:
     #: Observational only — excluded from the trace-cache key, and cached
     #: replays simply carry no profile.
     profile: bool = False
-    #: Lane width of the lockstep batch prepass that produced (and keys)
-    #: this task's checkpoint; None = scalar capture.  Only affects how the
-    #: checkpoint is obtained — the traced simulation is bit-identical — so
-    #: it is excluded from the trace-cache key like ``checkpoint_dir``.
-    batch_lanes: int | None = None
     #: Checkpoint attached by the batch prepass (``sampler/batch.py``); the
     #: worker then skips its own capture.  Derived state, not configuration
     #: — excluded from the trace-cache key.
@@ -91,13 +85,14 @@ class RunTask:
     #: records the constant empty snapshot instead.  Changes the recorded
     #: trace, so it joins the trace-cache key.
     pruned: tuple = ()
-    #: Lane width for batching the cycle-accurate core phase itself
-    #: (:mod:`repro.uarch.batch_core`): consecutive tasks with the same
-    #: width > 1 run through one shared pipeline.  The traced results are
+    #: The campaign's lockstep lane width (:mod:`repro.sampler.batch`):
+    #: consecutive tasks with the same width > 1 run through one shared
+    #: :mod:`repro.uarch.batch_core` pipeline, and the batch prepass
+    #: captured their checkpoints in chunks of it.  The traced results are
     #: pinned bit-identical to scalar runs, but the lane set determines
-    #: which inputs *can* share a pipeline — and hence which checkpoint
-    #: payloads a cached trace may reference — so unlike ``batch_lanes``
-    #: it **joins** the trace-cache key.
+    #: which inputs *can* share a pipeline — and hence which divergence
+    #: events a group records on its outputs — so it **joins** the
+    #: trace-cache key.
     core_lanes: int | None = None
 
 
@@ -135,195 +130,109 @@ def execute_run(task: RunTask) -> RunOutput:
     ``multiprocessing`` start method, and self-contained so the same code
     path serves the serial backend, the pool workers and cache misses.
     """
-    # Imported here, not at module top, to avoid a circular import
-    # (runner -> exec_backend -> runner).
-    from repro.sampler.runner import WorkloadError
-
-    tracer = MicroarchTracer(features=task.features, keep_raw=task.keep_raw,
-                             log_commits=task.log_commits,
-                             pruned=task.pruned)
-    tracer.timed = True
-    tracer.begin_run(task.run_index)
-
-    checkpoint = task.checkpoint
-    ff_seconds = 0.0
-    if checkpoint is None and task.warmup_insts is not None:
-        from repro.sampler.checkpoint import CheckpointStore, load_or_capture
-
-        started = time.perf_counter()
-        store = (CheckpointStore(task.checkpoint_dir)
-                 if task.checkpoint_dir else None)
-        checkpoint = load_or_capture(
-            task.program, memory_map=task.memory_map,
-            warmup_insts=task.warmup_insts, store=store,
-            batch_lanes=task.batch_lanes,
-        )
-        ff_seconds = time.perf_counter() - started
-
-    core = Core(
-        task.program, task.config,
-        memory_map=task.memory_map,
-        kernel=ProxyKernel(memory_map=task.memory_map or MemoryMap()),
-        tracer=tracer,
-    )
-    if task.log_commits:
-        core.commit_listener = tracer.on_commit
-    if task.profile:
-        from repro.util.profiling import StageProfile
-
-        core.profiler = StageProfile()
-    if checkpoint is not None and checkpoint.steps > 0:
-        # A step-0 checkpoint is the reset state: skip the restore so the
-        # run is the full-simulation code path, not merely equivalent to it.
-        started = time.perf_counter()
-        core.restore_architectural_state(checkpoint)
-        ff_seconds += time.perf_counter() - started
-    for symbol, length in task.warm_regions:
-        base = task.program.symbols[symbol]
-        for address in range(base, base + length, 64):
-            core.dcache.warm_line(address)
-    ff_steps = checkpoint.steps if checkpoint is not None else 0
-    if core.profiler is not None:
-        core.profiler.fastforward_seconds += ff_seconds
-        core.profiler.ff_steps += ff_steps
-        # Attribute pre-ROI cycle-accurate simulation (the warm-up replay,
-        # or the whole prologue when checkpointing is off) to its own phase.
-        started = time.perf_counter()
-        while (not core.halted and not tracer.roi_seen
-                and core.cycle < task.max_cycles):
-            core.step()
-        core.profiler.warmup_seconds += time.perf_counter() - started
-    result = core.run(max_cycles=task.max_cycles)
-    if (task.expect_exit_code is not None
-            and result.exit_code != task.expect_exit_code):
-        raise WorkloadError(
-            f"workload {task.workload_name!r} exited with "
-            f"{result.exit_code} (expected {task.expect_exit_code})"
-        )
-    ckpt_key = None
-    if task.warmup_insts is not None and task.checkpoint_dir:
-        from repro.sampler.checkpoint import checkpoint_key
-
-        ckpt_key = checkpoint_key(task.program, task.memory_map,
-                                  task.warmup_insts,
-                                  batch_lanes=task.batch_lanes)
-    return RunOutput(
-        run_index=task.run_index,
-        iterations=tracer.iterations,
-        run=result,
-        cycles_sampled=tracer.cycles_sampled,
-        sample_seconds=tracer.sample_seconds + tracer.finalize_seconds,
-        ff_steps=ff_steps,
-        profile=core.profiler,
-        checkpoint_key=ckpt_key,
-    )
+    return _simulate([task])[0]
 
 
 def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
     """Run one lane group through a shared :class:`BatchCore` pipeline.
 
-    All tasks must come from one campaign (same program stream, config,
-    memory map and tracer settings; only patched data and run indices
-    differ).  Raises :class:`~repro.uarch.batch_core.LaneDivergence` when
-    the lanes cannot share a pipeline — the caller partitions and retries.
+    Raises :class:`~repro.uarch.batch_core.LaneDivergence` when the lanes
+    cannot share a pipeline — the caller partitions and retries.
     """
+    return _simulate(tasks)
+
+
+def _checkpoint(task: RunTask):
+    """The task's checkpoint: attached by the batch prepass, else loaded
+    from (or captured into) its store; None means full simulation."""
+    if task.checkpoint is not None or task.warmup_insts is None:
+        return task.checkpoint
+    from repro.sampler.checkpoint import CheckpointStore, load_or_capture
+
+    store = (CheckpointStore(task.checkpoint_dir)
+             if task.checkpoint_dir else None)
+    return load_or_capture(task.program, memory_map=task.memory_map,
+                           warmup_insts=task.warmup_insts, store=store)
+
+
+def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
+    """Simulate one task on a :class:`Core`, or several as the lanes of
+    one :class:`~repro.uarch.batch_core.BatchCore`; one output per task.
+
+    Several tasks must come from one campaign (same program stream,
+    config, memory map and tracer settings; only patched data and run
+    indices differ).
+    """
+    # Imported here, not at module top, to avoid a circular import
+    # (runner -> exec_backend -> runner).
+    from repro.sampler.checkpoint import checkpoint_key
     from repro.sampler.runner import WorkloadError
-    from repro.trace.tracer import BatchTracer
-    from repro.uarch.batch_core import BatchCore
 
     head = tasks[0]
-    n_lanes = len(tasks)
-    tracer = BatchTracer(n_lanes, features=head.features,
-                         keep_raw=head.keep_raw,
-                         log_commits=head.log_commits,
-                         pruned=head.pruned)
+    batched = len(tasks) > 1
+    started = time.perf_counter()
+    checkpoints = [_checkpoint(task) for task in tasks]
+    ff_seconds = time.perf_counter() - started
+    settings = dict(features=head.features, keep_raw=head.keep_raw,
+                    log_commits=head.log_commits, pruned=head.pruned)
+    if batched:
+        from repro.uarch.batch_core import BatchCore
+
+        tracer = BatchTracer(len(tasks), **settings)
+        tracer.begin_lane_runs([task.run_index for task in tasks])
+        core = BatchCore([task.program for task in tasks], head.config,
+                         memory_map=head.memory_map, tracer=tracer)
+        kernels, lane_iterations = core.kernel.kernels, tracer.lane_iterations
+    else:
+        tracer = MicroarchTracer(**settings)
+        tracer.begin_run(head.run_index)
+        core = Core(head.program, head.config, memory_map=head.memory_map,
+                    tracer=tracer)
+        kernels, lane_iterations = [core.kernel], [tracer.iterations]
     tracer.timed = True
-    tracer.begin_lane_runs([task.run_index for task in tasks])
-
-    checkpoints = [task.checkpoint for task in tasks]
-    ff_seconds = 0.0
-    if head.warmup_insts is not None:
-        from repro.sampler.checkpoint import CheckpointStore, load_or_capture
-
-        started = time.perf_counter()
-        for lane, task in enumerate(tasks):
-            if checkpoints[lane] is None:
-                store = (CheckpointStore(task.checkpoint_dir)
-                         if task.checkpoint_dir else None)
-                checkpoints[lane] = load_or_capture(
-                    task.program, memory_map=task.memory_map,
-                    warmup_insts=task.warmup_insts, store=store,
-                    batch_lanes=task.batch_lanes,
-                )
-        ff_seconds = time.perf_counter() - started
-
-    core = BatchCore(
-        [task.program for task in tasks], head.config,
-        memory_map=head.memory_map,
-        tracer=tracer,
-    )
     if head.log_commits:
         core.commit_listener = tracer.on_commit
+    profile = None
     if head.profile:
-        from repro.util.profiling import StageProfile
+        from repro.util.profiling import profile_stages
 
-        core.profiler = StageProfile()
+        profile = profile_stages(core)
     run_started = time.perf_counter()
-    have = sum(1 for ckpt in checkpoints if ckpt is not None)
-    if 0 < have < n_lanes:
-        # Some lanes checkpointed, some not: they cannot share a pipeline.
-        core._diverge("checkpoint", core.fetch_pc, "<restore>",
-                      tuple(ckpt is not None for ckpt in checkpoints))
-    if have:
-        heads = tuple((ckpt.pc, ckpt.steps) for ckpt in checkpoints)
-        if any(entry != heads[0] for entry in heads[1:]):
-            core._diverge("checkpoint", heads[0][0], "<restore>", heads)
-        if checkpoints[0].steps > 0:
-            # Step-0 checkpoints are the reset state: skip the restore so
-            # the run is the full-simulation code path (same rule as the
-            # scalar backend).
-            started = time.perf_counter()
-            core.restore_architectural_states(checkpoints)
-            ff_seconds += time.perf_counter() - started
+    core.restore_architectural_states(checkpoints)
+    ff_seconds += time.perf_counter() - run_started
     for symbol, length in head.warm_regions:
         base = head.program.symbols[symbol]
         for address in range(base, base + length, 64):
             core.dcache.warm_line(address)
     ff_steps = checkpoints[0].steps if checkpoints[0] is not None else 0
-    if core.profiler is not None:
-        core.profiler.fastforward_seconds += ff_seconds
-        core.profiler.ff_steps += ff_steps
+    if profile is not None:
+        profile.fastforward_seconds += ff_seconds
+        profile.ff_steps += ff_steps
+        # Attribute pre-ROI cycle-accurate simulation (the warm-up replay,
+        # or the whole prologue when checkpointing is off) to its own phase.
         started = time.perf_counter()
         while (not core.halted and not tracer.roi_seen
                 and core.cycle < head.max_cycles):
             core.step()
-        core.profiler.warmup_seconds += time.perf_counter() - started
+        profile.warmup_seconds += time.perf_counter() - started
     core.run(max_cycles=head.max_cycles)
-    if core.profiler is not None:
-        core.profiler.batchcore_seconds += time.perf_counter() - run_started
-        core.profiler.batchcore_runs += 1
+    if profile is not None:
+        profile.cycles += core.cycle
+        if batched:
+            profile.batchcore_seconds += time.perf_counter() - run_started
+            profile.batchcore_runs += 1
+    outputs = []
     for lane, task in enumerate(tasks):
-        exit_code = core.kernel.kernels[lane].exit_code
+        kernel = kernels[lane]
         if (task.expect_exit_code is not None
-                and exit_code != task.expect_exit_code):
+                and kernel.exit_code != task.expect_exit_code):
             raise WorkloadError(
                 f"workload {task.workload_name!r} exited with "
-                f"{exit_code} (expected {task.expect_exit_code})"
+                f"{kernel.exit_code} (expected {task.expect_exit_code})"
             )
-    outputs = []
-    sample_seconds = tracer.sample_seconds + tracer.finalize_seconds
-    for lane, task in enumerate(tasks):
-        kernel = core.kernel.kernels[lane]
-        ckpt_key = None
-        if task.warmup_insts is not None and task.checkpoint_dir:
-            from repro.sampler.checkpoint import checkpoint_key
-
-            ckpt_key = checkpoint_key(task.program, task.memory_map,
-                                      task.warmup_insts,
-                                      batch_lanes=task.batch_lanes)
         outputs.append(RunOutput(
             run_index=task.run_index,
-            iterations=tracer.lane_iterations[lane],
+            iterations=lane_iterations[lane],
             run=RunResult(
                 exit_code=kernel.exit_code,
                 # Timing is shared by construction, so every lane's stats
@@ -332,10 +241,15 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
                 console=kernel.console_text,
             ),
             cycles_sampled=tracer.cycles_sampled,
-            sample_seconds=sample_seconds if lane == 0 else 0.0,
+            sample_seconds=(tracer.sample_seconds + tracer.finalize_seconds
+                            if lane == 0 else 0.0),
             ff_steps=ff_steps,
-            profile=core.profiler if lane == 0 else None,
-            checkpoint_key=ckpt_key,
+            profile=profile if lane == 0 else None,
+            checkpoint_key=(
+                checkpoint_key(task.program, task.memory_map,
+                               task.warmup_insts)
+                if task.warmup_insts is not None and task.checkpoint_dir
+                else None),
         ))
     return outputs
 

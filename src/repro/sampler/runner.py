@@ -244,6 +244,9 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
+    if warmup_insts is not None and warmup_insts < 0:
+        # A negative budget would checkpoint past roi.begin.
+        raise ValueError(f"warm-up budget must be >= 0, got {warmup_insts}")
     if cache is True:
         from repro.sampler.trace_cache import TraceCache
 
@@ -253,9 +256,9 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 
         checkpoint_dir = str(CheckpointStore.for_cache_root(cache.root).root)
     # Resolve the lockstep lane width up front: ``core_lanes`` joins every
-    # task's cache key (a lane-batched run references lane-batched
-    # checkpoints and records divergence events), so it must be stamped
-    # before the cache is consulted.
+    # task's cache key (a lane-batched run records its group's divergence
+    # events), so it must be stamped before the cache is consulted.  The
+    # same width chunks the batch prepass below.
     core_lanes = None
     if batch_lanes is not None:
         from repro.sampler.batch import resolve_batch_lanes
@@ -306,20 +309,17 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 
     divergences: list = []
     capture_seconds = 0.0
-    if warmup_insts is not None and batch_lanes is not None and to_run:
-        from repro.sampler.batch import (
-            attach_batch_checkpoints,
-            resolve_batch_lanes,
-        )
+    if warmup_insts is not None and core_lanes is not None \
+            and len(to_run) > 1:
+        # A lone pending input captures through the scalar path instead.
+        from repro.sampler.batch import attach_batch_checkpoints
 
-        lanes = resolve_batch_lanes(batch_lanes, len(to_run))
-        if lanes > 1:
-            capture_started = time.perf_counter()
-            divergences = attach_batch_checkpoints(
-                tasks, to_run, lanes=lanes, warmup_insts=warmup_insts,
-                checkpoint_dir=checkpoint_dir,
-            )
-            capture_seconds = time.perf_counter() - capture_started
+        capture_started = time.perf_counter()
+        divergences = attach_batch_checkpoints(
+            tasks, to_run, lanes=core_lanes, warmup_insts=warmup_insts,
+            checkpoint_dir=checkpoint_dir,
+        )
+        capture_seconds = time.perf_counter() - capture_started
 
     return CampaignPlan(
         workload=workload, config=config, tasks=tasks, cache=cache,

@@ -158,9 +158,9 @@ def task_key(task: RunTask) -> str:
         # pruned trace must never replay for an unpruned campaign (or with
         # a different pruned set) and vice versa.
         tuple(sorted(task.pruned)),
-        # Lane-batched core runs reference lane-batched checkpoint payloads
-        # and record the divergence events their batch group observed, both
-        # of which depend on the lane width the campaign ran at.
+        # Lane-batched core runs record the divergence events their batch
+        # group observed, which depend on the lane width the campaign ran
+        # at.
         task.core_lanes,
     )
     return stable_hex_digest(material)

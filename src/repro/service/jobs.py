@@ -91,6 +91,20 @@ class JobSpecError(ValueError):
     """A submission payload failed validation (HTTP 400)."""
 
 
+def _parse_knob(name: str, value, parse):
+    """Apply a CLI option parser to a JSON value: null passes through,
+    strings and integers parse, anything else (bools, floats...) fails."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise JobSpecError(f"invalid {name} {value!r}: expected a string "
+                           "or an integer")
+    try:
+        return parse(str(value))
+    except ValueError as error:
+        raise JobSpecError(f"invalid {name} {value!r}: {error}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Validated description of one job, mirroring the CLI's knobs.
@@ -178,21 +192,26 @@ class JobSpec:
             for name in self.workloads:
                 if name not in names:
                     raise JobSpecError(f"unknown workload {name!r}")
-        self.resolve_warmup_insts()  # raises JobSpecError on bad values
+        # Both raise JobSpecError on bad values.
+        self.resolve_warmup_insts()
+        self.resolve_batch_lanes()
 
     def resolve_warmup_insts(self) -> int | None:
-        """The spec's fast-forward budget as the library's int-or-None."""
+        """The spec's fast-forward budget as the library's int-or-None:
+        ``default``, null, or ``--warmup-insts``'s ``full``/``none``/N>=0."""
         from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS, parse_warmup
 
-        value = self.warmup_insts
-        if value == "default":
+        if self.warmup_insts == "default":
             return DEFAULT_WARMUP_INSTS
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return parse_warmup(str(value))
-        except ValueError as error:
-            raise JobSpecError(f"invalid warmup_insts {value!r}: {error}")
+        return _parse_knob("warmup_insts", self.warmup_insts, parse_warmup)
+
+    def resolve_batch_lanes(self):
+        """The spec's lane width as the library's ``"auto"``/None/int:
+        null, or ``--batch-lanes``'s ``auto``/``off``/N>=1."""
+        from repro.sampler.batch import parse_batch_lanes
+
+        return _parse_knob("batch_lanes", self.batch_lanes,
+                           parse_batch_lanes)
 
     def to_dict(self) -> dict:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -418,7 +437,7 @@ class JobManager:
             jobs=1,
             cache=self.cache,
             warmup_insts=spec.resolve_warmup_insts(),
-            batch_lanes=spec.batch_lanes,
+            batch_lanes=spec.resolve_batch_lanes(),
             engine=spec.engine,
             taint=spec.taint,
         )

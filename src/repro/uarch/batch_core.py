@@ -431,18 +431,21 @@ class BatchCore(Core):
     def restore_architectural_states(self, checkpoints) -> None:
         """Adopt one functional checkpoint per lane.
 
-        Control flow must already agree — a ``(pc, steps)`` mismatch means
-        the lanes diverged during the functional prologue and cannot share
-        a pipeline, so it raises a ``checkpoint`` divergence immediately.
+        Control flow must already agree — lanes of which only some
+        checkpointed, or whose ``(pc, steps)`` heads differ, diverged
+        during the functional prologue and cannot share a pipeline, so
+        either raises a ``checkpoint`` divergence immediately.
         """
-        heads = tuple((ckpt.pc, ckpt.steps) for ckpt in checkpoints)
-        if any(head != heads[0] for head in heads[1:]):
-            self._diverge("checkpoint", heads[0][0], "<restore>", heads)
-        self._flush_all()
-        self.dcache.reset()
-        self.icache.reset()
-        self.predictor.reset()
-        self.lsu.reset()
+        present = tuple(ckpt is not None for ckpt in checkpoints)
+        if any(present) and not all(present):
+            self._diverge("checkpoint", self.fetch_pc, "<restore>", present)
+        if all(present):
+            heads = tuple((ckpt.pc, ckpt.steps) for ckpt in checkpoints)
+            if any(head != heads[0] for head in heads[1:]):
+                self._diverge("checkpoint", heads[0][0], "<restore>", heads)
+        super().restore_architectural_states(checkpoints)
+
+    def _write_checkpoints(self, checkpoints) -> None:
         for reg in range(1, 32):
             values = [ckpt.regs[reg] for ckpt in checkpoints]
             if all(value == values[0] for value in values[1:]):
@@ -455,6 +458,3 @@ class BatchCore(Core):
             for page_base, payload in ckpt.pages:
                 self.memory.write_bytes_lane(lane, page_base, payload)
             self.kernel.kernels[lane].restore_state((ckpt.console, ckpt.brk))
-        self.fetch_pc = checkpoints[0].pc
-        self.fetch_resume_cycle = self.cycle
-        self.halted = False

@@ -201,9 +201,6 @@ class Core:
         self._rob_next_slot = 0
         self.halted = False
         self.stats = CoreStats()
-        #: Optional per-stage profiler (util.profiling.StageProfile); when
-        #: set, :meth:`step` routes through the instrumented variant.
-        self.profiler = None
         self.arch = _CommittedState(self)
         #: Optional commit listener: called as listener(pc, mnemonic,
         #: rd, rd_value, cycle) for every architecturally committed
@@ -231,8 +228,6 @@ class Core:
         fully-idle subsystems are skipped (each guarded call is a no-op on
         the guarded condition, verified by the differential tracer tests).
         """
-        if self.profiler is not None:
-            return self._step_profiled()
         cycle = self.cycle + 1
         self.cycle = cycle
         self.stats.cycles = cycle
@@ -267,68 +262,6 @@ class Core:
         self._fetch()
         if self.tracer is not None:
             self.tracer.on_cycle(self, cycle)
-
-    def _step_profiled(self) -> None:
-        """One cycle with per-stage wall-clock attribution (``--profile``).
-
-        Runs the same guarded stage sequence as :meth:`step` but brackets
-        each stage with ``perf_counter`` reads, accumulating into
-        ``self.profiler`` (a :class:`repro.util.profiling.StageProfile`).
-        """
-        from time import perf_counter
-
-        profile = self.profiler
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        self.stats.cycles = cycle
-        profile.cycles += 1
-        dcache = self.dcache
-        dcache.begin_cycle()
-        if self.rob:
-            t0 = perf_counter()
-            self._commit()
-            profile.commit_seconds += perf_counter() - t0
-            if self.halted:
-                return
-        cycle = self.cycle
-        t0 = perf_counter()
-        if dcache.mshrs or dcache.lfb.entries:
-            dcache.tick(cycle)
-        icache = self.icache
-        if icache.pending:
-            icache.tick(cycle)
-        t1 = perf_counter()
-        profile.memsys_seconds += t1 - t0
-        if self.units.versions["active"] or self.inflight_loads:
-            self._writeback()
-        if self.pending_recoveries:
-            self._fire_due_recoveries()
-        t0 = perf_counter()
-        profile.writeback_seconds += t0 - t1
-        lsu = self.lsu
-        if lsu.store_queue:
-            lsu.drain_committed_store(cycle)
-            lsu.probe_stores(cycle)
-        if lsu.load_queue:
-            started = lsu.issue_loads(cycle, self.config.agu_count)
-            if started:
-                self.inflight_loads.extend(started)
-        t1 = perf_counter()
-        profile.memsys_seconds += t1 - t0
-        if self.iq:
-            self._issue()
-        t0 = perf_counter()
-        profile.issue_seconds += t0 - t1
-        if self.fetch_buffer:
-            self._rename_dispatch()
-        t1 = perf_counter()
-        profile.rename_seconds += t1 - t0
-        self._fetch()
-        t0 = perf_counter()
-        profile.fetch_seconds += t0 - t1
-        if self.tracer is not None:
-            self.tracer.on_cycle(self, cycle)
-            profile.tracer_seconds += perf_counter() - t0
 
     def run(self, max_cycles: int = 5_000_000) -> RunResult:
         """Run to completion (program exit via the proxy kernel)."""
@@ -645,34 +578,47 @@ class Core:
 
     # ------------------------------------------- checkpoint restore
 
-    def restore_architectural_state(self, checkpoint) -> None:
-        """Adopt a functional-interpreter checkpoint as architectural state.
+    def restore_architectural_states(self, checkpoints) -> None:
+        """Adopt functional-interpreter checkpoints as architectural state.
 
-        ``checkpoint`` is a :class:`repro.sampler.checkpoint.Checkpoint`
-        (duck-typed: ``pc``, ``regs``, ``pages``, ``console``, ``brk``).
-        The pipeline is flushed, every timing structure (caches, TLB,
-        predictors, LSU) returns to its power-on state, and the committed
-        register file, memory and proxy-kernel state are overwritten — so
-        simulation resumes at ``checkpoint.pc`` exactly as if the preceding
-        instructions had been executed, minus their microarchitectural
-        residue.  Callers that want that residue replay a warm-up window of
-        pre-ROI instructions cycle-accurately instead (see
+        ``checkpoints`` holds one
+        :class:`repro.sampler.checkpoint.Checkpoint` per lane (duck-typed:
+        ``pc``, ``regs``, ``pages``, ``console``, ``brk``, ``steps``) — a
+        scalar core has one lane — or None where fast-forwarding did not
+        apply.  No checkpoint, or a step-0 one (the reset state), restores
+        nothing, so the run *is* the full-simulation code path rather than
+        merely equivalent to it.  Otherwise the pipeline is flushed, every
+        timing structure (caches, TLB, predictors, LSU) returns to its
+        power-on state, and the committed register file, memory and
+        proxy-kernel state are overwritten — so simulation resumes at the
+        checkpoint's ``pc`` exactly as if the preceding instructions had
+        been executed, minus their microarchitectural residue.  Callers
+        that want that residue replay a warm-up window of pre-ROI
+        instructions cycle-accurately instead (see
         ``sampler/checkpoint.py``).
         """
+        head = checkpoints[0]
+        if head is None or head.steps == 0:
+            return
         self._flush_all()
         self.dcache.reset()
         self.icache.reset()
         self.predictor.reset()
         self.lsu.reset()
+        self._write_checkpoints(checkpoints)
+        self.fetch_pc = head.pc
+        self.fetch_resume_cycle = self.cycle
+        self.halted = False
+
+    def _write_checkpoints(self, checkpoints) -> None:
+        """Overwrite committed registers, memory and kernel state."""
+        [checkpoint] = checkpoints
         arch = self.arch
         for reg in range(1, 32):
             arch.write_reg(reg, checkpoint.regs[reg])
         for page_base, payload in checkpoint.pages:
             self.memory.write_bytes(page_base, payload)
         self.kernel.restore_state((checkpoint.console, checkpoint.brk))
-        self.fetch_pc = checkpoint.pc
-        self.fetch_resume_cycle = self.cycle
-        self.halted = False
 
     # ----------------------------------------------------------------- issue
 

@@ -1,15 +1,17 @@
 """Per-stage wall-clock profiling for the simulator (``--profile``).
 
 A :class:`StageProfile` accumulates how much host time each pipeline stage
-of :class:`~repro.uarch.core.Core` consumed over a run.  When attached to a
-core (``core.profiler = StageProfile()``), ``Core.step`` routes through an
-instrumented variant that brackets each stage with ``perf_counter`` reads.
+of :class:`~repro.uarch.core.Core` consumed over a run.
+:func:`profile_stages` attaches one to a core by wrapping, on that core
+instance only, each stage method ``Core.step`` calls with a pair of
+``perf_counter`` reads; ``Core.step`` itself has no profiling branch, so
+an unprofiled core pays nothing.
 
-Profiling is strictly observational: the instrumented step executes the
-exact same guarded stage sequence as the fast path, so simulated behaviour
-(and therefore every snapshot hash) is unchanged — only host wall-clock is
-recorded.  The overhead of the bracketing itself (~10 timer reads per
-cycle) is why profiling is opt-in rather than always-on.
+Profiling is strictly observational: the wrapped methods run unchanged, in
+the same guarded stage sequence, so simulated behaviour (and therefore
+every snapshot hash) is unchanged — only host wall-clock is recorded.  The
+overhead of the wrapping (two timer reads per stage call) is why profiling
+is opt-in rather than always-on.
 
 Profiles from the runs of one campaign are merged with :meth:`merge` and
 surface in :class:`~repro.sampler.pipeline.LeakageReport` and the report
@@ -19,6 +21,7 @@ JSON (``report_to_dict``) under ``"profile"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from time import perf_counter
 
 
 #: Stage attribute -> human-readable label, in pipeline order (commit first,
@@ -125,6 +128,52 @@ class StageProfile:
                 "  (diverged lanes re-simulated)"
             )
         return "\n".join(lines)
+
+
+#: Stage attribute -> the calls ``Core.step`` makes in that stage, as
+#: ``[owner.]method`` paths from the core.
+_STAGE_METHODS = {
+    "commit_seconds": ("_commit",),
+    "memsys_seconds": ("dcache.tick", "icache.tick",
+                       "lsu.drain_committed_store", "lsu.probe_stores",
+                       "lsu.issue_loads"),
+    "writeback_seconds": ("_writeback", "_fire_due_recoveries"),
+    "issue_seconds": ("_issue",),
+    "rename_seconds": ("_rename_dispatch",),
+    "fetch_seconds": ("_fetch",),
+    "tracer_seconds": ("tracer.on_cycle",),
+}
+
+
+def _timed(method, profile: StageProfile, attr: str):
+    def timed(*args):
+        started = perf_counter()
+        result = method(*args)
+        setattr(profile, attr, getattr(profile, attr)
+                + perf_counter() - started)
+        return result
+
+    return timed
+
+
+def profile_stages(core) -> StageProfile:
+    """Time ``core``'s pipeline stages into a fresh :class:`StageProfile`.
+
+    Every stage method the core's ``step`` calls is shadowed by an
+    instance attribute that adds its host seconds to the stage's bucket
+    (``Core.step`` looks methods up on the instance, so it picks the
+    wrappers up).  Only the stage buckets fill here: the caller records
+    ``cycles`` (``core.cycle`` once the run ends) and the phase fields.
+    """
+    profile = StageProfile()
+    for attr, paths in _STAGE_METHODS.items():
+        for path in paths:
+            owner_name, _, name = path.rpartition(".")
+            owner = getattr(core, owner_name) if owner_name else core
+            if owner is not None:  # None: a core without a tracer
+                setattr(owner, name,
+                        _timed(getattr(owner, name), profile, attr))
+    return profile
 
 
 def merge_profiles(profiles) -> StageProfile | None:

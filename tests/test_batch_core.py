@@ -249,6 +249,21 @@ def test_checkpoint_head_divergence():
     assert excinfo.value.event.mnemonic == "<restore>"
 
 
+def test_checkpoint_on_some_lanes_only_diverges():
+    """Lanes of which only some checkpointed cannot share a pipeline."""
+    from repro.sampler.checkpoint import Checkpoint
+
+    programs = _lane_programs(_TRIGGERS["branch"], (b"\x00", b"\x00"))
+    core = BatchCore(programs, SMALL_BOOM)
+    checkpoint = Checkpoint(pc=programs[0].entry, regs=(0,) * 32, pages=(),
+                            console=b"", brk=0, steps=4, pre_roi_steps=4)
+    with pytest.raises(LaneDivergence) as excinfo:
+        core.restore_architectural_states([checkpoint, None])
+    assert excinfo.value.event.kind == "checkpoint"
+    assert excinfo.value.event.lanes == (1,)
+    assert excinfo.value.lane_keys == (True, False)
+
+
 def test_lockstep_run_keeps_identical_lanes_together():
     programs = _lane_programs(_TRIGGERS["branch"], (b"\x01", b"\x01"))
     core = BatchCore(programs, SMALL_BOOM)

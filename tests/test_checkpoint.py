@@ -448,17 +448,6 @@ def test_batch_capture_returns_none_without_roi_marker(sum_program):
     assert divergences == []
 
 
-def test_checkpoint_key_covers_batch_lanes():
-    """Scalar and batched captures never share a store entry."""
-    workload = make_sam_ct(n_keys=1)
-    program = patch_program(workload.assemble(), workload.inputs[0])
-    scalar = checkpoint_key(program, None, 64)
-    assert scalar == checkpoint_key(program, None, 64, batch_lanes=None)
-    batched = checkpoint_key(program, None, 64, batch_lanes=8)
-    assert batched != scalar
-    assert batched != checkpoint_key(program, None, 64, batch_lanes=16)
-
-
 def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
     from repro.sampler import attach_batch_checkpoints
     from repro.sampler.exec_backend import RunTask
@@ -479,8 +468,7 @@ def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
                                            warmup_insts=64,
                                            checkpoint_dir=checkpoint_dir)
     assert divergences == []
-    assert all(task.batch_lanes == 4 and task.checkpoint is not None
-               for task in tasks)
+    assert all(task.checkpoint is not None for task in tasks)
 
     # A second campaign over the same inputs must be served entirely from
     # the store — no re-capture.
@@ -496,6 +484,53 @@ def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
                              warmup_insts=64, checkpoint_dir=checkpoint_dir)
     assert [task.checkpoint for task in fresh] == \
         [task.checkpoint for task in tasks]
+
+
+def test_one_checkpoint_per_input_across_lane_widths(tmp_path, monkeypatch):
+    """Every lane width, and ``batch_lanes=None``, shares one store entry
+    per input: after a cold ``auto`` campaign, neither a partially warm
+    ``auto`` re-run (3 inputs pending) nor a scalar campaign captures."""
+    import repro.sampler.checkpoint as checkpoint_module
+
+    workload = with_bootstrap(make_sam_ct(n_keys=8), insts=400)
+    cache = TraceCache(tmp_path)
+    checkpoint_root = tmp_path / CheckpointStore.SUBDIR
+
+    def campaign(batch_lanes):
+        return run_campaign(workload, SMALL_BOOM, cache=cache,
+                            warmup_insts=64, batch_lanes=batch_lanes)
+
+    cold = campaign("auto")
+    assert len(list(checkpoint_root.rglob("*.ckpt"))) == 8
+    assert cold.ff_steps_total > 0
+    traces = sorted(path for path in tmp_path.rglob("*.pkl")
+                    if checkpoint_root not in path.parents)
+    assert len(traces) == 8
+    for path in traces[:3]:
+        path.unlink()
+
+    def refuse_capture(*args, **kwargs):
+        raise AssertionError("expected a checkpoint-store hit, got a capture")
+
+    monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
+                        refuse_capture)
+    monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
+                        refuse_capture)
+    partial = campaign("auto")
+    assert partial.n_cached_runs == 5
+    scalar = campaign(None)
+    assert scalar.n_cached_runs == 0  # core_lanes joins the trace key
+    assert len(list(checkpoint_root.rglob("*.ckpt"))) == 8
+    for result in (partial, scalar):
+        assert [run.stats for run in result.runs] == \
+            [run.stats for run in cold.runs]
+
+
+def test_prepare_campaign_rejects_a_negative_warmup_budget():
+    from repro.sampler.runner import prepare_campaign
+
+    with pytest.raises(ValueError, match="warm-up budget"):
+        prepare_campaign(make_sam_ct(n_keys=2), SMALL_BOOM, warmup_insts=-5)
 
 
 # ------------------------------------------------------ dirty tracking

@@ -190,11 +190,46 @@ def test_strip_volatile_removes_wall_clock_fields():
      "unknown job spec field"),
     ({"kind": "analyze", "workload": "sam-ct", "warmup_insts": "soon"},
      "warmup"),
+    ({"kind": "analyze", "workload": "sam-ct", "warmup_insts": -5},
+     "warmup"),
+    ({"kind": "analyze", "workload": "sam-ct", "warmup_insts": True},
+     "warmup"),
+    ({"kind": "analyze", "workload": "sam-ct", "warmup_insts": 2.5},
+     "warmup"),
+    ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": "banana"},
+     "batch_lanes"),
+    ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": 0},
+     "batch_lanes"),
+    ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": -3},
+     "batch_lanes"),
+    ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": 2.5},
+     "batch_lanes"),
+    ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": True},
+     "batch_lanes"),
     ("not a dict", "JSON object"),
 ])
 def test_jobspec_rejects_bad_payloads(payload, match):
     with pytest.raises(JobSpecError, match=match):
         JobSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize("field, value, resolved", [
+    ("batch_lanes", "auto", "auto"),
+    ("batch_lanes", "off", None),
+    ("batch_lanes", None, None),
+    ("batch_lanes", 4, 4),
+    ("batch_lanes", "4", 4),
+    ("warmup_insts", "default", 512),
+    ("warmup_insts", "full", None),
+    ("warmup_insts", None, None),
+    ("warmup_insts", "none", 0),
+    ("warmup_insts", 0, 0),
+    ("warmup_insts", 64, 64),
+])
+def test_jobspec_accepts_the_cli_spellings(field, value, resolved):
+    spec = JobSpec.from_dict({"kind": "analyze", "workload": "sam-ct",
+                              field: value})
+    assert getattr(spec, f"resolve_{field}")() == resolved
 
 
 def test_jobspec_rejects_negative_permutations():

@@ -130,8 +130,7 @@ class TestKeying:
             patch_program(workload.assemble(), workload.inputs[0]),
             warmup_insts=64)
         assert task_key(base) == task_key(
-            _task(workload, warmup_insts=64, batch_lanes=8,
-                  checkpoint=checkpoint))
+            _task(workload, warmup_insts=64, checkpoint=checkpoint))
 
     def test_key_is_pinned(self):
         # A literal key for a fixed tiny program.  Canonicalization, the key
@@ -139,6 +138,15 @@ class TestKeying:
         # it: a change to any of them must update this pin *and* bump
         # CACHE_FORMAT_VERSION, or old entries linger as live in ``prune``.
         assert task_key(_task(_workload())) == "f87d9a1154ff812a"
+
+    def test_checkpoint_key_is_pinned(self):
+        # Same rule for checkpoint-store keys: a change to the key material
+        # or its hashing must update this pin *and* bump
+        # CHECKPOINT_FORMAT_VERSION, or old entries linger as live.
+        from repro.sampler.checkpoint import checkpoint_key
+
+        program = _task(_workload()).program
+        assert checkpoint_key(program, None, 64) == "bbf28372008ca3f6"
 
 
 class TestTextDigestMemo:
