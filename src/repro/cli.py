@@ -19,7 +19,8 @@ Commands
 ``disasm FILE``
     Assemble a file and print its disassembly with addresses.
 ``cache {stats,prune}``
-    Inspect or garbage-collect the trace/checkpoint cache directory.
+    Inspect or garbage-collect the trace/checkpoint/witness cache
+    directory.
 """
 
 from __future__ import annotations
@@ -596,18 +597,23 @@ def _format_bytes(count: int) -> str:
 
 
 def cmd_cache(args) -> int:
-    """Inspect or garbage-collect the trace/checkpoint cache."""
+    """Inspect or garbage-collect the trace/checkpoint/witness cache."""
     from repro.sampler.trace_cache import cache_stats, prune_cache
 
     if args.action == "stats":
         stats = cache_stats(args.cache_dir)
         print(f"cache root: {stats['root']}")
-        for kind in ("trace", "checkpoint"):
+        for kind in ("trace", "checkpoint", "witness"):
             bucket = stats[kind]
             print(f"  {kind:<11} {bucket['entries']:>6} entries "
                   f"({_format_bytes(bucket['bytes'])}), "
                   f"{bucket['stale_entries']} stale "
                   f"({_format_bytes(bucket['stale_bytes'])})")
+        temp = stats["temp"]
+        if temp["entries"]:
+            print(f"  {temp['entries']} temp file(s) "
+                  f"({_format_bytes(temp['bytes'])}) left by interrupted "
+                  f"stores; 'microsampler cache prune --all' deletes them")
         per_config = stats.get("per_config") or {}
         if per_config:
             print("  trace entries by core config:")
@@ -618,8 +624,8 @@ def cmd_cache(args) -> int:
                 print(f"    {label:<12} digest={digest[:12]:<12} "
                       f"{bucket['entries']:>6} entries "
                       f"({_format_bytes(bucket['bytes'])})")
-        total_stale = (stats["trace"]["stale_entries"]
-                       + stats["checkpoint"]["stale_entries"])
+        total_stale = sum(stats[kind]["stale_entries"]
+                          for kind in ("trace", "checkpoint", "witness"))
         if total_stale:
             print(f"  run 'microsampler cache prune' to delete the "
                   f"{total_stale} stale entr"
@@ -634,6 +640,8 @@ def cmd_cache(args) -> int:
           f"{removed['checkpoint']} stale checkpoint, "
           f"{removed['orphan']} orphaned checkpoint "
           f"(no surviving trace references them)")
+    print(f"  {result['removed_witness']} stale witness, "
+          f"{result['removed_temp']} temp file(s) of interrupted stores")
     return 0
 
 
@@ -897,17 +905,22 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     cache = sub.add_parser(
-        "cache", help="inspect or prune the trace/checkpoint cache")
+        "cache", help="inspect or prune the trace/checkpoint/witness cache")
     cache.add_argument("action", choices=["stats", "prune"],
-                       help="'stats' inventories entries by kind and "
-                            "staleness; 'prune' deletes stale (pre-format-"
-                            "bump or unreadable) entries")
+                       help="'stats' inventories entries by kind (trace, "
+                            "checkpoint, taint witness) and staleness, and "
+                            "counts temp files of interrupted stores; "
+                            "'prune' deletes stale entries (pre-format-bump "
+                            "or unreadable; witness records that fail "
+                            "validation or carry another format or source "
+                            "digest) and orphaned checkpoints")
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory (default: "
                             "$MICROSAMPLER_CACHE_DIR or "
                             "~/.cache/microsampler)")
     cache.add_argument("--all", action="store_true",
-                       help="prune every entry, not just stale ones")
+                       help="prune every entry, not just stale ones, and "
+                            "the temp files of interrupted stores")
     cache.set_defaults(func=cmd_cache)
 
     serve = sub.add_parser(

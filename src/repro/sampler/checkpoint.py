@@ -40,9 +40,7 @@ state is a breaking change, not a cleanup.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,23 +346,12 @@ class CheckpointStore:
         return checkpoint
 
     def store(self, key: str, checkpoint: Checkpoint) -> bool:
-        path = self._path(key)
+        from repro.sampler.trace_cache import atomic_write
+
+        payload = pickle.dumps(_checkpoint_to_payload(checkpoint),
+                               protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(_checkpoint_to_payload(checkpoint),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=f".{key}.")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._path(key), payload)
         except OSError:
             return False
         self.stores += 1

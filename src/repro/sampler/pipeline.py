@@ -307,14 +307,16 @@ class MicroSampler:
         is config-independent (it executes on the functional interpreter),
         so a cross-config sweep computes it once and projects only the
         config-dependent reachability per leg.  The result is bit-identical
-        to recomputing: ``compute_publicness`` is deterministic.
+        to recomputing: ``compute_publicness`` is deterministic.  Otherwise
+        the witness is replayed from ``self.cache`` when it holds one.
         """
         from repro.taint import compute_publicness
         from repro.uarch.reachability import reachable_features
 
         if publicness is None:
             publicness = compute_publicness(workload,
-                                            batch_lanes=self.batch_lanes)
+                                            batch_lanes=self.batch_lanes,
+                                            cache=self.cache)
         reachable = reachable_features(publicness.merged, self.config,
                                        self.features)
         return TaintSummary(

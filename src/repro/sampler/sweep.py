@@ -392,7 +392,8 @@ def sweep_configs(workload: Workload, configs, *,
         from repro.taint import compute_publicness
 
         taint_started = time.perf_counter()
-        publicness = compute_publicness(workload, batch_lanes=batch_lanes)
+        publicness = compute_publicness(workload, batch_lanes=batch_lanes,
+                                        cache=cache)
         shared_seconds["taint"] = time.perf_counter() - taint_started
 
     # Shared phase 2: assemble once, patch once per input.

@@ -12,21 +12,32 @@ assembled (and patched) program image, the core configuration, the memory
 map, and the tracer settings (tracked features, retained raw rows, commit
 logging), plus the warm-region and cycle-budget knobs.  Mutating any of them — a changed
 source line, a different secret key, one more ROB entry — yields a new key;
-everything else is a byte-identical replay.  Keys are salted with the
-package version and a cache format version, but **not** with the simulator
-source itself: after modifying the core model, clear the cache directory or
-pass ``--no-cache``/``cache=None``.
+everything else is a byte-identical replay.  Trace and checkpoint keys are
+salted with the package version and a cache format version, but **not**
+with the simulator source itself: after modifying the core model, clear
+the cache directory or pass ``--no-cache``/``cache=None``.  Taint witness
+records are the exception: their keys carry :func:`source_digest`, so
+they invalidate themselves when the source changes.
 
 Entries are stored one file per key under ``root/<key[:2]>/<key>.pkl``
 (pickled *plain-value payloads*, not live objects — see
 :func:`repro.trace.tracer.iteration_to_payload`), written atomically so
 concurrent workers can share a cache directory.  Any unreadable, corrupt or
 version-mismatched entry is treated as a miss.
+
+The same root holds the taint prescreen's publicness witness (see
+:func:`repro.taint.publicness.compute_publicness`) as self-describing,
+checksummed JSON records under ``root/witness/<key[:2]>/<key>.json``,
+so a warm ``--taint on`` run replays the witness instead of re-running the
+taint engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 import os
 import pickle
 import tempfile
@@ -64,8 +75,65 @@ from repro.util.hashing import stable_hex_digest
 #: cache prune`` garbage-collects the stale files.
 CACHE_FORMAT_VERSION = 7
 
+#: Bump when the witness record layout or its key material changes.
+WITNESS_FORMAT_VERSION = 1
+
+#: Witness records live under ``<root>/<WITNESS_SUBDIR>/<xx>/<key>.json``.
+WITNESS_SUBDIR = "witness"
+
+#: Subpackages of ``repro`` whose source defines what a taint witness
+#: contains: the ISA and its interpreter, the proxy kernel, the taint
+#: engine, the core model, the tracer and the bundled workloads.
+SOURCE_PACKAGES = ("isa", "kernel", "taint", "uarch", "trace", "workloads")
+
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "MICROSAMPLER_CACHE_DIR"
+
+#: Shell pattern of the temporary files :func:`atomic_write` creates,
+#: ``.<key>.<random>``.  One survives only when its writer was killed
+#: mid-store; ``cache stats`` counts them and ``cache prune --all``
+#: deletes them.
+TEMP_GLOB = ".*.*"
+
+
+def atomic_write(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` so readers see the old file or the new
+    one, never a torn one: a temporary file in the same directory, then
+    ``os.replace``.  Raises ``OSError`` when the store fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+@functools.cache
+def source_digest() -> str | None:
+    """Keyed BLAKE2b digest of the :data:`SOURCE_PACKAGES` sources.
+
+    Computed once per process, on first use.  None when a source cannot
+    be read (or a package has no ``.py`` files): a record keyed without the
+    digest could outlive the code that produced it, so nothing is cached.
+    """
+    root = Path(repro.__file__).parent
+    files = []
+    try:
+        for package in SOURCE_PACKAGES:
+            paths = sorted((root / package).rglob("*.py"))
+            if not paths:
+                return None
+            files.extend((path.relative_to(root).as_posix(),
+                          path.read_bytes()) for path in paths)
+    except OSError:
+        return None
+    return stable_hex_digest(tuple(files))
 
 
 def default_cache_dir() -> Path:
@@ -166,6 +234,70 @@ def task_key(task: RunTask) -> str:
     return stable_hex_digest(material)
 
 
+def witness_key(programs, spans, memory_map, max_steps: int) -> str | None:
+    """Content-addressed key of one campaign's publicness witness.
+
+    Covers what the taint runs are a pure function of: each input's patched
+    program and resolved secret spans, the memory map, the step budget and,
+    through :func:`source_digest`, the code that runs them.  None when the
+    sources cannot be digested.  The lane width stays out (the lane and
+    scalar taint engines give equal maps), and so does the workload name.
+    """
+    source = source_digest()
+    if source is None:
+        return None
+    material = (
+        WITNESS_FORMAT_VERSION,
+        source,
+        tuple(program_fingerprint(program) for program in programs),
+        tuple(tuple(per_input) for per_input in spans),
+        dataclasses.asdict(memory_map) if memory_map else None,
+        max_steps,
+    )
+    return stable_hex_digest(material)
+
+
+def _body_digest(body: list) -> str:
+    """BLAKE2b of the body's canonical JSON text, which a parsed body
+    serializes back to exactly."""
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+def _witness_to_record(key: str, maps) -> bytes:
+    body = [publicness.to_dict() for publicness in maps]
+    header = {"format": WITNESS_FORMAT_VERSION, "source": source_digest(),
+              "key": key, "body_blake2b": _body_digest(body)}
+    return json.dumps({"header": header, "maps": body}).encode()
+
+
+def _read_witness(path: Path, key: str) -> tuple | None:
+    """The publicness maps the witness record at ``path`` holds, or None
+    when it is unreadable, malformed (bad JSON, a mistyped field, a body
+    failing its digest), foreign (another key) or stale (another format or
+    source digest)."""
+    from repro.taint.publicness import PublicnessMap
+
+    try:
+        record = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(record, dict) or set(record) != {"header", "maps"}:
+        return None
+    header, body = record["header"], record["maps"]
+    if not isinstance(header, dict) or not isinstance(body, list):
+        return None
+    source = source_digest()
+    if source is None or type(header.get("format")) is not int or header != {
+            "format": WITNESS_FORMAT_VERSION, "source": source, "key": key,
+            "body_blake2b": _body_digest(body)}:
+        return None
+    try:
+        return tuple(PublicnessMap.from_dict(item) for item in body)
+    except ValueError:
+        return None
+
+
 def _output_to_payload(output: RunOutput, config=None) -> tuple:
     run = output.run
     return (
@@ -256,36 +388,42 @@ class TraceCache:
         it) is recorded in the payload for the per-config ``cache stats``
         breakdown; it does not affect the key or replay.
         """
-        path = self._path(key)
+        payload = pickle.dumps(_output_to_payload(output, config),
+                               protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(_output_to_payload(output, config),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=f".{key}.")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._path(key), payload)
         except OSError:
             return False
         self.stores += 1
         return True
+
+    def _witness_path(self, key: str) -> Path:
+        return self.root / WITNESS_SUBDIR / key[:2] / f"{key}.json"
+
+    def load_witness(self, key: str) -> tuple | None:
+        """Replay the publicness maps of witness record ``key``, or None on
+        a miss (absent, unreadable, malformed, foreign or stale record)."""
+        return _read_witness(self._witness_path(key), key)
+
+    def store_witness(self, key: str, maps) -> None:
+        """Atomically (over)write witness record ``key``; best-effort, so a
+        failed store (read-only root, full disk) is ignored."""
+        try:
+            atomic_write(self._witness_path(key),
+                         _witness_to_record(key, maps))
+        except OSError:
+            pass
 
 
 # -- maintenance (``microsampler cache``) -----------------------------------
 #
 # Format bumps orphan every entry written by earlier versions: they decode
 # as misses forever but keep their disk space.  These helpers let the CLI
-# inspect and garbage-collect them.  Both entry kinds live under one root:
-# trace payloads as ``<root>/<xx>/<key>.pkl`` and checkpoints as
-# ``<root>/checkpoints/<xx>/<key>.ckpt``.
+# inspect and garbage-collect them.  Every entry kind lives under one root:
+# trace payloads as ``<root>/<xx>/<key>.pkl``, checkpoints as
+# ``<root>/checkpoints/<xx>/<key>.ckpt`` and taint witness records as
+# ``<root>/witness/<xx>/<key>.json``.  A witness record is stale when it
+# fails validation or was written under another format or source digest.
 
 
 def _read_payload(path: Path) -> tuple | None:
@@ -337,6 +475,15 @@ def _scan_entries(root: Path):
             yield path, "checkpoint", CHECKPOINT_FORMAT_VERSION
 
 
+def _witness_paths(root: Path) -> list:
+    return sorted((root / WITNESS_SUBDIR).rglob("*.json"))
+
+
+def _temp_paths(root: Path) -> list:
+    """Temporary files of interrupted :func:`atomic_write` stores."""
+    return [path for path in sorted(root.rglob(TEMP_GLOB)) if path.is_file()]
+
+
 def cache_stats(root: str | Path | None = None) -> dict:
     """Inventory of the cache directory, split by entry kind and staleness.
 
@@ -348,12 +495,13 @@ def cache_stats(root: str | Path | None = None) -> dict:
     config under ``per_config`` (``digest -> {name, entries, bytes}``), so
     before submitting a cross-config sweep one can see which config legs
     are already warm.  Entries stored without a recorded config (older
-    callers) are grouped under the ``"unknown"`` digest.
+    callers) are grouped under the ``"unknown"`` digest.  ``temp`` counts
+    the temporary files of interrupted stores.
     """
     root = Path(root) if root is not None else default_cache_dir()
     stats = {
         kind: {"entries": 0, "bytes": 0, "stale_entries": 0, "stale_bytes": 0}
-        for kind in ("trace", "checkpoint")
+        for kind in ("trace", "checkpoint", "witness")
     }
     per_config: dict = {}
     for path, kind, current in _scan_entries(root):
@@ -378,7 +526,26 @@ def cache_stats(root: str | Path | None = None) -> dict:
             digest, {"name": name, "entries": 0, "bytes": 0})
         entry["entries"] += 1
         entry["bytes"] += size
-    return {"root": str(root), **stats, "per_config": per_config}
+    bucket = stats["witness"]
+    for path in _witness_paths(root):
+        try:
+            size = path.stat().st_size
+        except OSError:
+            continue
+        bucket["entries"] += 1
+        bucket["bytes"] += size
+        if _read_witness(path, path.stem) is None:
+            bucket["stale_entries"] += 1
+            bucket["stale_bytes"] += size
+    temp = {"entries": 0, "bytes": 0}
+    for path in _temp_paths(root):
+        try:
+            temp["bytes"] += path.stat().st_size
+        except OSError:
+            continue
+        temp["entries"] += 1
+    return {"root": str(root), **stats, "temp": temp,
+            "per_config": per_config}
 
 
 def prune_cache(root: str | Path | None = None, *,
@@ -391,11 +558,17 @@ def prune_cache(root: str | Path | None = None, *,
     is removed too.  Surviving trace payloads record the checkpoint key
     their run used, which is what ties the two stores together.
 
-    Returns ``{"root", "removed_entries", "removed_bytes", "removed"}``
-    where ``removed`` breaks the count down by kind (``trace``,
-    ``checkpoint``, ``orphan``).  Removal is best-effort (a vanished or
-    undeletable file is skipped) and empty shard directories are cleaned
-    up afterwards.
+    Stale witness records go too.  ``all_entries`` also deletes the
+    temporary files of interrupted stores; a plain prune leaves them, as a
+    live writer may own one.
+
+    Returns ``{"root", "removed_entries", "removed_bytes", "removed",
+    "removed_witness", "removed_temp"}`` where ``removed`` breaks the
+    trace-side count down by kind (``trace``, ``checkpoint``, ``orphan``).
+    ``removed_entries`` also counts the witness records, and
+    ``removed_bytes`` the temporary files.  Removal is best-effort (a
+    vanished or undeletable file is skipped) and empty shard directories
+    are cleaned up afterwards.
     """
     root = Path(root) if root is not None else default_cache_dir()
     removed = {"trace": 0, "checkpoint": 0, "orphan": 0}
@@ -403,16 +576,21 @@ def prune_cache(root: str | Path | None = None, *,
     referenced: set[str] = set()
     checkpoints: list[tuple[Path, int | None]] = []
 
-    def _unlink(path: Path, kind: str) -> None:
+    def _unlink(path: Path) -> bool:
         nonlocal removed_bytes
         try:
             size = path.stat().st_size
             path.unlink()
         except OSError:
-            return
-        removed[kind] += 1
+            return False
         removed_bytes += size
+        return True
 
+    removed_witness = sum(_unlink(path) for path in _witness_paths(root)
+                          if all_entries
+                          or _read_witness(path, path.stem) is None)
+    removed_temp = (sum(_unlink(path) for path in _temp_paths(root))
+                    if all_entries else 0)
     for path, kind, current in _scan_entries(root):
         if kind == "checkpoint":
             checkpoints.append((path, current))
@@ -425,14 +603,14 @@ def prune_cache(root: str | Path | None = None, *,
             if key is not None:
                 referenced.add(key)
             continue
-        _unlink(path, "trace")
+        removed["trace"] += _unlink(path)
     for path, current in checkpoints:
         if all_entries or _payload_version(path) != current:
-            _unlink(path, "checkpoint")
+            removed["checkpoint"] += _unlink(path)
         elif path.stem not in referenced:
             # Current-version checkpoint, but no surviving trace entry
             # references it: its parents were pruned (or never cached).
-            _unlink(path, "orphan")
+            removed["orphan"] += _unlink(path)
     if root.is_dir():
         for directory in sorted(root.rglob("*"), reverse=True):
             if directory.is_dir():
@@ -441,6 +619,8 @@ def prune_cache(root: str | Path | None = None, *,
                 except OSError:
                     pass
     return {"root": str(root),
-            "removed_entries": sum(removed.values()),
+            "removed_entries": sum(removed.values()) + removed_witness,
             "removed_bytes": removed_bytes,
-            "removed": removed}
+            "removed": removed,
+            "removed_witness": removed_witness,
+            "removed_temp": removed_temp}

@@ -27,6 +27,15 @@ from repro.taint.engine import TaintError, TaintInterpreter
 MAX_TAINT_STEPS = 10_000_000
 
 
+#: The PC-set fields of a :class:`PublicnessMap`.
+_PC_SETS = ("executed_pcs", "tainted_pcs", "tainted_mem_pcs",
+            "tainted_branch_pcs", "tainted_div_pcs", "transient_mem_pcs")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class PublicnessMap:
     """Where secrets actually flowed during one (or a union of) taint runs.
@@ -74,17 +83,31 @@ class PublicnessMap:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PublicnessMap":
-        return cls(
-            executed_pcs=frozenset(payload["executed_pcs"]),
-            tainted_pcs=frozenset(payload["tainted_pcs"]),
-            tainted_mem_pcs=frozenset(payload["tainted_mem_pcs"]),
-            tainted_branch_pcs=frozenset(payload["tainted_branch_pcs"]),
-            tainted_div_pcs=frozenset(payload["tainted_div_pcs"]),
-            transient_mem_pcs=frozenset(payload["transient_mem_pcs"]),
-            escalations=tuple((pc, kind)
-                              for pc, kind in payload["escalations"]),
-            steps=payload["steps"],
-        )
+        """Inverse of :meth:`to_dict`.  Every field is type-checked, since
+        the dict may come from disk: raises ``ValueError`` on a missing,
+        extra or mistyped field."""
+        if not isinstance(payload, dict) or set(payload) != {
+                *_PC_SETS, "escalations", "escalated", "steps"}:
+            raise ValueError("not a publicness map")
+        sets = {}
+        for name in _PC_SETS:
+            pcs = payload[name]
+            if not isinstance(pcs, list) or not all(map(_is_count, pcs)):
+                raise ValueError(f"{name} is not a list of PCs")
+            sets[name] = frozenset(pcs)
+        escalations = payload["escalations"]
+        if not isinstance(escalations, list) or not all(
+                isinstance(entry, list) and len(entry) == 2
+                and _is_count(entry[0]) and isinstance(entry[1], str)
+                for entry in escalations):
+            raise ValueError("escalations are not (pc, kind) pairs")
+        if payload["escalated"] is not bool(escalations):
+            raise ValueError("escalated disagrees with escalations")
+        if not _is_count(payload["steps"]):
+            raise ValueError("steps is not a count")
+        return cls(**sets,
+                   escalations=tuple((pc, kind) for pc, kind in escalations),
+                   steps=payload["steps"])
 
     @classmethod
     def merge(cls, maps) -> "PublicnessMap":
@@ -131,7 +154,9 @@ def resolve_secret_spans(program, patches, secret_regions) -> list:
 
     Each region is either a symbol name — the bytes this input patches into
     that symbol — or a ``(symbol, offset, length)`` triple for a fixed
-    sub-range (e.g. the key words inside a packed cipher state).
+    sub-range (e.g. the key words inside a packed cipher state).  A fixed
+    span must lie inside the program's data image: one outside it would
+    seed bytes no input can hold.
     """
     spans = []
     for region in secret_regions:
@@ -141,13 +166,19 @@ def resolve_secret_spans(program, patches, secret_regions) -> list:
             symbol, offset, length = region
         if symbol not in program.symbols:
             raise TaintError(f"secret region {symbol!r} is not a data symbol")
+        address = program.symbols[symbol] + offset
         if length is None:
             blob = patches.get(symbol)
             if blob is None:
                 continue  # this input does not exercise the region
             length = len(blob) - offset
+        elif not (program.data_base <= address and length > 0 and address
+                  + length <= program.data_base + len(program.data)):
+            raise TaintError(
+                f"secret region {tuple(region)!r} falls outside the "
+                "program's data image")
         if length > 0:
-            spans.append((program.symbols[symbol] + offset, length))
+            spans.append((address, length))
     return spans
 
 
@@ -198,14 +229,23 @@ def taint_run(program, spans, *, memory_map: MemoryMap | None = None,
 
 def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
                        batch_lanes=None,
-                       max_steps: int = MAX_TAINT_STEPS) -> CampaignPublicness:
+                       max_steps: int = MAX_TAINT_STEPS,
+                       cache=None) -> CampaignPublicness:
     """Taint-analyze every input of ``workload`` and merge the maps.
 
-    Requires the workload to declare ``secret_regions``; a workload without
-    a declaration has no defined secret and cannot be prescreened (callers
-    should surface that rather than silently treating it as public).
+    Requires the workload to declare ``secret_regions`` that seed at least
+    one byte of some input; a workload without a declaration has no
+    defined secret and cannot be prescreened (callers should surface that
+    rather than silently treating it as public), and one whose declaration
+    seeds nothing would prune every unit on no evidence.
     ``batch_lanes`` (``None`` | ``"auto"`` | N) selects the lane-parallel
     engine for the lockstep phases, bit-identical to the scalar path.
+
+    With a ``cache`` (a :class:`~repro.sampler.trace_cache.TraceCache`, or
+    True for the default one) the per-input maps are replayed from its
+    witness record when one is stored under
+    :func:`~repro.sampler.trace_cache.witness_key`, and stored after a
+    taint run otherwise; ``cache=None`` reads and writes nothing.
 
     The result is **core-config independent**: taint propagates through the
     functional interpreter, which models no timing.  Only the downstream
@@ -214,6 +254,7 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
     computes this witness once and projects it per swept config.
     """
     from repro.sampler.runner import patch_program
+    from repro.sampler.trace_cache import TraceCache, witness_key
 
     secret_regions = getattr(workload, "secret_regions", None) or []
     if not secret_regions:
@@ -224,21 +265,33 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
     programs = [patch_program(base, patches) for patches in workload.inputs]
     spans = [resolve_secret_spans(base, patches, secret_regions)
              for patches in workload.inputs]
+    seed_bytes = sum(length for per_input in spans for _, length in per_input)
+    if not seed_bytes:
+        raise TaintError(
+            f"the secret_regions of workload {workload.name!r} seed no byte "
+            "of any input; every unit would be pruned on no evidence")
 
-    from repro.sampler.batch import resolve_batch_lanes
-    lanes = resolve_batch_lanes(batch_lanes, len(programs))
-    if lanes > 1:
-        from repro.taint.batch_engine import taint_runs_batch
-        maps = taint_runs_batch(programs, spans, memory_map=memory_map,
-                                lanes=lanes, max_steps=max_steps)
-    else:
-        maps = [taint_run(program, span, memory_map=memory_map,
-                          max_steps=max_steps)
-                for program, span in zip(programs, spans)]
+    if cache is True:
+        cache = TraceCache()
+    key = (witness_key(programs, spans, memory_map, max_steps)
+           if cache is not None else None)
+    maps = cache.load_witness(key) if key is not None else None
+    if maps is None:
+        from repro.sampler.batch import resolve_batch_lanes
+        lanes = resolve_batch_lanes(batch_lanes, len(programs))
+        if lanes > 1:
+            from repro.taint.batch_engine import taint_runs_batch
+            maps = taint_runs_batch(programs, spans, memory_map=memory_map,
+                                    lanes=lanes, max_steps=max_steps)
+        else:
+            maps = [taint_run(program, span, memory_map=memory_map,
+                              max_steps=max_steps)
+                    for program, span in zip(programs, spans)]
+        if key is not None:
+            cache.store_witness(key, maps)
     return CampaignPublicness(
         workload_name=workload.name,
         maps=tuple(maps),
         merged=PublicnessMap.merge(maps),
-        seed_bytes=sum(length for per_input in spans
-                       for _, length in per_input),
+        seed_bytes=seed_bytes,
     )

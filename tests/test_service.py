@@ -265,6 +265,29 @@ def test_service_analyze_matches_oneshot():
         == strip_volatile(oneshot_analyze("sam-ct"))
 
 
+def test_taint_on_job_runs_the_taint_engine_once(monkeypatch):
+    # The job plans its warm campaign with the pruned set, then analyzes:
+    # the second prescreen replays the witness record the first stored.
+    from repro.taint import batch_engine, publicness
+
+    calls = []
+    for module, name in ((publicness, "taint_run"),
+                         (batch_engine, "taint_runs_batch")):
+        def counted(*args, _name=name, _original=getattr(module, name),
+                    **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    async def scenario(server, client):
+        return await submit_and_wait(client, {**ANALYZE_SPEC, "taint": True},
+                                     timeout=120)
+
+    final = run_service(scenario)
+    assert final["state"] == "done"
+    assert calls == ["taint_runs_batch"]
+
+
 def test_cached_replay_never_occupies_a_simulation_slot():
     async def scenario(server, client):
         first = await submit_and_wait(client, ANALYZE_SPEC, timeout=120)

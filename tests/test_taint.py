@@ -370,6 +370,33 @@ def test_compute_publicness_requires_secret_regions():
         compute_publicness(workload)
 
 
+@pytest.mark.parametrize("regions", [["dummy_buf"], [("key", 1 << 40, 8)]])
+def test_compute_publicness_rejects_a_declaration_that_seeds_nothing(
+        regions):
+    # sam-leaky's inputs never patch dummy_buf, and the fixed span lies far
+    # outside the data image: either would prune 15 of 16 units unseen.
+    from repro.cli import build_workload
+
+    workload = build_workload("sam-leaky", inputs=4, seed=3)
+    workload.secret_regions = regions
+    with pytest.raises(TaintError, match="seed no byte|outside"):
+        compute_publicness(workload)
+
+
+def test_resolve_secret_spans_rejects_fixed_spans_outside_the_data_image():
+    from repro.cli import build_workload
+
+    program = build_workload("sam-leaky", inputs=1).assemble()
+    key = program.symbols["key"]
+    to_end = program.data_base + len(program.data) - key
+    for region in [("key", 1 << 40, 8), ("key", to_end - 4, 8),
+                   ("key", program.data_base - key - 4, 8), ("key", 0, 0)]:
+        with pytest.raises(TaintError, match="outside"):
+            resolve_secret_spans(program, {}, [region])
+    assert resolve_secret_spans(program, {}, [("key", to_end - 8, 8)]) \
+        == [(key + to_end - 8, 8)]
+
+
 def test_compute_publicness_workload_verdicts():
     from repro.workloads.memcmp import (
         make_ct_memcmp_safe,
