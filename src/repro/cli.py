@@ -19,8 +19,8 @@ Commands
 ``disasm FILE``
     Assemble a file and print its disassembly with addresses.
 ``cache {stats,prune}``
-    Inspect or garbage-collect the trace/checkpoint/witness cache
-    directory.
+    Inspect or garbage-collect the cache directory (traces, checkpoints,
+    taint witness and report records).
 """
 
 from __future__ import annotations
@@ -96,6 +96,13 @@ def _jobs_argument(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 (0 = one per CPU), got {jobs}")
     return jobs
+
+
+def _inputs_argument(value: str) -> int:
+    inputs = int(value)
+    if inputs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {inputs}")
+    return inputs
 
 
 def _permutations_argument(value: str) -> int:
@@ -597,13 +604,15 @@ def _format_bytes(count: int) -> str:
 
 
 def cmd_cache(args) -> int:
-    """Inspect or garbage-collect the trace/checkpoint/witness cache."""
-    from repro.sampler.trace_cache import cache_stats, prune_cache
+    """Inspect or garbage-collect the cache directory."""
+    from repro.sampler.trace_cache import (RECORD_KINDS, cache_stats,
+                                           prune_cache)
 
+    kinds = ("trace", "checkpoint", *(kind.name for kind in RECORD_KINDS))
     if args.action == "stats":
         stats = cache_stats(args.cache_dir)
         print(f"cache root: {stats['root']}")
-        for kind in ("trace", "checkpoint", "witness"):
+        for kind in kinds:
             bucket = stats[kind]
             print(f"  {kind:<11} {bucket['entries']:>6} entries "
                   f"({_format_bytes(bucket['bytes'])}), "
@@ -624,8 +633,7 @@ def cmd_cache(args) -> int:
                 print(f"    {label:<12} digest={digest[:12]:<12} "
                       f"{bucket['entries']:>6} entries "
                       f"({_format_bytes(bucket['bytes'])})")
-        total_stale = sum(stats[kind]["stale_entries"]
-                          for kind in ("trace", "checkpoint", "witness"))
+        total_stale = sum(stats[kind]["stale_entries"] for kind in kinds)
         if total_stale:
             print(f"  run 'microsampler cache prune' to delete the "
                   f"{total_stale} stale entr"
@@ -641,6 +649,7 @@ def cmd_cache(args) -> int:
           f"{removed['orphan']} orphaned checkpoint "
           f"(no surviving trace references them)")
     print(f"  {result['removed_witness']} stale witness, "
+          f"{result['removed_report']} stale report, "
           f"{result['removed_temp']} temp file(s) of interrupted stores")
     return 0
 
@@ -747,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable the Section VII-B optimization")
     analyze.add_argument("--variable-div", action="store_true",
                          help="model an early-exit (operand-dependent) divider")
-    analyze.add_argument("--inputs", type=int, default=8,
+    analyze.add_argument("--inputs", type=_inputs_argument, default=8,
                          help="number of secret inputs (keys/runs)")
     analyze.add_argument("--seed", type=int, default=3)
     analyze.add_argument("--warmup", type=int, default=0,
@@ -786,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--variable-div", action="store_true",
                        help="model an early-exit divider on every "
                             "swept config")
-    sweep.add_argument("--inputs", type=int, default=8,
+    sweep.add_argument("--inputs", type=_inputs_argument, default=8,
                        help="number of secret inputs (keys/runs)")
     sweep.add_argument("--seed", type=int, default=3)
     sweep.add_argument("--warmup", type=int, default=0,
@@ -817,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="enable the Section VII-B optimization")
     localize.add_argument("--variable-div", action="store_true",
                           help="model an early-exit divider")
-    localize.add_argument("--inputs", type=int, default=8,
+    localize.add_argument("--inputs", type=_inputs_argument, default=8,
                           help="number of secret inputs (keys/runs)")
     localize.add_argument("--seed", type=int, default=3)
     localize.add_argument("--warmup", type=int, default=0,
@@ -883,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--config", choices=["mega", "medium", "small"], default="mega")
     audit.add_argument("--fast-bypass", action="store_true")
     audit.add_argument("--variable-div", action="store_true")
-    audit.add_argument("--inputs", type=int, default=8)
+    audit.add_argument("--inputs", type=_inputs_argument, default=8)
     audit.add_argument("--seed", type=int, default=3)
     _add_engine_argument(audit)
     _add_backend_arguments(audit)
@@ -900,20 +909,22 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--config", choices=["mega", "medium", "small"], default="mega")
     trace.add_argument("--fast-bypass", action="store_true")
     trace.add_argument("--variable-div", action="store_true")
-    trace.add_argument("--inputs", type=int, default=8)
+    trace.add_argument("--inputs", type=_inputs_argument, default=8)
     trace.add_argument("--seed", type=int, default=3)
     trace.set_defaults(func=cmd_trace)
 
     cache = sub.add_parser(
-        "cache", help="inspect or prune the trace/checkpoint/witness cache")
+        "cache", help="inspect or prune the trace/checkpoint/witness/report "
+                      "cache")
     cache.add_argument("action", choices=["stats", "prune"],
                        help="'stats' inventories entries by kind (trace, "
-                            "checkpoint, taint witness) and staleness, and "
-                            "counts temp files of interrupted stores; "
-                            "'prune' deletes stale entries (pre-format-bump "
-                            "or unreadable; witness records that fail "
-                            "validation or carry another format or source "
-                            "digest) and orphaned checkpoints")
+                            "checkpoint, taint witness, campaign report) "
+                            "and staleness, and counts temp files of "
+                            "interrupted stores; 'prune' deletes stale "
+                            "entries (pre-format-bump or unreadable; witness "
+                            "and report records that fail validation or "
+                            "carry another format or source digest) and "
+                            "orphaned checkpoints")
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory (default: "
                             "$MICROSAMPLER_CACHE_DIR or "
@@ -956,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="mega")
     submit.add_argument("--fast-bypass", action="store_true")
     submit.add_argument("--variable-div", action="store_true")
-    submit.add_argument("--inputs", type=int, default=8)
+    submit.add_argument("--inputs", type=_inputs_argument, default=8)
     submit.add_argument("--seed", type=int, default=3)
     submit.add_argument("--priority", type=int, default=0,
                         help="higher runs first; FIFO within a level")

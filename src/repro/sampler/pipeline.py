@@ -33,6 +33,7 @@ from repro.sampler.stats import (
     measure_association,
 )
 from repro.sampler.stats_vec import batched_association
+from repro.sampler.trace_cache import REPORT, TraceCache, report_key
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch.config import CoreConfig, MEGA_BOOM
 
@@ -159,6 +160,29 @@ class LeakageReport:
         }
 
 
+def _attach_taint(report: LeakageReport,
+                  taint: TaintSummary | None) -> None:
+    """Attach the taint prescreen to ``report``, with each unit's
+    taint-vs-statistics agreement (see :class:`TaintSummary`)."""
+    if taint is None:
+        return
+    for feature_id, unit in report.units.items():
+        if feature_id in taint.pruned:
+            status = "TAINT-DISAGREE" if unit.leaky else "secret-free"
+        else:
+            status = "agree-leak" if unit.leaky else "stats-clean"
+        taint.agreement[feature_id] = status
+    report.taint = taint
+
+
+class _ReplayedPlan:
+    """The plan of a campaign whose report record replayed: nothing is
+    pending, so :func:`stream_plans` yields it as soon as it is due."""
+
+    pending_tasks = to_run = ()
+    execute_seconds = 0.0
+
+
 class MicroSampler:
     """The verification framework: configure once, analyze many workloads.
 
@@ -270,28 +294,54 @@ class MicroSampler:
         lane groups' in-worker simulation, and its merge + statistics.
         Overlapped campaigns' seconds can therefore sum to more than the
         stream's wall clock.
+
+        With a cache, each campaign first looks up its report record
+        (:func:`~repro.sampler.trace_cache.report_key`).  A hit replays the
+        finished report — no assembly, trace keying or loading, merge,
+        statistics or extraction — under the caller's workload and config
+        names, with all-zero ``timings`` (no stage ran) and no
+        ``profile``; it enters the dispatcher as a plan with nothing
+        pending.  A miss is planned, simulated and analyzed, then stored.
+        The taint prescreen runs either way.
         """
-        planned = collections.deque()  # (taint summary, planning seconds)
+        cache = TraceCache() if self.cache is True else self.cache
+        planned = collections.deque()  # (taint, key, replay, plan seconds)
 
         def plan_campaign(workload):
             started = time.perf_counter()
             taint = self.compute_taint(workload) if self.taint else None
-            campaign_plan = prepare_campaign(
-                workload, self.config, features=self.features,
-                max_cycles_per_run=max_cycles_per_run,
-                cache=self.cache, warmup_insts=self.warmup_insts,
-                batch_lanes=self.batch_lanes, profile=self.profile,
-                pruned=taint.pruned if taint else (),
-            )
-            planned.append((taint, time.perf_counter() - started))
+            key = (report_key(self, workload, max_cycles_per_run)
+                   if cache is not None else None)
+            replay = (cache.load_record(REPORT, key) if key is not None
+                      else None)
+            if replay is not None:
+                replay.workload_name = workload.name
+                replay.config_name = self.config.name
+                replay.timings = StageTimings(0.0, 0.0, 0.0, 0.0)
+                campaign_plan = _ReplayedPlan()
+            else:
+                campaign_plan = prepare_campaign(
+                    workload, self.config, features=self.features,
+                    max_cycles_per_run=max_cycles_per_run,
+                    cache=cache, warmup_insts=self.warmup_insts,
+                    batch_lanes=self.batch_lanes, profile=self.profile,
+                    pruned=taint.pruned if taint else (),
+                )
+            planned.append((taint, key, replay,
+                            time.perf_counter() - started))
             return campaign_plan
 
         plans = (plan_campaign(workload) for workload in workloads)
         for plan in stream_plans(plans, jobs=self.jobs):
-            taint, plan_seconds = planned.popleft()
+            taint, key, report, plan_seconds = planned.popleft()
             started = time.perf_counter()
-            report = self.analyze_campaign(finalize_campaign(plan),
-                                           taint=taint)
+            if report is None:
+                report = self.analyze_campaign(finalize_campaign(plan),
+                                               taint=taint)
+                if key is not None:
+                    cache.store_record(REPORT, key, report)
+            else:
+                _attach_taint(report, taint)
             seconds = (plan_seconds + plan.execute_seconds
                        + time.perf_counter() - started)
             # Drop the simulated outputs before the next plan is drawn.
@@ -397,15 +447,7 @@ class MicroSampler:
             extract_seconds=extract_seconds,
         )
         report.profile = campaign.profile
-        if taint is not None:
-            for feature_id, unit in report.units.items():
-                if feature_id in taint.pruned:
-                    status = ("TAINT-DISAGREE" if unit.leaky
-                              else "secret-free")
-                else:
-                    status = "agree-leak" if unit.leaky else "stats-clean"
-                taint.agreement[feature_id] = status
-            report.taint = taint
+        _attach_taint(report, taint)
         return report
 
     def _flagged(self, association: AssociationResult) -> bool:

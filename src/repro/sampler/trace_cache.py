@@ -15,9 +15,7 @@ source line, a different secret key, one more ROB entry — yields a new key;
 everything else is a byte-identical replay.  Trace and checkpoint keys are
 salted with the package version and a cache format version, but **not**
 with the simulator source itself: after modifying the core model, clear
-the cache directory or pass ``--no-cache``/``cache=None``.  Taint witness
-records are the exception: their keys carry :func:`source_digest`, so
-they invalidate themselves when the source changes.
+the cache directory or pass ``--no-cache``/``cache=None``.
 
 Entries are stored one file per key under ``root/<key[:2]>/<key>.pkl``
 (pickled *plain-value payloads*, not live objects — see
@@ -25,11 +23,21 @@ Entries are stored one file per key under ``root/<key[:2]>/<key>.pkl``
 concurrent workers can share a cache directory.  Any unreadable, corrupt or
 version-mismatched entry is treated as a miss.
 
-The same root holds the taint prescreen's publicness witness (see
-:func:`repro.taint.publicness.compute_publicness`) as self-describing,
-checksummed JSON records under ``root/witness/<key[:2]>/<key>.json``,
-so a warm ``--taint on`` run replays the witness instead of re-running the
-taint engine.
+The same root holds derived *records* (:class:`RecordKind`): checksummed
+JSON under ``root/<kind>/<key[:2]>/<key>.json``, keyed with
+:func:`source_digest` so they invalidate themselves when the source
+changes, and never unpickled.  Two kinds exist:
+
+* ``witness`` — the taint prescreen's publicness maps (see
+  :func:`repro.taint.publicness.compute_publicness`), so a warm
+  ``--taint on`` run replays them instead of re-running the taint engine;
+* ``report`` — a campaign's finished analysis (see
+  :meth:`repro.sampler.pipeline.MicroSampler.analyze_stream`), so a warm
+  ``analyze``/``audit`` replays it instead of re-deriving it from traces.
+
+A report record is only as fresh as the traces it was computed from: until
+trace keys are salted with the source too, a report computed after a
+simulator edit from stale traces is stored as current.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ import json
 import os
 import pickle
 import tempfile
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import repro
 from repro.isa.batch_interpreter import DivergenceEvent
@@ -78,13 +88,13 @@ CACHE_FORMAT_VERSION = 7
 #: Bump when the witness record layout or its key material changes.
 WITNESS_FORMAT_VERSION = 1
 
-#: Witness records live under ``<root>/<WITNESS_SUBDIR>/<xx>/<key>.json``.
-WITNESS_SUBDIR = "witness"
+#: Bump when the report record layout or its key material changes.
+REPORT_FORMAT_VERSION = 1
 
-#: Subpackages of ``repro`` whose source defines what a taint witness
-#: contains: the ISA and its interpreter, the proxy kernel, the taint
-#: engine, the core model, the tracer and the bundled workloads.
-SOURCE_PACKAGES = ("isa", "kernel", "taint", "uarch", "trace", "workloads")
+#: ``MicroSampler`` attributes a report does not depend on: the worker
+#: count, the cache handle and the simulator profiler (a replayed report
+#: carries no profile).  Every other attribute joins :func:`report_key`.
+REPORT_KEY_EXCLUDED = frozenset({"jobs", "cache", "profile"})
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "MICROSAMPLER_CACHE_DIR"
@@ -116,24 +126,19 @@ def atomic_write(path: Path, payload: bytes) -> None:
 
 @functools.cache
 def source_digest() -> str | None:
-    """Keyed BLAKE2b digest of the :data:`SOURCE_PACKAGES` sources.
+    """Keyed BLAKE2b digest of every ``.py`` source of the ``repro`` package.
 
     Computed once per process, on first use.  None when a source cannot
-    be read (or a package has no ``.py`` files): a record keyed without the
-    digest could outlive the code that produced it, so nothing is cached.
+    be read (or none is found): a record keyed without the digest could
+    outlive the code that produced it, so nothing is cached.
     """
     root = Path(repro.__file__).parent
-    files = []
     try:
-        for package in SOURCE_PACKAGES:
-            paths = sorted((root / package).rglob("*.py"))
-            if not paths:
-                return None
-            files.extend((path.relative_to(root).as_posix(),
-                          path.read_bytes()) for path in paths)
+        files = tuple((path.relative_to(root).as_posix(), path.read_bytes())
+                      for path in sorted(root.rglob("*.py")))
     except OSError:
         return None
-    return stable_hex_digest(tuple(files))
+    return stable_hex_digest(files) if files else None
 
 
 def default_cache_dir() -> Path:
@@ -257,43 +262,255 @@ def witness_key(programs, spans, memory_map, max_steps: int) -> str | None:
     return stable_hex_digest(material)
 
 
-def _body_digest(body: list) -> str:
+def report_key(sampler, workload, max_cycles_per_run: int) -> str | None:
+    """Content-addressed key of one campaign's finished report.
+
+    Covers what :meth:`~repro.sampler.pipeline.MicroSampler.analyze` is a
+    pure function of: every field of ``workload`` but its name and
+    description, every attribute of ``sampler`` but
+    :data:`REPORT_KEY_EXCLUDED` (read from the instance, so a knob added
+    later joins the key; the core config enters as its
+    :func:`config_digest`), the cycle budget and, through
+    :func:`source_digest`, the code.  None when the sources cannot be
+    digested or a value cannot be canonicalized (e.g. a workload that is
+    not a dataclass): such a campaign is analyzed without a record.
+    """
+    source = source_digest()
+    if source is None:
+        return None
+    try:
+        fields = {field.name: getattr(workload, field.name)
+                  for field in dataclasses.fields(workload)
+                  if field.name not in ("name", "description")}
+        knobs = {name: config_digest(value) if name == "config" else value
+                 for name, value in vars(sampler).items()
+                 if name not in REPORT_KEY_EXCLUDED}
+        return stable_hex_digest((REPORT_FORMAT_VERSION, source, fields,
+                                  knobs, max_cycles_per_run))
+    except TypeError:
+        return None
+
+
+# -- derived records -------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class RecordKind:
+    """One kind of derived JSON record.
+
+    A record lives at ``<root>/<name>/<key[:2]>/<key>.json`` and reads
+    ``{"header": {"format", "source", "key", "body_blake2b"}, <field>:
+    body}``.  ``encode`` turns a value into its JSON-ready body and
+    ``decode`` turns a parsed body back, raising ValueError when it is
+    malformed.
+    """
+
+    name: str
+    format: int
+    field: str
+    encode: Callable
+    decode: Callable
+
+
+def _body_digest(body) -> str:
     """BLAKE2b of the body's canonical JSON text, which a parsed body
     serializes back to exactly."""
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-def _witness_to_record(key: str, maps) -> bytes:
-    body = [publicness.to_dict() for publicness in maps]
-    header = {"format": WITNESS_FORMAT_VERSION, "source": source_digest(),
-              "key": key, "body_blake2b": _body_digest(body)}
-    return json.dumps({"header": header, "maps": body}).encode()
+def _expect(value, *types):
+    """``value`` when its exact type is one of ``types`` (so a bool is not
+    an int), else ValueError."""
+    if type(value) not in types:
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in types)},"
+                         f" got {type(value).__name__}")
+    return value
 
 
-def _read_witness(path: Path, key: str) -> tuple | None:
-    """The publicness maps the witness record at ``path`` holds, or None
-    when it is unreadable, malformed (bad JSON, a mistyped field, a body
-    failing its digest), foreign (another key) or stale (another format or
-    source digest)."""
+def _ints(value) -> list:
+    return [_expect(item, int) for item in _expect(value, list)]
+
+
+def _pairs(value) -> list:
+    pairs = _expect(value, list)
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise ValueError("not a list of pairs")
+    return pairs
+
+
+def _numbers(cls, item, ints=()):
+    """``cls(**item)`` for a dataclass of numbers: ``item`` names exactly
+    its fields, those in ``ints`` hold ints and the rest ints or floats."""
+    if type(item) is not dict or set(item) != {
+            field.name for field in dataclasses.fields(cls)}:
+        raise ValueError(f"not a {cls.__name__}")
+    for name, value in item.items():
+        _expect(value, *((int,) if name in ints else (int, float)))
+    return cls(**item)
+
+
+def _witness_body(maps) -> list:
+    return [publicness.to_dict() for publicness in maps]
+
+
+def _witness_from_body(body) -> tuple:
     from repro.taint.publicness import PublicnessMap
 
+    return tuple(PublicnessMap.from_dict(item) for item in _expect(body, list))
+
+
+def _report_body(report) -> dict:
+    """Everything of a :class:`~repro.sampler.pipeline.LeakageReport` a
+    replay restores, losslessly: labels and orderings stay lists (JSON
+    object keys would turn labels into strings), in their report order."""
+
+    def root_cause(cause):
+        if cause is None:
+            return None
+        return {
+            "unique_values": [
+                [label, sorted(values)] for label, values in
+                cause.uniqueness.unique_values.items()],
+            "common_values": sorted(cause.uniqueness.common_values),
+            "exclusive_orderings": [
+                [label, [[list(ordering), count]
+                         for ordering, count in counter.items()]]
+                for label, counter in
+                cause.ordering.exclusive_orderings.items()],
+        }
+
+    def numbers(result):
+        return None if result is None else dataclasses.asdict(result)
+
+    return {
+        "n_iterations": report.n_iterations,
+        "n_classes": report.n_classes,
+        "engine": report.engine,
+        "divergences": [[event.pc, event.step, event.kind, event.mnemonic,
+                         list(event.lanes)]
+                        for event in report.divergences],
+        "units": [{"feature_id": unit.feature_id,
+                   "association": numbers(unit.association),
+                   "association_notiming": numbers(
+                       unit.association_notiming),
+                   "mi": numbers(unit.mi),
+                   "root_cause": root_cause(unit.root_cause)}
+                  for unit in report.units.values()],
+    }
+
+
+def _report_from_body(body):
+    """Inverse of :func:`_report_body`; raises ValueError on a missing,
+    extra or mistyped field.  The report carries empty workload and config
+    names and no timings: the caller supplies them."""
+    from repro.sampler.feature_extraction import (OrderingReport,
+                                                  RootCauseReport,
+                                                  UniquenessReport)
+    from repro.sampler.mutual_information import MutualInformationResult
+    from repro.sampler.pipeline import LeakageReport, UnitResult
+    from repro.sampler.stats import AssociationResult
+
+    def association(item):
+        return _numbers(AssociationResult, item, ints=(
+            "dof", "n_observations", "n_classes", "n_categories"))
+
+    def root_cause(feature_id, item):
+        if type(item) is not dict or set(item) != {
+                "unique_values", "common_values", "exclusive_orderings"}:
+            raise ValueError("not a root cause")
+        exclusive = {}
+        for label, counts in _pairs(item["exclusive_orderings"]):
+            counter = exclusive[_expect(label, int)] = Counter()
+            for ordering, count in _pairs(counts):
+                counter[tuple(_ints(ordering))] = _expect(count, int)
+        return RootCauseReport(
+            feature_id=feature_id,
+            uniqueness=UniquenessReport(
+                feature_id=feature_id,
+                unique_values={_expect(label, int): frozenset(_ints(values))
+                               for label, values in
+                               _pairs(item["unique_values"])},
+                common_values=frozenset(_ints(item["common_values"]))),
+            ordering=OrderingReport(feature_id=feature_id,
+                                    exclusive_orderings=exclusive))
+
+    def unit(item):
+        if type(item) is not dict or set(item) != {
+                "feature_id", "association", "association_notiming", "mi",
+                "root_cause"}:
+            raise ValueError("not a unit")
+        feature_id = _expect(item["feature_id"], str)
+        notiming, mi, cause = (item["association_notiming"], item["mi"],
+                               item["root_cause"])
+        return UnitResult(
+            feature_id=feature_id,
+            association=association(item["association"]),
+            association_notiming=(None if notiming is None
+                                  else association(notiming)),
+            mi=(None if mi is None
+                else _numbers(MutualInformationResult, mi)),
+            root_cause=(None if cause is None
+                        else root_cause(feature_id, cause)))
+
+    if type(body) is not dict or set(body) != {
+            "n_iterations", "n_classes", "engine", "divergences", "units"}:
+        raise ValueError("not a report")
+    divergences = []
+    for event in _expect(body["divergences"], list):
+        pc, step, kind, mnemonic, lanes = _expect(event, list)
+        divergences.append(DivergenceEvent(
+            pc=_expect(pc, int), step=_expect(step, int),
+            kind=_expect(kind, str), mnemonic=_expect(mnemonic, str),
+            lanes=tuple(_ints(lanes))))
+    units = [unit(item) for item in _expect(body["units"], list)]
+    return LeakageReport(
+        workload_name="", config_name="",
+        n_iterations=_expect(body["n_iterations"], int),
+        n_classes=_expect(body["n_classes"], int),
+        units={item.feature_id: item for item in units},
+        engine=_expect(body["engine"], str),
+        divergences=divergences)
+
+
+#: The taint prescreen's per-input publicness maps
+#: (:func:`witness_key`).
+WITNESS = RecordKind("witness", WITNESS_FORMAT_VERSION, "maps",
+                     _witness_body, _witness_from_body)
+#: A campaign's finished :class:`~repro.sampler.pipeline.LeakageReport`
+#: (:func:`report_key`).
+REPORT = RecordKind("report", REPORT_FORMAT_VERSION, "report",
+                    _report_body, _report_from_body)
+RECORD_KINDS = (WITNESS, REPORT)
+
+
+def _record_bytes(kind: RecordKind, key: str, value) -> bytes:
+    body = kind.encode(value)
+    header = {"format": kind.format, "source": source_digest(), "key": key,
+              "body_blake2b": _body_digest(body)}
+    return json.dumps({"header": header, kind.field: body}).encode()
+
+
+def _read_record(kind: RecordKind, path: Path, key: str):
+    """The value the ``kind`` record at ``path`` holds, or None when it is
+    unreadable, malformed (bad JSON, a mistyped field, a body failing its
+    digest), foreign (another key) or stale (another format or source
+    digest)."""
     try:
         record = json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
         return None
-    if not isinstance(record, dict) or set(record) != {"header", "maps"}:
+    if not isinstance(record, dict) or set(record) != {"header", kind.field}:
         return None
-    header, body = record["header"], record["maps"]
-    if not isinstance(header, dict) or not isinstance(body, list):
-        return None
+    header, body = record["header"], record[kind.field]
     source = source_digest()
-    if source is None or type(header.get("format")) is not int or header != {
-            "format": WITNESS_FORMAT_VERSION, "source": source, "key": key,
-            "body_blake2b": _body_digest(body)}:
+    if source is None or not isinstance(header, dict) \
+            or type(header.get("format")) is not int or header != {
+                "format": kind.format, "source": source, "key": key,
+                "body_blake2b": _body_digest(body)}:
         return None
     try:
-        return tuple(PublicnessMap.from_dict(item) for item in body)
+        return kind.decode(body)
     except ValueError:
         return None
 
@@ -397,20 +614,20 @@ class TraceCache:
         self.stores += 1
         return True
 
-    def _witness_path(self, key: str) -> Path:
-        return self.root / WITNESS_SUBDIR / key[:2] / f"{key}.json"
+    def _record_path(self, kind: RecordKind, key: str) -> Path:
+        return self.root / kind.name / key[:2] / f"{key}.json"
 
-    def load_witness(self, key: str) -> tuple | None:
-        """Replay the publicness maps of witness record ``key``, or None on
-        a miss (absent, unreadable, malformed, foreign or stale record)."""
-        return _read_witness(self._witness_path(key), key)
+    def load_record(self, kind: RecordKind, key: str):
+        """Replay the value of the ``kind`` record ``key``, or None on a
+        miss (absent, unreadable, malformed, foreign or stale record)."""
+        return _read_record(kind, self._record_path(kind, key), key)
 
-    def store_witness(self, key: str, maps) -> None:
-        """Atomically (over)write witness record ``key``; best-effort, so a
-        failed store (read-only root, full disk) is ignored."""
+    def store_record(self, kind: RecordKind, key: str, value) -> None:
+        """Atomically (over)write the ``kind`` record ``key``; best-effort,
+        so a failed store (read-only root, full disk) is ignored."""
         try:
-            atomic_write(self._witness_path(key),
-                         _witness_to_record(key, maps))
+            atomic_write(self._record_path(kind, key),
+                         _record_bytes(kind, key, value))
         except OSError:
             pass
 
@@ -421,9 +638,9 @@ class TraceCache:
 # as misses forever but keep their disk space.  These helpers let the CLI
 # inspect and garbage-collect them.  Every entry kind lives under one root:
 # trace payloads as ``<root>/<xx>/<key>.pkl``, checkpoints as
-# ``<root>/checkpoints/<xx>/<key>.ckpt`` and taint witness records as
-# ``<root>/witness/<xx>/<key>.json``.  A witness record is stale when it
-# fails validation or was written under another format or source digest.
+# ``<root>/checkpoints/<xx>/<key>.ckpt`` and each record kind as
+# ``<root>/<kind>/<xx>/<key>.json``.  A record is stale when it fails
+# validation or was written under another format or source digest.
 
 
 def _read_payload(path: Path) -> tuple | None:
@@ -475,8 +692,12 @@ def _scan_entries(root: Path):
             yield path, "checkpoint", CHECKPOINT_FORMAT_VERSION
 
 
-def _witness_paths(root: Path) -> list:
-    return sorted((root / WITNESS_SUBDIR).rglob("*.json"))
+def _record_paths(root: Path, kind: RecordKind) -> list:
+    return sorted((root / kind.name).rglob("*.json"))
+
+
+def _stale_record(kind: RecordKind, path: Path) -> bool:
+    return _read_record(kind, path, path.stem) is None
 
 
 def _temp_paths(root: Path) -> list:
@@ -495,13 +716,15 @@ def cache_stats(root: str | Path | None = None) -> dict:
     config under ``per_config`` (``digest -> {name, entries, bytes}``), so
     before submitting a cross-config sweep one can see which config legs
     are already warm.  Entries stored without a recorded config (older
-    callers) are grouped under the ``"unknown"`` digest.  ``temp`` counts
-    the temporary files of interrupted stores.
+    callers) are grouped under the ``"unknown"`` digest.  Each record kind
+    (``witness``, ``report``) has its own bucket.  ``temp`` counts the
+    temporary files of interrupted stores.
     """
     root = Path(root) if root is not None else default_cache_dir()
     stats = {
         kind: {"entries": 0, "bytes": 0, "stale_entries": 0, "stale_bytes": 0}
-        for kind in ("trace", "checkpoint", "witness")
+        for kind in ("trace", "checkpoint",
+                     *(record.name for record in RECORD_KINDS))
     }
     per_config: dict = {}
     for path, kind, current in _scan_entries(root):
@@ -526,17 +749,18 @@ def cache_stats(root: str | Path | None = None) -> dict:
             digest, {"name": name, "entries": 0, "bytes": 0})
         entry["entries"] += 1
         entry["bytes"] += size
-    bucket = stats["witness"]
-    for path in _witness_paths(root):
-        try:
-            size = path.stat().st_size
-        except OSError:
-            continue
-        bucket["entries"] += 1
-        bucket["bytes"] += size
-        if _read_witness(path, path.stem) is None:
-            bucket["stale_entries"] += 1
-            bucket["stale_bytes"] += size
+    for record in RECORD_KINDS:
+        bucket = stats[record.name]
+        for path in _record_paths(root, record):
+            try:
+                size = path.stat().st_size
+            except OSError:
+                continue
+            bucket["entries"] += 1
+            bucket["bytes"] += size
+            if _stale_record(record, path):
+                bucket["stale_entries"] += 1
+                bucket["stale_bytes"] += size
     temp = {"entries": 0, "bytes": 0}
     for path in _temp_paths(root):
         try:
@@ -558,17 +782,17 @@ def prune_cache(root: str | Path | None = None, *,
     is removed too.  Surviving trace payloads record the checkpoint key
     their run used, which is what ties the two stores together.
 
-    Stale witness records go too.  ``all_entries`` also deletes the
-    temporary files of interrupted stores; a plain prune leaves them, as a
-    live writer may own one.
+    Stale witness and report records go too.  ``all_entries`` also deletes
+    the temporary files of interrupted stores; a plain prune leaves them,
+    as a live writer may own one.
 
     Returns ``{"root", "removed_entries", "removed_bytes", "removed",
-    "removed_witness", "removed_temp"}`` where ``removed`` breaks the
-    trace-side count down by kind (``trace``, ``checkpoint``, ``orphan``).
-    ``removed_entries`` also counts the witness records, and
-    ``removed_bytes`` the temporary files.  Removal is best-effort (a
-    vanished or undeletable file is skipped) and empty shard directories
-    are cleaned up afterwards.
+    "removed_witness", "removed_report", "removed_temp"}`` where
+    ``removed`` breaks the trace-side count down by kind (``trace``,
+    ``checkpoint``, ``orphan``).  ``removed_entries`` also counts the
+    records, and ``removed_bytes`` the temporary files.  Removal is
+    best-effort (a vanished or undeletable file is skipped) and empty
+    shard directories are cleaned up afterwards.
     """
     root = Path(root) if root is not None else default_cache_dir()
     removed = {"trace": 0, "checkpoint": 0, "orphan": 0}
@@ -586,9 +810,11 @@ def prune_cache(root: str | Path | None = None, *,
         removed_bytes += size
         return True
 
-    removed_witness = sum(_unlink(path) for path in _witness_paths(root)
-                          if all_entries
-                          or _read_witness(path, path.stem) is None)
+    removed_records = {
+        f"removed_{record.name}": sum(
+            _unlink(path) for path in _record_paths(root, record)
+            if all_entries or _stale_record(record, path))
+        for record in RECORD_KINDS}
     removed_temp = (sum(_unlink(path) for path in _temp_paths(root))
                     if all_entries else 0)
     for path, kind, current in _scan_entries(root):
@@ -619,8 +845,9 @@ def prune_cache(root: str | Path | None = None, *,
                 except OSError:
                     pass
     return {"root": str(root),
-            "removed_entries": sum(removed.values()) + removed_witness,
+            "removed_entries": (sum(removed.values())
+                                + sum(removed_records.values())),
             "removed_bytes": removed_bytes,
             "removed": removed,
-            "removed_witness": removed_witness,
+            **removed_records,
             "removed_temp": removed_temp}

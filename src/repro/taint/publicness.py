@@ -254,7 +254,7 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
     computes this witness once and projects it per swept config.
     """
     from repro.sampler.runner import patch_program
-    from repro.sampler.trace_cache import TraceCache, witness_key
+    from repro.sampler.trace_cache import WITNESS, TraceCache, witness_key
 
     secret_regions = getattr(workload, "secret_regions", None) or []
     if not secret_regions:
@@ -275,7 +275,7 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
         cache = TraceCache()
     key = (witness_key(programs, spans, memory_map, max_steps)
            if cache is not None else None)
-    maps = cache.load_witness(key) if key is not None else None
+    maps = cache.load_record(WITNESS, key) if key is not None else None
     if maps is None:
         from repro.sampler.batch import resolve_batch_lanes
         lanes = resolve_batch_lanes(batch_lanes, len(programs))
@@ -288,7 +288,7 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
                               max_steps=max_steps)
                     for program, span in zip(programs, spans)]
         if key is not None:
-            cache.store_witness(key, maps)
+            cache.store_record(WITNESS, key, maps)
     return CampaignPublicness(
         workload_name=workload.name,
         maps=tuple(maps),

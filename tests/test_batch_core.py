@@ -12,6 +12,7 @@ re-simulation (transparently) or is surfaced as a first-class
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import pytest
 
@@ -84,9 +85,18 @@ def test_batched_identical_cold_and_warm_cache_parallel(tmp_path):
         cache = TraceCache(tmp_path / name)
         cold = _report_dict(workload, batch_lanes="auto", jobs=4,
                             cache=cache)
+        misses = cache.misses
         warm = _report_dict(workload, batch_lanes="auto", jobs=4,
                             cache=cache)
-        # Warm replays everything — including divergences — from the cache.
+        # Warm replays the campaign's report record: no trace is loaded.
+        assert warm == cold, name
+        assert (cache.hits, cache.misses) == (0, misses)
+        assert len(list(cache.root.glob("report/*/*.json"))) == 1
+        # Without the record, warm replays everything — including
+        # divergences — from the trace cache.
+        shutil.rmtree(cache.root / "report")
+        warm = _report_dict(workload, batch_lanes="auto", jobs=4,
+                            cache=cache)
         assert warm == cold, name
         assert cache.hits > 0
         assert _strip_divergences(cold) == scalar, name

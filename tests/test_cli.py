@@ -89,3 +89,20 @@ main:
     code = main(["simulate", str(source), "--entry", "main",
                  "--fast-bypass"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sam-ct"],
+    ["sweep", "sam-ct"],
+    ["localize", "sam-leaky"],
+    ["audit", "chacha20"],
+    ["trace", "sam-ct", "never-written.jsonl"],
+    ["submit", "analyze", "sam-ct"],
+])
+@pytest.mark.parametrize("inputs", ["0", "-3"])
+def test_a_non_positive_input_count_is_a_usage_error(argv, inputs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--inputs", inputs])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --inputs: must be >= 1, got {int(inputs)}" in err

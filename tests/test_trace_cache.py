@@ -3,6 +3,7 @@ component of the content address — program source, input patches, core
 configuration — independently invalidates the key."""
 
 import pickle
+import shutil
 
 import pytest
 
@@ -308,6 +309,15 @@ class TestReplay:
         workload = _workload(n_inputs=6)
         cold = MicroSampler(SMALL_BOOM, features=["ROB-PC"],
                             cache=cache).analyze(workload)
+        misses = cache.misses
+        warm = MicroSampler(SMALL_BOOM, features=["ROB-PC"],
+                            cache=cache).analyze(workload)
+        # The warm run replays the report record: no trace is loaded.
+        assert (cache.hits, cache.misses) == (0, misses)
+        assert len(list(cache.root.glob("report/*/*.json"))) == 1
+        assert cold.cramers_v_by_unit() == warm.cramers_v_by_unit()
+        # Without the record, it replays every trace instead.
+        shutil.rmtree(cache.root / "report")
         warm = MicroSampler(SMALL_BOOM, features=["ROB-PC"],
                             cache=cache).analyze(workload)
         assert cache.hits == 6
