@@ -29,7 +29,7 @@ import argparse
 import sys
 
 from repro.isa import assemble, format_program
-from repro.sampler import MicroSampler, render_report
+from repro.sampler import MicroSampler, TraceCache, WorkloadError, render_report
 from repro.trace.features import FEATURES
 from repro.uarch import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM, Core
 from repro.workloads.bignum import make_mp_modexp_ct, make_mp_modexp_leaky
@@ -73,44 +73,23 @@ WORKLOADS = {
 }
 
 
-def _resolve_backend(args):
-    """(jobs, cache) for the simulation backend from CLI flags.
+def _int_argument(minimum: int, note: str = ""):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}{note}, got {number}")
+        return number
 
-    Caching is on by default — campaign replays are deterministic, so a
-    repeated ``analyze`` skips simulation entirely.  ``--no-cache`` bypasses
-    it (do so after modifying the simulator itself: keys cover the program,
-    inputs and configuration, not the model's source).
-    """
-    jobs = getattr(args, "jobs", 1)
-    if getattr(args, "no_cache", False):
-        return jobs, None
-    from repro.sampler.trace_cache import TraceCache
-
-    cache_dir = getattr(args, "cache_dir", None)
-    return jobs, TraceCache(cache_dir)
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
-def _jobs_argument(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = one per CPU), got {jobs}")
-    return jobs
-
-
-def _inputs_argument(value: str) -> int:
-    inputs = int(value)
-    if inputs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {inputs}")
-    return inputs
-
-
-def _permutations_argument(value: str) -> int:
-    permutations = int(value)
-    if permutations < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = no permutation test), got {permutations}")
-    return permutations
+_positive_int = _int_argument(1)
+_non_negative_int = _int_argument(0)
+_jobs_argument = _int_argument(0, " (0 = one per CPU)")
+_permutations_argument = _int_argument(0, " (0 = no permutation test)")
 
 
 def _warmup_insts_argument(value: str):
@@ -191,6 +170,27 @@ def _add_profile_argument(parser) -> None:
                              "combine with --no-cache to profile every run")
 
 
+def _add_core_arguments(parser, *, config: bool = True) -> None:
+    """``--config`` (unless the verb takes its own config list) and the
+    two core-model overrides."""
+    if config:
+        parser.add_argument("--config", choices=list(CONFIGS),
+                            default="mega")
+    parser.add_argument("--fast-bypass", action="store_true",
+                        help="enable the Section VII-B optimization (on "
+                             "every swept config)")
+    parser.add_argument("--variable-div", action="store_true",
+                        help="model an early-exit (operand-dependent) "
+                             "divider (on every swept config)")
+
+
+def _add_input_arguments(parser) -> None:
+    parser.add_argument("--inputs", type=_positive_int, default=8,
+                        help="number of secret inputs (keys/runs)")
+    parser.add_argument("--seed", type=int, default=3,
+                        help="seed of the generated inputs")
+
+
 def _add_backend_arguments(parser) -> None:
     parser.add_argument("--jobs", type=_jobs_argument, default=0,
                         help="simulation worker processes (default: 0 = "
@@ -210,17 +210,52 @@ def _add_backend_arguments(parser) -> None:
 CONFIGS = {"mega": MEGA_BOOM, "medium": MEDIUM_BOOM, "small": SMALL_BOOM}
 
 
-def _apply_config_overrides(config, args):
+def resolve_config(name: str, *, fast_bypass: bool = False,
+                   variable_div: bool = False):
+    """The core config a CLI config name and the two overrides describe
+    (shared by the CLI verbs and the campaign service)."""
+    if name not in CONFIGS:
+        raise ValueError(f"unknown config {name!r}; choose from: "
+                         f"{', '.join(CONFIGS)}")
     overrides = {}
-    if getattr(args, "fast_bypass", False):
+    if fast_bypass:
         overrides["fast_bypass"] = True
-    if getattr(args, "variable_div", False):
+    if variable_div:
         overrides["variable_div_latency"] = True
+    config = CONFIGS[name]
     return config.with_(**overrides) if overrides else config
 
 
-def _resolve_config(args):
-    return _apply_config_overrides(CONFIGS[args.config], args)
+def _resolve_config(args, name: str | None = None):
+    return resolve_config(name or args.config, fast_bypass=args.fast_bypass,
+                          variable_div=args.variable_div)
+
+
+def _sampler(args, **knobs) -> MicroSampler:
+    """The sampler the flags of an analysis verb (``analyze``, ``sweep``,
+    ``localize``, ``audit``) describe; ``knobs`` override fields, and a
+    flag the verb lacks leaves its field at the default.
+
+    Caching is on by default — campaign replays are deterministic, so a
+    repeated run skips simulation entirely.  ``--no-cache`` bypasses it
+    (do so after modifying the simulator itself: trace keys cover the
+    program, inputs and configuration, not the model's source).
+    """
+    flags = dict(
+        warmup_iterations=getattr(args, "warmup", 0),
+        analyze_timing_removed=not getattr(args, "no_timing_removed", False),
+        measure_mi=getattr(args, "mi", False),
+        jobs=args.jobs,
+        cache=None if args.no_cache else TraceCache(args.cache_dir),
+        warmup_insts=args.warmup_insts,
+        batch_lanes=args.batch_lanes,
+        engine=args.engine,
+        profile=args.profile,
+        taint=args.taint == "on",
+    )
+    if "config" not in knobs:
+        flags["config"] = _resolve_config(args)
+    return MicroSampler(**{**flags, **knobs})
 
 
 def _resolve_sweep_configs(args):
@@ -238,7 +273,7 @@ def _resolve_sweep_configs(args):
             f"choose from: {', '.join(CONFIGS)}")
     if len(set(names)) != len(names):
         raise SystemExit(f"duplicate config names in --configs: {names}")
-    return [_apply_config_overrides(CONFIGS[name], args) for name in names]
+    return [_resolve_config(args, name) for name in names]
 
 
 def known_workloads() -> tuple:
@@ -313,27 +348,16 @@ def cmd_features(_args) -> int:
     return 0
 
 
+def _describe_config(config) -> str:
+    return (f"{config.name}{' +fast-bypass' if config.fast_bypass else ''}"
+            f"{' +variable-div' if config.variable_div_latency else ''}")
+
+
 def cmd_analyze(args) -> int:
-    config = _resolve_config(args)
     workload = _build_workload(args.workload, args)
-    jobs, cache = _resolve_backend(args)
-    sampler = MicroSampler(
-        config,
-        warmup_iterations=args.warmup,
-        analyze_timing_removed=not args.no_timing_removed,
-        jobs=jobs,
-        cache=cache,
-        warmup_insts=getattr(args, "warmup_insts", None),
-        batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
-        measure_mi=getattr(args, "mi", False),
-        profile=getattr(args, "profile", False),
-        taint=getattr(args, "taint", "off") == "on",
-    )
-    print(f"analyzing {workload.name!r} on {config.name}"
-          f"{' +fast-bypass' if config.fast_bypass else ''}"
-          f"{' +variable-div' if config.variable_div_latency else ''} ...",
-          file=sys.stderr)
+    sampler = _sampler(args)
+    print(f"analyzing {workload.name!r} on "
+          f"{_describe_config(sampler.config)} ...", file=sys.stderr)
     report = sampler.analyze(workload)
     localization = None
     if getattr(args, "localize", False) and report.leakage_detected:
@@ -370,22 +394,11 @@ def cmd_sweep(args) -> int:
 
     configs = _resolve_sweep_configs(args)
     workload = _build_workload(args.workload, args)
-    jobs, cache = _resolve_backend(args)
     print(f"sweeping {workload.name!r} across "
           f"{', '.join(config.name for config in configs)} ...",
           file=sys.stderr)
-    result = sweep_configs(
-        workload, configs,
-        warmup_iterations=args.warmup,
-        analyze_timing_removed=not args.no_timing_removed,
-        jobs=jobs,
-        cache=cache,
-        warmup_insts=getattr(args, "warmup_insts", None),
-        batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
-        profile=getattr(args, "profile", False),
-        taint=getattr(args, "taint", "off") == "on",
-    )
+    result = sweep_configs(workload, configs,
+                           sampler=_sampler(args, config=configs[0]))
     if args.json:
         import json
 
@@ -403,24 +416,10 @@ def cmd_localize(args) -> int:
         render_localization,
     )
 
-    config = _resolve_config(args)
     workload = _build_workload(args.workload, args)
-    jobs, cache = _resolve_backend(args)
-    sampler = MicroSampler(
-        config,
-        warmup_iterations=args.warmup,
-        jobs=jobs,
-        cache=cache,
-        warmup_insts=getattr(args, "warmup_insts", None),
-        batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
-        profile=getattr(args, "profile", False),
-        taint=getattr(args, "taint", "off") == "on",
-    )
-    print(f"localizing {workload.name!r} on {config.name}"
-          f"{' +fast-bypass' if config.fast_bypass else ''}"
-          f"{' +variable-div' if config.variable_div_latency else ''} ...",
-          file=sys.stderr)
+    sampler = _sampler(args)
+    print(f"localizing {workload.name!r} on "
+          f"{_describe_config(sampler.config)} ...", file=sys.stderr)
     localization = localize(workload, sampler=sampler,
                             features=args.features or None,
                             permutations=args.permutations)
@@ -487,23 +486,17 @@ AUDIT_TAINT_EXPECTATIONS = {
 def cmd_audit(args) -> int:
     from repro.sampler.audit import run_audit
 
-    config = _resolve_config(args)
     names = args.workloads or list(AUDIT_EXPECTATIONS)
     workloads = [_build_workload(name, args) for name in names]
     expectations = {name: AUDIT_EXPECTATIONS[name]
                     for name in names if name in AUDIT_EXPECTATIONS}
-    jobs, cache = _resolve_backend(args)
-    taint = getattr(args, "taint", "off") == "on"
-    taint_expectations = {name: AUDIT_TAINT_EXPECTATIONS[name]
-                          for name in names
-                          if name in AUDIT_TAINT_EXPECTATIONS} if taint else {}
-    result = run_audit(workloads, config=config, expectations=expectations,
-                       jobs=jobs, cache=cache,
-                       warmup_insts=getattr(args, "warmup_insts", None),
-                       batch_lanes=getattr(args, "batch_lanes", None),
-                       engine=args.engine,
-                       profile=getattr(args, "profile", False),
-                       taint=taint, taint_expectations=taint_expectations)
+    sampler = _sampler(args)
+    taint_expectations = ({name: AUDIT_TAINT_EXPECTATIONS[name]
+                           for name in names
+                           if name in AUDIT_TAINT_EXPECTATIONS}
+                          if sampler.taint else {})
+    result = run_audit(workloads, sampler=sampler, expectations=expectations,
+                       taint_expectations=taint_expectations)
     print(result.render())
     return 0 if result.passed else 1
 
@@ -520,13 +513,13 @@ def cmd_serve(args) -> int:
                                cache_dir=args.cache_dir,
                                max_active=args.max_active,
                                shard_size=args.shard_size)
-        await server.start()
-        # Scripts (CI, tests) wait for this line before submitting.
-        print(f"microsampler service listening on "
-              f"http://{server.host}:{server.port} "
-              f"({server.pool.n_workers} workers)",
-              file=sys.stderr, flush=True)
         try:
+            await server.start()
+            # Scripts (CI, tests) wait for this line before submitting.
+            print(f"microsampler service listening on "
+                  f"http://{server.host}:{server.port} "
+                  f"({server.pool.n_workers} workers)",
+                  file=sys.stderr, flush=True)
             await server.serve_forever()
         finally:
             await server.close()
@@ -750,16 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the verification pipeline")
     analyze.add_argument("workload", help="workload name (see list-workloads)")
-    analyze.add_argument("--config", choices=["mega", "medium", "small"],
-                         default="mega")
-    analyze.add_argument("--fast-bypass", action="store_true",
-                         help="enable the Section VII-B optimization")
-    analyze.add_argument("--variable-div", action="store_true",
-                         help="model an early-exit (operand-dependent) divider")
-    analyze.add_argument("--inputs", type=_inputs_argument, default=8,
-                         help="number of secret inputs (keys/runs)")
-    analyze.add_argument("--seed", type=int, default=3)
-    analyze.add_argument("--warmup", type=int, default=0,
+    _add_core_arguments(analyze)
+    _add_input_arguments(analyze)
+    analyze.add_argument("--warmup", type=_non_negative_int, default=0,
                          help="iterations to drop per run before analysis")
     analyze.add_argument("--no-timing-removed", action="store_true",
                          help="skip the timing-removed re-analysis")
@@ -789,16 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated core configs to sweep "
                             "(from: mega, medium, small; "
                             "default: mega,small)")
-    sweep.add_argument("--fast-bypass", action="store_true",
-                       help="enable the Section VII-B optimization on "
-                            "every swept config")
-    sweep.add_argument("--variable-div", action="store_true",
-                       help="model an early-exit divider on every "
-                            "swept config")
-    sweep.add_argument("--inputs", type=_inputs_argument, default=8,
-                       help="number of secret inputs (keys/runs)")
-    sweep.add_argument("--seed", type=int, default=3)
-    sweep.add_argument("--warmup", type=int, default=0,
+    _add_core_arguments(sweep, config=False)
+    _add_input_arguments(sweep)
+    sweep.add_argument("--warmup", type=_non_negative_int, default=0,
                        help="iterations to drop per run before analysis")
     sweep.add_argument("--no-timing-removed", action="store_true",
                        help="skip the timing-removed re-analysis")
@@ -820,16 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin detected leaks to cycle windows and instructions")
     localize.add_argument("workload",
                           help="workload name (see list-workloads)")
-    localize.add_argument("--config", choices=["mega", "medium", "small"],
-                          default="mega")
-    localize.add_argument("--fast-bypass", action="store_true",
-                          help="enable the Section VII-B optimization")
-    localize.add_argument("--variable-div", action="store_true",
-                          help="model an early-exit divider")
-    localize.add_argument("--inputs", type=_inputs_argument, default=8,
-                          help="number of secret inputs (keys/runs)")
-    localize.add_argument("--seed", type=int, default=3)
-    localize.add_argument("--warmup", type=int, default=0,
+    _add_core_arguments(localize)
+    _add_input_arguments(localize)
+    localize.add_argument("--warmup", type=_non_negative_int, default=0,
                           help="iterations to drop per run before analysis")
     localize.add_argument("--features", nargs="*",
                           help="localize these units directly, skipping "
@@ -854,10 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run an assembly file on the OoO core")
     simulate.add_argument("file")
     simulate.add_argument("--entry", default=None)
-    simulate.add_argument("--config", choices=["mega", "medium", "small"],
-                          default="mega")
-    simulate.add_argument("--fast-bypass", action="store_true")
-    simulate.add_argument("--variable-div", action="store_true")
+    _add_core_arguments(simulate)
     simulate.add_argument("--max-cycles", type=int, default=5_000_000)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -869,10 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeview", help="render per-instruction pipeline timelines")
     pipeview.add_argument("file")
     pipeview.add_argument("--entry", default=None)
-    pipeview.add_argument("--config", choices=["mega", "medium", "small"],
-                          default="mega")
-    pipeview.add_argument("--fast-bypass", action="store_true")
-    pipeview.add_argument("--variable-div", action="store_true")
+    _add_core_arguments(pipeview)
     pipeview.add_argument("--start", type=int, default=0,
                           help="first committed instruction to show")
     pipeview.add_argument("--count", type=int, default=40,
@@ -889,11 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "column can sum to more than the wall clock.")
     audit.add_argument("workloads", nargs="*",
                        help="workload names (default: the full suite)")
-    audit.add_argument("--config", choices=["mega", "medium", "small"], default="mega")
-    audit.add_argument("--fast-bypass", action="store_true")
-    audit.add_argument("--variable-div", action="store_true")
-    audit.add_argument("--inputs", type=_inputs_argument, default=8)
-    audit.add_argument("--seed", type=int, default=3)
+    _add_core_arguments(audit)
+    _add_input_arguments(audit)
     _add_engine_argument(audit)
     _add_backend_arguments(audit)
     _add_checkpoint_argument(audit)
@@ -906,11 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="record a workload campaign to a trace-log archive")
     trace.add_argument("workload")
     trace.add_argument("output", help="log path (.jsonl or .jsonl.gz)")
-    trace.add_argument("--config", choices=["mega", "medium", "small"], default="mega")
-    trace.add_argument("--fast-bypass", action="store_true")
-    trace.add_argument("--variable-div", action="store_true")
-    trace.add_argument("--inputs", type=_inputs_argument, default=8)
-    trace.add_argument("--seed", type=int, default=3)
+    _add_core_arguments(trace)
+    _add_input_arguments(trace)
     trace.set_defaults(func=cmd_trace)
 
     cache = sub.add_parser(
@@ -943,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_jobs_argument, default=0,
                        help="persistent simulation workers "
                             "(0 = one per CPU)")
-    serve.add_argument("--max-active", type=int, default=2,
+    serve.add_argument("--max-active", type=_positive_int, default=2,
                        help="jobs executing concurrently; the rest wait "
                             "on the priority queue")
     serve.add_argument("--shard-size", type=int, default=None,
@@ -963,17 +923,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "suite (default: the full suite)")
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, default=8765)
-    submit.add_argument("--config", choices=["mega", "medium", "small"],
-                        default="mega")
-    submit.add_argument("--fast-bypass", action="store_true")
-    submit.add_argument("--variable-div", action="store_true")
-    submit.add_argument("--inputs", type=_inputs_argument, default=8)
-    submit.add_argument("--seed", type=int, default=3)
+    _add_core_arguments(submit)
+    _add_input_arguments(submit)
     submit.add_argument("--priority", type=int, default=0,
                         help="higher runs first; FIFO within a level")
     submit.add_argument("--tenant", default="",
                         help="client label recorded on the job")
-    submit.add_argument("--permutations", type=int, default=None,
+    submit.add_argument("--permutations", type=_permutations_argument,
+                        default=None,
                         help="attribution permutations (localize only)")
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="seconds to wait for the job to finish")
@@ -998,7 +955,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except WorkloadError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ rather than crashing the scan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.localize.attribution import (
     DEFAULT_PERMUTATIONS,
@@ -26,7 +26,7 @@ from repro.localize.attribution import (
     attribute_window,
 )
 from repro.localize.temporal import TemporalScan, temporal_scan
-from repro.sampler.runner import Workload, run_campaign
+from repro.sampler.runner import Workload
 
 #: Significance gate for localized findings (acceptance: p < 0.01 on the
 #: secret-dependent instructions).  Stricter than the detection alpha
@@ -75,11 +75,7 @@ class LocalizationReport:
         return bool(self.localized_units)
 
 
-def localize_campaign(campaign, feature_ids, *,
-                      v_threshold: float | None = None,
-                      alpha: float | None = None,
-                      engine: str = "numpy",
-                      warmup_iterations: int = 0,
+def localize_campaign(campaign, feature_ids, *, sampler=None,
                       permutations: int = DEFAULT_PERMUTATIONS,
                       seed: int = 0,
                       taint=None) -> LocalizationReport:
@@ -87,6 +83,8 @@ def localize_campaign(campaign, feature_ids, *,
 
     The campaign must have been run with ``keep_raw`` covering
     ``feature_ids`` and ``log_commits=True`` (see :func:`localize`).
+    ``sampler`` (default ``MicroSampler()``) supplies the thresholds, the
+    statistics engine and the warm-up iterations to drop.
 
     ``taint`` (a :class:`~repro.sampler.pipeline.TaintSummary`) enables the
     rank tier: permutation tests run only on PCs the taint engine saw
@@ -95,14 +93,9 @@ def localize_campaign(campaign, feature_ids, *,
     per-PC exoneration, so no restriction is applied then — which is why
     the bundled leaky workloads localize bit-identically with taint on.
     """
-    from repro.sampler.stats import (
-        SIGNIFICANCE_ALPHA,
-        STRONG_ASSOCIATION_THRESHOLD,
-    )
+    from repro.sampler.pipeline import MicroSampler
 
-    v_threshold = (STRONG_ASSOCIATION_THRESHOLD if v_threshold is None
-                   else v_threshold)
-    alpha = SIGNIFICANCE_ALPHA if alpha is None else alpha
+    sampler = sampler or MicroSampler()
     allowed_pcs = None
     if taint is not None and not taint.escalated:
         merged = taint.merged
@@ -110,21 +103,21 @@ def localize_campaign(campaign, feature_ids, *,
             merged.tainted_pcs | merged.tainted_mem_pcs
             | merged.tainted_branch_pcs | merged.transient_mem_pcs)
     iterations = [r for r in campaign.iterations
-                  if r.ordinal >= warmup_iterations]
+                  if r.ordinal >= sampler.warmup_iterations]
     report = LocalizationReport(
         workload_name=campaign.workload.name,
         config_name=campaign.config.name,
         n_iterations=len(iterations),
         n_classes=len({r.label for r in iterations}),
-        engine=engine,
+        engine=sampler.engine,
         target_units=tuple(feature_ids),
         simulate_seconds=campaign.simulate_seconds,
     )
     for feature_id in feature_ids:
         started = time.perf_counter()
         scan = temporal_scan(iterations, feature_id,
-                             v_threshold=v_threshold, alpha=alpha,
-                             engine=engine)
+                             v_threshold=sampler.v_threshold,
+                             alpha=sampler.alpha, engine=sampler.engine)
         report.scan_seconds += time.perf_counter() - started
         unit = UnitLocalization(feature_id=feature_id, scan=scan)
         if scan.window is not None:
@@ -153,8 +146,7 @@ def _missing_localization_inputs(campaign, feature_ids) -> bool:
 
 def localize(workload: Workload, *, sampler=None, report=None,
              features=None, permutations: int = DEFAULT_PERMUTATIONS,
-             seed: int = 0,
-             max_cycles_per_run: int = 5_000_000) -> LocalizationReport:
+             seed: int = 0) -> LocalizationReport:
     """The full two-phase flow: detect, then localize every flagged unit.
 
     ``sampler`` supplies the core configuration, thresholds, engine and
@@ -167,10 +159,9 @@ def localize(workload: Workload, *, sampler=None, report=None,
 
     sampler = sampler or MicroSampler()
     if report is None and features is None:
-        report = sampler.analyze(workload,
-                                 max_cycles_per_run=max_cycles_per_run)
+        report = sampler.analyze(workload)
     taint = None
-    if getattr(sampler, "taint", False):
+    if sampler.taint:
         # Reuse the phase-1 prescreen when available; the map is a pure
         # function of the workload so recomputing is equivalent.
         if report is not None and report.taint is not None:
@@ -190,28 +181,16 @@ def localize(workload: Workload, *, sampler=None, report=None,
             engine=sampler.engine,
             profile=report.profile if report is not None else None,
         )
-    campaign_kwargs = dict(
-        features=targets, keep_raw=True, log_commits=True,
-        max_cycles_per_run=max_cycles_per_run, jobs=sampler.jobs,
-        warmup_insts=getattr(sampler, "warmup_insts", None),
-        batch_lanes=getattr(sampler, "batch_lanes", None),
-        profile=sampler.profile,
-    )
-    campaign = run_campaign(workload, sampler.config,
-                            cache=sampler.cache, **campaign_kwargs)
+    campaign_shape = dict(features=targets, keep_raw=True, log_commits=True)
+    campaign = sampler.run(workload, **campaign_shape)
     if _missing_localization_inputs(campaign, targets):
         # Stale or pre-versioning cache entries replayed without the
         # localization inputs: re-simulate instead of crashing the scan.
-        campaign = run_campaign(workload, sampler.config, cache=None,
-                                **campaign_kwargs)
-    result = localize_campaign(
-        campaign, targets,
-        v_threshold=sampler.v_threshold, alpha=sampler.alpha,
-        engine=sampler.engine,
-        warmup_iterations=sampler.warmup_iterations,
-        permutations=permutations, seed=seed,
-        taint=taint,
-    )
+        campaign = replace(sampler, cache=None).run(workload,
+                                                    **campaign_shape)
+    result = localize_campaign(campaign, targets, sampler=sampler,
+                               permutations=permutations, seed=seed,
+                               taint=taint)
     if sampler.profile:
         from repro.util.profiling import merge_profiles
 

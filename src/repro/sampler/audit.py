@@ -12,8 +12,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from repro.sampler.pipeline import MicroSampler
-from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.sampler.pipeline import MicroSampler, with_knobs
 
 
 @dataclass
@@ -161,23 +160,16 @@ def audit_to_dict(result: AuditResult) -> dict:
     }
 
 
-def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
+def run_audit(workloads, *, sampler: MicroSampler | None = None,
               expectations: dict | None = None,
-              sampler: MicroSampler | None = None,
-              jobs: int | None = 1, cache=None,
-              warmup_insts: int | None = None,
-              batch_lanes=None,
-              engine: str = "numpy", profile: bool = False,
-              taint: bool = False,
-              taint_expectations: dict | None = None) -> AuditResult:
+              taint_expectations: dict | None = None,
+              **knobs) -> AuditResult:
     """Analyze every workload; ``expectations[name]`` = True means "should
     leak" (a litmus), False means "must be clean" (a hardened primitive).
 
-    ``jobs``/``cache``/``warmup_insts``/``batch_lanes``/``engine``/
-    ``profile`` configure the simulation backend and the statistics engine
-    when no explicit ``sampler`` is supplied (see
-    :func:`repro.sampler.run_campaign` and
-    :class:`~repro.sampler.pipeline.MicroSampler`); with ``profile`` the
+    ``knobs`` are :class:`~repro.sampler.pipeline.MicroSampler` fields: they
+    build the sampler, or replace fields of an explicit ``sampler``.  The
+    result is labelled with the sampler's core config; with ``profile`` the
     suite-wide per-stage breakdown lands on ``AuditResult.profile``.
 
     ``taint`` runs the secret-taint prescreen alongside every analysis and
@@ -191,14 +183,10 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     ``jobs > 1`` the next workload is planned while workers simulate the
     current one, and the entries are identical to a ``jobs=1`` audit but
     for ``seconds``."""
-    sampler = sampler or MicroSampler(config, jobs=jobs, cache=cache,
-                                      warmup_insts=warmup_insts,
-                                      batch_lanes=batch_lanes,
-                                      engine=engine, profile=profile,
-                                      taint=taint)
+    sampler = with_knobs(sampler, **knobs)
     expectations = expectations or {}
     taint_expectations = taint_expectations or {}
-    result = AuditResult(config_name=config.name)
+    result = AuditResult(config_name=sampler.config.name)
     profiles = []
     with closing(sampler.analyze_stream(workloads)) as reports:
         for report, seconds in reports:

@@ -9,7 +9,7 @@ so a hardware change's leakage impact is a single readable table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.sampler.pipeline import MicroSampler
 from repro.uarch.config import CoreConfig
@@ -88,11 +88,14 @@ class ConfigDiff:
 
 
 def diff_configs(workload, baseline: CoreConfig, candidate: CoreConfig, *,
-                 sampler_kwargs: dict | None = None) -> ConfigDiff:
-    """Analyze ``workload`` on both designs and diff the verdicts."""
-    kwargs = sampler_kwargs or {}
-    base_report = MicroSampler(baseline, **kwargs).analyze(workload)
-    cand_report = MicroSampler(candidate, **kwargs).analyze(workload)
+                 sampler: MicroSampler | None = None) -> ConfigDiff:
+    """Analyze ``workload`` on both designs and diff the verdicts.
+
+    ``sampler`` supplies every other knob; each design runs on
+    ``replace(sampler, config=design)``."""
+    sampler = sampler or MicroSampler()
+    base_report = replace(sampler, config=baseline).analyze(workload)
+    cand_report = replace(sampler, config=candidate).analyze(workload)
     diff = ConfigDiff(
         workload_name=workload.name,
         baseline_name=baseline.name + (" +fb" if baseline.fast_bypass else ""),

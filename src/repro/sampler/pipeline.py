@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import collections
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 from repro.sampler.contingency import build_contingency_table
 from repro.sampler.feature_extraction import RootCauseReport, extract_root_causes
@@ -21,8 +21,10 @@ from repro.sampler.mutual_information import (
 )
 from repro.sampler.exec_backend import stream_plans
 from repro.sampler.runner import (
+    CampaignPlan,
     CampaignResult,
     Workload,
+    WorkloadError,
     finalize_campaign,
     prepare_campaign,
 )
@@ -183,11 +185,14 @@ class _ReplayedPlan:
     execute_seconds = 0.0
 
 
+@dataclass(frozen=True)
 class MicroSampler:
     """The verification framework: configure once, analyze many workloads.
 
-    Parameters mirror the paper's defaults: a correlation is flagged when
-    Cramér's V exceeds 0.5 *and* the chi-squared p-value is below 0.05.
+    The one declaration of every campaign knob.  Fields are validated once,
+    at construction; a variant is ``dataclasses.replace(sampler, ...)``.
+    Defaults mirror the paper: a correlation is flagged when Cramér's V
+    exceeds 0.5 *and* the chi-squared p-value is below 0.05.
 
     ``engine`` selects the statistics implementation: ``"numpy"`` (default)
     lowers the campaign into a columnar :class:`TraceMatrix` and scores all
@@ -199,91 +204,122 @@ class MicroSampler:
 
     ENGINES = ("python", "numpy")
 
-    def __init__(self, config: CoreConfig = MEGA_BOOM, *,
-                 features=None,
-                 v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
-                 alpha: float = SIGNIFICANCE_ALPHA,
-                 analyze_timing_removed: bool = True,
-                 extract_root_causes_for_leaky: bool = True,
-                 warmup_iterations: int = 0,
-                 jobs: int | None = 1,
-                 cache=None,
-                 warmup_insts: int | None = None,
-                 batch_lanes=None,
-                 engine: str = "numpy",
-                 measure_mi: bool = False,
-                 mi_permutations: int = 200,
-                 profile: bool = False,
-                 taint: bool = False):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown analysis engine {engine!r}; choose from "
-                f"{self.ENGINES}")
-        self.engine = engine
-        self.config = config
-        self.features = tuple(features) if features is not None else FEATURE_ORDER
-        self.v_threshold = v_threshold
-        self.alpha = alpha
-        self.analyze_timing_removed = analyze_timing_removed
-        self.extract_root_causes_for_leaky = extract_root_causes_for_leaky
-        #: Iterations to drop at the start of every run before analysis, so
-        #: cold-structure and predictor-training transients (whose wrong-path
-        #: excursions can touch neighbouring iterations' state) do not blur
-        #: steady-state verdicts.
-        self.warmup_iterations = warmup_iterations
-        #: Simulation backend knobs (see :func:`repro.sampler.run_campaign`):
-        #: inputs simulated concurrently, and an optional trace cache.
-        self.jobs = jobs
-        self.cache = cache
-        #: Fast-forward checkpointing budget (``None`` = full simulation):
-        #: functional warm-up to ``roi.begin`` minus this many instructions,
-        #: which are replayed cycle-accurately (see
-        #: :mod:`repro.sampler.checkpoint`).  Distinct from
-        #: ``warmup_iterations``, which drops *traced* iterations from the
-        #: statistical analysis.
-        self.warmup_insts = warmup_insts
-        #: Lockstep lane batching (``None`` = off, ``"auto"``, or an int
-        #: lane width; see :mod:`repro.sampler.batch`): the functional
-        #: warm-up runs as a SIMD-across-inputs prepass (needs
-        #: ``warmup_insts``), and the cycle-accurate phase carries the
-        #: campaign inputs as value lanes through one shared
-        #: :class:`~repro.uarch.batch_core.BatchCore`.  Timing state is
-        #: shared, so verdicts and per-unit digests are bit-identical to
-        #: scalar simulation; cross-lane divergence falls the affected
-        #: lanes back to the scalar core and is surfaced on
-        #: ``LeakageReport.divergences``.
-        self.batch_lanes = batch_lanes
-        #: Also score every unit with MicroWalk-style mutual information
-        #: (plus a label-permutation significance test) as a cross-check.
-        self.measure_mi = measure_mi
-        self.mi_permutations = mi_permutations
-        #: Attach a per-stage wall-clock profiler to every simulated core
-        #: and surface the merged breakdown on ``LeakageReport.profile``.
-        self.profile = profile
-        #: Run the secret-taint prescreen (:mod:`repro.taint`) before
-        #: simulation: prune units taint proves secret-free, restrict
-        #: localization attribution to taint-reaching PCs, and cross-check
-        #: statistical verdicts against the taint verdict.  Requires the
-        #: workload to declare ``secret_regions``.  Verdicts are
-        #: bit-identical to ``taint=False`` (pruning only removes provably
-        #: constant-clean units).
-        self.taint = bool(taint)
+    config: CoreConfig = MEGA_BOOM
+    _: KW_ONLY
+    #: Tracked units (``None`` = the Table IV set, in order).
+    features: tuple | None = None
+    v_threshold: float = STRONG_ASSOCIATION_THRESHOLD
+    alpha: float = SIGNIFICANCE_ALPHA
+    analyze_timing_removed: bool = True
+    extract_root_causes_for_leaky: bool = True
+    #: Iterations to drop at the start of every run before analysis, so
+    #: cold-structure and predictor-training transients (whose wrong-path
+    #: excursions can touch neighbouring iterations' state) do not blur
+    #: steady-state verdicts.
+    warmup_iterations: int = 0
+    #: Simulation backend: inputs simulated concurrently (``0``/``None`` =
+    #: one per CPU), and an optional trace cache (``True`` builds one on
+    #: the default directory).
+    jobs: int | None = 1
+    cache: object = None
+    #: Fast-forward checkpointing budget (``None`` = full simulation):
+    #: functional warm-up to ``roi.begin`` minus this many instructions,
+    #: which are replayed cycle-accurately (see
+    #: :mod:`repro.sampler.checkpoint`).  Distinct from
+    #: ``warmup_iterations``, which drops *traced* iterations from the
+    #: statistical analysis.
+    warmup_insts: int | None = None
+    #: Lockstep lane batching (``None`` = off, ``"auto"``, or an int lane
+    #: width; see :mod:`repro.sampler.batch`): the functional warm-up runs
+    #: as a SIMD-across-inputs prepass (needs ``warmup_insts``), and the
+    #: cycle-accurate phase carries the campaign inputs as value lanes
+    #: through one shared :class:`~repro.uarch.batch_core.BatchCore`.
+    #: Timing state is shared, so verdicts and per-unit digests are
+    #: bit-identical to scalar simulation; cross-lane divergence falls the
+    #: affected lanes back to the scalar core and is surfaced on
+    #: ``LeakageReport.divergences``.
+    batch_lanes: object = None
+    engine: str = "numpy"
+    #: Also score every unit with MicroWalk-style mutual information
+    #: (plus a label-permutation significance test) as a cross-check.
+    measure_mi: bool = False
+    mi_permutations: int = 200
+    #: Attach a per-stage wall-clock profiler to every simulated core
+    #: and surface the merged breakdown on ``LeakageReport.profile``.
+    profile: bool = False
+    #: Run the secret-taint prescreen (:mod:`repro.taint`) before
+    #: simulation: prune units taint proves secret-free, restrict
+    #: localization attribution to taint-reaching PCs, and cross-check
+    #: statistical verdicts against the taint verdict.  Requires the
+    #: workload to declare ``secret_regions``.  Verdicts are bit-identical
+    #: to ``taint=False`` (pruning only removes provably constant-clean
+    #: units).
+    taint: bool = False
+
+    def __post_init__(self):
+        features = (FEATURE_ORDER if self.features is None
+                    else tuple(self.features))
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "taint", bool(self.taint))
+        if self.cache is True:
+            object.__setattr__(self, "cache", TraceCache())
+        if self.engine not in self.ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; choose from "
+                             f"{self.ENGINES}")
+        # (field, least integer, other accepted values); a bool is no count.
+        for name, minimum, spellings in (
+                ("warmup_iterations", 0, ()), ("mi_permutations", 0, ()),
+                ("warmup_insts", 0, (None,)),
+                ("batch_lanes", 1, (None, "auto"))):
+            value = getattr(self, name)
+            if value in spellings or (isinstance(value, int)
+                                      and not isinstance(value, bool)
+                                      and value >= minimum):
+                continue
+            alternatives = "".join(f"{spelling!r} or "
+                                   for spelling in spellings)
+            raise ValueError(f"{name} must be {alternatives}an integer >= "
+                             f"{minimum}, got {value!r}")
+
+    # -- simulation -------------------------------------------------------------
+
+    def plan(self, workload: Workload, *, features=None, keep_raw=(),
+             log_commits: bool = False, pruned=(), programs=None,
+             checkpoint_dir: str | None = None) -> CampaignPlan:
+        """Plan ``workload``'s campaign with this sampler's simulation knobs.
+
+        The one place a sampler's knobs reach :func:`prepare_campaign`.
+        ``features`` defaults to the sampler's tracked units; the other
+        arguments describe the campaign, not the sampler (localization's
+        raw rows and commit log, the taint-pruned units, a sweep's
+        pre-patched programs and shared checkpoint store).
+        """
+        return prepare_campaign(
+            workload, self.config,
+            features=self.features if features is None else features,
+            keep_raw=keep_raw, log_commits=log_commits, cache=self.cache,
+            warmup_insts=self.warmup_insts, checkpoint_dir=checkpoint_dir,
+            batch_lanes=self.batch_lanes, profile=self.profile,
+            pruned=pruned, programs=programs)
+
+    def run(self, workload: Workload, **plan) -> CampaignResult:
+        """Plan (:meth:`plan`), simulate on ``self.jobs`` workers and merge
+        one campaign."""
+        [done] = stream_plans([self.plan(workload, **plan)], jobs=self.jobs)
+        return finalize_campaign(done)
 
     # -- full pipeline ----------------------------------------------------------
 
-    def analyze(self, workload: Workload, *,
-                max_cycles_per_run: int = 5_000_000) -> LeakageReport:
+    def analyze(self, workload: Workload) -> LeakageReport:
         """Run the complete Figure 1 flow on ``workload``."""
-        [(report, _seconds)] = self.analyze_stream(
-            [workload], max_cycles_per_run=max_cycles_per_run)
+        [(report, _seconds)] = self.analyze_stream([workload])
         return report
 
-    def analyze_stream(self, workloads, *,
-                       max_cycles_per_run: int = 5_000_000):
+    def analyze_stream(self, workloads):
         """Analyze ``workloads`` in order, simulating them as one stream.
 
         Each workload is planned here — taint prescreen, trace-cache
-        consult, checkpoint prepass (:func:`prepare_campaign`) — and its
+        consult, checkpoint prepass (:meth:`plan`) — and its
         pending lane groups go to one dispatcher
         (:func:`~repro.sampler.exec_backend.stream_plans`, ``self.jobs``
         workers), so under ``jobs > 1`` workload k+1 is planned while
@@ -304,14 +340,13 @@ class MicroSampler:
         pending.  A miss is planned, simulated and analyzed, then stored.
         The taint prescreen runs either way.
         """
-        cache = TraceCache() if self.cache is True else self.cache
+        cache = self.cache
         planned = collections.deque()  # (taint, key, replay, plan seconds)
 
         def plan_campaign(workload):
             started = time.perf_counter()
             taint = self.compute_taint(workload) if self.taint else None
-            key = (report_key(self, workload, max_cycles_per_run)
-                   if cache is not None else None)
+            key = report_key(self, workload) if cache is not None else None
             replay = (cache.load_record(REPORT, key) if key is not None
                       else None)
             if replay is not None:
@@ -320,13 +355,8 @@ class MicroSampler:
                 replay.timings = StageTimings(0.0, 0.0, 0.0, 0.0)
                 campaign_plan = _ReplayedPlan()
             else:
-                campaign_plan = prepare_campaign(
-                    workload, self.config, features=self.features,
-                    max_cycles_per_run=max_cycles_per_run,
-                    cache=cache, warmup_insts=self.warmup_insts,
-                    batch_lanes=self.batch_lanes, profile=self.profile,
-                    pruned=taint.pruned if taint else (),
-                )
+                campaign_plan = self.plan(
+                    workload, pruned=taint.pruned if taint else ())
             planned.append((taint, key, replay,
                             time.perf_counter() - started))
             return campaign_plan
@@ -336,8 +366,7 @@ class MicroSampler:
             taint, key, report, plan_seconds = planned.popleft()
             started = time.perf_counter()
             if report is None:
-                report = self.analyze_campaign(finalize_campaign(plan),
-                                               taint=taint)
+                report = self.analyze_plan(plan, taint=taint)
                 if key is not None:
                     cache.store_record(REPORT, key, report)
             else:
@@ -374,6 +403,25 @@ class MicroSampler:
             pruned=tuple(f for f in self.features if f not in reachable),
             reachable=tuple(f for f in self.features if f in reachable),
         )
+
+    def analyze_plan(self, plan: CampaignPlan, *,
+                     taint: TaintSummary | None = None) -> LeakageReport:
+        """Merge a simulated plan (:func:`finalize_campaign`) and analyze it.
+
+        Raises :class:`WorkloadError` when ``warmup_iterations`` drops
+        every traced iteration, rather than reporting a clean verdict on
+        no data.
+        """
+        campaign = finalize_campaign(plan)
+        if self.warmup_iterations and not any(
+                record.ordinal >= self.warmup_iterations
+                for record in campaign.iterations):
+            raise WorkloadError(
+                f"a warm-up of {self.warmup_iterations} iteration(s) per run "
+                f"drops all {len(campaign.iterations)} traced iteration(s) "
+                f"of campaign {campaign.workload.name!r}: nothing is left "
+                "to analyze")
+        return self.analyze_campaign(campaign, taint=taint)
 
     def analyze_campaign(self, campaign: CampaignResult, *,
                          taint: TaintSummary | None = None) -> LeakageReport:
@@ -458,7 +506,7 @@ class MicroSampler:
 
     def localize(self, workload: Workload, *, report: LeakageReport = None,
                  features=None, permutations: int | None = None,
-                 seed: int = 0, max_cycles_per_run: int = 5_000_000):
+                 seed: int = 0):
         """Localize every leaky unit of ``workload`` in time and code.
 
         Runs :meth:`analyze` first when no ``report`` is given, then the
@@ -472,8 +520,17 @@ class MicroSampler:
         if permutations is not None:
             kwargs["permutations"] = permutations
         return _localize(workload, sampler=self, report=report,
-                         features=features, seed=seed,
-                         max_cycles_per_run=max_cycles_per_run, **kwargs)
+                         features=features, seed=seed, **kwargs)
+
+
+def with_knobs(sampler: MicroSampler | None = None,
+               **knobs) -> MicroSampler:
+    """``sampler`` with ``knobs`` (sampler fields) replaced, or a sampler
+    built from them when none is given: how an entry point that takes a
+    sampler also takes loose knobs."""
+    if sampler is None:
+        return MicroSampler(**knobs)
+    return replace(sampler, **knobs) if knobs else sampler
 
 
 def adaptive_analyze(workload_factory, *, start_inputs: int = 8,

@@ -16,10 +16,9 @@ core at all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program, assemble
-from repro.kernel.memory_map import MemoryMap
 from repro.sampler.exec_backend import (
     RunOutput,
     RunTask,
@@ -122,42 +121,6 @@ class CampaignResult:
         return sum(run.stats.cycles for run in self.runs)
 
 
-def _build_tasks(workload: Workload, program: Program, config: CoreConfig, *,
-                 features, keep_raw, log_commits, memory_map,
-                 max_cycles_per_run, expect_exit_code,
-                 warmup_insts=None, checkpoint_dir=None,
-                 profile=False, pruned=(), core_lanes=None,
-                 programs=None) -> list[RunTask]:
-    """One :class:`RunTask` per input.  ``programs`` (when given) supplies
-    pre-patched per-input programs — the cross-config sweep patches once
-    and hands the same images to every config leg; ``patch_program`` is
-    deterministic, so the tasks (and their cache keys) are identical to
-    re-patching here."""
-    return [
-        RunTask(
-            run_index=run_index,
-            workload_name=workload.name,
-            program=(programs[run_index] if programs is not None
-                     else patch_program(program, patches)),
-            config=config,
-            warm_regions=tuple(tuple(region)
-                               for region in workload.warm_regions),
-            features=tuple(features) if features is not None else None,
-            keep_raw=True if keep_raw is True else tuple(keep_raw),
-            log_commits=bool(log_commits),
-            memory_map=memory_map,
-            max_cycles=max_cycles_per_run,
-            expect_exit_code=expect_exit_code,
-            warmup_insts=warmup_insts,
-            checkpoint_dir=checkpoint_dir,
-            profile=bool(profile),
-            pruned=tuple(pruned),
-            core_lanes=core_lanes,
-        )
-        for run_index, patches in enumerate(workload.inputs)
-    ]
-
-
 @dataclass
 class CampaignPlan:
     """A campaign prepared for execution but not yet simulated.
@@ -218,9 +181,6 @@ class CampaignPlan:
 
 def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      features=None, keep_raw=(), log_commits: bool = False,
-                     memory_map: MemoryMap | None = None,
-                     max_cycles_per_run: int = 5_000_000,
-                     expect_exit_code: int = 0,
                      cache=None,
                      warmup_insts: int | None = None,
                      checkpoint_dir: str | None = None,
@@ -235,12 +195,14 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     with ``plan.fill(index, output)`` —
     :func:`~repro.sampler.exec_backend.stream_plans` does both for any
     number of plans on one backend — then :func:`finalize_campaign`
-    merges.
+    merges.  :meth:`~repro.sampler.pipeline.MicroSampler.plan` calls this
+    with a sampler's knobs.
 
     ``programs`` optionally supplies the per-input patched programs (one
     per ``workload.inputs`` entry), skipping the assemble + patch phase —
     the cross-config sweep pays those once and plans every config leg from
-    the same images.
+    the same images; ``patch_program`` is deterministic, so the tasks (and
+    their cache keys) are identical to patching here.
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
@@ -269,19 +231,27 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         raise WorkloadError(
             f"pre-patched program count ({len(programs)}) does not match "
             f"input count ({len(workload.inputs)})")
-    program = workload.assemble() if programs is None else None
-    tasks = _build_tasks(
-        workload, program, config, features=features, keep_raw=keep_raw,
-        log_commits=log_commits, memory_map=memory_map,
-        max_cycles_per_run=max_cycles_per_run,
-        expect_exit_code=expect_exit_code,
+    if programs is None:
+        program = workload.assemble()
+        programs = [patch_program(program, patches)
+                    for patches in workload.inputs]
+    template = RunTask(
+        run_index=0,
+        workload_name=workload.name,
+        program=programs[0],
+        config=config,
+        warm_regions=tuple(tuple(region) for region in workload.warm_regions),
+        features=tuple(features) if features is not None else None,
+        keep_raw=True if keep_raw is True else tuple(keep_raw),
+        log_commits=bool(log_commits),
         warmup_insts=warmup_insts,
         checkpoint_dir=checkpoint_dir,
-        profile=profile,
-        pruned=pruned,
+        profile=bool(profile),
+        pruned=tuple(pruned),
         core_lanes=core_lanes,
-        programs=programs,
     )
+    tasks = [replace(template, run_index=run_index, program=program)
+             for run_index, program in enumerate(programs)]
 
     outputs: list[RunOutput | None] = [None] * len(tasks)
     keys: list[str] | None = None
@@ -392,54 +362,26 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
 
 
 def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
-                 features=None, keep_raw=(), log_commits: bool = False,
-                 memory_map: MemoryMap | None = None,
-                 max_cycles_per_run: int = 5_000_000,
-                 expect_exit_code: int = 0,
-                 jobs: int | None = 1, cache=None,
-                 warmup_insts: int | None = None,
-                 checkpoint_dir: str | None = None,
-                 batch_lanes=None,
-                 pool=None,
-                 profile: bool = False,
-                 pruned=()) -> CampaignResult:
+                 jobs: int | None = 1, pool=None, **plan) -> CampaignResult:
     """Run ``workload`` over all its inputs, collecting iteration snapshots.
+
+    ``plan`` is :func:`prepare_campaign`'s keywords: ``features``,
+    ``keep_raw``, ``log_commits`` (each iteration's ``(cycle, pc,
+    mnemonic)`` commit stream, for :mod:`repro.localize`), ``cache`` (a
+    :class:`~repro.sampler.trace_cache.TraceCache` or ``True``: inputs
+    simulated before are replayed, and identical inputs inside one
+    campaign simulate once), ``checkpoint_dir`` (default: the cache root's
+    ``checkpoints/``), ``pruned``, and the simulation knobs
+    ``warmup_insts``, ``batch_lanes`` and ``profile`` that
+    :class:`~repro.sampler.pipeline.MicroSampler` documents.  Divergences
+    land on ``CampaignResult.divergences``.
 
     ``jobs`` sets how many inputs simulate concurrently (``0``/``None`` =
     one per available CPU); the merged result is bit-identical to ``jobs=1``.
     ``pool`` routes simulation through a long-lived
-    :class:`~repro.sampler.exec_backend.WorkerPool` instead (the campaign
-    service's backend; overrides ``jobs``).
-    ``cache`` is an optional :class:`~repro.sampler.trace_cache.TraceCache`
-    (or ``True`` for the default directory): inputs simulated before — by
-    any backend — are replayed from it, and identical inputs inside one
-    campaign are simulated only once.  ``log_commits`` records each
-    iteration's architectural ``(cycle, pc, mnemonic)`` commit stream for
-    the localization phase (:mod:`repro.localize`).  ``warmup_insts``
-    enables fast-forward checkpointing (``None`` = full simulation; see
-    :mod:`repro.sampler.checkpoint`); checkpoints persist under
-    ``checkpoint_dir``, defaulting to a ``checkpoints/`` subdirectory of the
-    trace-cache root when a cache is in use.  ``batch_lanes`` selects
-    lockstep lane batching (``None`` = off, ``"auto"``, or an int lane
-    width; see :mod:`repro.sampler.batch`): the functional warm-up runs as
-    a SIMD-across-inputs prepass (requires ``warmup_insts``), and the
-    cycle-accurate phase carries the same inputs as value lanes through one
-    shared core (:mod:`repro.uarch.batch_core`) — timing state is shared,
-    so verdicts and per-unit digests stay bit-identical to scalar runs;
-    any cross-lane divergence in timing-relevant state falls the affected
-    lanes back to scalar simulation.  Divergences observed by either phase
-    are returned on ``CampaignResult.divergences``.  ``profile`` attaches a
-    per-stage wall-clock profiler to every simulated core and reports the
-    merged breakdown on ``CampaignResult.profile`` (cache hits, which do no
-    simulation work, contribute nothing).
+    :class:`~repro.sampler.exec_backend.WorkerPool` instead (overrides
+    ``jobs``).
     """
-    plan = prepare_campaign(
-        workload, config, features=features, keep_raw=keep_raw,
-        log_commits=log_commits, memory_map=memory_map,
-        max_cycles_per_run=max_cycles_per_run,
-        expect_exit_code=expect_exit_code, cache=cache,
-        warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
-        batch_lanes=batch_lanes, profile=profile, pruned=pruned,
-    )
-    [plan] = stream_plans([plan], jobs=jobs, pool=pool)
-    return finalize_campaign(plan)
+    [done] = stream_plans([prepare_campaign(workload, config, **plan)],
+                          jobs=jobs, pool=pool)
+    return finalize_campaign(done)

@@ -17,8 +17,8 @@ Two sweep families live here:
   :class:`~repro.sampler.exec_backend.WorkerPool` backends (``config ×
   lane-group`` shards), and trace-cache hits never occupy a slot.  Each
   leg's :class:`~repro.sampler.pipeline.LeakageReport` is bit-identical to
-  running ``MicroSampler(config).analyze(workload)`` standalone with the
-  same cache state — pinned by ``tests/test_config_sweep.py`` and
+  running ``replace(sampler, config=config).analyze(workload)`` standalone
+  with the same cache state — pinned by ``tests/test_config_sweep.py`` and
   ``benchmarks/bench_config_sweep.py``.
 
 One bookkeeping asymmetry is inherited from checkpoint reuse: prologue
@@ -34,24 +34,16 @@ from __future__ import annotations
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import repro
 from repro.sampler.exec_backend import stream_plans
-from repro.sampler.pipeline import LeakageReport, MicroSampler
+from repro.sampler.pipeline import LeakageReport, MicroSampler, with_knobs
 from repro.sampler.report import report_to_dict
-from repro.sampler.runner import (
-    Workload,
-    finalize_campaign,
-    patch_program,
-    prepare_campaign,
-)
-from repro.sampler.stats import (
-    SIGNIFICANCE_ALPHA,
-    STRONG_ASSOCIATION_THRESHOLD,
-)
-from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.sampler.runner import Workload, patch_program
+from repro.sampler.stats import SIGNIFICANCE_ALPHA
+from repro.uarch.config import CoreConfig
 
 
 # -- convergence sweeps (Section VII-D) --------------------------------------
@@ -108,29 +100,31 @@ SweepPoint = ConvergencePoint
 
 
 def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
-                       feature_ids=None, config: CoreConfig = MEGA_BOOM,
-                       seed: int = 3, jobs: int | None = 1,
-                       cache=None, engine: str = "numpy") -> ConvergenceSweep:
+                       feature_ids=None, seed: int = 3,
+                       sampler: MicroSampler | None = None,
+                       **knobs) -> ConvergenceSweep:
     """Run the analysis at increasing campaign sizes.
 
     ``workload_factory(n_inputs, seed)`` builds the workload for each size.
-    Sweeps re-simulate every smaller campaign's inputs, so passing a
-    ``cache`` (see :class:`~repro.sampler.trace_cache.TraceCache`) makes
-    each point pay only for its newly added inputs; ``jobs`` parallelizes
-    the rest and ``engine`` selects the statistics implementation (sweeps
-    score many (unit, size) cells, so the vectorized default matters here).
+    ``knobs`` are :class:`~repro.sampler.pipeline.MicroSampler` fields: they
+    build the sampler, or replace fields of an explicit ``sampler``.  A
+    built sampler skips the timing-removed pass and root-cause extraction,
+    which a convergence point does not report.  Sweeps re-simulate every
+    smaller campaign's inputs, so a ``cache`` makes each point pay only for
+    its newly added inputs; ``jobs`` parallelizes the rest.
     """
+    if feature_ids:
+        knobs["features"] = feature_ids
+    if sampler is None:
+        sampler = MicroSampler(analyze_timing_removed=False,
+                               extract_root_causes_for_leaky=False)
+    sampler = with_knobs(sampler, **knobs)
     result = None
     points = []
     for n_inputs in sizes:
         workload = workload_factory(n_inputs, seed)
         if result is None:
             result = ConvergenceSweep(workload_name=workload.name)
-        ids = tuple(feature_ids) if feature_ids else None
-        sampler = MicroSampler(config, features=ids,
-                               analyze_timing_removed=False,
-                               extract_root_causes_for_leaky=False,
-                               jobs=jobs, cache=cache, engine=engine)
         report = sampler.analyze(workload)
         point = ConvergencePoint(n_inputs=n_inputs,
                                  n_iterations=report.n_iterations)
@@ -334,28 +328,14 @@ def sweep_to_dict(result: SweepResult) -> dict:
 
 
 def sweep_configs(workload: Workload, configs, *,
-                  features=None,
-                  v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
-                  alpha: float = SIGNIFICANCE_ALPHA,
-                  analyze_timing_removed: bool = True,
-                  extract_root_causes_for_leaky: bool = True,
-                  warmup_iterations: int = 0,
-                  jobs: int | None = 1,
-                  cache=None,
-                  warmup_insts: int | None = None,
-                  batch_lanes=None,
-                  engine: str = "numpy",
-                  measure_mi: bool = False,
-                  mi_permutations: int = 200,
-                  profile: bool = False,
-                  taint: bool = False,
-                  pool=None,
-                  max_cycles_per_run: int = 5_000_000) -> SweepResult:
+                  sampler: MicroSampler | None = None, pool=None,
+                  **knobs) -> SweepResult:
     """Analyze one workload across several core configs as one planned job.
 
-    Parameters mirror :class:`~repro.sampler.pipeline.MicroSampler` — each
-    leg's report is bit-identical to
-    ``MicroSampler(config, **same_knobs).analyze(workload)`` with the same
+    ``knobs`` are :class:`~repro.sampler.pipeline.MicroSampler` fields: they
+    build the base sampler, or replace fields of an explicit ``sampler``.
+    Each leg is ``replace(base, config=config)``, and its report is
+    bit-identical to that sampler's ``analyze(workload)`` with the same
     cache state.  What the sweep changes is *where the work happens*:
 
     * the program is assembled and patched once, and every leg plans from
@@ -383,17 +363,19 @@ def sweep_configs(workload: Workload, configs, *,
             f"swept configs must have distinct names, got {names}; "
             "use CoreConfig.with_(name=...) to disambiguate variants")
 
+    base = with_knobs(sampler, **knobs)
     sweep_started = time.perf_counter()
     shared_seconds: dict = {}
 
     # Shared phase 1: taint/publicness witness (config-independent).
     publicness = None
-    if taint:
+    if base.taint:
         from repro.taint import compute_publicness
 
         taint_started = time.perf_counter()
-        publicness = compute_publicness(workload, batch_lanes=batch_lanes,
-                                        cache=cache)
+        publicness = compute_publicness(workload,
+                                        batch_lanes=base.batch_lanes,
+                                        cache=base.cache)
         shared_seconds["taint"] = time.perf_counter() - taint_started
 
     # Shared phase 2: assemble once, patch once per input.
@@ -410,7 +392,7 @@ def sweep_configs(workload: Workload, configs, *,
     # happens once instead of once per config.
     tempdir = None
     checkpoint_dir = None
-    if warmup_insts is not None and cache is None:
+    if base.warmup_insts is not None and base.cache is None:
         tempdir = tempfile.TemporaryDirectory(
             prefix="microsampler-sweep-ckpt-")
         checkpoint_dir = tempdir.name
@@ -420,30 +402,19 @@ def sweep_configs(workload: Workload, configs, *,
         plan_seconds = []
 
         def plan_leg(config):
-            sampler = MicroSampler(
-                config, features=features, v_threshold=v_threshold,
-                alpha=alpha, analyze_timing_removed=analyze_timing_removed,
-                extract_root_causes_for_leaky=extract_root_causes_for_leaky,
-                warmup_iterations=warmup_iterations, jobs=jobs, cache=cache,
-                warmup_insts=warmup_insts, batch_lanes=batch_lanes,
-                engine=engine, measure_mi=measure_mi,
-                mi_permutations=mi_permutations, profile=profile,
-                taint=taint)
+            leg = replace(base, config=config)
             # Per-config projection of the shared taint witness: only
             # reachability consults the config, so each leg's pruned set —
             # and therefore its trace-cache keys — matches standalone.
-            taint_summary = (sampler.compute_taint(workload,
-                                                   publicness=publicness)
-                             if taint else None)
+            taint_summary = (leg.compute_taint(workload,
+                                               publicness=publicness)
+                             if leg.taint else None)
             started = time.perf_counter()
-            plan = prepare_campaign(
-                workload, config, features=sampler.features,
-                max_cycles_per_run=max_cycles_per_run, cache=cache,
-                warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
-                batch_lanes=batch_lanes, profile=profile,
+            plan = leg.plan(
+                workload, checkpoint_dir=checkpoint_dir,
                 pruned=taint_summary.pruned if taint_summary else (),
                 programs=patched)
-            samplers.append(sampler)
+            samplers.append(leg)
             taints.append(taint_summary)
             plan_seconds.append(time.perf_counter() - started)
             return plan
@@ -454,12 +425,11 @@ def sweep_configs(workload: Workload, configs, *,
         # leg's merge + statistics (stages 3-4 are config-specific).
         legs = []
         plans = (plan_leg(config) for config in configs)
-        for leg_index, plan in enumerate(stream_plans(plans, jobs=jobs,
+        for leg_index, plan in enumerate(stream_plans(plans, jobs=base.jobs,
                                                       pool=pool)):
             stats_started = time.perf_counter()
-            campaign = finalize_campaign(plan)
-            report = samplers[leg_index].analyze_campaign(
-                campaign, taint=taints[leg_index])
+            report = samplers[leg_index].analyze_plan(
+                plan, taint=taints[leg_index])
             legs.append(SweepLeg(
                 config=configs[leg_index],
                 report=report,

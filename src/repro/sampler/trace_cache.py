@@ -91,9 +91,9 @@ WITNESS_FORMAT_VERSION = 1
 #: Bump when the report record layout or its key material changes.
 REPORT_FORMAT_VERSION = 1
 
-#: ``MicroSampler`` attributes a report does not depend on: the worker
-#: count, the cache handle and the simulator profiler (a replayed report
-#: carries no profile).  Every other attribute joins :func:`report_key`.
+#: ``MicroSampler`` fields a report does not depend on: the worker count,
+#: the cache handle and the simulator profiler (a replayed report carries
+#: no profile).  Every other field joins :func:`report_key`.
 REPORT_KEY_EXCLUDED = frozenset({"jobs", "cache", "profile"})
 
 #: Environment override for the default cache location.
@@ -262,15 +262,14 @@ def witness_key(programs, spans, memory_map, max_steps: int) -> str | None:
     return stable_hex_digest(material)
 
 
-def report_key(sampler, workload, max_cycles_per_run: int) -> str | None:
+def report_key(sampler, workload) -> str | None:
     """Content-addressed key of one campaign's finished report.
 
     Covers what :meth:`~repro.sampler.pipeline.MicroSampler.analyze` is a
     pure function of: every field of ``workload`` but its name and
-    description, every attribute of ``sampler`` but
-    :data:`REPORT_KEY_EXCLUDED` (read from the instance, so a knob added
-    later joins the key; the core config enters as its
-    :func:`config_digest`), the cycle budget and, through
+    description, every field of ``sampler`` but
+    :data:`REPORT_KEY_EXCLUDED` (so a knob added later joins the key; the
+    core config enters as its :func:`config_digest`) and, through
     :func:`source_digest`, the code.  None when the sources cannot be
     digested or a value cannot be canonicalized (e.g. a workload that is
     not a dataclass): such a campaign is analyzed without a record.
@@ -282,11 +281,12 @@ def report_key(sampler, workload, max_cycles_per_run: int) -> str | None:
         fields = {field.name: getattr(workload, field.name)
                   for field in dataclasses.fields(workload)
                   if field.name not in ("name", "description")}
-        knobs = {name: config_digest(value) if name == "config" else value
-                 for name, value in vars(sampler).items()
-                 if name not in REPORT_KEY_EXCLUDED}
+        knobs = {field.name: getattr(sampler, field.name)
+                 for field in dataclasses.fields(sampler)
+                 if field.name not in REPORT_KEY_EXCLUDED}
+        knobs["config"] = config_digest(sampler.config)
         return stable_hex_digest((REPORT_FORMAT_VERSION, source, fields,
-                                  knobs, max_cycles_per_run))
+                                  knobs))
     except TypeError:
         return None
 

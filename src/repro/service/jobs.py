@@ -38,7 +38,6 @@ import itertools
 from dataclasses import dataclass, fields
 
 from repro.sampler.exec_backend import _lane_groups
-from repro.sampler.runner import prepare_campaign
 from repro.service.queue import PriorityJobQueue
 from repro.service.shard import shard_size_for
 
@@ -92,17 +91,19 @@ class JobSpecError(ValueError):
 
 
 def _parse_knob(name: str, value, parse):
-    """Apply a CLI option parser to a JSON value: null passes through,
-    strings and integers parse, anything else (bools, floats...) fails."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise JobSpecError(f"invalid {name} {value!r}: expected a string "
-                           "or an integer")
+    """A JSON knob value in the CLI's spelling: a string parses with the
+    CLI option parser; any other value passes through as is, for the
+    sampler to check (see :meth:`JobSpec.validate`)."""
+    if not isinstance(value, str):
+        return value
     try:
-        return parse(str(value))
+        return parse(value)
     except ValueError as error:
         raise JobSpecError(f"invalid {name} {value!r}: {error}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -159,29 +160,33 @@ class JobSpec:
         return spec
 
     def validate(self) -> None:
+        """Check the job-level fields here; every sampler knob's rule is
+        the sampler's own, applied by building it (:meth:`sampler`)."""
         from repro.cli import known_workloads
-        from repro.sampler.pipeline import MicroSampler
 
         if self.kind not in JOB_KINDS:
             raise JobSpecError(
                 f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}")
-        if self.engine not in MicroSampler.ENGINES:
-            raise JobSpecError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{MicroSampler.ENGINES}")
-        if self.config not in ("mega", "medium", "small"):
-            raise JobSpecError(
-                f"unknown config {self.config!r}; choose 'mega', "
-                "'medium' or 'small'")
-        if not isinstance(self.inputs, int) or self.inputs < 1:
+        # A string flag such as "false" is truthy: it would run another
+        # analysis than the one asked for.
+        for name in ("fast_bypass", "variable_div", "no_timing_removed",
+                     "taint"):
+            if not isinstance(getattr(self, name), bool):
+                raise JobSpecError(f"{name} must be a boolean")
+        for name in ("config", "tenant"):
+            if not isinstance(getattr(self, name), str):
+                raise JobSpecError(f"{name} must be a string")
+        for name in ("seed", "priority"):
+            if not _is_int(getattr(self, name)):
+                raise JobSpecError(f"{name} must be an integer")
+        if not (_is_int(self.inputs) and self.inputs >= 1):
             raise JobSpecError("inputs must be a positive integer")
-        if not isinstance(self.priority, int):
-            raise JobSpecError("priority must be an integer")
-        if not isinstance(self.taint, bool):
-            raise JobSpecError("taint must be a boolean")
         if self.permutations is not None and not (
-                isinstance(self.permutations, int) and self.permutations >= 0):
+                _is_int(self.permutations) and self.permutations >= 0):
             raise JobSpecError("permutations must be a non-negative integer")
+        if not (isinstance(self.workloads, (list, tuple))
+                and all(isinstance(name, str) for name in self.workloads)):
+            raise JobSpecError("workloads must be a list of workload names")
         names = known_workloads()
         if self.kind in ("analyze", "localize"):
             if not self.workload:
@@ -192,13 +197,32 @@ class JobSpec:
             for name in self.workloads:
                 if name not in names:
                     raise JobSpecError(f"unknown workload {name!r}")
-        # Both raise JobSpecError on bad values.
-        self.resolve_warmup_insts()
-        self.resolve_batch_lanes()
+        try:
+            self.sampler()
+        except ValueError as error:
+            raise JobSpecError(str(error)) from None
+
+    def sampler(self, cache=None):
+        """The :class:`~repro.sampler.pipeline.MicroSampler` this job runs,
+        on ``cache``; raises ValueError on a bad knob."""
+        from repro.cli import resolve_config
+        from repro.sampler.pipeline import MicroSampler
+
+        return MicroSampler(
+            resolve_config(self.config, fast_bypass=self.fast_bypass,
+                           variable_div=self.variable_div),
+            analyze_timing_removed=not self.no_timing_removed,
+            cache=cache,
+            warmup_insts=self.resolve_warmup_insts(),
+            batch_lanes=self.resolve_batch_lanes(),
+            engine=self.engine,
+            taint=self.taint,
+        )
 
     def resolve_warmup_insts(self) -> int | None:
         """The spec's fast-forward budget as the library's int-or-None:
-        ``default``, null, or ``--warmup-insts``'s ``full``/``none``/N>=0."""
+        ``default``, or ``--warmup-insts``'s ``full``/``none``/N spelling;
+        null and integers pass through."""
         from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS, parse_warmup
 
         if self.warmup_insts == "default":
@@ -207,7 +231,8 @@ class JobSpec:
 
     def resolve_batch_lanes(self):
         """The spec's lane width as the library's ``"auto"``/None/int:
-        null, or ``--batch-lanes``'s ``auto``/``off``/N>=1."""
+        ``--batch-lanes``'s ``auto``/``off``/N spelling; null and integers
+        pass through."""
         from repro.sampler.batch import parse_batch_lanes
 
         return _parse_knob("batch_lanes", self.batch_lanes,
@@ -294,6 +319,8 @@ class JobManager:
             raise ValueError(
                 "the campaign service requires a trace cache: it is the "
                 "dedup index and the shard-result transport")
+        if max_active < 1:
+            raise ValueError(f"max_active must be >= 1, got {max_active}")
         self.pool = pool
         self.cache = cache
         self.shard_size = shard_size
@@ -415,36 +442,9 @@ class JobManager:
 
     # -- execution ----------------------------------------------------------
 
-    def _resolve_config(self, spec: JobSpec):
-        from repro.uarch.config import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM
-
-        config = {"mega": MEGA_BOOM, "medium": MEDIUM_BOOM,
-                  "small": SMALL_BOOM}[spec.config]
-        overrides = {}
-        if spec.fast_bypass:
-            overrides["fast_bypass"] = True
-        if spec.variable_div:
-            overrides["variable_div_latency"] = True
-        return config.with_(**overrides) if overrides else config
-
-    def _make_sampler(self, spec: JobSpec):
-        from repro.sampler.pipeline import MicroSampler
-
-        return MicroSampler(
-            self._resolve_config(spec),
-            warmup_iterations=0,
-            analyze_timing_removed=not spec.no_timing_removed,
-            jobs=1,
-            cache=self.cache,
-            warmup_insts=spec.resolve_warmup_insts(),
-            batch_lanes=spec.resolve_batch_lanes(),
-            engine=spec.engine,
-            taint=spec.taint,
-        )
-
     async def _execute(self, job: Job) -> dict:
         spec = job.spec
-        sampler = self._make_sampler(spec)
+        sampler = spec.sampler(self.cache)
         if spec.kind == "analyze":
             return await self._execute_analyze(job, sampler)
         if spec.kind == "localize":
@@ -458,7 +458,7 @@ class JobManager:
         which changes the trace-cache keys, so the warm campaign must be
         planned with the identical pruned set or every shard misses.
         """
-        if not getattr(sampler, "taint", False):
+        if not sampler.taint:
             return ()
         summary = await self._in_thread(sampler.compute_taint, workload)
         return summary.pruned
@@ -470,7 +470,6 @@ class JobManager:
         workload = build_workload(job.spec.workload, inputs=job.spec.inputs,
                                   seed=job.spec.seed)
         await self._warm_campaign(job, workload, sampler,
-                                  features=sampler.features,
                                   pruned=await self._pruned_for(sampler,
                                                                 workload))
         report = await self._in_thread(sampler.analyze, workload)
@@ -485,7 +484,6 @@ class JobManager:
                                   seed=job.spec.seed)
         # Phase 1 (detection) — same campaign shape as an analyze job.
         await self._warm_campaign(job, workload, sampler,
-                                  features=sampler.features,
                                   pruned=await self._pruned_for(sampler,
                                                                 workload))
         report = await self._in_thread(sampler.analyze, workload)
@@ -525,27 +523,25 @@ class JobManager:
                               if job.spec.taint else {})
         for workload in workloads:
             await self._warm_campaign(job, workload, sampler,
-                                      features=sampler.features,
                                       pruned=await self._pruned_for(
                                           sampler, workload))
             job.emit("workload", name=workload.name)
         result = await self._in_thread(
-            lambda: run_audit(workloads, config=sampler.config,
-                              expectations=expectations, sampler=sampler,
+            lambda: run_audit(workloads, sampler=sampler,
+                              expectations=expectations,
                               taint_expectations=taint_expectations))
         return audit_to_dict(result)
 
     # -- sharded campaign execution ----------------------------------------
 
-    async def _warm_campaign(self, job: Job, workload, sampler, *,
-                             features, keep_raw=(),
-                             log_commits: bool = False,
-                             pruned=()) -> None:
+    async def _warm_campaign(self, job: Job, workload, sampler,
+                             **shape) -> None:
         """Simulate one campaign's fresh inputs on the pool, into the cache.
 
-        Mirrors exactly the campaign ``run_campaign`` will replay when the
-        verdict is computed: same features/raw/commit-log settings, same
-        fast-forward and batching knobs, same cache.  Cache hits are left
+        Mirrors exactly the campaign the verdict computation will replay:
+        ``sampler.plan(workload, **shape)``, with the same
+        features/raw/commit-log settings, fast-forward and batching knobs
+        and cache.  Cache hits are left
         where they are (no slot), in-flight twins are awaited (dedup), and
         only genuinely fresh inputs become pool shards.
 
@@ -556,13 +552,7 @@ class JobManager:
         cached outputs stay bit-identical to the one-shot CLI run (the
         consistency contract).
         """
-        plan = await self._in_thread(
-            lambda: prepare_campaign(
-                workload, sampler.config, features=features,
-                keep_raw=keep_raw, log_commits=log_commits,
-                cache=self.cache, warmup_insts=sampler.warmup_insts,
-                batch_lanes=sampler.batch_lanes, pruned=pruned,
-            ))
+        plan = await self._in_thread(lambda: sampler.plan(workload, **shape))
         job.stats["campaigns"] += 1
         job.stats["inputs_total"] += len(plan.tasks)
         job.stats["shards_cached"] += (plan.n_cached

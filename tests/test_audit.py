@@ -86,6 +86,14 @@ class TestAudit:
         assert "AUDIT PASSED" in text
         assert "sam-leaky" in text and "expected" in text
 
+    def test_audit_is_labelled_with_the_samplers_config(self):
+        from repro.sampler import MicroSampler, audit_to_dict
+
+        result = run_audit([make_sam_ct(n_keys=2, seed=3)],
+                           sampler=MicroSampler(SMALL_BOOM))
+        assert result.render().startswith("Constant-time audit on SmallBoom")
+        assert audit_to_dict(result)["config"] == "SmallBoom"
+
     def test_cli_audit_subset(self, capsys):
         code = main(["audit", "sam-ct", "--config", "small", "--inputs", "3"])
         out = capsys.readouterr().out

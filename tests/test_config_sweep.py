@@ -13,11 +13,12 @@ hit under SmallBoom), the memoized config digest, and the per-config
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from repro.sampler import sweep_configs, sweep_to_dict
+from repro.sampler import diff_configs, sweep_configs, sweep_to_dict
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.pipeline import MicroSampler
 from repro.sampler.report import report_to_dict
@@ -97,6 +98,50 @@ def test_sweep_matches_standalone_parallel_jobs():
             workload, config, warmup_insts=DEFAULT_WARMUP_INSTS,
             batch_lanes="auto"))
         assert _scrub(result.reports[config.name]) == standalone
+
+
+#: A sampler with every analysis knob off its default, so a knob a sweep
+#: leg or a diff side dropped shows up as a difference.
+VARIED = MicroSampler(SMALL_BOOM, warmup_iterations=1,
+                      analyze_timing_removed=False, measure_mi=True,
+                      mi_permutations=20, engine="python",
+                      warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
+
+
+def _two_block_chacha():
+    # Two iterations per run, so VARIED's one-iteration warm-up leaves one.
+    return make_chacha20(n_keys=2, n_blocks=2, seed=3)
+
+
+def test_sweep_legs_equal_the_replaced_samplers_analyses():
+    workload = _two_block_chacha()
+    configs = (SMALL_BOOM, MEGA_BOOM)
+    result = sweep_configs(workload, configs, sampler=VARIED)
+    for config in configs:
+        standalone = replace(VARIED, config=config).analyze(workload)
+        assert _scrub(result.reports[config.name]) == _scrub(standalone)
+    # Loose knobs replace fields of the explicit sampler.
+    result = sweep_configs(workload, configs, sampler=VARIED, engine="numpy")
+    for config in configs:
+        standalone = replace(VARIED, config=config,
+                             engine="numpy").analyze(workload)
+        assert _scrub(result.reports[config.name]) == _scrub(standalone)
+
+
+def test_diff_sides_equal_the_replaced_samplers_analyses():
+    workload = _two_block_chacha()
+    fb = SMALL_BOOM.with_(fast_bypass=True)
+    diff = diff_configs(workload, SMALL_BOOM, fb, sampler=VARIED)
+    base = replace(VARIED, config=SMALL_BOOM).analyze(workload)
+    cand = replace(VARIED, config=fb).analyze(workload)
+    assert [delta.feature_id for delta in diff.deltas] == list(base.units)
+    for delta in diff.deltas:
+        assert delta.v_baseline \
+            == base.units[delta.feature_id].association.cramers_v
+        assert delta.v_candidate \
+            == cand.units[delta.feature_id].association.cramers_v
+        assert delta.leaky_baseline == base.units[delta.feature_id].leaky
+        assert delta.leaky_candidate == cand.units[delta.feature_id].leaky
 
 
 def test_sweep_matches_standalone_worker_pool(tmp_path):

@@ -11,6 +11,7 @@ library/CLI invocation.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 from types import SimpleNamespace
@@ -207,6 +208,35 @@ def test_strip_volatile_removes_wall_clock_fields():
     ({"kind": "analyze", "workload": "sam-ct", "batch_lanes": True},
      "batch_lanes"),
     ("not a dict", "JSON object"),
+    # A mistyped flag or count must not run another analysis than asked.
+    ({"kind": "analyze", "workload": "sam-ct", "fast_bypass": "false"},
+     "fast_bypass must be a boolean"),
+    ({"kind": "analyze", "workload": "sam-ct", "no_timing_removed": "no"},
+     "no_timing_removed must be a boolean"),
+    ({"kind": "analyze", "workload": "sam-ct", "variable_div": 1},
+     "variable_div must be a boolean"),
+    ({"kind": "analyze", "workload": "sam-ct", "taint": "on"},
+     "taint must be a boolean"),
+    ({"kind": "analyze", "workload": "sam-ct", "inputs": True},
+     "inputs must be a positive integer"),
+    ({"kind": "localize", "workload": "sam-ct", "permutations": True},
+     "permutations must be a non-negative integer"),
+    ({"kind": "analyze", "workload": "sam-ct", "priority": True},
+     "priority must be an integer"),
+    ({"kind": "analyze", "workload": "sam-ct", "seed": "abc"},
+     "seed must be an integer"),
+    ({"kind": "analyze", "workload": "sam-ct", "seed": 2.5},
+     "seed must be an integer"),
+    ({"kind": "analyze", "workload": "sam-ct", "tenant": 7},
+     "tenant must be a string"),
+    ({"kind": "audit", "workloads": "sam-ct"},
+     "workloads must be a list of workload names"),
+    ({"kind": "audit", "workloads": ["sam-ct", 3]},
+     "workloads must be a list of workload names"),
+    ({"kind": "analyze", "workload": "sam-ct", "config": "huge"},
+     "unknown config"),
+    ({"kind": "analyze", "workload": "sam-ct", "config": ["mega"]},
+     "config must be a string"),
 ])
 def test_jobspec_rejects_bad_payloads(payload, match):
     with pytest.raises(JobSpecError, match=match):
@@ -248,6 +278,32 @@ def test_jobspec_defaults_mirror_cli():
     assert spec.engine == "numpy"
     assert spec.config == "mega"
     assert spec.resolve_warmup_insts() == DEFAULT_WARMUP_INSTS
+
+
+def test_jobspec_builds_the_sampler_its_job_runs(tmp_path):
+    from repro.sampler import TraceCache
+
+    cache = TraceCache(tmp_path)
+    spec = JobSpec.from_dict({
+        "kind": "analyze", "workload": "sam-ct", "config": "small",
+        "fast_bypass": True, "no_timing_removed": True, "engine": "python",
+        "batch_lanes": "off", "warmup_insts": "full", "taint": True})
+    assert spec.sampler(cache) == MicroSampler(
+        SMALL_BOOM.with_(fast_bypass=True), analyze_timing_removed=False,
+        cache=cache, warmup_insts=None, batch_lanes=None, engine="python",
+        taint=True)
+    assert JobSpec.from_dict(ANALYZE_SPEC).sampler(cache) == \
+        dataclasses.replace(oneshot_sampler(), cache=cache)
+
+
+@pytest.mark.parametrize("max_active", [0, -1])
+def test_job_manager_needs_an_active_slot(max_active, tmp_path):
+    from repro.sampler import TraceCache
+    from repro.service.jobs import JobManager
+
+    with pytest.raises(ValueError, match="max_active must be >= 1"):
+        JobManager(pool=None, cache=TraceCache(tmp_path),
+                   max_active=max_active)
 
 
 # -- service integration -----------------------------------------------------
