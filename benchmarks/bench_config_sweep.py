@@ -133,8 +133,6 @@ def measure(workload_name: str, workload, root_dir) -> dict:
         "sweep_warm_seconds": warm_seconds,
         "speedup_cold": naive_seconds / cold_seconds,
         "speedup_warm": naive_seconds / warm_seconds,
-        "shared_seconds": {key: round(value, 4)
-                           for key, value in cold.shared_seconds.items()},
         "legs": {leg.name: {"n_cached": leg.n_cached,
                             "n_simulated": leg.n_simulated}
                  for leg in cold.legs},

@@ -511,8 +511,7 @@ def cmd_serve(args) -> int:
         server = ServiceServer(host=args.host, port=args.port,
                                workers=args.workers,
                                cache_dir=args.cache_dir,
-                               max_active=args.max_active,
-                               shard_size=args.shard_size)
+                               max_active=args.max_active)
         try:
             await server.start()
             # Scripts (CI, tests) wait for this line before submitting.
@@ -906,9 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-active", type=_positive_int, default=2,
                        help="jobs executing concurrently; the rest wait "
                             "on the priority queue")
-    serve.add_argument("--shard-size", type=int, default=None,
-                       help="inputs per worker shard (default: sized from "
-                            "the pool width)")
     serve.add_argument("--cache-dir", default=None,
                        help="trace cache directory shared by all jobs "
                             "(default: $MICROSAMPLER_CACHE_DIR or "

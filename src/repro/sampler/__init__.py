@@ -59,6 +59,7 @@ from repro.sampler.pipeline import (
     StageTimings,
     UnitResult,
     adaptive_analyze,
+    stream_campaigns,
 )
 from repro.sampler.report import (
     render_bar_chart,
@@ -70,7 +71,6 @@ from repro.sampler.sweep import (
     ConvergencePoint,
     ConvergenceSweep,
     SweepLeg,
-    SweepPoint,
     SweepResult,
     significance_sweep,
     sweep_configs,
@@ -151,7 +151,6 @@ __all__ = [
     "ConvergencePoint",
     "ConvergenceSweep",
     "SweepLeg",
-    "SweepPoint",
     "SweepResult",
     "sweep_configs",
     "sweep_to_dict",
@@ -159,6 +158,7 @@ __all__ = [
     "execute_run",
     "execute_tasks",
     "resolve_jobs",
+    "stream_campaigns",
     "stream_plans",
     "significance_sweep",
     "run_audit",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.sampler.pipeline import MicroSampler
+from repro.sampler.pipeline import MicroSampler, stream_campaigns
 from repro.uarch.config import CoreConfig
 
 
@@ -92,10 +92,13 @@ def diff_configs(workload, baseline: CoreConfig, candidate: CoreConfig, *,
     """Analyze ``workload`` on both designs and diff the verdicts.
 
     ``sampler`` supplies every other knob; each design runs on
-    ``replace(sampler, config=design)``."""
+    ``replace(sampler, config=design)``, the two as one stream
+    (:func:`~repro.sampler.pipeline.stream_campaigns`)."""
     sampler = sampler or MicroSampler()
-    base_report = replace(sampler, config=baseline).analyze(workload)
-    cand_report = replace(sampler, config=candidate).analyze(workload)
+    campaigns = [(replace(sampler, config=design), workload)
+                 for design in (baseline, candidate)]
+    (base_report, _, _), (cand_report, _, _) = stream_campaigns(
+        campaigns, jobs=sampler.jobs)
     diff = ConfigDiff(
         workload_name=workload.name,
         baseline_name=baseline.name + (" +fb" if baseline.fast_bypass else ""),

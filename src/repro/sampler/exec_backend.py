@@ -1,8 +1,7 @@
-"""Campaign execution backends: serial and process-parallel.
+"""Campaign execution backends: serial, process-parallel and pooled.
 
-``run_campaign``, ``sweep_configs`` and ``run_audit`` fan the per-input
-simulations of their campaigns out over this module, through one
-dispatcher, :func:`stream_plans`.  Each input is wrapped in a
+Every campaign's per-input simulations fan out over this module through
+one dispatcher, :func:`stream_plans`.  Each input is wrapped in a
 self-contained, picklable :class:`RunTask` (patched program + core
 configuration + tracer settings); a worker — in-process for ``jobs=1``, a
 ``multiprocessing`` pool member otherwise — rebuilds the core from the
@@ -337,6 +336,13 @@ def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
     return groups
 
 
+def is_pool(jobs) -> bool:
+    """True when ``jobs`` is a pool rather than a worker count: an object
+    with ``n_workers`` and ``submit(tasks) -> Future`` (a
+    :class:`WorkerPool`, or the campaign service's per-job view of one)."""
+    return hasattr(jobs, "submit") and hasattr(jobs, "n_workers")
+
+
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a job-count request: ``None``/``0`` means "all CPUs"."""
     if not jobs:
@@ -405,14 +411,14 @@ class _Flight:
 class _Backend:
     """Where :func:`stream_plans` sends lane groups.
 
-    In-process for ``jobs <= 1``; the campaign service's
-    :class:`WorkerPool` when one is given; otherwise a process pool that
-    is started only once two lane groups could overlap.
+    In-process for ``jobs <= 1``; the pool when ``jobs`` is one
+    (:func:`is_pool`); otherwise a process pool that is started only once
+    two lane groups could overlap.
     """
 
-    def __init__(self, jobs: int | None, pool: "WorkerPool | None"):
-        self.pool = pool
-        self.workers = (pool.n_workers if pool is not None
+    def __init__(self, jobs):
+        self.pool = jobs if is_pool(jobs) else None
+        self.workers = (jobs.n_workers if self.pool is not None
                         else resolve_jobs(jobs))
         self.executor: ProcessPoolExecutor | None = None
 
@@ -457,7 +463,7 @@ class _Backend:
         for future in flight.futures:
             result = future.result()
             if self.pool is not None:
-                # WorkerPool shards report no in-worker time.
+                # Pool submissions report no in-worker time.
                 result = (result, 0.0)
             outputs.extend(result[0])
             plan.execute_seconds += result[1]
@@ -470,8 +476,7 @@ class _Backend:
             self.executor.shutdown(wait=True, cancel_futures=True)
 
 
-def stream_plans(plans, *, jobs: int | None = 1,
-                 pool: "WorkerPool | None" = None):
+def stream_plans(plans, *, jobs=1):
     """Simulate campaign plans on one backend; yield each plan, filled.
 
     ``plans`` is any iterable, possibly lazy, of campaign plans
@@ -483,16 +488,16 @@ def stream_plans(plans, *, jobs: int | None = 1,
 
     * ``jobs <= 1``: in-process, one plan at a time — plan, simulate,
       yield, then draw the next plan;
-    * a ``pool`` (the campaign service's :class:`WorkerPool`): one shard
-      per group;
+    * a pool as ``jobs`` (:func:`is_pool`: a :class:`WorkerPool`, or the
+      campaign service's per-job view of one): one submission per group;
     * otherwise a process pool of ``jobs`` workers (``0``/``None`` = one
       per CPU), started the first time two groups could overlap.  A lone
       group, e.g. a one-campaign ``analyze``, runs in-process.
 
     Plans come back **strictly in input order**, each as soon as its own
     groups finish, with outputs filled in and ``execute_seconds``
-    increased by its groups' in-worker seconds (0 under a
-    :class:`WorkerPool`).  While workers simulate, the next plans are
+    increased by its groups' in-worker seconds (0 under a pool).  While
+    workers simulate, the next plans are
     drawn from ``plans`` — so a lazy iterable plans campaign k+1 while
     campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
     worker in hand.  A plan with nothing pending (warm cache) comes back
@@ -505,7 +510,7 @@ def stream_plans(plans, *, jobs: int | None = 1,
     plan came back.  The process pool is shut down when the stream ends,
     fails or is closed.
     """
-    backend = _Backend(jobs, pool)
+    backend = _Backend(jobs)
     limit = backend.workers * PLANS_PER_WORKER
     source = iter(plans)
     window: collections.deque[_Flight] = collections.deque()
@@ -553,18 +558,17 @@ class _TaskBatch:
         self.outputs[index] = output
 
 
-def execute_tasks(tasks: list[RunTask], jobs: int | None = 1,
-                  pool: "WorkerPool | None" = None) -> list[RunOutput]:
+def execute_tasks(tasks: list[RunTask], jobs=1) -> list[RunOutput]:
     """Execute ``tasks``, returning outputs in **task order**.
 
-    A one-plan :func:`stream_plans`: with a ``pool`` every lane group is
-    its own shard; otherwise ``jobs <= 1`` or a single group runs
-    in-process, and ``jobs > 1`` starts a process pool of at most one
+    A one-plan :func:`stream_plans`: with a pool as ``jobs`` every lane
+    group is its own submission; otherwise ``jobs <= 1`` or a single group
+    runs in-process, and ``jobs > 1`` starts a process pool of at most one
     worker per group.  Completion order never influences the merge, and a
     worker's ``WorkloadError`` propagates to the caller unchanged.
     """
     batch = _TaskBatch(tasks)
-    for _ in stream_plans([batch], jobs=jobs, pool=pool):
+    for _ in stream_plans([batch], jobs=jobs):
         pass
     return batch.outputs
 
@@ -613,14 +617,17 @@ class ShardExecutionError(RuntimeError):
     never retried."""
 
 
-def _pool_worker(conn) -> None:
+def _pool_worker(conn, parent_conn) -> None:
     """Worker main loop: receive ``(shard_id, tasks)``, send results back.
 
     Runs until the parent sends ``None`` or closes the pipe.  Failures are
     reported as data, not raised — the worker survives bad shards; only an
     OS-level death (crash, SIGKILL) takes it down, which the parent notices
-    as EOF on this pipe.
+    as EOF on this pipe.  The forked worker first closes its copy of the
+    parent's end, so the parent's own death is an EOF here too and the
+    worker exits instead of outliving it.
     """
+    parent_conn.close()
     while True:
         try:
             item = conn.recv()
@@ -797,7 +804,8 @@ class WorkerPool:
     def _spawn_locked(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_pool_worker, args=(child_conn,), daemon=True,
+            target=_pool_worker, args=(child_conn, parent_conn),
+            daemon=True,
             name=f"microsampler-worker-{self._next_worker_id}")
         process.start()
         child_conn.close()  # parent EOF-detects the child's death

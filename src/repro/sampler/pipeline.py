@@ -19,7 +19,7 @@ from repro.sampler.mutual_information import (
     MutualInformationResult,
     mutual_information_by_unit,
 )
-from repro.sampler.exec_backend import stream_plans
+from repro.sampler.exec_backend import is_pool, stream_plans
 from repro.sampler.runner import (
     CampaignPlan,
     CampaignResult,
@@ -185,6 +185,12 @@ class _ReplayedPlan:
     execute_seconds = 0.0
 
 
+def _is_count(value, minimum: int) -> bool:
+    """``value`` is an integer >= ``minimum``; a bool is no count."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 @dataclass(frozen=True)
 class MicroSampler:
     """The verification framework: configure once, analyze many workloads.
@@ -218,9 +224,10 @@ class MicroSampler:
     #: steady-state verdicts.
     warmup_iterations: int = 0
     #: Simulation backend: inputs simulated concurrently (``0``/``None`` =
-    #: one per CPU), and an optional trace cache (``True`` builds one on
-    #: the default directory).
-    jobs: int | None = 1
+    #: one per CPU) or a pool to submit lane groups to
+    #: (:func:`~repro.sampler.exec_backend.is_pool`), and an optional trace
+    #: cache (``True`` builds one on the default directory).
+    jobs: object = 1
     cache: object = None
     #: Fast-forward checkpointing budget (``None`` = full simulation):
     #: functional warm-up to ``roi.begin`` minus this many instructions,
@@ -266,15 +273,17 @@ class MicroSampler:
         if self.engine not in self.ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from "
                              f"{self.ENGINES}")
-        # (field, least integer, other accepted values); a bool is no count.
+        if not (self.jobs is None or is_pool(self.jobs)
+                or _is_count(self.jobs, 0)):
+            raise ValueError("jobs must be None, a pool or an integer >= 0, "
+                             f"got {self.jobs!r}")
+        # (field, least integer, other accepted values).
         for name, minimum, spellings in (
                 ("warmup_iterations", 0, ()), ("mi_permutations", 0, ()),
                 ("warmup_insts", 0, (None,)),
                 ("batch_lanes", 1, (None, "auto"))):
             value = getattr(self, name)
-            if value in spellings or (isinstance(value, int)
-                                      and not isinstance(value, bool)
-                                      and value >= minimum):
+            if value in spellings or _is_count(value, minimum):
                 continue
             alternatives = "".join(f"{spelling!r} or "
                                    for spelling in spellings)
@@ -284,23 +293,20 @@ class MicroSampler:
     # -- simulation -------------------------------------------------------------
 
     def plan(self, workload: Workload, *, features=None, keep_raw=(),
-             log_commits: bool = False, pruned=(), programs=None,
-             checkpoint_dir: str | None = None) -> CampaignPlan:
+             log_commits: bool = False, pruned=()) -> CampaignPlan:
         """Plan ``workload``'s campaign with this sampler's simulation knobs.
 
         The one place a sampler's knobs reach :func:`prepare_campaign`.
         ``features`` defaults to the sampler's tracked units; the other
         arguments describe the campaign, not the sampler (localization's
-        raw rows and commit log, the taint-pruned units, a sweep's
-        pre-patched programs and shared checkpoint store).
+        raw rows and commit log, the taint-pruned units).
         """
         return prepare_campaign(
             workload, self.config,
             features=self.features if features is None else features,
             keep_raw=keep_raw, log_commits=log_commits, cache=self.cache,
-            warmup_insts=self.warmup_insts, checkpoint_dir=checkpoint_dir,
-            batch_lanes=self.batch_lanes, profile=self.profile,
-            pruned=pruned, programs=programs)
+            warmup_insts=self.warmup_insts, batch_lanes=self.batch_lanes,
+            profile=self.profile, pruned=pruned)
 
     def run(self, workload: Workload, **plan) -> CampaignResult:
         """Plan (:meth:`plan`), simulate on ``self.jobs`` workers and merge
@@ -316,86 +322,27 @@ class MicroSampler:
         return report
 
     def analyze_stream(self, workloads):
-        """Analyze ``workloads`` in order, simulating them as one stream.
-
-        Each workload is planned here — taint prescreen, trace-cache
-        consult, checkpoint prepass (:meth:`plan`) — and its
-        pending lane groups go to one dispatcher
-        (:func:`~repro.sampler.exec_backend.stream_plans`, ``self.jobs``
-        workers), so under ``jobs > 1`` workload k+1 is planned while
-        workers simulate workload k.  Yields
-        ``(report, seconds)`` per workload, in input order; every report
-        equals :meth:`analyze` of that workload alone with the same cache
-        state.  ``seconds`` is that campaign's own time: its planning, its
-        lane groups' in-worker simulation, and its merge + statistics.
-        Overlapped campaigns' seconds can therefore sum to more than the
-        stream's wall clock.
-
-        With a cache, each campaign first looks up its report record
-        (:func:`~repro.sampler.trace_cache.report_key`).  A hit replays the
-        finished report — no assembly, trace keying or loading, merge,
-        statistics or extraction — under the caller's workload and config
-        names, with all-zero ``timings`` (no stage ran) and no
-        ``profile``; it enters the dispatcher as a plan with nothing
-        pending.  A miss is planned, simulated and analyzed, then stored.
-        The taint prescreen runs either way.
-        """
-        cache = self.cache
-        planned = collections.deque()  # (taint, key, replay, plan seconds)
-
-        def plan_campaign(workload):
-            started = time.perf_counter()
-            taint = self.compute_taint(workload) if self.taint else None
-            key = report_key(self, workload) if cache is not None else None
-            replay = (cache.load_record(REPORT, key) if key is not None
-                      else None)
-            if replay is not None:
-                replay.workload_name = workload.name
-                replay.config_name = self.config.name
-                replay.timings = StageTimings(0.0, 0.0, 0.0, 0.0)
-                campaign_plan = _ReplayedPlan()
-            else:
-                campaign_plan = self.plan(
-                    workload, pruned=taint.pruned if taint else ())
-            planned.append((taint, key, replay,
-                            time.perf_counter() - started))
-            return campaign_plan
-
-        plans = (plan_campaign(workload) for workload in workloads)
-        for plan in stream_plans(plans, jobs=self.jobs):
-            taint, key, report, plan_seconds = planned.popleft()
-            started = time.perf_counter()
-            if report is None:
-                report = self.analyze_plan(plan, taint=taint)
-                if key is not None:
-                    cache.store_record(REPORT, key, report)
-            else:
-                _attach_taint(report, taint)
-            seconds = (plan_seconds + plan.execute_seconds
-                       + time.perf_counter() - started)
-            # Drop the simulated outputs before the next plan is drawn.
-            del plan
+        """Analyze ``workloads`` in order with this sampler, as one stream
+        (:func:`stream_campaigns`); yields ``(report, seconds)`` per
+        workload."""
+        campaigns = ((self, workload) for workload in workloads)
+        for report, seconds, _ in stream_campaigns(campaigns,
+                                                   jobs=self.jobs):
             yield report, seconds
 
-    def compute_taint(self, workload: Workload, *,
-                      publicness=None) -> TaintSummary:
+    def compute_taint(self, workload: Workload) -> TaintSummary:
         """Run the taint prescreen: per-input maps + unit reachability.
 
-        ``publicness`` optionally supplies a pre-computed
-        :class:`~repro.taint.publicness.CampaignPublicness` — the taint run
-        is config-independent (it executes on the functional interpreter),
-        so a cross-config sweep computes it once and projects only the
-        config-dependent reachability per leg.  The result is bit-identical
-        to recomputing: ``compute_publicness`` is deterministic.  Otherwise
-        the witness is replayed from ``self.cache`` when it holds one.
+        The witness (the per-input maps) is replayed from ``self.cache``
+        when it holds one, and stored there otherwise; only the
+        reachability projection consults the core config.
         """
         from repro.taint import compute_publicness
         from repro.uarch.reachability import reachable_features
 
-        if publicness is None:
-            publicness = compute_publicness(workload,
-                                            batch_lanes=self.batch_lanes,
-                                            cache=self.cache)
+        publicness = compute_publicness(workload,
+                                        batch_lanes=self.batch_lanes,
+                                        cache=self.cache)
         reachable = reachable_features(publicness.merged, self.config,
                                        self.features)
         return TaintSummary(
@@ -521,6 +468,73 @@ class MicroSampler:
             kwargs["permutations"] = permutations
         return _localize(workload, sampler=self, report=report,
                          features=features, seed=seed, **kwargs)
+
+
+def stream_campaigns(campaigns, *, jobs):
+    """Analyze ``(sampler, workload)`` campaigns in order, as one stream.
+
+    The one loop that plans campaigns.  Each is planned here with its own
+    sampler — taint prescreen, trace-cache consult, checkpoint prepass
+    (:meth:`MicroSampler.plan`) — and its pending lane groups go to one
+    dispatcher (:func:`~repro.sampler.exec_backend.stream_plans` on
+    ``jobs``), so under ``jobs > 1`` (or a pool) campaign k+1 is planned
+    while workers simulate campaign k.  Yields ``(report, seconds,
+    n_simulated)`` per campaign, in input order; every report equals
+    ``sampler.analyze(workload)`` alone with the same cache state.
+    ``seconds`` is that campaign's own time: its planning, its lane
+    groups' in-worker simulation, and its merge + statistics, so
+    overlapped campaigns' seconds can sum to more than the stream's wall
+    clock.  ``n_simulated`` counts the inputs sent to the dispatcher.
+
+    With a cache, each campaign first looks up its report record
+    (:func:`~repro.sampler.trace_cache.report_key`).  A hit replays the
+    finished report — no assembly, trace keying or loading, merge,
+    statistics or extraction — under the caller's workload and config
+    names, with all-zero ``timings`` (no stage ran), no ``profile`` and
+    ``n_simulated`` 0; it enters the dispatcher as a plan with nothing
+    pending.  A miss is planned, simulated and analyzed, then stored.  The
+    taint prescreen runs either way.  Config-invariant work is shared
+    through the cache too: later campaigns of a workload (a sweep's legs)
+    load the taint witness and checkpoints the first one stored.
+    """
+    planned = collections.deque()  # (sampler, taint, key, replay, seconds)
+
+    def plan_campaign(sampler, workload):
+        started = time.perf_counter()
+        cache = sampler.cache
+        taint = sampler.compute_taint(workload) if sampler.taint else None
+        key = report_key(sampler, workload) if cache is not None else None
+        replay = (cache.load_record(REPORT, key) if key is not None
+                  else None)
+        if replay is not None:
+            replay.workload_name = workload.name
+            replay.config_name = sampler.config.name
+            replay.timings = StageTimings(0.0, 0.0, 0.0, 0.0)
+            campaign_plan = _ReplayedPlan()
+        else:
+            campaign_plan = sampler.plan(
+                workload, pruned=taint.pruned if taint else ())
+        planned.append((sampler, taint, key, replay,
+                        time.perf_counter() - started))
+        return campaign_plan
+
+    plans = (plan_campaign(sampler, workload)
+             for sampler, workload in campaigns)
+    for plan in stream_plans(plans, jobs=jobs):
+        sampler, taint, key, report, plan_seconds = planned.popleft()
+        started = time.perf_counter()
+        if report is None:
+            report = sampler.analyze_plan(plan, taint=taint)
+            if key is not None:
+                sampler.cache.store_record(REPORT, key, report)
+        else:
+            _attach_taint(report, taint)
+        seconds = (plan_seconds + plan.execute_seconds
+                   + time.perf_counter() - started)
+        n_simulated = len(plan.to_run)
+        # Drop the simulated outputs before the next plan is drawn.
+        del plan
+        yield report, seconds, n_simulated
 
 
 def with_knobs(sampler: MicroSampler | None = None,

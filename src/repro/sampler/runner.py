@@ -129,11 +129,11 @@ class CampaignPlan:
     :class:`RunTask` per input, consults the trace cache (hits are replayed
     immediately and **never occupy a simulation slot**), folds in-campaign
     duplicates, and runs the lockstep batch prepass.  What remains —
-    ``to_run`` — is the shard-able simulation work: any scheduler (the
-    :func:`~repro.sampler.exec_backend.stream_plans` dispatcher, or the
-    campaign service's persistent worker pool) may execute those tasks in
-    any order and on any machine, fill the outputs in with :meth:`fill`,
-    and obtain a campaign bit-identical to a serial run from
+    ``to_run`` — is the shard-able simulation work: the
+    :func:`~repro.sampler.exec_backend.stream_plans` dispatcher may execute
+    those tasks in any order and on any of its backends, fill the outputs
+    in with :meth:`fill`, and obtain a campaign bit-identical to a serial
+    run from
     :func:`finalize_campaign` — the deterministic input-order merge is what
     makes placement free.
     """
@@ -158,19 +158,19 @@ class CampaignPlan:
     log_commits: bool
     profile: bool
     #: Wall-clock the batch checkpoint prepass spent capturing (or loading)
-    #: checkpoints while this plan was prepared.  The sweep engine reports
-    #: it separately: the first config leg pays the capture, every later
-    #: leg's prepass degenerates to store loads.
+    #: checkpoints while this plan was prepared.
     capture_seconds: float = 0.0
     #: In-worker wall-clock of this plan's simulated lane groups, summed
     #: (added by :func:`~repro.sampler.exec_backend.stream_plans`; 0 when
-    #: everything replayed from cache, or under a ``WorkerPool``).
+    #: everything replayed from cache, or under a pool).
     execute_seconds: float = 0.0
 
     def fill(self, index: int, output: RunOutput) -> None:
-        """Record one simulated output (and persist it to the cache)."""
+        """Record one executed output and persist it to the cache, unless
+        the executor already served it from there."""
         self.outputs[index] = output
-        if self.cache is not None and self.keys is not None:
+        if (self.cache is not None and self.keys is not None
+                and not output.from_cache):
             self.cache.store(self.keys[index], output,
                              config=self.tasks[index].config)
 
@@ -186,8 +186,7 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      checkpoint_dir: str | None = None,
                      batch_lanes=None,
                      profile: bool = False,
-                     pruned=(),
-                     programs=None) -> CampaignPlan:
+                     pruned=()) -> CampaignPlan:
     """Plan a campaign: build tasks, replay cache hits, batch-prepass.
 
     This is everything :func:`run_campaign` does before simulation.  The
@@ -197,12 +196,6 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     number of plans on one backend — then :func:`finalize_campaign`
     merges.  :meth:`~repro.sampler.pipeline.MicroSampler.plan` calls this
     with a sampler's knobs.
-
-    ``programs`` optionally supplies the per-input patched programs (one
-    per ``workload.inputs`` entry), skipping the assemble + patch phase —
-    the cross-config sweep pays those once and plans every config leg from
-    the same images; ``patch_program`` is deterministic, so the tasks (and
-    their cache keys) are identical to patching here.
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
@@ -227,14 +220,9 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 
         width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
         core_lanes = width if width > 1 else None
-    if programs is not None and len(programs) != len(workload.inputs):
-        raise WorkloadError(
-            f"pre-patched program count ({len(programs)}) does not match "
-            f"input count ({len(workload.inputs)})")
-    if programs is None:
-        program = workload.assemble()
-        programs = [patch_program(program, patches)
-                    for patches in workload.inputs]
+    program = workload.assemble()
+    programs = [patch_program(program, patches)
+                for patches in workload.inputs]
     template = RunTask(
         run_index=0,
         workload_name=workload.name,
@@ -362,7 +350,7 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
 
 
 def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
-                 jobs: int | None = 1, pool=None, **plan) -> CampaignResult:
+                 jobs=1, **plan) -> CampaignResult:
     """Run ``workload`` over all its inputs, collecting iteration snapshots.
 
     ``plan`` is :func:`prepare_campaign`'s keywords: ``features``,
@@ -377,11 +365,10 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     land on ``CampaignResult.divergences``.
 
     ``jobs`` sets how many inputs simulate concurrently (``0``/``None`` =
-    one per available CPU); the merged result is bit-identical to ``jobs=1``.
-    ``pool`` routes simulation through a long-lived
-    :class:`~repro.sampler.exec_backend.WorkerPool` instead (overrides
-    ``jobs``).
+    one per available CPU), or is a long-lived pool such as a
+    :class:`~repro.sampler.exec_backend.WorkerPool`; the merged result is
+    bit-identical to ``jobs=1``.
     """
     [done] = stream_plans([prepare_campaign(workload, config, **plan)],
-                          jobs=jobs, pool=pool)
+                          jobs=jobs)
     return finalize_campaign(done)

@@ -32,8 +32,9 @@ changes, and never unpickled.  Two kinds exist:
   :func:`repro.taint.publicness.compute_publicness`), so a warm
   ``--taint on`` run replays them instead of re-running the taint engine;
 * ``report`` — a campaign's finished analysis (see
-  :meth:`repro.sampler.pipeline.MicroSampler.analyze_stream`), so a warm
-  ``analyze``/``audit`` replays it instead of re-deriving it from traces.
+  :func:`repro.sampler.pipeline.stream_campaigns`), so a warm
+  ``analyze``/``audit``/``sweep`` or service job replays it instead of
+  re-deriving it from traces.
 
 A report record is only as fresh as the traces it was computed from: until
 trace keys are salted with the source too, a report computed after a

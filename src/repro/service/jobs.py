@@ -2,31 +2,34 @@
 
 A *job* is one analyze/localize/audit request from one tenant.  The
 :class:`JobManager` owns the lifecycle: validated submission → priority
-queue → campaign preparation → shard dispatch on the persistent worker
-pool → verdict computation → result.
+queue → one library call on the job's view of the persistent worker pool
+→ result.
 
 Consistency contract
 --------------------
 A job's result is **bit-identical** to the equivalent one-shot CLI
 invocation (``microsampler analyze/localize/audit ... --json``), modulo
-wall-clock fields (scrub with :func:`strip_volatile`).  The mechanism:
-shards simulate on the pool and their outputs land in the shared
-content-addressed trace cache; the final verdict is then computed by the
-*same library entry points the CLI uses* (``MicroSampler.analyze``,
-``repro.localize.localize``, ``run_audit``), which replay those cache
-entries through the deterministic input-order merge.  The service adds
-placement and scheduling, never a second result path.
+wall-clock fields (scrub with :func:`strip_volatile`).  The mechanism: a
+job calls the *same library entry points the CLI uses*
+(``MicroSampler.analyze``, ``repro.localize.localize``, ``run_audit``)
+with a sampler whose ``jobs`` is a :class:`JobPool`, the job's view of
+the shared :class:`~repro.sampler.exec_backend.WorkerPool`.  The library's
+one dispatcher (:func:`~repro.sampler.exec_backend.stream_plans`) submits
+each lane group to that view, and its deterministic input-order merge does
+the rest.  The service adds placement and scheduling, never a second
+planner or result path.
 
 Cross-tenant dedup
 ------------------
-Identical (program, input, config) work anywhere in the fleet is one
-simulation.  Three tiers, counted separately in ``job.stats``:
+Identical work anywhere in the fleet is one simulation, at lane-group
+granularity.  Three tiers, counted in inputs in ``job.stats``:
 
-* ``shards_cached`` — the trace cache already held the input (any earlier
-  job, any backend, even a one-shot CLI run against the same cache dir).
-* ``shards_deduped`` — another *in-flight* job claimed the identical
-  input first; this job awaits that shard and replays the stored result.
-* ``shards_simulated`` — fresh work this job dispatched to the pool.
+* ``shards_cached`` — the trace cache already held the input, or the
+  campaign's report record replayed (any earlier job, any backend, even a
+  one-shot CLI run against the same cache dir).
+* ``shards_deduped`` — another *in-flight* job claimed the identical lane
+  group first; this job awaited it and loaded the stored outputs.
+* ``shards_simulated`` — fresh work this job sent to the pool.
 
 Cache-served inputs never occupy a simulation slot.
 """
@@ -34,37 +37,11 @@ Cache-served inputs never occupy a simulation slot.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from repro.sampler.exec_backend import _lane_groups
 from repro.service.queue import PriorityJobQueue
-from repro.service.shard import shard_size_for
-
-
-def _plan_shards(claimed: list, tasks: list, size: int) -> list[list]:
-    """Pack claimed task indices into shards without splitting lane groups.
-
-    Tasks stamped with ``core_lanes`` must reach one worker together to
-    simulate as a lockstep batch (their cache keys promise lane-batched
-    outputs), so shards are built from whole lane groups; a group larger
-    than the target shard size becomes its own oversized shard.
-    """
-    index_groups: list[list] = []
-    cursor = 0
-    for lane_group in _lane_groups([tasks[index] for index in claimed]):
-        index_groups.append(claimed[cursor:cursor + len(lane_group)])
-        cursor += len(lane_group)
-    shards: list[list] = []
-    current: list = []
-    for group in index_groups:
-        if current and len(current) + len(group) > size:
-            shards.append(current)
-            current = []
-        current.extend(group)
-    if current:
-        shards.append(current)
-    return shards
 
 JOB_KINDS = ("analyze", "localize", "audit")
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -135,8 +112,7 @@ class JobSpec:
     warmup_insts: object = "default"
     #: lockstep lane batching (functional prepass + lane-batched
     #: cycle-accurate core).  Joins every task's trace-cache key via
-    #: ``core_lanes``, so shard planning must keep lane groups whole —
-    #: see :meth:`JobManager._warm_campaign`.
+    #: ``core_lanes``; a job's pool submissions are its lane groups.
     batch_lanes: object = "auto"
     no_timing_removed: bool = False
     #: secret-taint publicness prescreen (``--taint on``): prune tracing,
@@ -310,11 +286,87 @@ class Job:
         return payload
 
 
+class JobPool:
+    """One job's view of the shared worker pool, given to its sampler as
+    ``jobs``: the library dispatcher submits the job's lane groups here.
+
+    :meth:`submit` runs on the job's library thread and computes the
+    group's cache keys; the rest runs on the manager's event loop:
+
+    * a group another in-flight job claimed is awaited, then loaded from
+      the cache — or, if the owner failed, claimed and simulated here;
+    * a group the cache gained since planning is loaded;
+    * any other group is claimed, simulated on the pool and stored, and
+      only then released.
+
+    Claims register on the loop in submission order, before any await, and
+    waiting for one holds no thread.  Once the job ends (:meth:`close`) the
+    view refuses further submissions, so a cancelled job's stream stops.
+    """
+
+    def __init__(self, manager: "JobManager", job: "Job"):
+        self._manager = manager
+        self._job = job
+        self._loop = asyncio.get_running_loop()
+        self.n_workers = manager.pool.n_workers
+        self.closed = False
+
+    def submit(self, tasks) -> concurrent.futures.Future:
+        if self.closed:
+            raise RuntimeError(f"{self._job.id} is no longer running")
+        tasks = list(tasks)
+        keys = [self._manager.cache.key_for(task) for task in tasks]
+        return asyncio.run_coroutine_threadsafe(self._group(tasks, keys),
+                                                self._loop)
+
+    def close(self) -> None:
+        self.closed = True
+
+    def _load(self, keys) -> list | None:
+        """The group's stored outputs, or None unless all are stored."""
+        outputs = []
+        for key in keys:
+            output = self._manager.cache.load(key)
+            if output is None:
+                return None
+            outputs.append(output)
+        return outputs
+
+    async def _group(self, tasks, keys) -> list:
+        manager, stats = self._manager, self._job.stats
+        group = tuple(keys)
+        waited = False
+        while group in manager._inflight:
+            await asyncio.shield(manager._inflight[group])
+            waited = True
+        outputs = self._load(keys)
+        if outputs is not None and waited:
+            stats["shards_deduped"] += len(tasks)
+            manager.dedup_inflight_hits += len(tasks)
+        elif outputs is None:
+            claim = self._loop.create_future()
+            manager._inflight[group] = claim
+            try:
+                stats["shards_dispatched"] += 1
+                outputs = await asyncio.wrap_future(
+                    manager.pool.submit(tasks))
+                # Stored before the claim is released, for the waiters.
+                for key, task, output in zip(keys, tasks, outputs):
+                    manager.cache.store(key, output, config=task.config)
+                stats["shards_simulated"] += len(tasks)
+            finally:
+                del manager._inflight[group]
+                claim.set_result(None)
+        if not self.closed:
+            self._job.emit("progress", workload=tasks[0].workload_name,
+                           stats=dict(stats))
+        return outputs
+
+
 class JobManager:
     """Schedules jobs over one worker pool and one shared trace cache."""
 
-    def __init__(self, *, pool, cache, max_active: int = 2,
-                 shard_size: int | None = None):
+    def __init__(self, *, pool, cache, max_active: int = 2):
         if cache is None:
             raise ValueError(
                 "the campaign service requires a trace cache: it is the "
@@ -323,15 +375,15 @@ class JobManager:
             raise ValueError(f"max_active must be >= 1, got {max_active}")
         self.pool = pool
         self.cache = cache
-        self.shard_size = shard_size
         self._jobs: dict[str, Job] = {}
         self._queue = PriorityJobQueue()
         self._active = asyncio.Semaphore(max_active)
         self._counter = itertools.count(1)
         self._start_counter = itertools.count(1)
-        #: cache key -> asyncio.Future resolved when the claiming job has
-        #: stored that input's output (the cross-job dedup registry).
-        self._inflight: dict[str, asyncio.Future] = {}
+        #: lane group (its tasks' cache keys) -> asyncio.Future resolved
+        #: when the claiming job has stored its outputs (the cross-job
+        #: dedup registry, see :class:`JobPool`).
+        self._inflight: dict[tuple, asyncio.Future] = {}
         self.dedup_inflight_hits = 0
         self._scheduler_task: asyncio.Task | None = None
         self._closing = False
@@ -443,25 +495,28 @@ class JobManager:
     # -- execution ----------------------------------------------------------
 
     async def _execute(self, job: Job) -> dict:
+        """Run the job's library call with its :class:`JobPool` as the
+        sampler's ``jobs``; the cached count is what the view never saw."""
         spec = job.spec
-        sampler = spec.sampler(self.cache)
-        if spec.kind == "analyze":
-            return await self._execute_analyze(job, sampler)
-        if spec.kind == "localize":
-            return await self._execute_localize(job, sampler)
-        return await self._execute_audit(job, sampler)
+        view = JobPool(self, job)
+        sampler = replace(spec.sampler(self.cache), jobs=view)
+        execute = {"analyze": self._execute_analyze,
+                   "localize": self._execute_localize,
+                   "audit": self._execute_audit}[spec.kind]
+        try:
+            result = await execute(job, sampler)
+        finally:
+            view.close()
+        stats = job.stats
+        stats["shards_cached"] = (stats["inputs_total"]
+                                  - stats["shards_simulated"]
+                                  - stats["shards_deduped"])
+        return result
 
-    async def _pruned_for(self, sampler, workload) -> tuple:
-        """The taint prescreen's pruned-unit set for one campaign.
-
-        With taint on, ``sampler.analyze`` prunes those units' tracing —
-        which changes the trace-cache keys, so the warm campaign must be
-        planned with the identical pruned set or every shard misses.
-        """
-        if not sampler.taint:
-            return ()
-        summary = await self._in_thread(sampler.compute_taint, workload)
-        return summary.pruned
+    @staticmethod
+    def _count_campaign(job: Job, workload) -> None:
+        job.stats["campaigns"] += 1
+        job.stats["inputs_total"] += len(workload.inputs)
 
     async def _execute_analyze(self, job: Job, sampler) -> dict:
         from repro.cli import build_workload
@@ -469,9 +524,7 @@ class JobManager:
 
         workload = build_workload(job.spec.workload, inputs=job.spec.inputs,
                                   seed=job.spec.seed)
-        await self._warm_campaign(job, workload, sampler,
-                                  pruned=await self._pruned_for(sampler,
-                                                                workload))
+        self._count_campaign(job, workload)
         report = await self._in_thread(sampler.analyze, workload)
         return report_to_dict(report)
 
@@ -482,19 +535,13 @@ class JobManager:
 
         workload = build_workload(job.spec.workload, inputs=job.spec.inputs,
                                   seed=job.spec.seed)
-        # Phase 1 (detection) — same campaign shape as an analyze job.
-        await self._warm_campaign(job, workload, sampler,
-                                  pruned=await self._pruned_for(sampler,
-                                                                workload))
+        # localize() in two steps, as it runs internally, so that the
+        # detection verdict is an event between them.
+        self._count_campaign(job, workload)
         report = await self._in_thread(sampler.analyze, workload)
-        targets = tuple(report.leaky_units)
-        job.emit("phase", phase="detect", leaky_units=list(targets))
-        if targets:
-            # Phase 2 — the localization campaign localize() will replay:
-            # flagged units only, raw rows + commit logs retained.
-            await self._warm_campaign(job, workload, sampler,
-                                      features=targets, keep_raw=True,
-                                      log_commits=True)
+        job.emit("phase", phase="detect", leaky_units=report.leaky_units)
+        if report.leaky_units:
+            self._count_campaign(job, workload)  # the localization campaign
         localization = await self._in_thread(
             lambda: localize(
                 workload, sampler=sampler, report=report,
@@ -522,122 +569,12 @@ class JobManager:
                                if name in AUDIT_TAINT_EXPECTATIONS}
                               if job.spec.taint else {})
         for workload in workloads:
-            await self._warm_campaign(job, workload, sampler,
-                                      pruned=await self._pruned_for(
-                                          sampler, workload))
-            job.emit("workload", name=workload.name)
+            self._count_campaign(job, workload)
         result = await self._in_thread(
             lambda: run_audit(workloads, sampler=sampler,
                               expectations=expectations,
                               taint_expectations=taint_expectations))
         return audit_to_dict(result)
-
-    # -- sharded campaign execution ----------------------------------------
-
-    async def _warm_campaign(self, job: Job, workload, sampler,
-                             **shape) -> None:
-        """Simulate one campaign's fresh inputs on the pool, into the cache.
-
-        Mirrors exactly the campaign the verdict computation will replay:
-        ``sampler.plan(workload, **shape)``, with the same
-        features/raw/commit-log settings, fast-forward and batching knobs
-        and cache.  Cache hits are left
-        where they are (no slot), in-flight twins are awaited (dedup), and
-        only genuinely fresh inputs become pool shards.
-
-        Shard planning is lane-aware: tasks stamped with ``core_lanes``
-        simulate as one lockstep :class:`~repro.uarch.batch_core.BatchCore`
-        group, so a shard boundary must never split a lane group — the
-        worker batches whatever whole groups land in its shard, and the
-        cached outputs stay bit-identical to the one-shot CLI run (the
-        consistency contract).
-        """
-        plan = await self._in_thread(lambda: sampler.plan(workload, **shape))
-        job.stats["campaigns"] += 1
-        job.stats["inputs_total"] += len(plan.tasks)
-        job.stats["shards_cached"] += (plan.n_cached
-                                       + len(plan.duplicate_of))
-        if not plan.to_run:
-            job.emit("progress", workload=workload.name,
-                     stats=dict(job.stats))
-            return
-
-        # Partition fresh work: inputs claimed by another in-flight job are
-        # awaited instead of re-simulated.  Claim ours atomically (no await
-        # between check and registration — we are single-threaded here).
-        loop = asyncio.get_running_loop()
-        claimed: list[int] = []
-        waiting: list[tuple[int, str, asyncio.Future]] = []
-        registered: dict[str, asyncio.Future] = {}
-        for index in plan.to_run:
-            key = plan.keys[index] if plan.keys is not None else None
-            if key is not None and key in self._inflight:
-                waiting.append((index, key, self._inflight[key]))
-                continue
-            if key is not None:
-                # Re-check the cache: another job may have stored this key
-                # after our prepare's lookup missed but before we claimed.
-                late_hit = self.cache.load(key)
-                if late_hit is not None:
-                    plan.outputs[index] = late_hit
-                    job.stats["shards_cached"] += 1
-                    continue
-                future = loop.create_future()
-                self._inflight[key] = future
-                registered[key] = future
-            claimed.append(index)
-
-        def _release(key: str) -> None:
-            future = registered.get(key)
-            if future is None:
-                return
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
-            if not future.done():
-                future.set_result(True)
-
-        try:
-            size = self.shard_size or shard_size_for(
-                len(claimed), self.pool.n_workers)
-            groups = _plan_shards(claimed, plan.tasks, size)
-            shard_futures = [
-                (group, asyncio.wrap_future(
-                    self.pool.submit([plan.tasks[index]
-                                      for index in group])))
-                for group in groups
-            ]
-            job.stats["shards_dispatched"] += len(groups)
-            for group, future in shard_futures:
-                outputs = await future
-                for index, output in zip(group, outputs):
-                    plan.fill(index, output)  # stores into the cache
-                    if plan.keys is not None:
-                        _release(plan.keys[index])
-                job.stats["shards_simulated"] += len(group)
-                job.emit("progress", workload=workload.name,
-                         stats=dict(job.stats))
-            for index, key, future in waiting:
-                await future
-                output = self.cache.load(key)
-                if output is None:
-                    # The claiming job failed or its store did not land:
-                    # simulate this input ourselves rather than failing.
-                    outputs = await asyncio.wrap_future(
-                        self.pool.submit([plan.tasks[index]]))
-                    plan.fill(index, outputs[0])
-                    job.stats["shards_dispatched"] += 1
-                    job.stats["shards_simulated"] += 1
-                else:
-                    plan.outputs[index] = output
-                    job.stats["shards_deduped"] += 1
-                    self.dedup_inflight_hits += 1
-            job.emit("progress", workload=workload.name,
-                     stats=dict(job.stats))
-        finally:
-            # Resolve whatever we still hold so dedup waiters in other jobs
-            # fall back to simulating instead of hanging (failure/cancel).
-            for key in registered:
-                _release(key)
 
     @staticmethod
     async def _in_thread(func, *args):

@@ -44,7 +44,6 @@ class ServiceServer:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  workers: int | None = None, cache=None,
                  cache_dir=None, max_active: int = 2,
-                 shard_size: int | None = None,
                  max_redispatch: int = 2):
         self.host = host
         self.port = port
@@ -52,7 +51,6 @@ class ServiceServer:
         self._cache = cache
         self._cache_dir = cache_dir
         self._max_active = max_active
-        self._shard_size = shard_size
         self._max_redispatch = max_redispatch
         self.pool = None
         self.manager: JobManager | None = None
@@ -72,8 +70,7 @@ class ServiceServer:
         self.pool = WorkerPool(self._workers,
                                max_redispatch=self._max_redispatch)
         self.manager = JobManager(pool=self.pool, cache=self._cache,
-                                  max_active=self._max_active,
-                                  shard_size=self._shard_size)
+                                  max_active=self._max_active)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]

@@ -250,8 +250,8 @@ def compute_publicness(workload, *, memory_map: MemoryMap | None = None,
     The result is **core-config independent**: taint propagates through the
     functional interpreter, which models no timing.  Only the downstream
     reachability projection (:mod:`repro.uarch.reachability`) consults a
-    :class:`CoreConfig` — which is why the cross-config sweep engine
-    computes this witness once and projects it per swept config.
+    :class:`CoreConfig` — which is why a cached cross-config sweep runs
+    the taint engine once: later legs replay the first leg's record.
     """
     from repro.sampler.runner import patch_program
     from repro.sampler.trace_cache import WITNESS, TraceCache, witness_key

@@ -75,10 +75,10 @@ def project_reachability(publicness, configs, feature_ids) -> dict:
 
     The taint witness is config-independent (it is computed on the
     functional interpreter); only this projection consults the core
-    configuration (value-dependent divider latency, fast bypass).  The
-    cross-config sweep engine computes the witness once and calls this to
-    derive every leg's reachable/pruned split — each entry is exactly what
-    :func:`reachable_features` returns for that config standalone.
+    configuration (value-dependent divider latency, fast bypass), so one
+    witness yields every config's reachable/pruned split — each entry is
+    exactly what :func:`reachable_features` returns for that config
+    standalone.
 
     Returns ``{config.name: frozenset(reachable feature ids)}``.
     """

@@ -157,7 +157,7 @@ def test_sweep_matches_standalone_worker_pool(tmp_path):
         pooled = sweep_configs(workload, configs,
                                cache=TraceCache(tmp_path / "pooled"),
                                warmup_insts=DEFAULT_WARMUP_INSTS,
-                               batch_lanes="auto", pool=pool)
+                               batch_lanes="auto", jobs=pool)
     for config in configs:
         assert _scrub(pooled.reports[config.name]) \
             == _scrub(serial.reports[config.name])

@@ -34,6 +34,10 @@ from repro.uarch import MEGA_BOOM, SMALL_BOOM
     ({"warmup_iterations": -1}, "warmup_iterations must be"),
     ({"mi_permutations": -1}, "mi_permutations must be"),
     ({"engine": "fortran"}, "unknown engine 'fortran'"),
+    ({"jobs": -1}, "jobs must be"),
+    ({"jobs": 2.5}, "jobs must be"),
+    ({"jobs": "2"}, "jobs must be"),
+    ({"jobs": True}, "jobs must be"),
 ])
 def test_a_bad_knob_fails_at_construction(knobs, match):
     with pytest.raises(ValueError, match=match):

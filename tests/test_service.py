@@ -30,11 +30,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
-    place_shards,
     strip_volatile,
     submit_and_wait,
 )
-from repro.service.shard import shard_size_for
 from repro.uarch import SMALL_BOOM
 
 pytestmark = pytest.mark.skipif(
@@ -138,30 +136,6 @@ def test_queue_pop_wakes_on_push():
         assert (await asyncio.wait_for(popper, timeout=5)).id == "late"
 
     asyncio.run(_main())
-
-
-# -- shard placement ---------------------------------------------------------
-
-
-def test_shard_size_for_balances_across_workers():
-    assert shard_size_for(0, 4) == 1
-    assert shard_size_for(8, 4) == 1    # one input per slot, 2x slack
-    assert shard_size_for(32, 2) == 8   # capped at DEFAULT_MAX_SHARD_TASKS
-    assert shard_size_for(100, 1, max_shard_tasks=4) == 4
-    assert shard_size_for(5, 2) == 2
-
-
-def test_place_shards_buckets_inputs():
-    plan = SimpleNamespace(
-        outputs=[object(), None, None, None, object(), None],
-        duplicate_of={5: 1},
-        to_run=[1, 2, 3],
-    )
-    placement = place_shards(plan, workers=1, shard_size=2)
-    assert placement.cached == (0, 4)
-    assert placement.duplicates == (5,)
-    assert placement.shards == ((1, 2), (3,))
-    assert placement.n_inputs == 6
 
 
 # -- spec validation & volatile stripping ------------------------------------

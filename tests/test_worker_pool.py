@@ -13,6 +13,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +70,7 @@ def test_pool_output_matches_serial():
     tasks = make_tasks(3)
     serial = execute_tasks(tasks, jobs=1)
     with WorkerPool(2) as pool:
-        pooled = execute_tasks(tasks, pool=pool)
+        pooled = execute_tasks(tasks, jobs=pool)
         stats = pool.stats()
     assert output_signature(pooled) == output_signature(serial)
     assert stats["shards_completed"] == 3
@@ -80,7 +84,7 @@ def test_run_campaign_with_pool_is_bit_identical():
                           warmup_insts=DEFAULT_WARMUP_INSTS)
     with WorkerPool(2) as pool:
         pooled = run_campaign(workload, SMALL_BOOM, cache=None,
-                              warmup_insts=DEFAULT_WARMUP_INSTS, pool=pool)
+                              warmup_insts=DEFAULT_WARMUP_INSTS, jobs=pool)
     assert campaign_signature(pooled) == campaign_signature(serial)
 
 
@@ -102,7 +106,7 @@ def test_fault_token_kills_one_worker_and_redispatches(tmp_path,
     serial_signature = output_signature(execute_tasks(tasks, jobs=1))
     # Env is inherited at fork, so the pool must start after setenv.
     with WorkerPool(2) as pool:
-        pooled = execute_tasks(tasks, pool=pool)
+        pooled = execute_tasks(tasks, jobs=pool)
         stats = pool.stats()
     assert output_signature(pooled) == serial_signature
     assert not token.exists(), "the fault token should be consumed"
@@ -118,9 +122,9 @@ def test_pool_survives_fault_and_keeps_working(tmp_path, monkeypatch):
     monkeypatch.setenv(FAULT_TOKEN_ENV, str(token))
     tasks = make_tasks(2)
     with WorkerPool(2) as pool:
-        first = execute_tasks(tasks, pool=pool)
+        first = execute_tasks(tasks, jobs=pool)
         # Token consumed: a second round must run clean on the healed pool.
-        second = execute_tasks(tasks, pool=pool)
+        second = execute_tasks(tasks, jobs=pool)
         stats = pool.stats()
     assert output_signature(first) == output_signature(second)
     assert stats["workers_replaced"] == 1
@@ -182,4 +186,39 @@ def test_close_fails_pending_futures(monkeypatch):
 
 def test_execute_tasks_with_pool_and_no_tasks():
     with WorkerPool(1) as pool:
-        assert execute_tasks([], pool=pool) == []
+        assert execute_tasks([], jobs=pool) == []
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="reads /proc")
+def test_workers_exit_when_the_pool_owner_is_killed():
+    """A SIGKILLed owner runs no cleanup; its workers must still notice
+    (EOF on their pipe) and exit rather than live on as orphans."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from repro.sampler.exec_backend import WorkerPool\n"
+             "pool = WorkerPool(2)\n"
+             "print(*(h.process.pid for h in pool._handles.values()), "
+             "flush=True)\n"
+             "sys.stdin.read()\n"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src))) as owner:
+        try:
+            workers = [int(pid) for pid in owner.stdout.readline().split()]
+        finally:
+            owner.kill()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers)), workers
