@@ -1,11 +1,11 @@
-"""Campaign execution backends: serial, process-parallel and pooled.
+"""Campaign execution backends: in-process, or one crash-tolerant pool.
 
 Every campaign's per-input simulations fan out over this module through
 one dispatcher, :func:`stream_plans`.  Each input is wrapped in a
 self-contained, picklable :class:`RunTask` (patched program + core
 configuration + tracer settings); a worker — in-process for ``jobs=1``, a
-``multiprocessing`` pool member otherwise — rebuilds the core from the
-task, runs it to completion under a private
+:class:`WorkerPool` member otherwise — rebuilds the core from the task,
+runs it to completion under a private
 :class:`~repro.trace.tracer.MicroarchTracer`, and returns a
 :class:`RunOutput` of finalized iteration snapshots.
 
@@ -32,10 +32,10 @@ import concurrent.futures
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
@@ -120,6 +120,10 @@ class RunOutput:
     #: scalar-fallback trigger and a first-class leak signal, mirroring the
     #: functional batch prepass (PR 6).
     divergences: tuple = ()
+    #: In-worker wall-clock of the shard this output came from, stamped on
+    #: the shard's first output by :func:`_run_shard` (0 on the others).
+    #: Observational: the trace cache does not persist it.
+    worker_seconds: float = 0.0
 
 
 def execute_run(task: RunTask) -> RunOutput:
@@ -363,22 +367,27 @@ def _pool_context():
     )
 
 
-def _timed_group(tasks: list[RunTask]) -> tuple[list[RunOutput], float]:
-    """Worker entry: execute one lane group, reporting its in-worker wall.
+def _run_shard(tasks: list[RunTask]) -> list[RunOutput]:
+    """Execute one shard, lane group by lane group, in task order.
 
-    Module-level so it pickles under every ``multiprocessing`` start
-    method.  The timing is observational: the outputs are exactly
+    The one worker body: the in-process backend and every
+    :class:`WorkerPool` worker run it.  The shard's in-worker wall time is
+    stamped on its first output as :attr:`RunOutput.worker_seconds`; it is
+    observational, and the outputs are otherwise exactly
     :func:`execute_run_batch`'s.
     """
     started = time.perf_counter()
-    outputs = execute_run_batch(tasks)
-    return outputs, time.perf_counter() - started
+    outputs = []
+    for group in _lane_groups(tasks):
+        outputs.extend(execute_run_batch(group))
+    if outputs:
+        outputs[0].worker_seconds = time.perf_counter() - started
+    return outputs
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """Start the process pool of one :func:`stream_plans` call."""
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=_pool_context())
+def _process_pool(workers: int) -> WorkerPool:
+    """Start the worker pool of one :func:`stream_plans` call."""
+    return WorkerPool(workers)
 
 
 #: Campaign plans :func:`stream_plans` holds at once, per worker: planned
@@ -412,15 +421,14 @@ class _Backend:
     """Where :func:`stream_plans` sends lane groups.
 
     In-process for ``jobs <= 1``; the pool when ``jobs`` is one
-    (:func:`is_pool`); otherwise a process pool that is started only once
-    two lane groups could overlap.
+    (:func:`is_pool`); otherwise a :class:`WorkerPool` of its own, started
+    only once two lane groups could overlap and closed with the stream.
     """
 
     def __init__(self, jobs):
-        self.pool = jobs if is_pool(jobs) else None
-        self.workers = (jobs.n_workers if self.pool is not None
-                        else resolve_jobs(jobs))
-        self.executor: ProcessPoolExecutor | None = None
+        self.owned = not is_pool(jobs)
+        self.pool = None if self.owned else jobs
+        self.workers = resolve_jobs(jobs) if self.owned else jobs.n_workers
 
     def dispatch(self, window, *, more: bool, room: bool) -> None:
         """Send every undispatched group in ``window`` somewhere.
@@ -436,44 +444,37 @@ class _Backend:
         if not pending:
             return
         in_process = self.pool is None and self.workers <= 1
-        if not in_process and self.pool is None and self.executor is None:
+        if not in_process and self.pool is None:
             if more and room and (len(pending) == 1 or len(window) == 1):
                 return
             if len(pending) == 1 and not more:
                 in_process = True
             else:
-                self.executor = _process_pool(
+                self.pool = _process_pool(
                     self.workers if more
                     else min(self.workers, len(pending)))
         for flight, group in pending:
             if in_process:
                 # Runs now; an exception propagates as in a serial loop.
                 future = concurrent.futures.Future()
-                future.set_result(_timed_group(group))
-            elif self.pool is not None:
-                future = self.pool.submit(group)
+                future.set_result(_run_shard(group))
             else:
-                future = self.executor.submit(_timed_group, group)
+                future = self.pool.submit(group)
             flight.futures.append(future)
 
     def finish(self, flight: _Flight):
         """Fill a finished flight's plan with its outputs, in task order."""
         plan = flight.plan
-        outputs: list[RunOutput] = []
-        for future in flight.futures:
-            result = future.result()
-            if self.pool is not None:
-                # Pool submissions report no in-worker time.
-                result = (result, 0.0)
-            outputs.extend(result[0])
-            plan.execute_seconds += result[1]
+        outputs = [output for future in flight.futures
+                   for output in future.result()]
         for index, output in zip(plan.to_run, outputs):
+            plan.execute_seconds += output.worker_seconds
             plan.fill(index, output)
         return plan
 
     def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True, cancel_futures=True)
+        if self.owned and self.pool is not None:
+            self.pool.close()
 
 
 def stream_plans(plans, *, jobs=1):
@@ -490,25 +491,26 @@ def stream_plans(plans, *, jobs=1):
       yield, then draw the next plan;
     * a pool as ``jobs`` (:func:`is_pool`: a :class:`WorkerPool`, or the
       campaign service's per-job view of one): one submission per group;
-    * otherwise a process pool of ``jobs`` workers (``0``/``None`` = one
-      per CPU), started the first time two groups could overlap.  A lone
-      group, e.g. a one-campaign ``analyze``, runs in-process.
+    * otherwise a :class:`WorkerPool` of ``jobs`` workers (``0``/``None``
+      = one per CPU), started the first time two groups could overlap.  A
+      lone group, e.g. a one-campaign ``analyze``, runs in-process.
 
     Plans come back **strictly in input order**, each as soon as its own
     groups finish, with outputs filled in and ``execute_seconds``
-    increased by its groups' in-worker seconds (0 under a pool).  While
-    workers simulate, the next plans are
-    drawn from ``plans`` — so a lazy iterable plans campaign k+1 while
-    campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
+    increased by its groups' in-worker seconds
+    (:attr:`RunOutput.worker_seconds`).  While workers simulate, the next
+    plans are drawn from ``plans`` — so a lazy iterable plans campaign k+1
+    while campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
     worker in hand.  A plan with nothing pending (warm cache) comes back
     before the next plan is drawn, so an all-warm stream never starts a
     pool and holds one campaign at a time.
 
     Failures keep serial order: a worker's exception (e.g.
-    :class:`~repro.sampler.runner.WorkloadError`) is raised when its plan
-    is due, and one raised while drawing a plan only after every earlier
-    plan came back.  The process pool is shut down when the stream ends,
-    fails or is closed.
+    :class:`~repro.sampler.runner.WorkloadError`) is raised as itself when
+    its plan is due, and one raised while drawing a plan only after every
+    earlier plan came back.  A pool the stream started is closed when the
+    stream ends, fails or is closed; its workers also exit if the calling
+    process dies.
     """
     backend = _Backend(jobs)
     limit = backend.workers * PLANS_PER_WORKER
@@ -563,9 +565,10 @@ def execute_tasks(tasks: list[RunTask], jobs=1) -> list[RunOutput]:
 
     A one-plan :func:`stream_plans`: with a pool as ``jobs`` every lane
     group is its own submission; otherwise ``jobs <= 1`` or a single group
-    runs in-process, and ``jobs > 1`` starts a process pool of at most one
-    worker per group.  Completion order never influences the merge, and a
-    worker's ``WorkloadError`` propagates to the caller unchanged.
+    runs in-process, and ``jobs > 1`` starts a :class:`WorkerPool` of at
+    most one worker per group.  Completion order never influences the
+    merge, and a worker's ``WorkloadError`` propagates to the caller
+    unchanged.
     """
     batch = _TaskBatch(tasks)
     for _ in stream_plans([batch], jobs=jobs):
@@ -573,16 +576,20 @@ def execute_tasks(tasks: list[RunTask], jobs=1) -> list[RunOutput]:
     return batch.outputs
 
 
-# -- persistent worker pool (campaign service) -------------------------------
+# -- the worker pool ----------------------------------------------------------
 #
-# ``ProcessPoolExecutor`` is rebuilt per campaign and dies with its first
-# crashed worker (a SIGKILL poisons the whole executor).  The long-running
-# campaign service needs the opposite: workers that outlive any one job,
-# detect and replace crashed members, and re-dispatch the shard the victim
-# held.  ``WorkerPool`` provides that on plain ``multiprocessing`` pipes —
-# one duplex pipe per worker, a dispatcher thread multiplexing them with
-# ``connection.wait``.  A worker death closes its pipe, so the EOF doubles
-# as the health check: no polling interval, detection is immediate.
+# One pool type serves every parallel run: ``stream_plans`` starts one per
+# ``--jobs N`` stream, and the campaign service shares one across jobs.  The
+# ``concurrent.futures`` process pool would not do for either: it dies with
+# its first crashed worker (a SIGKILL poisons the whole executor), so one
+# lost worker would cost a whole campaign, and its workers outlive a
+# SIGKILLed owner.  ``WorkerPool`` detects and replaces crashed members and
+# re-dispatches the shard the victim held, on plain ``multiprocessing``
+# pipes — one duplex pipe per worker, a dispatcher thread multiplexing them
+# with ``connection.wait``.  A worker death closes its pipe, so the EOF
+# doubles as the health check: no polling interval, detection is
+# immediate.  The owner's death is an EOF on the worker's side, so workers
+# exit with it.
 
 
 #: Environment variable naming a *fault-injection token file*.  When set,
@@ -611,21 +618,16 @@ class WorkerCrashError(RuntimeError):
     budget and cannot complete."""
 
 
-class ShardExecutionError(RuntimeError):
-    """A worker reported a Python-level failure while executing a shard
-    (e.g. a :class:`~repro.sampler.runner.WorkloadError`).  Deterministic —
-    never retried."""
-
-
 def _pool_worker(conn, parent_conn) -> None:
     """Worker main loop: receive ``(shard_id, tasks)``, send results back.
 
-    Runs until the parent sends ``None`` or closes the pipe.  Failures are
-    reported as data, not raised — the worker survives bad shards; only an
-    OS-level death (crash, SIGKILL) takes it down, which the parent notices
-    as EOF on this pipe.  The forked worker first closes its copy of the
-    parent's end, so the parent's own death is an EOF here too and the
-    worker exits instead of outliving it.
+    Runs until the parent sends ``None`` or closes the pipe.  Each shard
+    runs :func:`_run_shard`, the body the in-process backend runs.
+    Failures are sent back, not raised — the worker survives bad shards;
+    only an OS-level death (crash, SIGKILL) takes it down, which the parent
+    notices as EOF on this pipe.  The forked worker first closes its copy
+    of the parent's end, so the parent's own death is an EOF here too and
+    the worker exits instead of outliving it.
     """
     parent_conn.close()
     while True:
@@ -637,18 +639,34 @@ def _pool_worker(conn, parent_conn) -> None:
             return
         shard_id, tasks = item
         try:
-            outputs = []
-            for group in _lane_groups(tasks):
-                for _ in group:
-                    maybe_inject_worker_fault()
-                outputs.extend(execute_run_batch(group))
-            reply = (shard_id, True, outputs)
-        except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            reply = (shard_id, False, f"{type(exc).__name__}: {exc}")
+            # Here, never in the shared body: in-process runs must not die.
+            for _ in tasks:
+                maybe_inject_worker_fault()
+            reply = (shard_id, True, _run_shard(tasks))
+        except BaseException as exc:  # noqa: BLE001 - raised by the future
+            reply = (shard_id, False, _portable(exc))
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             return
+        # Free this shard's tasks and outputs before waiting for the next.
+        del item, tasks, reply
+
+
+def _portable(exc: BaseException) -> Exception:
+    """``exc`` if it is an :class:`Exception` the parent can rebuild from a
+    pickle, else a :class:`RuntimeError` naming its type and message.
+
+    The dispatcher thread must never fail to unpickle a reply (an exception
+    whose ``__init__`` cannot take its own ``args`` pickles but does not
+    unpickle), and a worker's interrupt must not reach the caller as one.
+    """
+    try:
+        if isinstance(pickle.loads(pickle.dumps(exc)), Exception):
+            return exc
+    except Exception:  # noqa: BLE001 - any failure means "not portable"
+        pass
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
 class _Shard:
@@ -686,19 +704,22 @@ class WorkerPool:
     EOF, replaced with a fresh process, and its shard re-dispatched — up to
     ``max_redispatch`` times, after which the shard's future fails with
     :class:`WorkerCrashError`.  Python-level worker errors (a misbehaving
-    workload) are deterministic and fail the future with
-    :class:`ShardExecutionError` without retrying.
+    workload) are deterministic: the future fails, without a retry, with
+    the worker's own exception (e.g. a
+    :class:`~repro.sampler.runner.WorkloadError` with the serial message),
+    or a :class:`RuntimeError` naming it if it cannot cross the pipe.
 
-    Thread-safe: futures may be awaited from any thread (or wrapped with
-    ``asyncio.wrap_future``).  Simulation results are bit-identical to
-    in-process execution — workers run the exact same
-    :func:`execute_run` — so pool output feeds the same deterministic
-    merge as every other backend.
+    :func:`stream_plans` starts one for each ``--jobs N`` stream, and the
+    campaign service shares one across its jobs.  Thread-safe: futures may
+    be awaited from any thread (or wrapped with ``asyncio.wrap_future``).
+    Simulation results are bit-identical to in-process execution — workers
+    run the same :func:`_run_shard` — so pool output feeds the same
+    deterministic merge as every other backend.
     """
 
     def __init__(self, workers: int | None = None, *,
-                 max_redispatch: int = 2, ctx=None):
-        self._ctx = ctx or _pool_context()
+                 max_redispatch: int = 2):
+        self._ctx = _pool_context()
         self.n_workers = max(1, resolve_jobs(workers))
         self.max_redispatch = max_redispatch
         self._lock = threading.Lock()
@@ -847,7 +868,7 @@ class WorkerPool:
         else:
             self._stats["shards_failed"] += 1
             if not shard.future.done():
-                shard.future.set_exception(ShardExecutionError(payload))
+                shard.future.set_exception(payload)
 
     def _on_death_locked(self, handle: _WorkerHandle) -> None:
         """Replace a dead worker and requeue (or fail) its shard."""
@@ -904,6 +925,7 @@ class WorkerPool:
                     continue
                 with self._lock:
                     self._on_result(handle, reply)
+                del reply  # the future holds the outputs now
 
 
 def merge_outputs(outputs: list[RunOutput],

@@ -7,10 +7,10 @@ same reset state, as in the paper.
 
 Execution is delegated to :mod:`repro.sampler.exec_backend`: with ``jobs=1``
 every input runs in-process; with ``jobs>1`` inputs are simulated on a
-process pool and merged back in input order, bit-identical to the serial
-result.  An optional :class:`~repro.sampler.trace_cache.TraceCache` replays
-previously simulated (program, input, config) triples without touching the
-core at all.
+crash-tolerant :class:`~repro.sampler.exec_backend.WorkerPool` and merged
+back in input order, bit-identical to the serial result.  An optional
+:class:`~repro.sampler.trace_cache.TraceCache` replays previously simulated
+(program, input, config) triples without touching the core at all.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class CampaignPlan:
     capture_seconds: float = 0.0
     #: In-worker wall-clock of this plan's simulated lane groups, summed
     #: (added by :func:`~repro.sampler.exec_backend.stream_plans`; 0 when
-    #: everything replayed from cache, or under a pool).
+    #: everything replayed from cache).
     execute_seconds: float = 0.0
 
     def fill(self, index: int, output: RunOutput) -> None:

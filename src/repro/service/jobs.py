@@ -227,6 +227,8 @@ class Job:
         self.id = job_id
         self.spec = spec
         self.state = "queued"
+        #: ``"<Type>: <message>"`` of a failed job; a pool worker's error
+        #: reads as in a serial run, e.g. ``"WorkloadError: ..."``.
         self.error: str | None = None
         self.result: dict | None = None
         self.stats = {

@@ -43,15 +43,13 @@ class ServiceServer:
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  workers: int | None = None, cache=None,
-                 cache_dir=None, max_active: int = 2,
-                 max_redispatch: int = 2):
+                 cache_dir=None, max_active: int = 2):
         self.host = host
         self.port = port
         self._workers = workers
         self._cache = cache
         self._cache_dir = cache_dir
         self._max_active = max_active
-        self._max_redispatch = max_redispatch
         self.pool = None
         self.manager: JobManager | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -67,8 +65,7 @@ class ServiceServer:
 
             self._cache = TraceCache(self._cache_dir)
         # Fork the pool before any executor threads exist.
-        self.pool = WorkerPool(self._workers,
-                               max_redispatch=self._max_redispatch)
+        self.pool = WorkerPool(self._workers)
         self.manager = JobManager(pool=self.pool, cache=self._cache,
                                   max_active=self._max_active)
         self._server = await asyncio.start_server(

@@ -65,20 +65,20 @@ def _audit(cache_dir, jobs, **kwargs):
 
 
 class _InlineExecutor:
-    """Stands in for the process pool: runs each group at submit time and
+    """Stands in for the worker pool: runs each group at submit time and
     records it."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self.groups: list = []
 
-    def submit(self, fn, group):
+    def submit(self, group):
         self.groups.append(group)
         future = concurrent.futures.Future()
-        future.set_result(fn(group))
+        future.set_result(exec_backend._run_shard(group))
         return future
 
-    def shutdown(self, wait=True, cancel_futures=False):
+    def close(self):
         pass
 
 
@@ -155,6 +155,26 @@ def test_worker_failure_propagates_with_the_serial_message(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_worker_failure_arrives_as_the_serial_error():
+    """A worker's ``WorkloadError`` crosses the pipe as itself: a pool given
+    as ``jobs`` raises what the serial run raises, with no wrapper."""
+    bad = Workload(
+        name="bad",
+        source=".text\nmain:\n li a0, 1\n li a7, 93\n ecall",
+        inputs=[{} for _ in range(3)],
+    )
+    suite = [make_sam_ct(n_keys=2, seed=3), bad]
+    with pytest.raises(WorkloadError) as serial:
+        run_audit(suite, config=SMALL_BOOM, jobs=1)
+    with exec_backend.WorkerPool(2) as pool:
+        with pytest.raises(WorkloadError) as pooled:
+            run_audit(suite, config=SMALL_BOOM, jobs=pool)
+        stats = pool.stats()
+    assert type(pooled.value) is WorkloadError
+    assert str(pooled.value) == str(serial.value)
+    assert stats["shards_failed"] >= 1 and stats["workers_replaced"] == 0
+
+
 def test_planning_failure_is_raised_after_earlier_campaigns(tmp_path):
     """A workload that fails while being planned surfaces only once every
     earlier campaign is finished and cached, as in a serial audit."""
@@ -181,13 +201,13 @@ def test_adjacent_campaigns_never_share_a_lane_group(inline_pool,
     for index, workload in enumerate(suite):
         workload.name = f"sam-ct-{index}"
     in_process = []
-    timed_group = exec_backend._timed_group
+    run_shard = exec_backend._run_shard
 
     def record(group):
         in_process.append(group)
-        return timed_group(group)
+        return run_shard(group)
 
-    monkeypatch.setattr(exec_backend, "_timed_group", record)
+    monkeypatch.setattr(exec_backend, "_run_shard", record)
     run_audit(suite, config=SMALL_BOOM, jobs=1, batch_lanes=2)
     serial_groups = list(in_process)
     run_audit(suite, config=SMALL_BOOM, jobs=2, batch_lanes=2)
@@ -223,16 +243,18 @@ def test_plans_come_back_in_input_order_and_pools_are_sized(inline_pool):
 
 
 def test_simulate_seconds_is_capture_plus_worker_time_less_parse(tmp_path):
-    cache = TraceCache(tmp_path)
-    for cold in (True, False):
-        plan = prepare_campaign(make_sam_ct(n_keys=3, seed=3), SMALL_BOOM,
-                                cache=cache, **CLI_STACK)
-        [plan] = exec_backend.stream_plans([plan], jobs=1)
-        campaign = finalize_campaign(plan)
-        assert (plan.execute_seconds > 0) is cold
-        assert campaign.simulate_seconds == pytest.approx(max(
-            plan.capture_seconds + plan.execute_seconds
-            - campaign.parse_seconds, 0.0))
+    with exec_backend.WorkerPool(2) as pool:
+        for jobs, name in ((1, "serial"), (pool, "pool")):
+            cache = TraceCache(tmp_path / name)
+            for cold in (True, False):
+                plan = prepare_campaign(make_sam_ct(n_keys=3, seed=3),
+                                        SMALL_BOOM, cache=cache, **CLI_STACK)
+                [plan] = exec_backend.stream_plans([plan], jobs=jobs)
+                campaign = finalize_campaign(plan)
+                assert (plan.execute_seconds > 0) is cold, (name, cold)
+                assert campaign.simulate_seconds == pytest.approx(max(
+                    plan.capture_seconds + plan.execute_seconds
+                    - campaign.parse_seconds, 0.0))
 
 
 def test_campaign_seconds_exclude_other_campaigns(inline_pool, monkeypatch):
@@ -261,13 +283,14 @@ def test_audit_seconds_count_worker_time(monkeypatch):
     """An entry's time is its own plan + in-worker simulation + statistics,
     so overlapped entries may sum to more than the audit's wall clock."""
     extra = 100.0
-    timed_group = exec_backend._timed_group
+    run_shard = exec_backend._run_shard
 
     def slow_worker(group):
-        outputs, seconds = timed_group(group)
-        return outputs, seconds + extra
+        outputs = run_shard(group)
+        outputs[0].worker_seconds += extra
+        return outputs
 
-    monkeypatch.setattr(exec_backend, "_timed_group", slow_worker)
+    monkeypatch.setattr(exec_backend, "_run_shard", slow_worker)
     started = time.perf_counter()
     result = run_audit([make_sam_ct(n_keys=2, seed=3)], config=SMALL_BOOM,
                        jobs=1, **CLI_STACK)

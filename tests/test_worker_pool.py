@@ -25,7 +25,6 @@ from repro.sampler import exec_backend
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.exec_backend import (
     FAULT_TOKEN_ENV,
-    ShardExecutionError,
     WorkerCrashError,
     WorkerPool,
     execute_tasks,
@@ -138,12 +137,49 @@ def test_python_error_fails_shard_without_retry(monkeypatch):
     tasks = make_tasks(1)
     with WorkerPool(1) as pool:
         future = pool.submit(tasks)
-        with pytest.raises(ShardExecutionError, match="bad task"):
+        with pytest.raises(ValueError, match="bad task"):
             future.result(timeout=60)
         stats = pool.stats()
     assert stats["shards_failed"] == 1
     assert stats["shards_redispatched"] == 0
     assert stats["workers_replaced"] == 0  # the worker survived
+
+
+def test_fault_token_in_a_jobs_stream_is_survived(tmp_path, monkeypatch):
+    """A ``jobs=2`` stream runs on the crash-tolerant pool: a worker killed
+    mid-shard costs a re-dispatch, not the run."""
+    token = tmp_path / "fault-token"
+    token.write_text("boom")
+    monkeypatch.setenv(FAULT_TOKEN_ENV, str(token))
+    tasks = make_tasks(3)
+    serial_signature = output_signature(execute_tasks(tasks, jobs=1))
+    assert token.exists()  # in-process runs never consume the token
+    assert output_signature(execute_tasks(tasks, jobs=2)) == serial_signature
+    assert not token.exists(), "the fault token should be consumed"
+
+
+class _UnrebuildableError(Exception):
+    """Pickles, but cannot be rebuilt from its ``args`` on unpickling."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+
+
+def test_error_that_cannot_cross_the_pipe_arrives_as_runtime_error(
+        monkeypatch):
+    def _explode(task):
+        raise _UnrebuildableError(7, f"task {task.run_index}")
+
+    monkeypatch.setattr(exec_backend, "execute_run", _explode)
+    with WorkerPool(1) as pool:
+        future = pool.submit(make_tasks(1))
+        with pytest.raises(RuntimeError) as excinfo:
+            future.result(timeout=60)
+        stats = pool.stats()
+    assert str(excinfo.value) == "_UnrebuildableError: code 7: task 0"
+    assert stats["shards_failed"] == 1
+    assert stats["shards_redispatched"] == 0
+    assert stats["workers_replaced"] == 0
 
 
 def test_poison_shard_exhausts_redispatch_budget(monkeypatch):
@@ -218,6 +254,50 @@ def test_workers_exit_when_the_pool_owner_is_killed():
         finally:
             owner.kill()
     assert len(workers) == 2
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers)), workers
+
+
+#: A ``jobs=2`` stream of two one-input groups.  Each worker writes its pid
+#: (one ``write`` plus ``flush``) when its shard starts, then simulates.
+_STREAM_OWNER = """\
+import os, sys, time
+from repro.cli import build_workload
+from repro.sampler import exec_backend
+from repro.sampler.runner import prepare_campaign
+from repro.uarch import SMALL_BOOM
+
+run_batch = exec_backend.execute_run_batch
+
+def announce(group):
+    sys.stdout.write(f"{os.getpid()}\\n")
+    sys.stdout.flush()
+    time.sleep(1)
+    return run_batch(group)
+
+exec_backend.execute_run_batch = announce
+workload = build_workload("sam-ct", inputs=2, seed=3)
+exec_backend.execute_tasks(prepare_campaign(workload, SMALL_BOOM).tasks,
+                           jobs=2)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="reads /proc")
+def test_stream_workers_exit_when_the_stream_owner_is_killed():
+    """A SIGKILLed ``--jobs 2`` run leaves no workers behind, even while
+    they are mid-shard."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c", _STREAM_OWNER],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src))) as owner:
+        try:
+            workers = [int(owner.stdout.readline()) for _ in range(2)]
+        finally:
+            owner.kill()
+    assert len(set(workers)) == 2 and owner.pid not in workers
     deadline = time.monotonic() + 10
     while any(map(_running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
