@@ -20,7 +20,7 @@ Commands
     Assemble a file and print its disassembly with addresses.
 ``cache {stats,prune}``
     Inspect or garbage-collect the cache directory (traces, checkpoints,
-    taint witness and report records).
+    taint witness, report and localization records).
 """
 
 from __future__ import annotations
@@ -330,6 +330,13 @@ def _build_workload(name, args):
         )
 
 
+def _error(error) -> int:
+    """Report a workload error or knob misuse as one ``error:`` line;
+    returns the exit status, 2."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def cmd_list_workloads(_args) -> int:
     print("case-study workloads:")
     for name, (_factory, description) in WORKLOADS.items():
@@ -365,7 +372,11 @@ def cmd_analyze(args) -> int:
 
         print(f"localizing {len(report.leaky_units)} leaky unit(s) ...",
               file=sys.stderr)
-        localization = run_localize(workload, sampler=sampler, report=report)
+        # With a cache, localize() replays the report record just stored
+        # instead of taking the report, so that it can use its own record.
+        localization = run_localize(
+            workload, sampler=sampler,
+            report=report if sampler.cache is None else None)
     if args.json:
         import json
 
@@ -411,17 +422,22 @@ def cmd_sweep(args) -> int:
 def cmd_localize(args) -> int:
     """Phase-2 localization: cycle windows + instruction attribution."""
     from repro.localize import (
+        localization_targets,
         localization_to_dict,
         localize,
         render_localization,
     )
 
+    try:
+        features = (localization_targets(args.features) if args.features
+                    else None)
+    except ValueError as error:
+        return _error(error)
     workload = _build_workload(args.workload, args)
     sampler = _sampler(args)
     print(f"localizing {workload.name!r} on "
           f"{_describe_config(sampler.config)} ...", file=sys.stderr)
-    localization = localize(workload, sampler=sampler,
-                            features=args.features or None,
+    localization = localize(workload, sampler=sampler, features=features,
                             permutations=args.permutations)
     if args.json:
         import json
@@ -600,13 +616,15 @@ def cmd_cache(args) -> int:
     from repro.sampler.trace_cache import (RECORD_KINDS, cache_stats,
                                            prune_cache)
 
-    kinds = ("trace", "checkpoint", *(kind.name for kind in RECORD_KINDS))
+    records = [kind.name for kind in RECORD_KINDS]
+    kinds = ("trace", "checkpoint", *records)
     if args.action == "stats":
         stats = cache_stats(args.cache_dir)
         print(f"cache root: {stats['root']}")
+        width = max(map(len, kinds))
         for kind in kinds:
             bucket = stats[kind]
-            print(f"  {kind:<11} {bucket['entries']:>6} entries "
+            print(f"  {kind:<{width}} {bucket['entries']:>6} entries "
                   f"({_format_bytes(bucket['bytes'])}), "
                   f"{bucket['stale_entries']} stale "
                   f"({_format_bytes(bucket['stale_bytes'])})")
@@ -640,9 +658,9 @@ def cmd_cache(args) -> int:
           f"{removed['checkpoint']} stale checkpoint, "
           f"{removed['orphan']} orphaned checkpoint "
           f"(no surviving trace references them)")
-    print(f"  {result['removed_witness']} stale witness, "
-          f"{result['removed_report']} stale report, "
-          f"{result['removed_temp']} temp file(s) of interrupted stores")
+    stale = [f"{result[f'removed_{name}']} stale {name}" for name in records]
+    print(f"  {', '.join(stale)}, {result['removed_temp']} temp file(s) of "
+          f"interrupted stores")
     return 0
 
 
@@ -809,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=199,
                           help="label permutations for the attribution "
                                "significance test")
-    localize.add_argument("--top", type=int, default=5,
+    localize.add_argument("--top", type=_non_negative_int, default=5,
                           help="ranked instructions to print per unit")
     localize.add_argument("--json", action="store_true",
                           help="emit the localization as JSON (for CI)")
@@ -873,17 +891,17 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     cache = sub.add_parser(
-        "cache", help="inspect or prune the trace/checkpoint/witness/report "
-                      "cache")
+        "cache", help="inspect or prune the trace/checkpoint/witness/report/"
+                      "localization cache")
     cache.add_argument("action", choices=["stats", "prune"],
                        help="'stats' inventories entries by kind (trace, "
-                            "checkpoint, taint witness, campaign report) "
-                            "and staleness, and counts temp files of "
-                            "interrupted stores; 'prune' deletes stale "
-                            "entries (pre-format-bump or unreadable; witness "
-                            "and report records that fail validation or "
-                            "carry another format or source digest) and "
-                            "orphaned checkpoints")
+                            "checkpoint, taint witness, campaign report, "
+                            "localization) and staleness, and counts temp "
+                            "files of interrupted stores; 'prune' deletes "
+                            "stale entries (pre-format-bump or unreadable; "
+                            "records that fail validation or carry another "
+                            "format or source digest) and orphaned "
+                            "checkpoints")
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory (default: "
                             "$MICROSAMPLER_CACHE_DIR or "
@@ -954,8 +972,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except WorkloadError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _error(error)
 
 
 if __name__ == "__main__":

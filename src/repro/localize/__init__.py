@@ -21,6 +21,7 @@ from repro.localize.localize import (
     LOCALIZATION_ALPHA,
     LocalizationReport,
     UnitLocalization,
+    localization_targets,
     localize,
     localize_campaign,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "UnitLocalization",
     "attribute_window",
     "commit_offsets",
+    "localization_targets",
     "localization_to_dict",
     "localize",
     "localize_campaign",

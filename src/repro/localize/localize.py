@@ -13,6 +13,10 @@ The cache interaction is defensive on top of content addressing: a replay
 that somehow lacks per-cycle digests or commit logs (a poisoned or
 pre-versioning entry) is transparently re-simulated with the cache bypassed
 rather than crashing the scan.
+
+On top of the traces, the cache holds each finished localization as a
+source-salted record (:func:`~repro.sampler.trace_cache.localization_key`),
+so a warm :func:`localize` replays it and runs neither phase.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.localize.attribution import (
 )
 from repro.localize.temporal import TemporalScan, temporal_scan
 from repro.sampler.runner import Workload
+from repro.sampler.trace_cache import LOCALIZATION, localization_key
+from repro.trace.features import FEATURES
 
 #: Significance gate for localized findings (acceptance: p < 0.01 on the
 #: secret-dependent instructions).  Stricter than the detection alpha
@@ -144,6 +150,17 @@ def _missing_localization_inputs(campaign, feature_ids) -> bool:
     return False
 
 
+def localization_targets(features) -> tuple:
+    """``features`` as localization targets: each feature ID once, in order
+    of first appearance.  Raises ValueError naming any unknown ID."""
+    targets = tuple(dict.fromkeys(features))
+    unknown = [feature_id for feature_id in targets
+               if feature_id not in FEATURES]
+    if unknown:
+        raise ValueError(f"unknown feature IDs: {unknown}")
+    return targets
+
+
 def localize(workload: Workload, *, sampler=None, report=None,
              features=None, permutations: int = DEFAULT_PERMUTATIONS,
              seed: int = 0) -> LocalizationReport:
@@ -153,11 +170,42 @@ def localize(workload: Workload, *, sampler=None, report=None,
     simulation backend (jobs/cache); ``report`` is an existing phase-1
     :class:`~repro.sampler.pipeline.LeakageReport` to reuse (one is
     computed when omitted).  ``features`` overrides the localization
-    targets — by default, the report's leaky units.
+    targets — by default, the report's leaky units; repeats are dropped
+    and an unknown ID raises ValueError.
+
+    With a cache and no ``report``, the localization is first looked up
+    as a record (:func:`~repro.sampler.trace_cache.localization_key`).  A
+    hit replays it under the caller's workload and config names, with zero
+    stage times and no profile, and skips detection, the taint prescreen,
+    planning, trace loads, the scans and the permutation tests.  A miss is
+    computed, then stored.  The key cannot cover a caller's ``report``, so
+    a localization given one neither reads nor writes a record; a caller
+    with a cache passes none and lets detection replay its report record.
     """
     from repro.sampler.pipeline import MicroSampler
 
     sampler = sampler or MicroSampler()
+    if features is not None:
+        features = localization_targets(features)
+    cache = sampler.cache if report is None else None
+    key = (localization_key(sampler, workload, features, permutations, seed)
+           if cache is not None else None)
+    if key is not None:
+        replay = cache.load_record(LOCALIZATION, key)
+        if replay is not None:
+            replay.workload_name = workload.name
+            replay.config_name = sampler.config.name
+            return replay
+    result = _compute_localization(workload, sampler, report, features,
+                                   permutations, seed)
+    if key is not None:
+        cache.store_record(LOCALIZATION, key, result)
+    return result
+
+
+def _compute_localization(workload, sampler, report, features,
+                          permutations, seed) -> LocalizationReport:
+    """:func:`localize` without its record: detect, then localize."""
     if report is None and features is None:
         report = sampler.analyze(workload)
     taint = None
@@ -168,10 +216,7 @@ def localize(workload: Workload, *, sampler=None, report=None,
             taint = report.taint
         else:
             taint = sampler.compute_taint(workload)
-    if features is not None:
-        targets = tuple(features)
-    else:
-        targets = tuple(report.leaky_units)
+    targets = features if features is not None else tuple(report.leaky_units)
     if not targets:
         return LocalizationReport(
             workload_name=workload.name,

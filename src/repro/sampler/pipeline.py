@@ -459,7 +459,9 @@ class MicroSampler:
         Runs :meth:`analyze` first when no ``report`` is given, then the
         temporal scan + instruction attribution of :mod:`repro.localize`
         over the flagged units (or an explicit ``features`` subset).
-        Returns a :class:`~repro.localize.LocalizationReport`.
+        Returns a :class:`~repro.localize.LocalizationReport`; with a
+        cache, one computed before replays from its record
+        (:func:`repro.localize.localize`).
         """
         from repro.localize import localize as _localize
 

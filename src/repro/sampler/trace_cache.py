@@ -26,7 +26,7 @@ version-mismatched entry is treated as a miss.
 The same root holds derived *records* (:class:`RecordKind`): checksummed
 JSON under ``root/<kind>/<key[:2]>/<key>.json``, keyed with
 :func:`source_digest` so they invalidate themselves when the source
-changes, and never unpickled.  Two kinds exist:
+changes, and never unpickled.  Three kinds exist:
 
 * ``witness`` — the taint prescreen's publicness maps (see
   :func:`repro.taint.publicness.compute_publicness`), so a warm
@@ -34,11 +34,15 @@ changes, and never unpickled.  Two kinds exist:
 * ``report`` — a campaign's finished analysis (see
   :func:`repro.sampler.pipeline.stream_campaigns`), so a warm
   ``analyze``/``audit``/``sweep`` or service job replays it instead of
-  re-deriving it from traces.
+  re-deriving it from traces;
+* ``localization`` — a workload's finished localization (see
+  :func:`repro.localize.localize`), so a warm ``localize`` or service
+  localize job replays it instead of re-running detection, the scans and
+  the permutation tests.
 
-A report record is only as fresh as the traces it was computed from: until
-trace keys are salted with the source too, a report computed after a
-simulator edit from stale traces is stored as current.
+A report or localization record is only as fresh as the traces it was
+computed from: until trace keys are salted with the source too, a result
+computed after a simulator edit from stale traces is stored as current.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ WITNESS_FORMAT_VERSION = 1
 
 #: Bump when the report record layout or its key material changes.
 REPORT_FORMAT_VERSION = 1
+
+#: Bump when the localization record layout or its key material changes.
+LOCALIZATION_FORMAT_VERSION = 1
 
 #: ``MicroSampler`` fields a report does not depend on: the worker count,
 #: the cache handle and the simulator profiler (a replayed report carries
@@ -292,6 +299,24 @@ def report_key(sampler, workload) -> str | None:
         return None
 
 
+def localization_key(sampler, workload, features, permutations,
+                     seed) -> str | None:
+    """Content-addressed key of one workload's localization.
+
+    Covers what :func:`repro.localize.localize` is a pure function of: the
+    campaign's :func:`report_key` (the workload, every knob but
+    :data:`REPORT_KEY_EXCLUDED` and the source), the targets as passed
+    (None means the phase-1 report's leaky units), and the attribution's
+    permutation count and seed.  None when :func:`report_key` is: such a
+    localization runs without a record.
+    """
+    report = report_key(sampler, workload)
+    if report is None:
+        return None
+    return stable_hex_digest((LOCALIZATION_FORMAT_VERSION, report, features,
+                              permutations, seed))
+
+
 # -- derived records -------------------------------------------------------
 
 
@@ -340,15 +365,58 @@ def _pairs(value) -> list:
     return pairs
 
 
+def _object(value, names, what: str) -> dict:
+    """``value`` when it is a dict with exactly the keys ``names``, else
+    ValueError naming ``what``."""
+    if type(value) is not dict or value.keys() != set(names):
+        raise ValueError(f"not a {what}")
+    return value
+
+
 def _numbers(cls, item, ints=()):
     """``cls(**item)`` for a dataclass of numbers: ``item`` names exactly
     its fields, those in ``ints`` hold ints and the rest ints or floats."""
-    if type(item) is not dict or set(item) != {
-            field.name for field in dataclasses.fields(cls)}:
-        raise ValueError(f"not a {cls.__name__}")
+    columns = _number_columns(cls, ints)
+    _object(item, columns, cls.__name__)
     for name, value in item.items():
-        _expect(value, *((int,) if name in ints else (int, float)))
+        _expect(value, *columns[name])
     return cls(**item)
+
+
+def _number_columns(cls, ints=()) -> dict:
+    """Field name -> accepted types for a dataclass of numbers, in field
+    order: those in ``ints`` hold ints and the rest ints or floats."""
+    return {field.name: {int} if field.name in ints else {int, float}
+            for field in dataclasses.fields(cls)}
+
+
+def _columns(rows, columns) -> dict:
+    """``rows`` (tuples in ``columns`` order) as one list per column."""
+    rows = list(rows)
+    return {name: [row[i] for row in rows] for i, name in enumerate(columns)}
+
+
+def _rows(table, columns: dict) -> list:
+    """Inverse of :func:`_columns`: the rows of ``table`` as tuples in
+    ``columns`` order.  ``table`` must hold exactly one list per name of
+    ``columns``, all of one length, whose items' exact types are among
+    those ``columns`` maps the name to; else ValueError."""
+    _object(table, columns, "table")
+    lists = [_expect(table[name], list) for name in columns]
+    for name, values in zip(columns, lists):
+        if not set(map(type, values)) <= columns[name]:
+            raise ValueError(f"mistyped column {name!r}")
+    if len(set(map(len, lists))) > 1:
+        raise ValueError("columns of unequal length")
+    return list(zip(*lists))
+
+
+def _values(item) -> tuple:
+    """A flat dataclass instance's field values, in field order: what
+    ``dataclasses.astuple`` returns, without its deep copies (a tenth of
+    its time on a scan's thousands of offsets)."""
+    return tuple(getattr(item, field.name)
+                 for field in dataclasses.fields(item))
 
 
 def _witness_body(maps) -> list:
@@ -359,6 +427,10 @@ def _witness_from_body(body) -> tuple:
     from repro.taint.publicness import PublicnessMap
 
     return tuple(PublicnessMap.from_dict(item) for item in _expect(body, list))
+
+
+#: Integer fields of :class:`~repro.sampler.stats.AssociationResult`.
+_ASSOCIATION_INTS = ("dof", "n_observations", "n_classes", "n_categories")
 
 
 def _report_body(report) -> dict:
@@ -413,13 +485,11 @@ def _report_from_body(body):
     from repro.sampler.stats import AssociationResult
 
     def association(item):
-        return _numbers(AssociationResult, item, ints=(
-            "dof", "n_observations", "n_classes", "n_categories"))
+        return _numbers(AssociationResult, item, ints=_ASSOCIATION_INTS)
 
     def root_cause(feature_id, item):
-        if type(item) is not dict or set(item) != {
-                "unique_values", "common_values", "exclusive_orderings"}:
-            raise ValueError("not a root cause")
+        _object(item, ("unique_values", "common_values",
+                       "exclusive_orderings"), "root cause")
         exclusive = {}
         for label, counts in _pairs(item["exclusive_orderings"]):
             counter = exclusive[_expect(label, int)] = Counter()
@@ -437,10 +507,8 @@ def _report_from_body(body):
                                     exclusive_orderings=exclusive))
 
     def unit(item):
-        if type(item) is not dict or set(item) != {
-                "feature_id", "association", "association_notiming", "mi",
-                "root_cause"}:
-            raise ValueError("not a unit")
+        _object(item, ("feature_id", "association", "association_notiming",
+                       "mi", "root_cause"), "unit")
         feature_id = _expect(item["feature_id"], str)
         notiming, mi, cause = (item["association_notiming"], item["mi"],
                                item["root_cause"])
@@ -454,9 +522,8 @@ def _report_from_body(body):
             root_cause=(None if cause is None
                         else root_cause(feature_id, cause)))
 
-    if type(body) is not dict or set(body) != {
-            "n_iterations", "n_classes", "engine", "divergences", "units"}:
-        raise ValueError("not a report")
+    _object(body, ("n_iterations", "n_classes", "engine", "divergences",
+                   "units"), "report")
     divergences = []
     for event in _expect(body["divergences"], list):
         pc, step, kind, mnemonic, lanes = _expect(event, list)
@@ -474,6 +541,137 @@ def _report_from_body(body):
         divergences=divergences)
 
 
+def _localization_columns() -> tuple:
+    """Columns (see :func:`_rows`) of a localization record's tables: a
+    scan's offsets, an attribution's scores and its pre-excluded PCs."""
+    from repro.sampler.mutual_information import MutualInformationResult
+    from repro.sampler.stats import AssociationResult
+
+    return ({"offset": {int},
+             **_number_columns(AssociationResult, _ASSOCIATION_INTS)},
+            {"pc": {int}, "mnemonic": {str}, "commits_in_window": {int},
+             "iterations_active": {int},
+             **_number_columns(MutualInformationResult)},
+            {"pc": {int}, "mnemonic": {str}})
+
+
+def _localization_body(report) -> dict:
+    """Everything of a :class:`~repro.localize.LocalizationReport` a replay
+    restores, losslessly, units in report order.  Each scan's per-offset
+    values and each attribution's scores are columnar, one list per field
+    (:func:`_columns`), which keeps the record small and quick to read."""
+    offsets, scores, pre_excluded = _localization_columns()
+
+    def window(window):
+        return None if window is None else [window.start, window.end]
+
+    def attribution(result):
+        if result is None:
+            return None
+        return {
+            "window": window(result.window),
+            "n_iterations": result.n_iterations,
+            "scores": _columns(
+                ((score.pc, score.mnemonic, score.commits_in_window,
+                  score.iterations_active, *_values(score.mi))
+                 for score in result.scores), scores),
+            "pre_excluded": _columns(result.pre_excluded, pre_excluded),
+        }
+
+    return {
+        "n_iterations": report.n_iterations,
+        "n_classes": report.n_classes,
+        "engine": report.engine,
+        "target_units": list(report.target_units),
+        "units": [{
+            "feature_id": unit.feature_id,
+            "scan": {
+                "n_iterations": unit.scan.n_iterations,
+                "n_offsets": unit.scan.n_offsets,
+                "offsets": _columns(
+                    ((score.offset, *_values(score.association))
+                     for score in unit.scan.offsets), offsets),
+                "flagged_offsets": list(unit.scan.flagged_offsets),
+                "window": window(unit.scan.window),
+            },
+            "attribution": attribution(unit.attribution),
+        } for unit in report.units.values()],
+    }
+
+
+def _localization_from_body(body):
+    """Inverse of :func:`_localization_body`; raises ValueError on a
+    missing, extra or mistyped field or an invalid window.  The report
+    carries empty workload and config names and zero stage times: the
+    caller supplies the names."""
+    from repro.localize.attribution import AttributionResult, InstructionScore
+    from repro.localize.localize import LocalizationReport, UnitLocalization
+    from repro.localize.temporal import CycleWindow, OffsetScore, TemporalScan
+    from repro.sampler.mutual_information import MutualInformationResult
+    from repro.sampler.stats import AssociationResult
+
+    offsets, scores, pre_excluded = _localization_columns()
+
+    def window(item):
+        if item is None:
+            return None
+        bounds = _ints(item)
+        if len(bounds) != 2:
+            raise ValueError("not a window")
+        return CycleWindow(*bounds)
+
+    def scan(feature_id, item):
+        _object(item, ("n_iterations", "n_offsets", "offsets",
+                       "flagged_offsets", "window"), "scan")
+        return TemporalScan(
+            feature_id=feature_id,
+            n_iterations=_expect(item["n_iterations"], int),
+            n_offsets=_expect(item["n_offsets"], int),
+            offsets=tuple(
+                OffsetScore(offset=row[0],
+                            association=AssociationResult(*row[1:]))
+                for row in _rows(item["offsets"], offsets)),
+            flagged_offsets=tuple(_ints(item["flagged_offsets"])),
+            window=window(item["window"]))
+
+    def attribution(feature_id, item):
+        if item is None:
+            return None
+        _object(item, ("window", "n_iterations", "scores", "pre_excluded"),
+                "attribution")
+        return AttributionResult(
+            feature_id=feature_id,
+            window=window(_expect(item["window"], list)),
+            n_iterations=_expect(item["n_iterations"], int),
+            scores=tuple(
+                InstructionScore(
+                    pc=pc, mnemonic=mnemonic, commits_in_window=commits,
+                    iterations_active=active,
+                    mi=MutualInformationResult(*mi))
+                for pc, mnemonic, commits, active, *mi in
+                _rows(item["scores"], scores)),
+            pre_excluded=tuple(_rows(item["pre_excluded"], pre_excluded)))
+
+    def unit(item):
+        _object(item, ("feature_id", "scan", "attribution"), "unit")
+        feature_id = _expect(item["feature_id"], str)
+        return UnitLocalization(
+            feature_id=feature_id, scan=scan(feature_id, item["scan"]),
+            attribution=attribution(feature_id, item["attribution"]))
+
+    _object(body, ("n_iterations", "n_classes", "engine", "target_units",
+                   "units"), "localization")
+    units = [unit(item) for item in _expect(body["units"], list)]
+    return LocalizationReport(
+        workload_name="", config_name="",
+        n_iterations=_expect(body["n_iterations"], int),
+        n_classes=_expect(body["n_classes"], int),
+        engine=_expect(body["engine"], str),
+        target_units=tuple(_expect(target, str) for target in
+                           _expect(body["target_units"], list)),
+        units={item.feature_id: item for item in units})
+
+
 #: The taint prescreen's per-input publicness maps
 #: (:func:`witness_key`).
 WITNESS = RecordKind("witness", WITNESS_FORMAT_VERSION, "maps",
@@ -482,7 +680,12 @@ WITNESS = RecordKind("witness", WITNESS_FORMAT_VERSION, "maps",
 #: (:func:`report_key`).
 REPORT = RecordKind("report", REPORT_FORMAT_VERSION, "report",
                     _report_body, _report_from_body)
-RECORD_KINDS = (WITNESS, REPORT)
+#: A workload's finished :class:`~repro.localize.LocalizationReport`
+#: (:func:`localization_key`).
+LOCALIZATION = RecordKind("localization", LOCALIZATION_FORMAT_VERSION,
+                          "localization", _localization_body,
+                          _localization_from_body)
+RECORD_KINDS = (WITNESS, REPORT, LOCALIZATION)
 
 
 def _record_bytes(kind: RecordKind, key: str, value) -> bytes:
@@ -718,7 +921,7 @@ def cache_stats(root: str | Path | None = None) -> dict:
     before submitting a cross-config sweep one can see which config legs
     are already warm.  Entries stored without a recorded config (older
     callers) are grouped under the ``"unknown"`` digest.  Each record kind
-    (``witness``, ``report``) has its own bucket.  ``temp`` counts the
+    of :data:`RECORD_KINDS` has its own bucket.  ``temp`` counts the
     temporary files of interrupted stores.
     """
     root = Path(root) if root is not None else default_cache_dir()
@@ -783,12 +986,12 @@ def prune_cache(root: str | Path | None = None, *,
     is removed too.  Surviving trace payloads record the checkpoint key
     their run used, which is what ties the two stores together.
 
-    Stale witness and report records go too.  ``all_entries`` also deletes
+    Stale records of every kind go too.  ``all_entries`` also deletes
     the temporary files of interrupted stores; a plain prune leaves them,
     as a live writer may own one.
 
     Returns ``{"root", "removed_entries", "removed_bytes", "removed",
-    "removed_witness", "removed_report", "removed_temp"}`` where
+    "removed_<kind>" per record kind, "removed_temp"}`` where
     ``removed`` breaks the trace-side count down by kind (``trace``,
     ``checkpoint``, ``orphan``).  ``removed_entries`` also counts the
     records, and ``removed_bytes`` the temporary files.  Removal is

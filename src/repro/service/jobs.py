@@ -544,9 +544,12 @@ class JobManager:
         job.emit("phase", phase="detect", leaky_units=report.leaky_units)
         if report.leaky_units:
             self._count_campaign(job, workload)  # the localization campaign
+        # With a cache, localize() replays the report record just stored
+        # instead of taking the report, so that it can use its own record.
         localization = await self._in_thread(
             lambda: localize(
-                workload, sampler=sampler, report=report,
+                workload, sampler=sampler,
+                report=report if sampler.cache is None else None,
                 permutations=(job.spec.permutations
                               if job.spec.permutations is not None
                               else DEFAULT_PERMUTATIONS),

@@ -4,7 +4,8 @@
 ``audit``, the cross-config sweep's legs and the service's jobs all run
 through it.  These tests pin what that buys on a warm cache — a sweep or a
 service job replays each campaign's report record with no plan and no
-trace load — that sweep legs still share the config-invariant taint
+trace load, and a service localize job its localization record too — that
+sweep legs still share the config-invariant taint
 witness through the cache, and how a service job's view of the worker
 pool deduplicates lane groups across jobs.
 """
@@ -111,6 +112,29 @@ def test_warm_service_job_replays_without_a_plan(counted):
     assert warm["stats"]["shards_cached"] == ANALYZE_SPEC["inputs"]
     assert warm["stats"]["shards_simulated"] == 0
     assert warm["result"]["units"] == cold["result"]["units"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the service worker pool relies on fork")
+def test_warm_service_localize_job_loads_no_trace(counted):
+    from tests.test_service import run_service
+    from repro.service import strip_volatile, submit_and_wait
+
+    spec = {"kind": "localize", "workload": "sam-leaky", "config": "small",
+            "inputs": 2, "permutations": 19}
+
+    async def scenario(server, client):
+        cold = await submit_and_wait(client, spec, timeout=240)
+        counted.update(loads=0, plans=0)
+        warm = await submit_and_wait(client, spec, timeout=240)
+        return cold, warm, dict(counted)
+
+    cold, warm, counts = run_service(scenario)
+    assert (cold["state"], warm["state"]) == ("done", "done")
+    assert counts == {"loads": 0, "plans": 0}
+    assert warm["stats"]["shards_simulated"] == 0
+    assert strip_volatile(warm["result"]) == strip_volatile(cold["result"])
+    assert warm["result"]["leakage_localized"] is True
 
 
 class _ManualPool:

@@ -10,6 +10,7 @@ localization output.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.localize import (
     temporal_scan,
 )
 from repro.sampler import MicroSampler, TraceCache, run_campaign
+from repro.sampler.trace_cache import LOCALIZATION
 from repro.trace.tracer import FeatureIteration, IterationRecord
 from repro.uarch import MEGA_BOOM
 from repro.workloads.memcmp import make_ct_memcmp_safe, make_early_exit_memcmp
@@ -257,12 +259,21 @@ class TestParallelAndCache:
         sampler = MicroSampler(cache=cache)
         cold = sampler.localize(ee_workload, features=(FEATURE,))
         assert cache.stores > 0 and cache.hits == 0
+        # The warm call replays the localization record: no trace load.
+        loads = (cache.hits, cache.misses)
+        replayed = sampler.localize(ee_workload, features=(FEATURE,))
+        assert (cache.hits, cache.misses) == loads
+        # Without the record, it replays the traces.
+        shutil.rmtree(cache.root / LOCALIZATION.name)
         warm = sampler.localize(ee_workload, features=(FEATURE,))
         assert cache.hits >= len(ee_workload.inputs)
         cold_dict = localization_to_dict(cold)
         warm_dict = localization_to_dict(warm)
         cold_dict["timings_seconds"] = warm_dict["timings_seconds"] = {}
         assert cold_dict == warm_dict
+        replayed_dict = localization_to_dict(replayed)
+        replayed_dict["timings_seconds"] = {}
+        assert replayed_dict == cold_dict
 
 
 class TestGolden:

@@ -16,6 +16,8 @@ must be **bit-identical** to the naive resample-always tracer
    replay, and an incremental re-simulation all localize identically.
 """
 
+import shutil
+
 import pytest
 
 from repro.kernel import ProxyKernel
@@ -23,6 +25,7 @@ from repro.localize import localization_to_dict
 from repro.sampler import MicroSampler, TraceCache
 from repro.sampler import exec_backend
 from repro.sampler.runner import patch_program
+from repro.sampler.trace_cache import LOCALIZATION
 from repro.trace import FEATURE_ORDER, FEATURES, MicroarchTracer
 from repro.uarch import MEGA_BOOM, SMALL_BOOM, Core
 from repro.workloads import fuzz
@@ -187,6 +190,13 @@ class TestLocalizationDifferential:
                 workload, features=(FEATURE,))
         assert cache.stores > 0 and cache.hits == 0
 
+        # The warm call replays the localization record: no trace load.
+        loads = (cache.hits, cache.misses)
+        replayed = MicroSampler(cache=cache).localize(
+            workload, features=(FEATURE,))
+        assert (cache.hits, cache.misses) == loads
+        shutil.rmtree(cache.root / LOCALIZATION.name)
+
         # Replaying the naive traces from the cache localizes identically.
         replay = MicroSampler(cache=cache).localize(
             workload, features=(FEATURE,))
@@ -201,3 +211,6 @@ class TestLocalizationDifferential:
         for payload in reports:
             payload["timings_seconds"] = {}
         assert reports[0] == reports[1] == reports[2]
+        replayed_payload = localization_to_dict(replayed)
+        replayed_payload["timings_seconds"] = {}
+        assert replayed_payload == reports[0]
