@@ -31,7 +31,7 @@ import sys
 from repro.isa import assemble, format_program
 from repro.sampler import MicroSampler, TraceCache, WorkloadError, render_report
 from repro.trace.features import FEATURES
-from repro.uarch import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM, Core
+from repro.uarch import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM
 from repro.workloads.bignum import make_mp_modexp_ct, make_mp_modexp_leaky
 from repro.workloads.chacha import make_chacha20
 from repro.workloads.cipher import make_sbox_ct, make_sbox_lookup
@@ -450,6 +450,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.uarch.core import Core
+
     with open(args.file, encoding="utf-8") as handle:
         source = handle.read()
     program = assemble(source, entry=args.entry)
@@ -682,6 +684,7 @@ def cmd_trace(args) -> int:
     """Record a workload campaign to a trace-log archive."""
     from repro.sampler.runner import patch_program
     from repro.trace.logfile import TraceLogWriter
+    from repro.uarch.core import Core
 
     config = _resolve_config(args)
     workload = _build_workload(args.workload, args)

@@ -1,59 +1,24 @@
 """RV64IM instruction-set substrate: model, assembler, encoder, interpreter."""
 
-from repro.isa.assembler import Assembler, AssemblerError, Program, assemble
-from repro.isa.batch_interpreter import (
-    BatchInterpreter,
-    BatchResult,
-    DivergenceEvent,
-    run_batch,
-)
-from repro.isa.disasm import format_instruction, format_program
-from repro.isa.encoding import DecodingError, EncodingError, decode, encode
-from repro.isa.instructions import (
-    INSTRUCTION_SPECS,
-    Format,
-    FuncClass,
-    Instruction,
-    InstructionSpec,
-)
-from repro.isa.interpreter import (
-    ArchEvent,
-    ExecutionError,
-    Interpreter,
-    InterpreterResult,
-    MarkerEvent,
-    run_program,
-)
-from repro.isa.registers import ABI_NAMES, NUM_REGS, parse_register, register_name
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ABI_NAMES",
-    "ArchEvent",
-    "Assembler",
-    "AssemblerError",
-    "BatchInterpreter",
-    "BatchResult",
-    "DecodingError",
-    "DivergenceEvent",
-    "EncodingError",
-    "ExecutionError",
-    "Format",
-    "FuncClass",
-    "INSTRUCTION_SPECS",
-    "Instruction",
-    "InstructionSpec",
-    "Interpreter",
-    "InterpreterResult",
-    "MarkerEvent",
-    "NUM_REGS",
-    "Program",
-    "assemble",
-    "decode",
-    "encode",
-    "format_instruction",
-    "format_program",
-    "parse_register",
-    "register_name",
-    "run_batch",
-    "run_program",
-]
+# Names load from their defining modules on first use (repro.util.lazy), so
+# importing the assembler does not import the numpy batch interpreter.
+_EXPORTS = {
+    "repro.isa.assembler": ("Assembler", "AssemblerError", "Program",
+                            "assemble"),
+    "repro.isa.batch_interpreter": ("BatchInterpreter", "BatchResult",
+                                    "run_batch"),
+    "repro.isa.disasm": ("format_instruction", "format_program"),
+    "repro.isa.encoding": ("DecodingError", "EncodingError", "decode",
+                           "encode"),
+    "repro.isa.instructions": ("INSTRUCTION_SPECS", "Format", "FuncClass",
+                               "Instruction", "InstructionSpec"),
+    "repro.isa.interpreter": ("ArchEvent", "DivergenceEvent",
+                              "ExecutionError", "Interpreter",
+                              "InterpreterResult", "MarkerEvent",
+                              "run_program"),
+    "repro.isa.registers": ("ABI_NAMES", "NUM_REGS", "parse_register",
+                            "register_name"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

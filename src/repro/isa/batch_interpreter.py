@@ -32,8 +32,9 @@ import numpy as np
 from repro.isa.assembler import Program
 from repro.isa.batch_semantics import batch_branch_taken, batch_compute_alu
 from repro.isa.instructions import FuncClass
-from repro.isa.interpreter import (
+from repro.isa.interpreter import (  # DivergenceEvent: re-exported
     ArchEvent,
+    DivergenceEvent,
     ExecutionError,
     Interpreter,
     InterpreterResult,
@@ -45,28 +46,6 @@ from repro.kernel.memory_map import MemoryMap
 _U64 = np.uint64
 _BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
 _JALR_ALIGN = _U64(MASK64 - 1)  # ~1 in 64 bits
-
-
-@dataclass(frozen=True)
-class DivergenceEvent:
-    """A point where lanes left lockstep — a first-class leak signal.
-
-    ``step`` is the 1-based instruction count of the diverging instruction
-    (the same numbering :class:`~repro.isa.interpreter.ArchEvent` uses), and
-    ``lanes`` holds the global lane indices that were split off to scalar
-    execution; lane 0's group stays batched.
-    """
-
-    pc: int
-    step: int
-    kind: str  # "branch" | "mem" | "jump" | "syscall"
-    mnemonic: str
-    lanes: tuple
-
-    def describe(self) -> str:
-        lanes = ",".join(str(lane) for lane in self.lanes)
-        return (f"{self.kind} divergence at pc={self.pc:#x} "
-                f"({self.mnemonic}, step {self.step}, lanes {lanes})")
 
 
 @dataclass

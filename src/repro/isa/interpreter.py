@@ -44,6 +44,32 @@ class MarkerEvent:
     step: int
 
 
+@dataclass(frozen=True)
+class DivergenceEvent:
+    """A point where lanes left lockstep — a first-class leak signal.
+
+    Recorded by the batch interpreter (:mod:`repro.isa.batch_interpreter`,
+    which re-exports it) and the lane-batched core; defined here, with the
+    other event types, so that a cached report decodes without numpy.
+
+    ``step`` is the 1-based instruction count of the diverging instruction
+    (the same numbering :class:`ArchEvent` uses), and
+    ``lanes`` holds the global lane indices that were split off to scalar
+    execution; lane 0's group stays batched.
+    """
+
+    pc: int
+    step: int
+    kind: str  # "branch" | "mem" | "jump" | "syscall"
+    mnemonic: str
+    lanes: tuple
+
+    def describe(self) -> str:
+        lanes = ",".join(str(lane) for lane in self.lanes)
+        return (f"{self.kind} divergence at pc={self.pc:#x} "
+                f"({self.mnemonic}, step {self.step}, lanes {lanes})")
+
+
 @dataclass
 class InterpreterResult:
     """Outcome of a functional run."""

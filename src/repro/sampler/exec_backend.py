@@ -40,9 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
 from repro.kernel.memory_map import MemoryMap
-from repro.trace.tracer import BatchTracer, IterationRecord, MicroarchTracer
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import Core, RunResult
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,13 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
     config, memory map and tracer settings; only patched data and run
     indices differ).
     """
-    # Imported here, not at module top, to avoid a circular import
-    # (runner -> exec_backend -> runner).
+    # Imported here, not at module top: the simulator loads only where a
+    # run starts (a cache replay never imports it), and runner imports
+    # this module.
     from repro.sampler.checkpoint import checkpoint_key
     from repro.sampler.runner import WorkloadError
+    from repro.trace.tracer import BatchTracer, MicroarchTracer
+    from repro.uarch.core import Core, RunResult
 
     head = tasks[0]
     batched = len(tasks) > 1
@@ -613,6 +614,13 @@ def maybe_inject_worker_fault() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+#: The simulator modules a worker's :func:`_run_shard` runs on.  A
+#: :class:`WorkerPool` imports them before its first fork, so that every
+#: worker starts with them loaded instead of importing them itself.
+ENGINE_MODULES = ("repro.sampler.checkpoint", "repro.trace.tracer",
+                  "repro.uarch.batch_core")
+
+
 class WorkerCrashError(RuntimeError):
     """A shard's workers kept dying; the shard exceeded its re-dispatch
     budget and cannot complete."""
@@ -738,6 +746,8 @@ class WorkerPool:
             "shards_failed": 0,
             "tasks_completed": 0,
         }
+        for name in ENGINE_MODULES:
+            __import__(name)
         self._wake_r, self._wake_w = os.pipe()
         with self._lock:
             for _ in range(self.n_workers):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.trace.tracer import IterationRecord
-
 
 @dataclass
 class UniquenessReport:

@@ -6,6 +6,9 @@ measure over MicroSampler's iteration-snapshot hashes, as a cross-check for
 the chi-squared / Cramér's V analysis: I(label; hash) is 0 bits for
 independent state and log2(#classes) bits for perfectly class-determined
 state.  A permutation test supplies the significance level.
+
+The kernels import numpy when they run, so that a replayed record decodes
+:class:`MutualInformationResult` without loading it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ def permutation_rows(n: int, permutations: int, seed: int):
     only, never from the list's contents, so shuffling ``range(n)`` once
     serves every label list of length ``n``.
     """
+    import numpy as np
+
     key = (n, permutations, seed)
     rows = _PERMUTATION_ROWS.get(key)
     if rows is None:
@@ -93,6 +96,8 @@ def permutation_rows(n: int, permutations: int, seed: int):
 
 def _codes(values) -> tuple:
     """Integer codes for arbitrary hashables, and the category count."""
+    import numpy as np
+
     index: dict = {}
     codes = np.fromiter((index.setdefault(v, len(index)) for v in values),
                         dtype=np.intp, count=len(values))
@@ -110,6 +115,8 @@ def measure_mutual_information(labels, hashes, *, permutations: int = 200,
     The shuffles are :func:`permutation_rows`, and each row's joint entropy
     is counted in numpy, in chunks of at most ``_CHUNK_CELLS`` cells.
     """
+    import numpy as np
+
     if permutations < 0:
         raise ValueError(f"permutations must be >= 0, got {permutations}")
     labels = list(labels)

@@ -14,7 +14,6 @@ from dataclasses import KW_ONLY, dataclass, field, replace
 
 from repro.sampler.contingency import build_contingency_table
 from repro.sampler.feature_extraction import RootCauseReport, extract_root_causes
-from repro.sampler.matrix import TraceMatrix
 from repro.sampler.mutual_information import (
     MutualInformationResult,
     mutual_information_by_unit,
@@ -34,7 +33,6 @@ from repro.sampler.stats import (
     AssociationResult,
     measure_association,
 )
-from repro.sampler.stats_vec import batched_association
 from repro.sampler.trace_cache import REPORT, TraceCache, report_key
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch.config import CoreConfig, MEGA_BOOM
@@ -386,6 +384,10 @@ class MicroSampler:
         )
         stats_started = time.perf_counter()
         if self.engine == "numpy":
+            # The numpy kernels load here, on a miss, never on a replay.
+            from repro.sampler.matrix import TraceMatrix
+            from repro.sampler.stats_vec import batched_association
+
             matrix = TraceMatrix.from_campaign(
                 campaign, self.features,
                 warmup_iterations=self.warmup_iterations,

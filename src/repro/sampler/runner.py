@@ -26,9 +26,7 @@ from repro.sampler.exec_backend import (
     merge_outputs,
     stream_plans,
 )
-from repro.trace.tracer import MicroarchTracer
 from repro.uarch.config import CoreConfig, MEGA_BOOM
-from repro.uarch.core import RunResult
 
 
 class WorkloadError(RuntimeError):
@@ -302,6 +300,8 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     inside them; never a difference of two clock readings, which would
     absorb other campaigns' work when plans stream through one pool.
     """
+    from repro.trace.tracer import MicroarchTracer
+
     for index, key in plan.duplicate_of.items():
         # Replay the stored twin; fall back to simulating if the store failed.
         output = plan.cache.load(key)

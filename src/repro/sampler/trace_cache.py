@@ -59,11 +59,9 @@ from pathlib import Path
 from typing import Callable
 
 import repro
-from repro.isa.batch_interpreter import DivergenceEvent
+from repro.isa.interpreter import DivergenceEvent
 from repro.sampler.exec_backend import RunOutput, RunTask
 from repro.trace.features import FEATURE_ORDER
-from repro.trace.tracer import iteration_from_payload, iteration_to_payload
-from repro.uarch.core import CoreStats, RunResult
 from repro.util.hashing import stable_hex_digest
 
 #: Bump when the payload layout or key canonicalization changes.  Version
@@ -97,7 +95,8 @@ WITNESS_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
 #: Bump when the localization record layout or its key material changes.
-LOCALIZATION_FORMAT_VERSION = 1
+#: 2 = each distinct association row stored once, indexed per offset.
+LOCALIZATION_FORMAT_VERSION = 2
 
 #: ``MicroSampler`` fields a report does not depend on: the worker count,
 #: the cache handle and the simulator profiler (a replayed report carries
@@ -542,13 +541,14 @@ def _report_from_body(body):
 
 
 def _localization_columns() -> tuple:
-    """Columns (see :func:`_rows`) of a localization record's tables: a
-    scan's offsets, an attribution's scores and its pre-excluded PCs."""
+    """Columns (see :func:`_rows`) of a localization record's tables: its
+    distinct association rows, a scan's offsets (each with the index of its
+    association row), an attribution's scores and its pre-excluded PCs."""
     from repro.sampler.mutual_information import MutualInformationResult
     from repro.sampler.stats import AssociationResult
 
-    return ({"offset": {int},
-             **_number_columns(AssociationResult, _ASSOCIATION_INTS)},
+    return (_number_columns(AssociationResult, _ASSOCIATION_INTS),
+            {"offset": {int}, "association": {int}},
             {"pc": {int}, "mnemonic": {str}, "commits_in_window": {int},
              "iterations_active": {int},
              **_number_columns(MutualInformationResult)},
@@ -557,10 +557,20 @@ def _localization_columns() -> tuple:
 
 def _localization_body(report) -> dict:
     """Everything of a :class:`~repro.localize.LocalizationReport` a replay
-    restores, losslessly, units in report order.  Each scan's per-offset
-    values and each attribution's scores are columnar, one list per field
-    (:func:`_columns`), which keeps the record small and quick to read."""
-    offsets, scores, pre_excluded = _localization_columns()
+    restores, losslessly, units in report order.  Tables are columnar, one
+    list per field (:func:`_columns`), which keeps the record small and
+    quick to read.  Most cycle offsets of a scan repeat an association row,
+    so the record holds each distinct row once and every offset the index
+    of its row."""
+    associations, offsets, scores, pre_excluded = _localization_columns()
+    rows: dict = {}  # exact row -> (its index in the table, its values)
+
+    def association(result) -> int:
+        values = _values(result)
+        # Keyed by each value's repr, so only rows of the same exact types
+        # and values merge: 0, 0.0 and -0.0 stay apart.
+        return rows.setdefault(tuple(map(repr, values)),
+                               (len(rows), values))[0]
 
     def window(window):
         return None if window is None else [window.start, window.end]
@@ -578,39 +588,53 @@ def _localization_body(report) -> dict:
             "pre_excluded": _columns(result.pre_excluded, pre_excluded),
         }
 
+    units = [{
+        "feature_id": unit.feature_id,
+        "scan": {
+            "n_iterations": unit.scan.n_iterations,
+            "n_offsets": unit.scan.n_offsets,
+            "offsets": _columns(
+                ((score.offset, association(score.association))
+                 for score in unit.scan.offsets), offsets),
+            "flagged_offsets": list(unit.scan.flagged_offsets),
+            "window": window(unit.scan.window),
+        },
+        "attribution": attribution(unit.attribution),
+    } for unit in report.units.values()]
     return {
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
         "engine": report.engine,
         "target_units": list(report.target_units),
-        "units": [{
-            "feature_id": unit.feature_id,
-            "scan": {
-                "n_iterations": unit.scan.n_iterations,
-                "n_offsets": unit.scan.n_offsets,
-                "offsets": _columns(
-                    ((score.offset, *_values(score.association))
-                     for score in unit.scan.offsets), offsets),
-                "flagged_offsets": list(unit.scan.flagged_offsets),
-                "window": window(unit.scan.window),
-            },
-            "attribution": attribution(unit.attribution),
-        } for unit in report.units.values()],
+        "associations": _columns((values for _, values in rows.values()),
+                                 associations),
+        "units": units,
     }
 
 
 def _localization_from_body(body):
     """Inverse of :func:`_localization_body`; raises ValueError on a
-    missing, extra or mistyped field or an invalid window.  The report
-    carries empty workload and config names and zero stage times: the
-    caller supplies the names."""
+    missing, extra or mistyped field, an association index out of range
+    or an invalid window.  Offsets with one association row share one
+    :class:`~repro.sampler.stats.AssociationResult`.  The report carries
+    empty workload and config names and zero stage times: the caller
+    supplies the names."""
     from repro.localize.attribution import AttributionResult, InstructionScore
     from repro.localize.localize import LocalizationReport, UnitLocalization
     from repro.localize.temporal import CycleWindow, OffsetScore, TemporalScan
     from repro.sampler.mutual_information import MutualInformationResult
     from repro.sampler.stats import AssociationResult
 
-    offsets, scores, pre_excluded = _localization_columns()
+    associations, offsets, scores, pre_excluded = _localization_columns()
+    _object(body, ("n_iterations", "n_classes", "engine", "target_units",
+                   "associations", "units"), "localization")
+    table = [AssociationResult(*row)
+             for row in _rows(body["associations"], associations)]
+
+    def association(index):
+        if not 0 <= index < len(table):
+            raise ValueError("association index out of range")
+        return table[index]
 
     def window(item):
         if item is None:
@@ -628,9 +652,8 @@ def _localization_from_body(body):
             n_iterations=_expect(item["n_iterations"], int),
             n_offsets=_expect(item["n_offsets"], int),
             offsets=tuple(
-                OffsetScore(offset=row[0],
-                            association=AssociationResult(*row[1:]))
-                for row in _rows(item["offsets"], offsets)),
+                OffsetScore(offset=offset, association=association(index))
+                for offset, index in _rows(item["offsets"], offsets)),
             flagged_offsets=tuple(_ints(item["flagged_offsets"])),
             window=window(item["window"]))
 
@@ -659,8 +682,6 @@ def _localization_from_body(body):
             feature_id=feature_id, scan=scan(feature_id, item["scan"]),
             attribution=attribution(feature_id, item["attribution"]))
 
-    _object(body, ("n_iterations", "n_classes", "engine", "target_units",
-                   "units"), "localization")
     units = [unit(item) for item in _expect(body["units"], list)]
     return LocalizationReport(
         workload_name="", config_name="",
@@ -719,7 +740,11 @@ def _read_record(kind: RecordKind, path: Path, key: str):
         return None
 
 
+# The trace-entry codec imports the tracer and the core where it runs, so
+# a run that replays only records never loads them.
 def _output_to_payload(output: RunOutput, config=None) -> tuple:
+    from repro.trace.tracer import iteration_to_payload
+
     run = output.run
     return (
         CACHE_FORMAT_VERSION,
@@ -746,6 +771,9 @@ def _output_from_payload(payload: tuple) -> RunOutput | None:
      ff_steps, ckpt_key, divergences, _config) = payload
     if version != CACHE_FORMAT_VERSION:
         return None
+    from repro.trace.tracer import iteration_from_payload
+    from repro.uarch.core import CoreStats, RunResult
+
     exit_code, stats, console, marker_cycles = run
     return RunOutput(
         run_index=0,

@@ -1,20 +1,13 @@
 """Per-cycle microarchitectural state tracing (Table IV features)."""
 
-from repro.trace.features import FEATURE_ORDER, FEATURES, FeatureSpec, feature_ids
-from repro.trace.tracer import (
-    FeatureIteration,
-    IterationRecord,
-    MicroarchTracer,
-    TraceError,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FEATURES",
-    "FEATURE_ORDER",
-    "FeatureIteration",
-    "FeatureSpec",
-    "IterationRecord",
-    "MicroarchTracer",
-    "TraceError",
-    "feature_ids",
-]
+# Names load from their defining modules on first use (repro.util.lazy), so
+# importing the feature table does not import the tracer.
+_EXPORTS = {
+    "repro.trace.features": ("FEATURES", "FEATURE_ORDER", "FeatureSpec",
+                             "feature_ids"),
+    "repro.trace.tracer": ("FeatureIteration", "IterationRecord",
+                           "MicroarchTracer", "TraceError"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

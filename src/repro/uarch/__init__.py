@@ -1,49 +1,25 @@
 """Cycle-accurate out-of-order processor model (BOOM-like) and memory system."""
 
-from repro.uarch.branch import BranchPredictor, GsharePredictor
-from repro.uarch.checker import LockstepMismatch, LockstepResult, run_lockstep
-from repro.uarch.pipeview import PipelineSlot, PipelineTrace, record_pipeline
-from repro.uarch.config import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM, CacheConfig, CoreConfig
-from repro.uarch.core import Core, CoreStats, RunResult, SimulationError
-from repro.uarch.exec_units import ExecUnit, ExecUnitPool, divider_latency
-from repro.uarch.lsu import LoadStoreUnit
-from repro.uarch.memsys import (
-    DataCachePort,
-    InstructionCachePort,
-    LineFillBuffer,
-    NextLinePrefetcher,
-    SetAssocCache,
-    Tlb,
-)
-from repro.uarch.uop import MicroOp
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictor",
-    "CacheConfig",
-    "Core",
-    "CoreConfig",
-    "CoreStats",
-    "DataCachePort",
-    "ExecUnit",
-    "ExecUnitPool",
-    "GsharePredictor",
-    "InstructionCachePort",
-    "LineFillBuffer",
-    "LoadStoreUnit",
-    "LockstepMismatch",
-    "LockstepResult",
-    "MEDIUM_BOOM",
-    "MEGA_BOOM",
-    "MicroOp",
-    "PipelineSlot",
-    "PipelineTrace",
-    "NextLinePrefetcher",
-    "RunResult",
-    "SMALL_BOOM",
-    "SetAssocCache",
-    "SimulationError",
-    "Tlb",
-    "divider_latency",
-    "record_pipeline",
-    "run_lockstep",
-]
+# Names load from their defining modules on first use (repro.util.lazy), so
+# importing the core config does not import the core.
+_EXPORTS = {
+    "repro.uarch.branch": ("BranchPredictor", "GsharePredictor"),
+    "repro.uarch.checker": ("LockstepMismatch", "LockstepResult",
+                            "run_lockstep"),
+    "repro.uarch.config": ("MEDIUM_BOOM", "MEGA_BOOM", "SMALL_BOOM",
+                           "CacheConfig", "CoreConfig"),
+    "repro.uarch.core": ("Core", "CoreStats", "RunResult",
+                         "SimulationError"),
+    "repro.uarch.exec_units": ("ExecUnit", "ExecUnitPool",
+                               "divider_latency"),
+    "repro.uarch.lsu": ("LoadStoreUnit",),
+    "repro.uarch.memsys": ("DataCachePort", "InstructionCachePort",
+                           "LineFillBuffer", "NextLinePrefetcher",
+                           "SetAssocCache", "Tlb"),
+    "repro.uarch.pipeview": ("PipelineSlot", "PipelineTrace",
+                             "record_pipeline"),
+    "repro.uarch.uop": ("MicroOp",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,14 +18,18 @@ import dataclasses
 import errno
 import importlib
 import json
+import math
 import re
-import shutil
 from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import build_workload, main
 from repro.localize import (
+    LocalizationReport,
+    OffsetScore,
+    TemporalScan,
+    UnitLocalization,
     localization_to_dict,
     localize,
     localize_campaign,
@@ -34,6 +38,7 @@ from repro.localize import (
 from repro.sampler import pipeline, trace_cache
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.pipeline import MicroSampler
+from repro.sampler.stats import AssociationResult
 from repro.sampler.trace_cache import (
     LOCALIZATION,
     REPORT_KEY_EXCLUDED,
@@ -233,36 +238,34 @@ def test_a_record_keeps_pre_excluded_pcs(tmp_path):
         _bare(restricted), workload_name="", config_name="")
 
 
-def test_without_its_record_a_localization_runs_the_permutation_tests(
-        tmp_path, monkeypatch):
-    # test_localize's reference-loop case.  A second call on one cache
-    # replays the record and never reaches the permutation test, so the
-    # record is dropped before the reference loop is compared.
-    from repro.localize import attribution
-    from tests.test_mutual_information import (
-        reference_measure_mutual_information,
-    )
+def test_a_record_stores_each_distinct_association_row_once(tmp_path):
+    zero = AssociationResult(0.0, 0, 1.0, 0.0, 8, 2, 1)
+    rows = (zero, dataclasses.replace(zero, chi_squared=0),
+            dataclasses.replace(zero, chi_squared=-0.0), zero,
+            dataclasses.replace(zero, chi_squared=0))
+    scan = TemporalScan(
+        feature_id=FEATURE, n_iterations=8, n_offsets=len(rows),
+        offsets=tuple(OffsetScore(offset, row)
+                      for offset, row in enumerate(rows)),
+        flagged_offsets=(), window=None)
+    report = LocalizationReport(
+        workload_name="", config_name="", n_iterations=8, n_classes=2,
+        target_units=(FEATURE,),
+        units={FEATURE: UnitLocalization(feature_id=FEATURE, scan=scan)})
+    cache = TraceCache(tmp_path / "cache")
+    cache.store_record(LOCALIZATION, "00" * 8, report)
 
-    workload = build_workload("ee-mem-cmp", inputs=2)
-    sampler = MicroSampler(cache=TraceCache(tmp_path / "cache"))
-    fresh = localization_to_dict(sampler.localize(workload))
-    calls = []
-
-    def reference(*args, **kwargs):
-        calls.append(args)
-        return reference_measure_mutual_information(*args, **kwargs)
-
-    monkeypatch.setattr(attribution, "measure_mutual_information", reference)
-    replayed = localization_to_dict(sampler.localize(workload))
-    assert not calls
-    shutil.rmtree(sampler.cache.root / LOCALIZATION.name)
-    reference_dict = localization_to_dict(sampler.localize(workload))
-    assert calls
-    assert fresh["leakage_localized"]
-    for payload in (fresh, replayed, reference_dict):
-        payload["timings_seconds"] = {}
-    assert fresh == reference_dict
-    assert replayed == fresh
+    [path] = _records(cache.root)
+    table = json.loads(path.read_bytes())["localization"]["associations"]
+    assert table["chi_squared"] == [0.0, 0, -0.0]  # 0, 0.0, -0.0 apart
+    replayed = cache.load_record(LOCALIZATION, "00" * 8)
+    assert _bare(replayed) == _bare(report)
+    got = [score.association
+           for score in replayed.units[FEATURE].scan.offsets]
+    assert [(type(row.chi_squared), math.copysign(1, row.chi_squared))
+            for row in got] == [(float, 1), (int, 1), (float, -1),
+                                (float, 1), (int, 1)]
+    assert got[3] is got[0] and got[4] is got[1]  # one object per row
 
 
 # -- key coverage -------------------------------------------------------------
@@ -341,8 +344,28 @@ def _stale_source(record: dict, raw: bytes) -> bytes:
 
 def _string_for_a_count(record: dict, raw: bytes) -> bytes:
     # Resealed, so only the field type check can reject it.
+    rows = record["localization"]["associations"]
+    rows["n_categories"][0] = str(rows["n_categories"][0])
+    return _reseal(record)
+
+
+def _short_association_row(record: dict, raw: bytes) -> bytes:
+    # Resealed and well typed: the table's last row lacks its p-value.
+    record["localization"]["associations"]["p_value"].pop()
+    return _reseal(record)
+
+
+def _index_past_the_table(record: dict, raw: bytes) -> bytes:
+    body = record["localization"]
+    offsets = body["units"][0]["scan"]["offsets"]
+    offsets["association"][0] = len(body["associations"]["p_value"])
+    return _reseal(record)
+
+
+def _negative_index(record: dict, raw: bytes) -> bytes:
+    # Python would read row -1 as the table's last row.
     offsets = record["localization"]["units"][0]["scan"]["offsets"]
-    offsets["n_categories"][0] = str(offsets["n_categories"][0])
+    offsets["association"][0] = -1
     return _reseal(record)
 
 
@@ -354,7 +377,10 @@ def _inverted_window(record: dict, raw: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("damage", [_truncate, _foreign_key, _stale_source,
-                                    _string_for_a_count, _inverted_window])
+                                    _string_for_a_count,
+                                    _short_association_row,
+                                    _index_past_the_table, _negative_index,
+                                    _inverted_window])
 def test_a_damaged_record_is_recomputed_and_overwritten(damage, tmp_path,
                                                         counted):
     workload = _workload()

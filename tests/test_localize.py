@@ -319,12 +319,27 @@ class TestReferencePermutationTest:
         workload = build_workload("ee-mem-cmp", inputs=2)
         sampler = MicroSampler(cache=TraceCache(tmp_path / "cache"))
         fresh = localization_to_dict(sampler.localize(workload))
+        calls = []
+
+        def reference_loop(*args, **kwargs):
+            calls.append(args)
+            return reference_measure_mutual_information(*args, **kwargs)
+
         monkeypatch.setattr(attribution, "measure_mutual_information",
-                            reference_measure_mutual_information)
+                            reference_loop)
+        # A second call on the cache replays the localization record and
+        # runs no permutation test ...
+        replayed = localization_to_dict(sampler.localize(workload))
+        assert not calls
+        # ... so the record goes before the reference loop is compared.
+        shutil.rmtree(sampler.cache.root / LOCALIZATION.name)
         reference = localization_to_dict(sampler.localize(workload))
+        assert calls
         assert fresh["leakage_localized"]
-        fresh["timings_seconds"] = reference["timings_seconds"] = {}
+        for payload in (fresh, replayed, reference):
+            payload["timings_seconds"] = {}
         assert fresh == reference
+        assert replayed == fresh
 
 
 class TestMeasureMI:

@@ -23,10 +23,10 @@ import pytest
 from repro.kernel import ProxyKernel
 from repro.localize import localization_to_dict
 from repro.sampler import MicroSampler, TraceCache
-from repro.sampler import exec_backend
 from repro.sampler.runner import patch_program
 from repro.sampler.trace_cache import LOCALIZATION
 from repro.trace import FEATURE_ORDER, FEATURES, MicroarchTracer
+from repro.trace import tracer as tracer_module
 from repro.uarch import MEGA_BOOM, SMALL_BOOM, Core
 from repro.workloads import fuzz
 from repro.workloads.chacha import make_chacha20
@@ -178,17 +178,26 @@ class TestLocalizationDifferential:
         workload = make_early_exit_memcmp(n_pairs=6, length=8, seed=2,
                                           n_runs=1)
         cache = TraceCache(tmp_path / "cache")
+        markers = []
 
-        def naive_tracer(*args, **kwargs):
-            kwargs["incremental"] = False
-            return MicroarchTracer(*args, **kwargs)
+        class NaiveTracer(MicroarchTracer):
+            """The naive tracer, noting each marker the core sends it."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **{**kwargs, "incremental": False})
+
+            def on_marker(self, mnemonic, label, cycle):
+                markers.append(mnemonic)
+                super().on_marker(mnemonic, label, cycle)
 
         # Cold campaign simulated with the naive tracer, stored in the cache.
+        # The run driver reads the class from its module when it runs.
         with monkeypatch.context() as patch:
-            patch.setattr(exec_backend, "MicroarchTracer", naive_tracer)
+            patch.setattr(tracer_module, "MicroarchTracer", NaiveTracer)
             naive = MicroSampler(cache=cache).localize(
                 workload, features=(FEATURE,))
         assert cache.stores > 0 and cache.hits == 0
+        assert "iter.end" in markers  # the naive tracer traced the run
 
         # The warm call replays the localization record: no trace load.
         loads = (cache.hits, cache.misses)
