@@ -53,7 +53,9 @@ def _make_workloads(insts: int):
 
 def _analyze(workload, warmup_insts):
     """One uncached end-to-end analysis; returns (report, seconds)."""
-    sampler = MicroSampler(jobs=1, cache=None, warmup_insts=warmup_insts)
+    # Lanes off: the bench measures checkpointing alone.
+    sampler = MicroSampler(jobs=1, cache=None, warmup_insts=warmup_insts,
+                           batch_lanes=None)
     started = time.perf_counter()
     report = sampler.analyze(workload)
     return report, time.perf_counter() - started

@@ -51,7 +51,9 @@ def _make_workloads(n_keys: int, n_blocks: int = N_BLOCKS):
 
 def _analyze(workload, taint: bool):
     """One uncached end-to-end analysis; returns (report, seconds)."""
-    sampler = MicroSampler(jobs=1, cache=None, taint=taint)
+    # Full scalar simulation: the bench measures taint pruning alone.
+    sampler = MicroSampler(jobs=1, cache=None, warmup_insts=None,
+                           batch_lanes=None, taint=taint)
     started = time.perf_counter()
     report = sampler.analyze(workload)
     return report, time.perf_counter() - started

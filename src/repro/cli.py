@@ -102,18 +102,16 @@ def _warmup_insts_argument(value: str):
 
 
 def _add_checkpoint_argument(parser) -> None:
-    from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
-
     parser.add_argument(
         "--warmup-insts", type=_warmup_insts_argument,
-        default=DEFAULT_WARMUP_INSTS, metavar="{none,full,N}",
+        default=MicroSampler.warmup_insts, metavar="{none,full,N}",
         help="fast-forward checkpointing: run the pre-ROI prefix on the "
              "functional interpreter and simulate cycle-accurately only "
              "from a checkpoint N instructions before roi.begin (those N "
              "are replayed untraced to warm caches and predictors). "
              "'none' = jump straight to the ROI on a cold core; 'full' = "
              "no checkpointing, simulate everything cycle-accurately "
-             f"(default: {DEFAULT_WARMUP_INSTS})")
+             f"(default: {MicroSampler.warmup_insts})")
 
 
 def _batch_lanes_argument(value: str):
@@ -127,8 +125,8 @@ def _batch_lanes_argument(value: str):
 
 def _add_batch_argument(parser) -> None:
     parser.add_argument(
-        "--batch-lanes", type=_batch_lanes_argument, default="auto",
-        metavar="{auto,off,N}",
+        "--batch-lanes", type=_batch_lanes_argument,
+        default=MicroSampler.batch_lanes, metavar="{auto,off,N}",
         help="lockstep lane width: run several inputs simultaneously as "
              "SIMD lanes — through the functional warm-up passes (one "
              "batch interpreter; needs --warmup-insts) and through the "
@@ -137,7 +135,7 @@ def _add_batch_argument(parser) -> None:
              "signal) any lane whose control flow, addresses or "
              "timing-relevant state diverge.  Verdicts and per-unit "
              "digests are bit-identical to 'off', which simulates one "
-             "input at a time (default: auto)")
+             f"input at a time (default: {MicroSampler.batch_lanes})")
 
 
 def _add_taint_argument(parser) -> None:
@@ -150,15 +148,6 @@ def _add_taint_argument(parser) -> None:
              "taint-reaching PCs, and (c) cross-check taint against the "
              "statistical verdicts (TAINT-DISAGREE on conflict).  "
              "Verdicts are bit-identical to 'off' (default: off)")
-
-
-def _add_engine_argument(parser) -> None:
-    parser.add_argument("--engine", choices=["python", "numpy"],
-                        default="numpy",
-                        help="statistics engine: 'numpy' scores all units "
-                             "with vectorized columnar kernels; 'python' is "
-                             "the scalar reference implementation (results "
-                             "agree to within 1e-9)")
 
 
 def _add_profile_argument(parser) -> None:
@@ -249,7 +238,6 @@ def _sampler(args, **knobs) -> MicroSampler:
         cache=None if args.no_cache else TraceCache(args.cache_dir),
         warmup_insts=args.warmup_insts,
         batch_lanes=args.batch_lanes,
-        engine=args.engine,
         profile=args.profile,
         taint=args.taint == "on",
     )
@@ -265,14 +253,14 @@ def _resolve_sweep_configs(args):
     must carry distinct names, which the base trio guarantees)."""
     names = [name.strip() for name in args.configs.split(",") if name.strip()]
     if not names:
-        raise SystemExit("--configs needs at least one core config name")
+        raise ValueError("--configs needs at least one core config name")
     unknown = [name for name in names if name not in CONFIGS]
     if unknown:
-        raise SystemExit(
+        raise ValueError(
             f"unknown config(s) {', '.join(unknown)}; "
             f"choose from: {', '.join(CONFIGS)}")
     if len(set(names)) != len(names):
-        raise SystemExit(f"duplicate config names in --configs: {names}")
+        raise ValueError(f"duplicate config names in --configs: {names}")
     return [_resolve_config(args, name) for name in names]
 
 
@@ -322,12 +310,15 @@ def build_workload(name, *, inputs: int = 8, seed: int = 3):
 
 
 def _build_workload(name, args):
+    """:func:`build_workload` for a verb; an unknown name is a
+    :class:`WorkloadError`, which :func:`main` reports through
+    :func:`_error`."""
     try:
         return build_workload(name, inputs=args.inputs, seed=args.seed)
     except ValueError:
-        raise SystemExit(
+        raise WorkloadError(
             f"unknown workload {name!r}; see 'microsampler list-workloads'"
-        )
+        ) from None
 
 
 def _error(error) -> int:
@@ -403,7 +394,10 @@ def cmd_sweep(args) -> int:
     """Cross-config sweep: one campaign, N core configurations."""
     from repro.sampler import sweep_configs, sweep_to_dict
 
-    configs = _resolve_sweep_configs(args)
+    try:
+        configs = _resolve_sweep_configs(args)
+    except ValueError as error:
+        return _error(error)
     workload = _build_workload(args.workload, args)
     print(f"sweeping {workload.name!r} across "
           f"{', '.join(config.name for config in configs)} ...",
@@ -560,22 +554,22 @@ def cmd_submit(args) -> int:
     )
 
     spec = {"kind": args.kind, "config": args.config, "inputs": args.inputs,
-            "seed": args.seed, "engine": args.engine,
-            "priority": args.priority, "tenant": args.tenant}
+            "seed": args.seed, "priority": args.priority,
+            "tenant": args.tenant}
     if args.fast_bypass:
         spec["fast_bypass"] = True
     if args.variable_div:
         spec["variable_div"] = True
     if getattr(args, "taint", "off") == "on":
         spec["taint"] = True
-    if getattr(args, "batch_lanes", "auto") != "auto":
+    if args.batch_lanes != MicroSampler.batch_lanes:
         spec["batch_lanes"] = args.batch_lanes
     if args.kind == "audit":
         spec["workloads"] = args.workloads
     else:
         if len(args.workloads) != 1:
-            raise SystemExit(f"'submit {args.kind}' takes exactly one "
-                             f"workload, got {len(args.workloads)}")
+            return _error(f"'submit {args.kind}' takes exactly one "
+                          f"workload, got {len(args.workloads)}")
         spec["workload"] = args.workloads[0]
     if args.permutations is not None:
         spec["permutations"] = args.permutations
@@ -706,7 +700,6 @@ def cmd_trace(args) -> int:
 
 def cmd_reanalyze(args) -> int:
     """Re-run the statistical analysis over an archived trace log."""
-    from repro.sampler import build_contingency_table, measure_association
     from repro.sampler.matrix import TraceMatrix
     from repro.sampler.stats_vec import batched_association
     from repro.trace.logfile import parse_trace_log
@@ -717,18 +710,8 @@ def cmd_reanalyze(args) -> int:
         return 2
     labels = [record.label for record in iterations]
     feature_ids = sorted(iterations[0].features)
-    if args.engine == "numpy":
-        matrix = TraceMatrix.from_iterations(iterations, feature_ids,
-                                             notiming=False)
-        associations = batched_association(matrix)
-    else:
-        associations = {
-            feature_id: measure_association(build_contingency_table(
-                labels,
-                [r.features[feature_id].snapshot_hash for r in iterations],
-            ))
-            for feature_id in feature_ids
-        }
+    associations = batched_association(TraceMatrix.from_iterations(
+        iterations, feature_ids, notiming=False))
     print(f"{len(iterations)} iterations, {len(set(labels))} classes")
     print(f"{'unit':<14} {'V':>6} {'p-value':>10} {'flag':>6}")
     leaky = False
@@ -778,7 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="after detection, localize every leaky unit "
                               "to a cycle window and the responsible "
                               "instructions")
-    _add_engine_argument(analyze)
     _add_backend_arguments(analyze)
     _add_checkpoint_argument(analyze)
     _add_batch_argument(analyze)
@@ -806,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "as commit-stamped JSON (each leg's report is "
                             "byte-identical to 'analyze --json' on that "
                             "config)")
-    _add_engine_argument(sweep)
     _add_backend_arguments(sweep)
     _add_checkpoint_argument(sweep)
     _add_batch_argument(sweep)
@@ -834,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ranked instructions to print per unit")
     localize.add_argument("--json", action="store_true",
                           help="emit the localization as JSON (for CI)")
-    _add_engine_argument(localize)
     _add_backend_arguments(localize)
     _add_checkpoint_argument(localize)
     _add_batch_argument(localize)
@@ -877,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload names (default: the full suite)")
     _add_core_arguments(audit)
     _add_input_arguments(audit)
-    _add_engine_argument(audit)
     _add_backend_arguments(audit)
     _add_checkpoint_argument(audit)
     _add_batch_argument(audit)
@@ -954,7 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--verbose", action="store_true",
                         help="print the full job record (state, stats, "
                              "events) instead of just the result")
-    _add_engine_argument(submit)
     _add_taint_argument(submit)
     _add_batch_argument(submit)
     submit.set_defaults(func=cmd_submit)
@@ -964,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     reanalyze.add_argument("log")
     reanalyze.add_argument("--features", nargs="*",
                            help="feature subset (default: all in the log)")
-    _add_engine_argument(reanalyze)
     reanalyze.set_defaults(func=cmd_reanalyze)
     return parser
 

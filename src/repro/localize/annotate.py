@@ -60,7 +60,6 @@ def render_localization(report: LocalizationReport, *, program=None,
         f"Leakage localization — workload={report.workload_name} "
         f"core={report.config_name}",
         f"iterations={report.n_iterations} classes={report.n_classes} "
-        f"engine={report.engine} "
         f"targets={', '.join(report.target_units) or '(none)'}",
         "",
     ]
@@ -181,7 +180,6 @@ def localization_to_dict(report: LocalizationReport, *,
     return {
         "workload": report.workload_name,
         "config": report.config_name,
-        "engine": report.engine,
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
         "target_units": list(report.target_units),

@@ -61,7 +61,6 @@ class LocalizationReport:
     config_name: str
     n_iterations: int
     n_classes: int
-    engine: str = "numpy"
     #: units that phase 1 flagged (the localization targets).
     target_units: tuple = ()
     units: dict[str, UnitLocalization] = field(default_factory=dict)
@@ -89,8 +88,8 @@ def localize_campaign(campaign, feature_ids, *, sampler=None,
 
     The campaign must have been run with ``keep_raw`` covering
     ``feature_ids`` and ``log_commits=True`` (see :func:`localize`).
-    ``sampler`` (default ``MicroSampler()``) supplies the thresholds, the
-    statistics engine and the warm-up iterations to drop.
+    ``sampler`` (default ``MicroSampler()``) supplies the thresholds and
+    the warm-up iterations to drop.
 
     ``taint`` (a :class:`~repro.sampler.pipeline.TaintSummary`) enables the
     rank tier: permutation tests run only on PCs the taint engine saw
@@ -115,7 +114,6 @@ def localize_campaign(campaign, feature_ids, *, sampler=None,
         config_name=campaign.config.name,
         n_iterations=len(iterations),
         n_classes=len({r.label for r in iterations}),
-        engine=sampler.engine,
         target_units=tuple(feature_ids),
         simulate_seconds=campaign.simulate_seconds,
     )
@@ -123,7 +121,7 @@ def localize_campaign(campaign, feature_ids, *, sampler=None,
         started = time.perf_counter()
         scan = temporal_scan(iterations, feature_id,
                              v_threshold=sampler.v_threshold,
-                             alpha=sampler.alpha, engine=sampler.engine)
+                             alpha=sampler.alpha)
         report.scan_seconds += time.perf_counter() - started
         unit = UnitLocalization(feature_id=feature_id, scan=scan)
         if scan.window is not None:
@@ -166,7 +164,7 @@ def localize(workload: Workload, *, sampler=None, report=None,
              seed: int = 0) -> LocalizationReport:
     """The full two-phase flow: detect, then localize every flagged unit.
 
-    ``sampler`` supplies the core configuration, thresholds, engine and
+    ``sampler`` supplies the core configuration, thresholds and
     simulation backend (jobs/cache); ``report`` is an existing phase-1
     :class:`~repro.sampler.pipeline.LeakageReport` to reuse (one is
     computed when omitted).  ``features`` overrides the localization
@@ -223,7 +221,6 @@ def _compute_localization(workload, sampler, report, features,
             config_name=sampler.config.name,
             n_iterations=report.n_iterations if report is not None else 0,
             n_classes=report.n_classes if report is not None else 0,
-            engine=sampler.engine,
             profile=report.profile if report is not None else None,
         )
     campaign_shape = dict(features=targets, keep_raw=True, log_commits=True)

@@ -7,10 +7,9 @@ module re-keys the retained per-cycle row digests by **cycle offset from
 the iteration start**: offset ``t`` yields one column of digests across all
 iterations, which is exactly the shape the association machinery already
 scores.  Every offset is tested with the same chi-squared / Cramér's V gate
-as the per-unit verdicts (batched through
-:mod:`repro.sampler.stats_vec` on the numpy engine), and the *leaking
-window* is the minimal contiguous offset range covering every flagged
-offset.
+as the per-unit verdicts (batched through :mod:`repro.sampler.stats_vec`),
+and the *leaking window* is the minimal contiguous offset range covering
+every flagged offset.
 
 Alignment caveat: iterations of one workload need not be equally long (an
 early-exit ``memcmp`` ends sooner on a mismatch).  Offsets past an
@@ -65,12 +64,6 @@ class OffsetScore:
     offset: int
     association: AssociationResult
 
-    @property
-    def flagged(self) -> bool:
-        # Recomputed by the scan against its own thresholds; this property
-        # reflects the paper's defaults only.
-        return self.association.leaky
-
 
 @dataclass(frozen=True)
 class TemporalScan:
@@ -120,51 +113,23 @@ def offset_columns(iterations, feature_id: str):
     return labels, columns
 
 
-def _score_offsets_python(labels, columns) -> list[AssociationResult]:
-    from repro.sampler.contingency import build_contingency_table
-    from repro.sampler.stats import measure_association
-
-    return [measure_association(build_contingency_table(labels, column))
-            for column in columns]
-
-
-def _score_offsets_numpy(labels, columns) -> list[AssociationResult]:
+def temporal_scan(iterations, feature_id: str, *,
+                  v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
+                  alpha: float = SIGNIFICANCE_ALPHA) -> TemporalScan:
+    """Score every cycle offset of one unit through the batched columnar
+    kernels and derive the leaking window: the offsets whose association
+    passes the ``v_threshold``/``alpha`` rule."""
     from repro.sampler.matrix import TraceMatrix
     from repro.sampler.stats_vec import batched_association
 
-    matrix = TraceMatrix.from_observations(
-        labels, {offset: column for offset, column in enumerate(columns)},
-    )
-    associations = batched_association(matrix)
-    return [associations[offset] for offset in range(len(columns))]
-
-
-def temporal_scan(iterations, feature_id: str, *,
-                  v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
-                  alpha: float = SIGNIFICANCE_ALPHA,
-                  engine: str = "numpy") -> TemporalScan:
-    """Score every cycle offset of one unit and derive the leaking window.
-
-    ``engine`` selects the association implementation exactly as the
-    detection pipeline does: ``"numpy"`` scores all offsets through the
-    batched columnar kernels, ``"python"`` through the scalar reference
-    path; both agree to within 1e-9.
-    """
     iterations = list(iterations)
     labels, columns = offset_columns(iterations, feature_id)
-    if engine == "numpy":
-        associations = _score_offsets_numpy(labels, columns)
-    elif engine == "python":
-        associations = _score_offsets_python(labels, columns)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    scores = tuple(OffsetScore(offset=t, association=a)
-                   for t, a in enumerate(associations))
-    flagged = tuple(
-        s.offset for s in scores
-        if s.association.cramers_v > v_threshold
-        and s.association.p_value < alpha
-    )
+    associations = batched_association(TraceMatrix.from_observations(
+        labels, dict(enumerate(columns))))
+    scores = tuple(OffsetScore(offset=t, association=associations[t])
+                   for t in range(len(columns)))
+    flagged = tuple(s.offset for s in scores
+                    if s.association.flagged(v_threshold, alpha))
     window = (CycleWindow(start=flagged[0], end=flagged[-1])
               if flagged else None)
     return TemporalScan(

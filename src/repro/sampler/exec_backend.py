@@ -193,7 +193,6 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
         core = Core(head.program, head.config, memory_map=head.memory_map,
                     tracer=tracer)
         kernels, lane_iterations = [core.kernel], [tracer.iterations]
-    tracer.timed = True
     if head.log_commits:
         core.commit_listener = tracer.on_commit
     profile = None

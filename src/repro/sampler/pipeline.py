@@ -12,7 +12,7 @@ import collections
 import time
 from dataclasses import KW_ONLY, dataclass, field, replace
 
-from repro.sampler.contingency import build_contingency_table
+from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.feature_extraction import RootCauseReport, extract_root_causes
 from repro.sampler.mutual_information import (
     MutualInformationResult,
@@ -31,7 +31,6 @@ from repro.sampler.stats import (
     SIGNIFICANCE_ALPHA,
     STRONG_ASSOCIATION_THRESHOLD,
     AssociationResult,
-    measure_association,
 )
 from repro.sampler.trace_cache import REPORT, TraceCache, report_key
 from repro.trace.features import FEATURE_ORDER
@@ -64,10 +63,14 @@ class UnitResult:
     root_cause: RootCauseReport | None = None
     #: MicroWalk-style mutual information cross-check (``measure_mi``).
     mi: MutualInformationResult | None = None
+    #: The flagging rule of the sampler that scored the unit: it decides
+    #: ``leaky`` and so every verdict of the report.
+    v_threshold: float = STRONG_ASSOCIATION_THRESHOLD
+    alpha: float = SIGNIFICANCE_ALPHA
 
     @property
     def leaky(self) -> bool:
-        return self.association.leaky
+        return self.association.flagged(self.v_threshold, self.alpha)
 
 
 @dataclass
@@ -121,8 +124,6 @@ class LeakageReport:
     n_classes: int
     units: dict[str, UnitResult] = field(default_factory=dict)
     timings: StageTimings | None = None
-    #: Which statistics engine produced the verdicts ("python" or "numpy").
-    engine: str = "python"
     #: Per-stage simulator time breakdown (``--profile``), merged over all
     #: simulated runs (:class:`repro.util.profiling.StageProfile`).
     profile: object | None = None
@@ -193,20 +194,20 @@ def _is_count(value, minimum: int) -> bool:
 class MicroSampler:
     """The verification framework: configure once, analyze many workloads.
 
-    The one declaration of every campaign knob.  Fields are validated once,
-    at construction; a variant is ``dataclasses.replace(sampler, ...)``.
-    Defaults mirror the paper: a correlation is flagged when Cramér's V
-    exceeds 0.5 *and* the chi-squared p-value is below 0.05.
+    The one declaration of every campaign knob, and of the default stack:
+    the defaults are what the CLI verbs and the service run when given no
+    knob, apart from ``jobs``, ``cache`` and ``profile``, which never
+    change a result and which each entry point sets for itself.  Fields
+    are validated once, at construction; a variant is
+    ``dataclasses.replace(sampler, ...)``.  The thresholds mirror the
+    paper: a correlation is flagged when Cramér's V exceeds 0.5 *and* the
+    chi-squared p-value is below 0.05, and that rule decides every flag of
+    a report.
 
-    ``engine`` selects the statistics implementation: ``"numpy"`` (default)
-    lowers the campaign into a columnar :class:`TraceMatrix` and scores all
-    units with the batched kernels in :mod:`repro.sampler.stats_vec`;
-    ``"python"`` is the scalar per-table reference implementation.  The two
-    agree to within 1e-9 on every statistic (and exactly on verdicts); the
-    scalar path stays authoritative for golden values.
+    Statistics run on the columnar engine: a campaign lowers into a
+    :class:`~repro.sampler.matrix.TraceMatrix` and every unit is scored by
+    the batched kernels of :mod:`repro.sampler.stats_vec`.
     """
-
-    ENGINES = ("python", "numpy")
 
     config: CoreConfig = MEGA_BOOM
     _: KW_ONLY
@@ -233,7 +234,7 @@ class MicroSampler:
     #: :mod:`repro.sampler.checkpoint`).  Distinct from
     #: ``warmup_iterations``, which drops *traced* iterations from the
     #: statistical analysis.
-    warmup_insts: int | None = None
+    warmup_insts: int | None = DEFAULT_WARMUP_INSTS
     #: Lockstep lane batching (``None`` = off, ``"auto"``, or an int lane
     #: width; see :mod:`repro.sampler.batch`): the functional warm-up runs
     #: as a SIMD-across-inputs prepass (needs ``warmup_insts``), and the
@@ -243,8 +244,7 @@ class MicroSampler:
     #: bit-identical to scalar simulation; cross-lane divergence falls the
     #: affected lanes back to the scalar core and is surfaced on
     #: ``LeakageReport.divergences``.
-    batch_lanes: object = None
-    engine: str = "numpy"
+    batch_lanes: object = "auto"
     #: Also score every unit with MicroWalk-style mutual information
     #: (plus a label-permutation significance test) as a cross-check.
     measure_mi: bool = False
@@ -268,9 +268,6 @@ class MicroSampler:
         object.__setattr__(self, "taint", bool(self.taint))
         if self.cache is True:
             object.__setattr__(self, "cache", TraceCache())
-        if self.engine not in self.ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from "
-                             f"{self.ENGINES}")
         if not (self.jobs is None or is_pool(self.jobs)
                 or _is_count(self.jobs, 0)):
             raise ValueError("jobs must be None, a pool or an integer >= 0, "
@@ -379,48 +376,31 @@ class MicroSampler:
             config_name=campaign.config.name,
             n_iterations=len(iterations),
             n_classes=len(set(labels)),
-            engine=self.engine,
             divergences=list(getattr(campaign, "divergences", None) or []),
         )
         stats_started = time.perf_counter()
-        if self.engine == "numpy":
-            # The numpy kernels load here, on a miss, never on a replay.
-            from repro.sampler.matrix import TraceMatrix
-            from repro.sampler.stats_vec import batched_association
+        # The numpy kernels load here, on a miss, never on a replay.
+        from repro.sampler.matrix import TraceMatrix
+        from repro.sampler.stats_vec import batched_association
 
-            matrix = TraceMatrix.from_campaign(
-                campaign, self.features,
-                warmup_iterations=self.warmup_iterations,
-                notiming=self.analyze_timing_removed,
+        matrix = TraceMatrix.from_campaign(
+            campaign, self.features,
+            warmup_iterations=self.warmup_iterations,
+            notiming=self.analyze_timing_removed,
+        )
+        associations = batched_association(matrix)
+        associations_notiming = (
+            batched_association(matrix, notiming=True)
+            if self.analyze_timing_removed else {}
+        )
+        for feature_id in self.features:
+            report.units[feature_id] = UnitResult(
+                feature_id=feature_id,
+                association=associations[feature_id],
+                association_notiming=associations_notiming.get(feature_id),
+                v_threshold=self.v_threshold,
+                alpha=self.alpha,
             )
-            associations = batched_association(matrix)
-            associations_notiming = (
-                batched_association(matrix, notiming=True)
-                if self.analyze_timing_removed else {}
-            )
-            for feature_id in self.features:
-                report.units[feature_id] = UnitResult(
-                    feature_id=feature_id,
-                    association=associations[feature_id],
-                    association_notiming=associations_notiming.get(feature_id),
-                )
-        else:
-            for feature_id in self.features:
-                hashes = [r.features[feature_id].snapshot_hash
-                          for r in iterations]
-                table = build_contingency_table(labels, hashes)
-                association = measure_association(table)
-                unit = UnitResult(feature_id=feature_id,
-                                  association=association)
-                if self.analyze_timing_removed:
-                    nt_hashes = [
-                        r.features[feature_id].snapshot_hash_notiming
-                        for r in iterations
-                    ]
-                    unit.association_notiming = measure_association(
-                        build_contingency_table(labels, nt_hashes)
-                    )
-                report.units[feature_id] = unit
         if self.measure_mi:
             mi_by_unit = mutual_information_by_unit(
                 iterations, self.features,
@@ -433,7 +413,7 @@ class MicroSampler:
         extract_started = time.perf_counter()
         if self.extract_root_causes_for_leaky:
             for feature_id, unit in report.units.items():
-                if self._flagged(unit.association):
+                if unit.leaky:
                     unit.root_cause = extract_root_causes(iterations, feature_id)
         extract_seconds = time.perf_counter() - extract_started
 
@@ -446,10 +426,6 @@ class MicroSampler:
         report.profile = campaign.profile
         _attach_taint(report, taint)
         return report
-
-    def _flagged(self, association: AssociationResult) -> bool:
-        return (association.cramers_v > self.v_threshold
-                and association.p_value < self.alpha)
 
     # -- phase 2: localization --------------------------------------------------
 
@@ -568,7 +544,8 @@ def adaptive_analyze(workload_factory, *, start_inputs: int = 8,
         report = sampler.analyze(workload_factory(n, seed))
         undecided = [
             unit for unit in report.units.values()
-            if unit.association.strong and not unit.association.significant
+            if unit.association.cramers_v > sampler.v_threshold
+            and not unit.association.p_value < sampler.alpha
         ]
         if not undecided or n >= max_inputs:
             return report

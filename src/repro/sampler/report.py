@@ -14,8 +14,7 @@ def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
     lines = [
         f"MicroSampler report — workload={report.workload_name} "
         f"core={report.config_name}",
-        f"iterations={report.n_iterations} classes={report.n_classes} "
-        f"engine={report.engine}",
+        f"iterations={report.n_iterations} classes={report.n_classes}",
         "",
     ]
     show_mi = any(unit.mi is not None for unit in report.units.values())
@@ -134,9 +133,10 @@ def report_to_dict(report: LeakageReport) -> dict:
     """Serialize a :class:`LeakageReport` to plain JSON-compatible data.
 
     Intended for CI integration (``microsampler analyze --json``) and for
-    archiving verdicts next to trace logs.
+    archiving verdicts next to trace logs.  Every ``significant`` and
+    ``leaky`` flag follows the unit's rule (its sampler's thresholds).
     """
-    def association(a):
+    def association(a, unit):
         if a is None:
             return None
         return {
@@ -147,15 +147,16 @@ def report_to_dict(report: LeakageReport) -> dict:
             "p_value": a.p_value,
             "n_observations": a.n_observations,
             "n_categories": a.n_categories,
-            "significant": a.significant,
-            "leaky": a.leaky,
+            "significant": a.p_value < unit.alpha,
+            "leaky": a.flagged(unit.v_threshold, unit.alpha),
         }
 
     units = {}
     for feature_id, unit in report.units.items():
         entry = {
-            "association": association(unit.association),
-            "association_notiming": association(unit.association_notiming),
+            "association": association(unit.association, unit),
+            "association_notiming": association(unit.association_notiming,
+                                                unit),
             "leaky": unit.leaky,
         }
         if unit.mi is not None:
@@ -185,7 +186,6 @@ def report_to_dict(report: LeakageReport) -> dict:
     payload = {
         "workload": report.workload_name,
         "config": report.config_name,
-        "engine": report.engine,
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
         "leakage_detected": report.leakage_detected,

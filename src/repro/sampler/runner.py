@@ -320,7 +320,6 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     tracer = MicroarchTracer(features=plan.features, keep_raw=plan.keep_raw,
                              log_commits=plan.log_commits,
                              pruned=plan.tasks[0].pruned if plan.tasks else ())
-    tracer.timed = True
     runs = merge_outputs(plan.outputs, tracer)
     # Core-phase lockstep divergences ride on each batch group's first
     # output; gather them after the prepass events, in input order.

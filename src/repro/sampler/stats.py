@@ -41,10 +41,16 @@ class AssociationResult:
     def strong(self) -> bool:
         return self.cramers_v > STRONG_ASSOCIATION_THRESHOLD
 
+    def flagged(self, v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
+                alpha: float = SIGNIFICANCE_ALPHA) -> bool:
+        """The flagging rule: V above ``v_threshold`` AND p below
+        ``alpha`` (by default the paper's, V > 0.5 and p < 0.05)."""
+        return self.cramers_v > v_threshold and self.p_value < alpha
+
     @property
     def leaky(self) -> bool:
-        """The paper's flagging rule: strong AND statistically significant."""
-        return self.strong and self.significant
+        """:meth:`flagged` at the paper's thresholds."""
+        return self.flagged()
 
 
 def chi_squared_statistic(table: ContingencyTable) -> tuple[float, int]:

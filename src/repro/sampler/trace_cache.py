@@ -92,11 +92,13 @@ CACHE_FORMAT_VERSION = 7
 WITNESS_FORMAT_VERSION = 1
 
 #: Bump when the report record layout or its key material changes.
-REPORT_FORMAT_VERSION = 1
+#: 2 = no ``engine``; each unit carries its flagging rule.
+REPORT_FORMAT_VERSION = 2
 
 #: Bump when the localization record layout or its key material changes.
-#: 2 = each distinct association row stored once, indexed per offset.
-LOCALIZATION_FORMAT_VERSION = 2
+#: 2 = each distinct association row stored once, indexed per offset;
+#: 3 = no ``engine``.
+LOCALIZATION_FORMAT_VERSION = 3
 
 #: ``MicroSampler`` fields a report does not depend on: the worker count,
 #: the cache handle and the simulator profiler (a replayed report carries
@@ -458,7 +460,6 @@ def _report_body(report) -> dict:
     return {
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
-        "engine": report.engine,
         "divergences": [[event.pc, event.step, event.kind, event.mnemonic,
                          list(event.lanes)]
                         for event in report.divergences],
@@ -467,7 +468,9 @@ def _report_body(report) -> dict:
                    "association_notiming": numbers(
                        unit.association_notiming),
                    "mi": numbers(unit.mi),
-                   "root_cause": root_cause(unit.root_cause)}
+                   "root_cause": root_cause(unit.root_cause),
+                   "v_threshold": unit.v_threshold,
+                   "alpha": unit.alpha}
                   for unit in report.units.values()],
     }
 
@@ -507,7 +510,7 @@ def _report_from_body(body):
 
     def unit(item):
         _object(item, ("feature_id", "association", "association_notiming",
-                       "mi", "root_cause"), "unit")
+                       "mi", "root_cause", "v_threshold", "alpha"), "unit")
         feature_id = _expect(item["feature_id"], str)
         notiming, mi, cause = (item["association_notiming"], item["mi"],
                                item["root_cause"])
@@ -519,10 +522,12 @@ def _report_from_body(body):
             mi=(None if mi is None
                 else _numbers(MutualInformationResult, mi)),
             root_cause=(None if cause is None
-                        else root_cause(feature_id, cause)))
+                        else root_cause(feature_id, cause)),
+            v_threshold=_expect(item["v_threshold"], int, float),
+            alpha=_expect(item["alpha"], int, float))
 
-    _object(body, ("n_iterations", "n_classes", "engine", "divergences",
-                   "units"), "report")
+    _object(body, ("n_iterations", "n_classes", "divergences", "units"),
+            "report")
     divergences = []
     for event in _expect(body["divergences"], list):
         pc, step, kind, mnemonic, lanes = _expect(event, list)
@@ -536,7 +541,6 @@ def _report_from_body(body):
         n_iterations=_expect(body["n_iterations"], int),
         n_classes=_expect(body["n_classes"], int),
         units={item.feature_id: item for item in units},
-        engine=_expect(body["engine"], str),
         divergences=divergences)
 
 
@@ -604,7 +608,6 @@ def _localization_body(report) -> dict:
     return {
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
-        "engine": report.engine,
         "target_units": list(report.target_units),
         "associations": _columns((values for _, values in rows.values()),
                                  associations),
@@ -626,7 +629,7 @@ def _localization_from_body(body):
     from repro.sampler.stats import AssociationResult
 
     associations, offsets, scores, pre_excluded = _localization_columns()
-    _object(body, ("n_iterations", "n_classes", "engine", "target_units",
+    _object(body, ("n_iterations", "n_classes", "target_units",
                    "associations", "units"), "localization")
     table = [AssociationResult(*row)
              for row in _rows(body["associations"], associations)]
@@ -687,7 +690,6 @@ def _localization_from_body(body):
         workload_name="", config_name="",
         n_iterations=_expect(body["n_iterations"], int),
         n_classes=_expect(body["n_classes"], int),
-        engine=_expect(body["engine"], str),
         target_units=tuple(_expect(target, str) for target in
                            _expect(body["target_units"], list)),
         units={item.feature_id: item for item in units})

@@ -41,6 +41,7 @@ import concurrent.futures
 import itertools
 from dataclasses import dataclass, fields, replace
 
+from repro.sampler.pipeline import MicroSampler
 from repro.service.queue import PriorityJobQueue
 
 JOB_KINDS = ("analyze", "localize", "audit")
@@ -88,7 +89,8 @@ class JobSpec:
     """Validated description of one job, mirroring the CLI's knobs.
 
     Defaults match the corresponding ``microsampler`` subcommand defaults,
-    so an empty-field submission behaves exactly like the bare CLI verb.
+    so an empty-field submission behaves exactly like the bare CLI verb:
+    the simulation knobs take :class:`MicroSampler`'s.
     """
 
     kind: str = "analyze"
@@ -101,19 +103,18 @@ class JobSpec:
     variable_div: bool = False
     inputs: int = 8
     seed: int = 3
-    engine: str = "numpy"
     #: higher runs first; FIFO within a priority level.
     priority: int = 0
     tenant: str = ""
     #: attribution permutations (localize); None = CLI default.
     permutations: int | None = None
-    #: fast-forward budget; "default" = the CLI default (512), accepts the
+    #: fast-forward budget; "default" = the sampler's default, accepts the
     #: CLI's ``none``/``full``/int forms.
     warmup_insts: object = "default"
     #: lockstep lane batching (functional prepass + lane-batched
     #: cycle-accurate core).  Joins every task's trace-cache key via
     #: ``core_lanes``; a job's pool submissions are its lane groups.
-    batch_lanes: object = "auto"
+    batch_lanes: object = MicroSampler.batch_lanes
     no_timing_removed: bool = False
     #: secret-taint publicness prescreen (``--taint on``): prune tracing,
     #: restrict attribution, cross-check verdicts.  Verdict-neutral.
@@ -182,7 +183,6 @@ class JobSpec:
         """The :class:`~repro.sampler.pipeline.MicroSampler` this job runs,
         on ``cache``; raises ValueError on a bad knob."""
         from repro.cli import resolve_config
-        from repro.sampler.pipeline import MicroSampler
 
         return MicroSampler(
             resolve_config(self.config, fast_bypass=self.fast_bypass,
@@ -191,7 +191,6 @@ class JobSpec:
             cache=cache,
             warmup_insts=self.resolve_warmup_insts(),
             batch_lanes=self.resolve_batch_lanes(),
-            engine=self.engine,
             taint=self.taint,
         )
 
@@ -199,10 +198,10 @@ class JobSpec:
         """The spec's fast-forward budget as the library's int-or-None:
         ``default``, or ``--warmup-insts``'s ``full``/``none``/N spelling;
         null and integers pass through."""
-        from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS, parse_warmup
+        from repro.sampler.checkpoint import parse_warmup
 
         if self.warmup_insts == "default":
-            return DEFAULT_WARMUP_INSTS
+            return MicroSampler.warmup_insts
         return _parse_knob("warmup_insts", self.warmup_insts, parse_warmup)
 
     def resolve_batch_lanes(self):

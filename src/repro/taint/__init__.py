@@ -14,42 +14,19 @@ per-mnemonic through registers and memory, producing a per-instruction
   taint verdict per unit (``TAINT-DISAGREE`` when they conflict).
 """
 
-from repro.taint.batch_engine import taint_runs_batch
-from repro.taint.engine import (
-    FULL,
-    TRANSIENT_WINDOW,
-    TaintError,
-    TaintInterpreter,
-    TaintShadow,
-    alu_taint,
-    propagate_taint,
-    spread_up,
-    transient_walk,
-)
-from repro.taint.publicness import (
-    MAX_TAINT_STEPS,
-    CampaignPublicness,
-    PublicnessMap,
-    compute_publicness,
-    resolve_secret_spans,
-    taint_run,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FULL",
-    "MAX_TAINT_STEPS",
-    "TRANSIENT_WINDOW",
-    "CampaignPublicness",
-    "PublicnessMap",
-    "TaintError",
-    "TaintInterpreter",
-    "TaintShadow",
-    "alu_taint",
-    "compute_publicness",
-    "propagate_taint",
-    "resolve_secret_spans",
-    "spread_up",
-    "taint_run",
-    "taint_runs_batch",
-    "transient_walk",
-]
+# Names load from their defining modules on first use (repro.util.lazy), so
+# a witness replay, which decodes publicness maps, does not import the
+# engine.
+_EXPORTS = {
+    "repro.taint.batch_engine": ("taint_runs_batch",),
+    "repro.taint.engine": ("FULL", "TRANSIENT_WINDOW", "TaintInterpreter",
+                           "TaintShadow", "alu_taint", "propagate_taint",
+                           "spread_up", "transient_walk"),
+    "repro.taint.publicness": ("MAX_TAINT_STEPS", "CampaignPublicness",
+                               "PublicnessMap", "TaintError",
+                               "compute_publicness", "resolve_secret_spans",
+                               "taint_run"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -21,12 +21,8 @@ from __future__ import annotations
 from repro.isa.interpreter import ExecutionError
 from repro.kernel.memory_map import MemoryMap
 from repro.kernel.proxy_kernel import ProxyKernel, SyscallError
-from repro.taint.engine import (
-    TRANSIENT_WINDOW,
-    TaintError,
-    TaintShadow,
-    propagate_taint,
-)
+from repro.taint.engine import TRANSIENT_WINDOW, TaintShadow, propagate_taint
+from repro.taint.publicness import TaintError
 
 
 def _lane_reader(batch, local):

@@ -42,6 +42,7 @@ from repro.isa.interpreter import ExecutionError, Interpreter
 from repro.isa.semantics import MASK64, branch_taken, compute_alu, to_signed
 from repro.kernel.memory_map import MemoryMap
 from repro.kernel.proxy_kernel import ProxyKernel, SyscallError
+from repro.taint.publicness import TaintError
 
 #: Full-register taint mask (all eight bytes).
 FULL = 0xFF
@@ -52,10 +53,6 @@ FULL = 0xFF
 #: branch condition buys); kept configuration-independent so publicness
 #: maps can be shared across core configs.
 TRANSIENT_WINDOW = 32
-
-
-class TaintError(Exception):
-    """Raised when taint analysis cannot be applied to a program."""
 
 
 def spread_up(mask: int) -> int:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.isa.interpreter import ExecutionError
 from repro.kernel.memory_map import MemoryMap
 from repro.kernel.proxy_kernel import SyscallError
-from repro.taint.engine import TaintError, TaintInterpreter
 
 #: Step budget for one functional taint pass (scout + ROI combined).
 MAX_TAINT_STEPS = 10_000_000
@@ -30,6 +29,10 @@ MAX_TAINT_STEPS = 10_000_000
 #: The PC-set fields of a :class:`PublicnessMap`.
 _PC_SETS = ("executed_pcs", "tainted_pcs", "tainted_mem_pcs",
             "tainted_branch_pcs", "tainted_div_pcs", "transient_mem_pcs")
+
+
+class TaintError(Exception):
+    """Raised when taint analysis cannot be applied to a program."""
 
 
 def _is_count(value) -> bool:
@@ -187,6 +190,9 @@ def taint_run(program, spans, *, memory_map: MemoryMap | None = None,
               transient_window: int | None = None) -> PublicnessMap:
     """One scalar taint pass: functional prologue, seed at ``roi.begin``,
     record through the ROI, stop at ``roi.end`` (or halt)."""
+    # The engine loads where a taint run starts, never on a witness replay.
+    from repro.taint.engine import TaintInterpreter
+
     kwargs = {} if transient_window is None else {
         "transient_window": transient_window}
     engine = TaintInterpreter(program, memory_map=memory_map, **kwargs)

@@ -304,6 +304,15 @@ def iteration_from_payload(payload: tuple) -> IterationRecord:
 class MicroarchTracer:
     """Collects iteration snapshots from a running core.
 
+    Every cycle the tracer consults each feature's state-version token and
+    replays the memoized previous digest for an unchanged unit instead of
+    resampling and rehashing it (change-detection sampling); the snapshots
+    are bit-identical to resampling every unit every cycle, which the
+    differential tests in ``tests/test_tracer_incremental.py`` lock in.
+    Time spent sampling (``sample_seconds``, per cycle) and finalizing
+    (``finalize_seconds``, at ``iter.end``) is accumulated separately for
+    the Table VI stage breakdown and ``--profile``.
+
     Parameters
     ----------
     features:
@@ -317,13 +326,6 @@ class MicroarchTracer:
         inside an open iteration as ``(cycle, pc, mnemonic)``.  Requires
         :meth:`on_commit` to be installed as the core's ``commit_listener``
         (the execution backend does this automatically).
-    incremental:
-        When True (default), consult each feature's state-version token
-        every cycle and replay the memoized previous digest for unchanged
-        units instead of resampling and rehashing (change-detection
-        sampling).  ``incremental=False`` forces the naive resample-always
-        path; both produce bit-identical snapshots (the differential tests
-        in ``tests/test_tracer_incremental.py`` lock this in).
     pruned:
         Feature IDs the taint prescreen proved secret-free
         (:mod:`repro.uarch.reachability`).  Pruned features are never
@@ -345,7 +347,7 @@ class MicroarchTracer:
     _accumulator_factory = _FeatureAccumulator
 
     def __init__(self, features=None, keep_raw=(), log_commits: bool = False,
-                 incremental: bool = True, pruned=()):
+                 pruned=()):
         ids = tuple(features) if features is not None else FEATURE_ORDER
         unknown = [f for f in ids if f not in FEATURES]
         if unknown:
@@ -380,7 +382,6 @@ class MicroarchTracer:
         self._accumulators: dict[str, _FeatureAccumulator] = {}
         self._samplers: list = []
         self.log_commits = bool(log_commits)
-        self.incremental = bool(incremental)
         self._commit_log: list = []
         #: packed-digests -> combined hash memo.  Process-wide (see the
         #: module-level ``_COMBINE_CACHE``): outputs are a pure function of
@@ -392,10 +393,6 @@ class MicroarchTracer:
         #: ``_FeatureAccumulator.finalize``).
         self._snapshot_cache: dict[bytes, tuple] = _SNAPSHOT_CACHE
         self.cycles_sampled = 0
-        #: When True, time spent sampling (``sample_seconds``, per-cycle) and
-        #: finalizing (``finalize_seconds``, at iter.end) is accumulated
-        #: separately (used for the Table VI stage breakdown and --profile).
-        self.timed = False
         self.sample_seconds = 0.0
         self.finalize_seconds = 0.0
 
@@ -432,14 +429,10 @@ class MicroarchTracer:
             # the per-cycle loop in on_cycle is the hottest code in the
             # whole framework, so the memo-hit path must touch nothing but
             # these locals.  A None version means "always resample".
-            incremental = self.incremental
             # Taint-pruned features get no sampler at all: their (empty)
             # accumulators finalize to the constant empty snapshot.
             self._samplers = [
-                (spec.sample,
-                 spec.version if incremental else None,
-                 accumulator,
-                 accumulator.digests)
+                (spec.sample, spec.version, accumulator, accumulator.digests)
                 for spec in self.specs
                 if spec.feature_id not in self.pruned
                 for accumulator in (self._accumulators[spec.feature_id],)
@@ -449,7 +442,7 @@ class MicroarchTracer:
                 if self.roi_seen and not self.roi_active:
                     return
                 raise TraceError("iter.end without iter.begin")
-            started = time.perf_counter() if self.timed else 0.0
+            started = time.perf_counter()
             record = self._open
             record.end_cycle = cycle
             if self.log_commits:
@@ -465,8 +458,7 @@ class MicroarchTracer:
             self.append_record(record)
             self._open = None
             self._accumulators = {}
-            if self.timed:
-                self.finalize_seconds += time.perf_counter() - started
+            self.finalize_seconds += time.perf_counter() - started
 
     def _combine_cached(self, digests: list[int]) -> int:
         """`combine_digests` with a bounded exact-input memo.
@@ -509,7 +501,7 @@ class MicroarchTracer:
     def on_cycle(self, core, cycle: int) -> None:
         if self._open is None:
             return
-        started = time.perf_counter() if self.timed else 0.0
+        started = time.perf_counter()
         self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
@@ -521,8 +513,7 @@ class MicroarchTracer:
                     continue
                 accumulator.last_token = token
             accumulator.add(sample(core))
-        if self.timed:
-            self.sample_seconds += time.perf_counter() - started
+        self.sample_seconds += time.perf_counter() - started
 
     # -- results ----------------------------------------------------------------
 
@@ -580,11 +571,9 @@ class BatchTracer(MicroarchTracer):
     _accumulator_factory = _BatchFeatureAccumulator
 
     def __init__(self, n_lanes: int, features=None, keep_raw=(),
-                 log_commits: bool = False, incremental: bool = True,
-                 pruned=()):
+                 log_commits: bool = False, pruned=()):
         super().__init__(features=features, keep_raw=keep_raw,
-                         log_commits=log_commits, incremental=incremental,
-                         pruned=pruned)
+                         log_commits=log_commits, pruned=pruned)
         self.n_lanes = n_lanes
         self.lane_iterations: list[list[IterationRecord]] = [
             [] for _ in range(n_lanes)
@@ -626,7 +615,7 @@ class BatchTracer(MicroarchTracer):
     def on_cycle(self, core, cycle: int) -> None:
         if self._open is None:
             return
-        started = time.perf_counter() if self.timed else 0.0
+        started = time.perf_counter()
         self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
@@ -637,8 +626,7 @@ class BatchTracer(MicroarchTracer):
                     continue
                 accumulator.last_token = token
             accumulator.add(sample(core))
-        if self.timed:
-            self.sample_seconds += time.perf_counter() - started
+        self.sample_seconds += time.perf_counter() - started
 
     # -- per-lane finalization ------------------------------------------------
 
@@ -656,7 +644,7 @@ class BatchTracer(MicroarchTracer):
             if self.roi_seen and not self.roi_active:
                 return
             raise TraceError("iter.end without iter.begin")
-        started = time.perf_counter() if self.timed else 0.0
+        started = time.perf_counter()
         record = self._open
         record.end_cycle = cycle
         commits = None
@@ -700,8 +688,7 @@ class BatchTracer(MicroarchTracer):
         self._open = None
         self._accumulators = {}
         self._open_labels = None
-        if self.timed:
-            self.finalize_seconds += time.perf_counter() - started
+        self.finalize_seconds += time.perf_counter() - started
 
     @staticmethod
     def _project_lane(accumulator: _BatchFeatureAccumulator, lane: int,

@@ -1,9 +1,9 @@
-"""Regenerate the golden case-study fixtures from the scalar engine.
+"""Regenerate the golden case-study fixtures from the scalar oracle.
 
-The scalar (``engine="python"``) path is the authoritative reference
-implementation, so golden values are always produced by it; the vectorized
-engine is held to the same numbers by the differential tests.  Run from the
-repository root::
+The scalar per-table path (:mod:`tests.oracles`) is the authoritative
+reference implementation, so golden values are always produced by it; the
+vectorized engine the product runs is held to the same numbers by the
+differential tests.  Run from the repository root::
 
     PYTHONPATH=src python -m tests.golden.regenerate
 
@@ -26,13 +26,13 @@ from tests.golden import (
     taint_cases,
     taint_to_golden,
 )
+from tests.oracles import scalar_report, scalar_scans
 
 
 def main() -> None:
     for name, (workload, config) in case_workloads().items():
-        sampler = MicroSampler(config, engine="python",
-                               extract_root_causes_for_leaky=False)
-        report = sampler.analyze(workload)
+        sampler = MicroSampler(config)
+        report = scalar_report(sampler.run(workload), sampler)
         payload = report_to_golden(report)
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -50,8 +50,9 @@ def main() -> None:
               f"{len(merged['tainted_pcs'])} tainted PCs")
 
     workload, config, features = localization_case()
-    sampler = MicroSampler(config, engine="python", cache=None)
-    localization = sampler.localize(workload, features=features)
+    with scalar_scans():
+        localization = MicroSampler(config).localize(workload,
+                                                     features=features)
     payload = localization_to_golden(localization)
     path = GOLDEN_DIR / "localize_ee_memcmp.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

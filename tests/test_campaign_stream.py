@@ -21,13 +21,9 @@ import pytest
 
 from repro.cli import build_workload
 from repro.sampler import pipeline, sweep_configs
-from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.report import report_to_dict
 from repro.sampler.trace_cache import TraceCache
 from repro.uarch import MEGA_BOOM, SMALL_BOOM
-
-#: The CLI's simulation stack.
-CLI_STACK = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
 
 
 @pytest.fixture
@@ -64,10 +60,10 @@ def test_warm_sweep_replays_every_leg_without_a_plan(tmp_path, counted):
     workload = build_workload("chacha20", inputs=4, seed=3)
     cache = TraceCache(tmp_path)
     configs = (SMALL_BOOM, MEGA_BOOM)
-    cold = sweep_configs(workload, configs, cache=cache, **CLI_STACK)
+    cold = sweep_configs(workload, configs, cache=cache)
     assert counted["plans"] == 2
     counted.update(loads=0, plans=0)
-    warm = sweep_configs(workload, configs, cache=cache, **CLI_STACK)
+    warm = sweep_configs(workload, configs, cache=cache)
     assert counted == {"loads": 0, "plans": 0}
     assert _scrubbed(warm) == _scrubbed(cold)
     for leg in warm.legs:
@@ -90,7 +86,7 @@ def test_cached_taint_sweep_runs_the_taint_engine_once(tmp_path,
 
     workload = build_workload("chacha20", inputs=2, seed=3)
     result = sweep_configs(workload, (SMALL_BOOM, MEGA_BOOM), taint=True,
-                           cache=TraceCache(tmp_path), **CLI_STACK)
+                           cache=TraceCache(tmp_path))
     assert calls == ["taint_runs_batch"]
     assert all(leg.report.taint is not None for leg in result.legs)
 

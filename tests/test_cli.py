@@ -40,9 +40,41 @@ def test_analyze_clean_returns_zero(capsys):
     assert "No statistically significant correlation" in out
 
 
-def test_analyze_unknown_workload():
-    with pytest.raises(SystemExit):
-        main(["analyze", "not-a-workload"])
+def test_analyze_unknown_workload(capsys):
+    assert main(["analyze", "not-a-workload"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown workload 'not-a-workload'; see 'microsampler "
+        "list-workloads'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["localize", "bogus"], "unknown workload 'bogus'"),
+    (["audit", "sam-ct", "bogus"], "unknown workload 'bogus'"),
+    (["sweep", "bogus"], "unknown workload 'bogus'"),
+    (["trace", "bogus", "bogus.jsonl"], "unknown workload 'bogus'"),
+    (["sweep", "sam-ct", "--configs", ","],
+     "--configs needs at least one core config name"),
+    (["sweep", "sam-ct", "--configs", "mega,mega"],
+     "duplicate config names in --configs"),
+    (["submit", "analyze"], "'submit analyze' takes exactly one workload"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_usage_error_exits_two_not_the_leak_status(argv, message,
+                                                      capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sam-ct"], ["sweep", "sam-ct"], ["localize", "sam-ct"],
+    ["audit"], ["submit", "analyze", "sam-ct"], ["reanalyze", "run.jsonl"],
+], ids=lambda argv: argv[0])
+def test_engine_is_no_flag(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--engine", "python"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_analyze_primitive_by_name(capsys):

@@ -27,7 +27,6 @@ from repro.sampler import (
     run_audit,
 )
 from repro.sampler import exec_backend
-from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.runner import finalize_campaign, prepare_campaign
 from repro.uarch import SMALL_BOOM
 from repro.workloads.memcmp import make_early_exit_memcmp
@@ -36,11 +35,6 @@ from repro.workloads.modexp import make_sam_ct, make_sam_leaky
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="pool tests rely on fork-started workers")
-
-#: The CLI's simulation stack: checkpoints plus lockstep lanes, so every
-#: campaign is a single lane group and only the stream can overlap them.
-CLI_STACK = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
-
 
 def _suite():
     return [make_sam_leaky(n_keys=3, seed=3), make_sam_ct(n_keys=3, seed=3),
@@ -59,9 +53,11 @@ def _rows(result) -> dict:
 
 
 def _audit(cache_dir, jobs, **kwargs):
+    """The suite on the default stack: checkpoints plus lockstep lanes, so
+    every campaign is a single lane group and only the stream can overlap
+    them."""
     return run_audit(_suite(), config=SMALL_BOOM, expectations=EXPECTATIONS,
-                     jobs=jobs, cache=TraceCache(cache_dir), **CLI_STACK,
-                     **kwargs)
+                     jobs=jobs, cache=TraceCache(cache_dir), **kwargs)
 
 
 class _InlineExecutor:
@@ -187,7 +183,7 @@ def test_planning_failure_is_raised_after_earlier_campaigns(tmp_path):
         root = tmp_path / f"jobs{jobs}"
         with pytest.raises(WorkloadError, match="'empty' has no inputs"):
             run_audit(suite, config=SMALL_BOOM, jobs=jobs,
-                      cache=TraceCache(root), **CLI_STACK)
+                      cache=TraceCache(root))
         stored[jobs] = cache_stats(root)["trace"]["entries"]
     assert stored == {1: 3, 2: 3}
 
@@ -221,13 +217,13 @@ def test_adjacent_campaigns_never_share_a_lane_group(inline_pool,
 
 def test_plans_come_back_in_input_order_and_pools_are_sized(inline_pool):
     workload = make_sam_ct(n_keys=3, seed=3)
-    plans = [prepare_campaign(workload, SMALL_BOOM, **CLI_STACK)]
+    plans = [MicroSampler(SMALL_BOOM).plan(workload)]
     [filled] = exec_backend.stream_plans(plans, jobs=2)
     assert filled is plans[0] and not inline_pool  # one group: in-process
     assert all(output is not None for output in filled.outputs)
 
     suite = [make_sam_ct(n_keys=3, seed=seed) for seed in (4, 5, 6)]
-    plans = [prepare_campaign(w, SMALL_BOOM, **CLI_STACK) for w in suite]
+    plans = [MicroSampler(SMALL_BOOM).plan(w) for w in suite]
     filled = list(exec_backend.stream_plans(iter(plans), jobs=4))
     assert [id(plan) for plan in filled] == [id(plan) for plan in plans]
     assert [pool.workers for pool in inline_pool] == [4]
@@ -247,8 +243,8 @@ def test_simulate_seconds_is_capture_plus_worker_time_less_parse(tmp_path):
         for jobs, name in ((1, "serial"), (pool, "pool")):
             cache = TraceCache(tmp_path / name)
             for cold in (True, False):
-                plan = prepare_campaign(make_sam_ct(n_keys=3, seed=3),
-                                        SMALL_BOOM, cache=cache, **CLI_STACK)
+                plan = MicroSampler(SMALL_BOOM, cache=cache).plan(
+                    make_sam_ct(n_keys=3, seed=3))
                 [plan] = exec_backend.stream_plans([plan], jobs=jobs)
                 campaign = finalize_campaign(plan)
                 assert (plan.execute_seconds > 0) is cold, (name, cold)
@@ -269,7 +265,7 @@ def test_campaign_seconds_exclude_other_campaigns(inline_pool, monkeypatch):
         return analyze_campaign(self, campaign, **kwargs)
 
     monkeypatch.setattr(MicroSampler, "analyze_campaign", slow_first)
-    sampler = MicroSampler(SMALL_BOOM, jobs=2, **CLI_STACK)
+    sampler = MicroSampler(SMALL_BOOM, jobs=2)
     streamed = list(sampler.analyze_stream(
         [make_sam_leaky(n_keys=3, seed=3), make_sam_ct(n_keys=3, seed=3)]))
     assert len(inline_pool) == 1  # the two campaigns did overlap
@@ -293,7 +289,7 @@ def test_audit_seconds_count_worker_time(monkeypatch):
     monkeypatch.setattr(exec_backend, "_run_shard", slow_worker)
     started = time.perf_counter()
     result = run_audit([make_sam_ct(n_keys=2, seed=3)], config=SMALL_BOOM,
-                       jobs=1, **CLI_STACK)
+                       jobs=1)
     wall = time.perf_counter() - started
     assert extra < result.entries[0].seconds < extra + wall
 

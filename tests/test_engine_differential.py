@@ -1,11 +1,12 @@
-"""Differential tests: the numpy engine must reproduce the scalar engine.
+"""Differential tests: the numpy engine must reproduce the scalar oracle.
 
-The scalar per-table path in :mod:`repro.sampler.stats` is the golden
-reference — it implements Equations 2-4 from first principles.  The
-vectorized columnar engine (:mod:`repro.sampler.matrix` +
-:mod:`repro.sampler.stats_vec`) must agree with it on every statistic to
-within 1e-9 and on every verdict exactly, both on real crypto campaigns and
-on adversarial random trace matrices.
+The scalar per-table path in :mod:`repro.sampler.stats`, driven unit by
+unit by :func:`tests.oracles.scalar_report`, is the golden reference — it
+implements Equations 2-4 from first principles.  The vectorized columnar
+engine (:mod:`repro.sampler.matrix` + :mod:`repro.sampler.stats_vec`) that
+every entry point runs must agree with it on every statistic to within
+1e-9 and on every verdict exactly, both on real crypto campaigns and on
+adversarial random trace matrices.
 """
 
 import random
@@ -24,6 +25,8 @@ from repro.sampler.stats_vec import batched_association, measure_association_cou
 from repro.uarch import MEGA_BOOM
 from repro.workloads.chacha import make_chacha20
 from repro.workloads.memcmp import make_ct_memcmp
+
+from tests.oracles import scalar_report
 
 TOLERANCE = 1e-9
 FIELDS = ("chi_squared", "p_value", "cramers_v", "cramers_v_corrected")
@@ -57,7 +60,8 @@ def assert_reports_agree(scalar, vectorized):
 
 @pytest.fixture(scope="module", params=["chacha20", "ct_memcmp"])
 def campaign(request):
-    """One simulated campaign, analyzed below by both engines."""
+    """One simulated campaign, analyzed below by the engine and the
+    oracle."""
     if request.param == "chacha20":
         workload = make_chacha20(n_keys=4, n_blocks=1, seed=6)
     else:
@@ -66,20 +70,16 @@ def campaign(request):
 
 
 def test_engines_agree_on_crypto_campaign(campaign):
-    scalar = MicroSampler(MEGA_BOOM, engine="python").analyze_campaign(campaign)
-    vectorized = MicroSampler(MEGA_BOOM, engine="numpy").analyze_campaign(campaign)
-    assert scalar.engine == "python"
-    assert vectorized.engine == "numpy"
+    sampler = MicroSampler(MEGA_BOOM)
+    scalar = scalar_report(campaign, sampler)
+    vectorized = sampler.analyze_campaign(campaign)
     assert_reports_agree(scalar, vectorized)
 
 
 def test_engines_agree_with_warmup_filter(campaign):
-    for engine in MicroSampler.ENGINES:
-        assert engine in ("python", "numpy")
-    scalar = MicroSampler(MEGA_BOOM, engine="python",
-                          warmup_iterations=1).analyze_campaign(campaign)
-    vectorized = MicroSampler(MEGA_BOOM, engine="numpy",
-                              warmup_iterations=1).analyze_campaign(campaign)
+    sampler = MicroSampler(MEGA_BOOM, warmup_iterations=1)
+    scalar = scalar_report(campaign, sampler)
+    vectorized = sampler.analyze_campaign(campaign)
     assert scalar.n_iterations == vectorized.n_iterations
     assert_reports_agree(scalar, vectorized)
 
@@ -197,5 +197,6 @@ class TestTraceMatrixValidation:
             matrix.counts(0, notiming=True)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        # The engine is no knob: the columnar one is the only one.
+        with pytest.raises(TypeError, match="engine"):
             MicroSampler(MEGA_BOOM, engine="fortran")

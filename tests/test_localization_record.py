@@ -36,7 +36,6 @@ from repro.localize import (
     render_localization,
 )
 from repro.sampler import pipeline, trace_cache
-from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.pipeline import MicroSampler
 from repro.sampler.stats import AssociationResult
 from repro.sampler.trace_cache import (
@@ -54,8 +53,6 @@ from tests.test_report_record import FLIPPED_FIELDS, FLIPPED_KNOBS
 #: The module, not the function ``repro.localize`` exports under its name.
 localize_module = importlib.import_module("repro.localize.localize")
 
-#: The CLI's default simulation stack, on the small core to keep it cheap.
-KNOBS = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
 FEATURE = "ROB-PC"
 
 
@@ -64,7 +61,8 @@ def _workload(name="ee-mem-cmp"):
 
 
 def _sampler(cache=None, **knobs):
-    return MicroSampler(SMALL_BOOM, cache=cache, **{**KNOBS, **knobs})
+    """The default stack on the small core, to keep it cheap."""
+    return MicroSampler(SMALL_BOOM, cache=cache, **knobs)
 
 
 def _records(root):

@@ -38,6 +38,7 @@ from tests.golden import (
     localization_case,
     localization_to_golden,
 )
+from tests.oracles import scalar_temporal_scan
 
 FEATURE = "ROB-PC"
 
@@ -90,8 +91,8 @@ class TestTemporalScan:
 
     def test_engines_agree(self):
         records = synthetic_records()
-        numpy_scan = temporal_scan(records, FEATURE, engine="numpy")
-        python_scan = temporal_scan(records, FEATURE, engine="python")
+        numpy_scan = temporal_scan(records, FEATURE)
+        python_scan = scalar_temporal_scan(records, FEATURE)
         assert numpy_scan.flagged_offsets == python_scan.flagged_offsets
         assert numpy_scan.window == python_scan.window
         for a, b in zip(numpy_scan.offsets, python_scan.offsets):
@@ -101,7 +102,8 @@ class TestTemporalScan:
                 pytest.approx(b.association.p_value, abs=GOLDEN_TOLERANCE)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        # The engine is no parameter: the columnar one is the only one.
+        with pytest.raises(TypeError, match="engine"):
             temporal_scan(synthetic_records(), FEATURE, engine="rust")
 
     def test_class_correlated_length_leaks_at_tail(self):
@@ -217,8 +219,8 @@ class TestEndToEnd:
 
     def test_scan_engines_agree_on_real_campaign(self, ee_campaign):
         iterations = list(ee_campaign.iterations)
-        numpy_scan = temporal_scan(iterations, FEATURE, engine="numpy")
-        python_scan = temporal_scan(iterations, FEATURE, engine="python")
+        numpy_scan = temporal_scan(iterations, FEATURE)
+        python_scan = scalar_temporal_scan(iterations, FEATURE)
         assert numpy_scan.flagged_offsets == python_scan.flagged_offsets
         for a, b in zip(numpy_scan.offsets, python_scan.offsets):
             assert a.association.cramers_v == \
@@ -279,7 +281,7 @@ class TestParallelAndCache:
 class TestGolden:
     def test_localization_matches_fixture(self):
         workload, config, features = localization_case()
-        sampler = MicroSampler(config, engine="python", cache=None)
+        sampler = MicroSampler(config, cache=None)
         fresh = localization_to_golden(
             sampler.localize(workload, features=features))
         golden = load_golden("localize_ee_memcmp")
@@ -398,7 +400,7 @@ class TestCLI:
         # 0.01 significance gate recorded in the JSON output.
         rc = main(["localize", "ee-mem-cmp", "--inputs", "2",
                    "--features", FEATURE, "--permutations", "199",
-                   "--engine", "python", "--no-cache", "--json"])
+                   "--no-cache", "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["leakage_localized"] is True

@@ -3,7 +3,8 @@
 A warm ``audit`` or ``localize`` replays source-salted records, so it must
 not import numpy or an engine module (the cycle-accurate core, the tracer,
 the batch interpreter, the statistics kernels, the taint engine): those
-load where a miss starts work.  The packages export their names lazily
+load where a miss starts work.  Nor must ``cache stats``, which decodes
+every record, taint witnesses included.  The packages export their names lazily
 (:mod:`repro.util.lazy`), and every exported name still resolves to the
 object its defining module holds.
 """
@@ -22,14 +23,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: The taint engine, which only a ``--taint on`` miss runs.
+TAINT = ("repro.taint.engine", "repro.taint.batch_engine")
+
 #: What a replay must leave unloaded.
 ENGINE = ("numpy", "repro.uarch.core", "repro.uarch.batch_core",
           "repro.trace.tracer", "repro.isa.batch_interpreter",
-          "repro.sampler.matrix", "repro.sampler.stats_vec",
-          "repro.taint.engine")
+          "repro.sampler.matrix", "repro.sampler.stats_vec", *TAINT)
 
 LAZY_PACKAGES = ("repro", "repro.sampler", "repro.uarch", "repro.isa",
-                 "repro.trace")
+                 "repro.taint", "repro.trace")
 
 #: Runs ``repro.cli.main(argv[2:])`` and writes its status and the loaded
 #: modules to ``argv[1]``.
@@ -57,21 +60,37 @@ def _cli_modules(tmp_path, *argv) -> tuple:
     return probe["status"], set(probe["modules"])
 
 
+#: Common options of the probed analysis commands.
+_SMALL = ("--inputs", "2", "--config", "small", "--jobs", "1")
+
+
 @pytest.mark.parametrize("argv, status, cold_engine", [
-    (("audit", "sam-ct", "ee-mem-cmp"), 0,
-     set(ENGINE) - {"repro.taint.engine"}),
+    (("audit", "sam-ct", "ee-mem-cmp"), 0, set(ENGINE) - set(TAINT)),
+    (("audit", "sam-ct", "ee-mem-cmp", "--taint", "on"), 0, set(ENGINE)),
     (("localize", "ee-mem-cmp", "--taint", "on", "--json"), 1, set(ENGINE)),
-], ids=["audit", "localize-taint"])
+], ids=["audit", "audit-taint", "localize-taint"])
 def test_a_warm_replay_imports_no_engine(tmp_path, argv, status,
                                          cold_engine):
-    argv = (*argv, "--inputs", "2", "--config", "small", "--jobs", "1",
-            "--cache-dir", str(tmp_path / "cache"))
+    argv = (*argv, *_SMALL, "--cache-dir", str(tmp_path / "cache"))
     cold_status, cold = _cli_modules(tmp_path, *argv)
     assert cold_status == status
     assert cold_engine <= cold  # the miss ran the engine
     warm_status, warm = _cli_modules(tmp_path, *argv)
     assert warm_status == status
     assert not warm & set(ENGINE)
+
+
+def test_cache_stats_imports_no_engine(tmp_path):
+    cache = str(tmp_path / "cache")
+    status, cold = _cli_modules(tmp_path, "audit", "sam-ct", "ee-mem-cmp",
+                                "--taint", "on", *_SMALL, "--cache-dir",
+                                cache)
+    assert status == 0 and set(ENGINE) <= cold
+    status, stats = _cli_modules(tmp_path, "cache", "stats", "--cache-dir",
+                                 cache)
+    assert status == 0
+    assert "repro.taint.publicness" in stats  # it decoded the witnesses
+    assert not stats & set(ENGINE)
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

@@ -22,7 +22,6 @@ import pytest
 from repro.cli import AUDIT_EXPECTATIONS, build_workload, main
 from repro.sampler import pipeline, trace_cache
 from repro.sampler.audit import audit_to_dict, run_audit
-from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.pipeline import MicroSampler
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import Workload
@@ -37,13 +36,17 @@ from repro.sampler.trace_cache import (
 )
 from repro.uarch import SMALL_BOOM
 
-#: The CLI's default simulation stack, on the small core to keep it cheap.
-KNOBS = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
+from tests.oracles import scalar_report
+from tests.test_engine_differential import assert_reports_agree
+
+#: Sampler knobs per mode, on the small core to keep it cheap.  The
+#: ``python`` mode runs the default stack and also holds the replayed
+#: report to the scalar oracle's scoring of the campaign's traces.
 MODES = {
     "default": {},
     "taint": {"taint": True},
     "mi": {"measure_mi": True},
-    "python": {"engine": "python"},
+    "python": {},
     "no-lanes": {"batch_lanes": None},
 }
 
@@ -53,7 +56,8 @@ def _workload(name="sam-leaky", inputs=2):
 
 
 def _sampler(cache=None, **knobs):
-    return MicroSampler(SMALL_BOOM, cache=cache, **{**KNOBS, **knobs})
+    """The default stack on the small core, to keep it cheap."""
+    return MicroSampler(SMALL_BOOM, cache=cache, **knobs)
 
 
 def _records(root):
@@ -105,6 +109,10 @@ def test_replay_equals_the_computed_report(name, mode, tmp_path):
     assert _scrubbed(replayed) == _scrubbed(computed)
     assert replayed.timings == pipeline.StageTimings(0.0, 0.0, 0.0, 0.0)
     assert replayed.profile is None
+    if mode == "python":
+        sampler = _sampler(TraceCache(root))
+        assert_reports_agree(scalar_report(sampler.run(workload), sampler),
+                             replayed)
 
 
 def test_replay_uses_the_callers_workload_name(tmp_path, analyzed):
@@ -120,6 +128,43 @@ def test_replay_uses_the_callers_workload_name(tmp_path, analyzed):
     assert len(_records(cache.root)) == 1
 
 
+# -- one verdict rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, rule, taint", [
+    # The paper's rule flags every unit of sam-leaky and none of sam-ct.
+    # (The taint prescreen proves sam-ct's units secret-free, which would
+    # leave no unit for a permissive rule to flag.)
+    ("sam-leaky", {"alpha": 1e-300, "v_threshold": 0.999}, True),
+    ("sam-ct", {"alpha": 1.0, "v_threshold": 0.0}, False),
+], ids=["strict", "permissive"])
+def test_the_samplers_rule_decides_every_flag(name, rule, taint, tmp_path):
+    workload = build_workload(name, inputs=8, seed=3)
+    sampler = _sampler(TraceCache(tmp_path), taint=taint, **rule)
+    cold = sampler.analyze(workload)
+    paper = [fid for fid, unit in cold.units.items()
+             if unit.association.leaky]
+    flagged = [fid for fid, unit in cold.units.items()
+               if unit.association.flagged(**rule)]
+    assert flagged != paper  # the rules disagree on this campaign
+    replayed = sampler.analyze(workload)
+    assert replayed.timings == pipeline.StageTimings(0.0, 0.0, 0.0, 0.0)
+    for report in (cold, replayed):
+        assert report.leaky_units == flagged
+        assert report.leakage_detected is bool(flagged)
+        assert [fid for fid, unit in report.units.items()
+                if unit.root_cause is not None] == flagged
+        if taint:
+            assert [fid for fid, status in report.taint.agreement.items()
+                    if status in ("agree-leak", "TAINT-DISAGREE")] == flagged
+        for fid, entry in report_to_dict(report)["units"].items():
+            unit = report.units[fid]
+            assert entry["leaky"] is entry["association"]["leaky"] \
+                is (fid in flagged)
+            assert entry["association"]["significant"] \
+                is (unit.association.p_value < rule["alpha"])
+
+
 # -- key coverage -------------------------------------------------------------
 
 #: A value differing from the default for every knob a report depends on.
@@ -133,7 +178,6 @@ FLIPPED_KNOBS = {
     "warmup_iterations": 1,
     "warmup_insts": 64,
     "batch_lanes": None,
-    "engine": "python",
     "measure_mi": True,
     "mi_permutations": 50,
     "taint": True,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import build_workload
 from repro.sampler import (
     MicroSampler,
     Workload,
@@ -132,6 +133,23 @@ class TestAdaptiveAnalyze:
                                   sampler=sampler)
         assert calls[0] == 8
         assert report is not None
+
+    @pytest.mark.parametrize("v_threshold, inputs", [(0.5, 4), (1.0, 1)])
+    def test_undecided_units_follow_the_samplers_rule(self, v_threshold,
+                                                      inputs):
+        # No p-value clears alpha, so a unit is undecided exactly when its
+        # V clears the sampler's threshold: some do at 0.5, none at 1.0.
+        calls = []
+
+        def factory(n, seed):
+            calls.append(n)
+            return build_workload("sam-leaky", inputs=n, seed=seed)
+
+        sampler = MicroSampler(SMALL_BOOM, v_threshold=v_threshold,
+                               alpha=1e-300)
+        adaptive_analyze(factory, start_inputs=1, max_inputs=4, seed=3,
+                         sampler=sampler)
+        assert calls[-1] == inputs
 
 
 class TestRendering:
@@ -286,7 +304,8 @@ class TestBatchLockstepCampaign:
 
         # Apart from the surfaced divergences, the analysis itself is
         # unchanged versus the scalar path.
-        off = MicroSampler(SMALL_BOOM, warmup_insts=64).analyze(workload)
+        off = MicroSampler(SMALL_BOOM, warmup_insts=64,
+                           batch_lanes=None).analyze(workload)
         assert off.divergences == []
         assert report.leakage_detected == off.leakage_detected
         assert report.leaky_units == off.leaky_units

@@ -1,10 +1,12 @@
 """``MicroSampler`` is the one declaration of every campaign knob.
 
 A sampler is a frozen dataclass validated once, at construction; a variant
-is ``dataclasses.replace``.  Its ``plan`` is the one place the knobs reach
-``prepare_campaign``, and the entry points that take a sampler (``run_audit``,
-``sweep_configs``, ``significance_sweep``) also take loose knobs, which build
-the sampler or replace fields of an explicit one.
+is ``dataclasses.replace``.  Its defaults are the one declaration of the
+simulation stack the CLI verbs and the service run.  Its ``plan`` is the
+one place the knobs reach ``prepare_campaign``, and the entry points that
+take a sampler (``run_audit``, ``sweep_configs``, ``significance_sweep``)
+also take loose knobs, which build the sampler or replace fields of an
+explicit one.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import dataclasses
 
 import pytest
 
+from repro import cli
 from repro.cli import build_workload
 from repro.sampler import MicroSampler, WorkloadError, significance_sweep
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
 from repro.sampler.pipeline import with_knobs
 from repro.sampler.runner import prepare_campaign
-from repro.sampler.trace_cache import TraceCache
+from repro.sampler.trace_cache import REPORT_KEY_EXCLUDED, TraceCache
+from repro.service import JobSpec
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch import MEGA_BOOM, SMALL_BOOM
 
@@ -33,7 +37,7 @@ from repro.uarch import MEGA_BOOM, SMALL_BOOM
     ({"warmup_insts": True}, "warmup_insts must be"),
     ({"warmup_iterations": -1}, "warmup_iterations must be"),
     ({"mi_permutations": -1}, "mi_permutations must be"),
-    ({"engine": "fortran"}, "unknown engine 'fortran'"),
+    ({"warmup_insts": "512"}, "warmup_insts must be"),
     ({"jobs": -1}, "jobs must be"),
     ({"jobs": 2.5}, "jobs must be"),
     ({"jobs": "2"}, "jobs must be"),
@@ -52,7 +56,7 @@ def test_a_bad_knob_fails_at_construction(knobs, match):
     {"warmup_insts": None}, {"warmup_insts": 0},
     {"warmup_insts": DEFAULT_WARMUP_INSTS},
     {"mi_permutations": 0},
-    {"engine": "python"},
+    {"batch_lanes": 8},
 ])
 def test_every_accepted_spelling_constructs(knobs):
     sampler = MicroSampler(SMALL_BOOM, **knobs)
@@ -65,12 +69,37 @@ def test_a_sampler_is_frozen_and_varied_by_replace():
     assert sampler.features == ("ROB-PC", "EUU-ALU")
     assert MicroSampler().features == FEATURE_ORDER
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sampler.engine = "python"
+        sampler.alpha = 0.01
     with pytest.raises(dataclasses.FrozenInstanceError):
         sampler.config = MEGA_BOOM
     variant = dataclasses.replace(sampler, config=MEGA_BOOM)
     assert (variant.config, sampler.config) == (MEGA_BOOM, SMALL_BOOM)
     assert dataclasses.replace(variant, config=SMALL_BOOM) == sampler
+
+
+def _stack(sampler) -> dict:
+    """The fields that select what a sampler simulates and scores."""
+    return {field.name: getattr(sampler, field.name)
+            for field in dataclasses.fields(sampler)
+            if field.name not in REPORT_KEY_EXCLUDED}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "sam-ct"], ["sweep", "sam-ct"], ["localize", "sam-ct"],
+    ["audit"]], ids=lambda argv: argv[0])
+def test_a_bare_verb_runs_the_default_stack(argv):
+    args = cli.build_parser().parse_args(argv)
+    # A sweep's legs take their configs from --configs, the first of which
+    # (mega) is the default config.
+    knobs = {"config": MEGA_BOOM} if argv[0] == "sweep" else {}
+    assert _stack(cli._sampler(args, **knobs)) == _stack(MicroSampler())
+
+
+def test_a_bare_job_runs_the_default_stack(tmp_path):
+    spec = JobSpec(kind="analyze", workload="sam-ct")
+    assert _stack(spec.sampler(TraceCache(tmp_path))) \
+        == _stack(MicroSampler())
+    assert MicroSampler().warmup_insts == DEFAULT_WARMUP_INSTS
 
 
 def test_cache_true_resolves_to_one_cache(tmp_path, monkeypatch):
@@ -85,7 +114,7 @@ def test_cache_true_resolves_to_one_cache(tmp_path, monkeypatch):
 def test_knobs_build_or_replace_a_sampler():
     assert with_knobs(config=SMALL_BOOM, jobs=2) \
         == MicroSampler(SMALL_BOOM, jobs=2)
-    base = MicroSampler(SMALL_BOOM, engine="python")
+    base = MicroSampler(SMALL_BOOM, measure_mi=True)
     assert with_knobs(base) is base
     assert with_knobs(base, jobs=2) == dataclasses.replace(base, jobs=2)
 

@@ -11,7 +11,6 @@ library/CLI invocation.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing
 from types import SimpleNamespace
@@ -43,16 +42,9 @@ pytestmark = pytest.mark.skipif(
 # -- helpers ----------------------------------------------------------------
 
 
-def oneshot_sampler():
-    """A sampler configured exactly like the service's (and the CLI's)."""
-    return MicroSampler(SMALL_BOOM, jobs=1, cache=None,
-                        warmup_insts=DEFAULT_WARMUP_INSTS,
-                        batch_lanes="auto", engine="numpy")
-
-
 def oneshot_analyze(name: str, inputs: int = 2) -> dict:
     workload = build_workload(name, inputs=inputs, seed=3)
-    return report_to_dict(oneshot_sampler().analyze(workload))
+    return report_to_dict(MicroSampler(SMALL_BOOM).analyze(workload))
 
 
 def oneshot_audit(names, inputs: int = 2) -> dict:
@@ -62,7 +54,7 @@ def oneshot_audit(names, inputs: int = 2) -> dict:
                     for name in names if name in AUDIT_EXPECTATIONS}
     return audit_to_dict(run_audit(workloads, config=SMALL_BOOM,
                                    expectations=expectations,
-                                   sampler=oneshot_sampler()))
+                                   sampler=MicroSampler(SMALL_BOOM)))
 
 
 def run_service(scenario, **server_kwargs):
@@ -157,8 +149,8 @@ def test_strip_volatile_removes_wall_clock_fields():
     ({"kind": "analyze", "workload": "nope"}, "unknown workload"),
     ({"kind": "audit", "workloads": ["sam-ct", "nope"]},
      "unknown workload"),
-    ({"kind": "analyze", "workload": "sam-ct", "engine": "fortran"},
-     "unknown engine"),
+    ({"kind": "analyze", "workload": "sam-ct", "engine": "numpy"},
+     "unknown job spec field"),
     ({"kind": "analyze", "workload": "sam-ct", "inputs": 0},
      "positive integer"),
     ({"kind": "analyze", "workload": "sam-ct", "frobnicate": 1},
@@ -249,7 +241,6 @@ def test_jobspec_defaults_mirror_cli():
     spec = JobSpec.from_dict({"kind": "analyze", "workload": "sam-ct"})
     assert spec.inputs == 8
     assert spec.seed == 3
-    assert spec.engine == "numpy"
     assert spec.config == "mega"
     assert spec.resolve_warmup_insts() == DEFAULT_WARMUP_INSTS
 
@@ -260,14 +251,13 @@ def test_jobspec_builds_the_sampler_its_job_runs(tmp_path):
     cache = TraceCache(tmp_path)
     spec = JobSpec.from_dict({
         "kind": "analyze", "workload": "sam-ct", "config": "small",
-        "fast_bypass": True, "no_timing_removed": True, "engine": "python",
+        "fast_bypass": True, "no_timing_removed": True,
         "batch_lanes": "off", "warmup_insts": "full", "taint": True})
     assert spec.sampler(cache) == MicroSampler(
         SMALL_BOOM.with_(fast_bypass=True), analyze_timing_removed=False,
-        cache=cache, warmup_insts=None, batch_lanes=None, engine="python",
-        taint=True)
+        cache=cache, warmup_insts=None, batch_lanes=None, taint=True)
     assert JobSpec.from_dict(ANALYZE_SPEC).sampler(cache) == \
-        dataclasses.replace(oneshot_sampler(), cache=cache)
+        MicroSampler(SMALL_BOOM, cache=cache)
 
 
 @pytest.mark.parametrize("max_active", [0, -1])
@@ -531,6 +521,7 @@ def test_service_localize_matches_oneshot():
 
     workload = build_workload("sam-leaky", inputs=2, seed=3)
     oneshot = localization_to_dict(
-        localize(workload, sampler=oneshot_sampler(), permutations=19))
+        localize(workload, sampler=MicroSampler(SMALL_BOOM),
+                 permutations=19))
     assert strip_volatile(final["result"]) == strip_volatile(oneshot)
     assert final["result"]["leakage_localized"] is True

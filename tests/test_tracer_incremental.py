@@ -4,7 +4,7 @@ The incremental tracer consults each feature's state-version token every
 cycle and replays the memoized previous digest for unchanged units instead
 of resampling.  That is purely an execution-speed optimization: snapshots
 must be **bit-identical** to the naive resample-always tracer
-(``incremental=False``).  Three layers lock this in:
+(:class:`tests.oracles.NaiveTracer`).  Three layers lock this in:
 
 1. end-to-end differential runs on the case-study workloads, comparing
    every iteration's ``snapshot_hash``, ``snapshot_hash_notiming`` and
@@ -33,6 +33,8 @@ from repro.workloads.chacha import make_chacha20
 from repro.workloads.memcmp import make_early_exit_memcmp
 from repro.workloads.modexp import make_me_v2_safe
 
+from tests.oracles import NaiveTracer
+
 WORKLOADS = {
     "chacha20": lambda: make_chacha20(n_keys=2, n_blocks=1, seed=6),
     "ee-mem-cmp": lambda: make_early_exit_memcmp(n_pairs=4, length=8,
@@ -42,7 +44,7 @@ WORKLOADS = {
 
 
 def _trace(program, config, incremental):
-    tracer = MicroarchTracer(keep_raw=True, incremental=incremental)
+    tracer = (MicroarchTracer if incremental else NaiveTracer)(keep_raw=True)
     core = Core(program, config, kernel=ProxyKernel(), tracer=tracer)
     result = core.run()
     assert result.exit_code == 0
@@ -180,39 +182,35 @@ class TestLocalizationDifferential:
         cache = TraceCache(tmp_path / "cache")
         markers = []
 
-        class NaiveTracer(MicroarchTracer):
+        class NotingTracer(NaiveTracer):
             """The naive tracer, noting each marker the core sends it."""
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **{**kwargs, "incremental": False})
 
             def on_marker(self, mnemonic, label, cycle):
                 markers.append(mnemonic)
                 super().on_marker(mnemonic, label, cycle)
 
         # Cold campaign simulated with the naive tracer, stored in the cache.
-        # The run driver reads the class from its module when it runs.
+        # The run driver reads the class from its module when it runs, and
+        # runs it on inputs simulated one at a time (no lanes).
+        sampler = MicroSampler(cache=cache, batch_lanes=None)
         with monkeypatch.context() as patch:
-            patch.setattr(tracer_module, "MicroarchTracer", NaiveTracer)
-            naive = MicroSampler(cache=cache).localize(
-                workload, features=(FEATURE,))
+            patch.setattr(tracer_module, "MicroarchTracer", NotingTracer)
+            naive = sampler.localize(workload, features=(FEATURE,))
         assert cache.stores > 0 and cache.hits == 0
         assert "iter.end" in markers  # the naive tracer traced the run
 
         # The warm call replays the localization record: no trace load.
         loads = (cache.hits, cache.misses)
-        replayed = MicroSampler(cache=cache).localize(
-            workload, features=(FEATURE,))
+        replayed = sampler.localize(workload, features=(FEATURE,))
         assert (cache.hits, cache.misses) == loads
         shutil.rmtree(cache.root / LOCALIZATION.name)
 
         # Replaying the naive traces from the cache localizes identically.
-        replay = MicroSampler(cache=cache).localize(
-            workload, features=(FEATURE,))
+        replay = sampler.localize(workload, features=(FEATURE,))
         assert cache.hits >= len(workload.inputs)
 
         # A fresh incremental simulation reproduces the same localization.
-        incremental = MicroSampler(cache=None).localize(
+        incremental = MicroSampler(cache=None, batch_lanes=None).localize(
             workload, features=(FEATURE,))
 
         reports = [localization_to_dict(report)
