@@ -76,7 +76,7 @@ def _identity_view(output):
     and core produced must match bit-for-bit.
     """
     return (output.iterations, output.run, output.cycles_sampled,
-            output.ff_steps, output.checkpoint_key)
+            output.ff_steps)
 
 
 def measure(pairs, repeats: int = 2) -> list[dict]:

@@ -612,8 +612,7 @@ def cmd_cache(args) -> int:
     from repro.sampler.trace_cache import (RECORD_KINDS, cache_stats,
                                            prune_cache)
 
-    records = [kind.name for kind in RECORD_KINDS]
-    kinds = ("trace", "checkpoint", *records)
+    kinds = [kind.name for kind in RECORD_KINDS]
     if args.action == "stats":
         stats = cache_stats(args.cache_dir)
         print(f"cache root: {stats['root']}")
@@ -646,17 +645,13 @@ def cmd_cache(args) -> int:
                   f"{'y' if total_stale == 1 else 'ies'}")
         return 0
     result = prune_cache(args.cache_dir, all_entries=args.all)
-    removed = result["removed"]
     print(f"pruned {result['removed_entries']} entries "
           f"({_format_bytes(result['removed_bytes'])}) "
           f"from {result['root']}")
-    print(f"  {removed['trace']} stale trace, "
-          f"{removed['checkpoint']} stale checkpoint, "
-          f"{removed['orphan']} orphaned checkpoint "
-          f"(no surviving trace references them)")
-    stale = [f"{result[f'removed_{name}']} stale {name}" for name in records]
-    print(f"  {', '.join(stale)}, {result['removed_temp']} temp file(s) of "
-          f"interrupted stores")
+    removed = [f"{result[f'removed_{name}']} {'' if args.all else 'stale '}"
+               f"{name}" for name in kinds]
+    print(f"  {', '.join(removed)}, {result['removed_temp']} temp file(s) "
+          f"of interrupted stores")
     return 0
 
 
@@ -880,10 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "checkpoint, taint witness, campaign report, "
                             "localization) and staleness, and counts temp "
                             "files of interrupted stores; 'prune' deletes "
-                            "stale entries (pre-format-bump or unreadable; "
-                            "records that fail validation or carry another "
-                            "format or source digest) and orphaned "
-                            "checkpoints")
+                            "stale entries (records whose header names "
+                            "another source digest or key, or whose body "
+                            "fails its checksum)")
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory (default: "
                             "$MICROSAMPLER_CACHE_DIR or "

@@ -32,7 +32,7 @@ semantics at microarchitectural granularity.
 
 The differential test battery (``tests/test_batch_interpreter.py``,
 ``tests/test_checkpoint.py``) enforces that batched captures are
-bit-identical to scalar ones, so the checkpoint store keeps one entry per
+bit-identical to scalar ones, so the cache keeps one checkpoint record per
 input whatever produced it: a campaign re-run at another lane width, with
 only some inputs pending, or with ``--batch-lanes off`` loads the
 checkpoints an earlier run captured.
@@ -79,8 +79,7 @@ def resolve_batch_lanes(batch_lanes, n_inputs: int) -> int:
 
 
 def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
-                             warmup_insts: int,
-                             checkpoint_dir: str | None) -> list:
+                             warmup_insts: int, cache=None) -> list:
     """Capture (or load) checkpoints for ``to_run`` tasks, lockstep-batched.
 
     ``to_run`` is chunked ``lanes`` at a time — the campaign's
@@ -89,31 +88,32 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
     copy carrying its captured
     :class:`~repro.sampler.checkpoint.Checkpoint` (or ``None`` when
     fast-forwarding is inapplicable, in which case the worker re-scouts
-    through the scalar path under the same store entry).  Returns the
-    :class:`~repro.isa.batch_interpreter.DivergenceEvent`\\ s observed, with
-    ``lanes`` remapped from batch-local positions to campaign run indices.
+    through the scalar path under the same record).  With a ``cache`` (a
+    :class:`~repro.sampler.trace_cache.TraceCache`) each checkpoint is
+    loaded from its ``checkpoint`` record, or captured and stored.
+    Returns the :class:`~repro.isa.batch_interpreter.DivergenceEvent`\\ s
+    observed, with ``lanes`` remapped from batch-local positions to
+    campaign run indices.
     """
     from repro.sampler.checkpoint import (
-        CheckpointStore,
         capture_checkpoints_batch,
         checkpoint_key,
     )
+    from repro.sampler.trace_cache import CHECKPOINT
 
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     divergences: list = []
     for start in range(0, len(to_run), lanes):
         chunk = to_run[start:start + lanes]
-        keys: dict[int, str] = {}
+        keys: dict[int, str | None] = {}
         attached: dict[int, object] = {}
         misses: list[int] = []
         for index in chunk:
             task = tasks[index]
             cached = None
-            if store is not None:
-                key = checkpoint_key(task.program, task.memory_map,
-                                     warmup_insts)
-                keys[index] = key
-                cached = store.load(key)
+            if cache is not None:
+                key = keys[index] = checkpoint_key(
+                    task.program, task.memory_map, warmup_insts)
+                cached = cache.load_record(CHECKPOINT, key)
             if cached is not None:
                 attached[index] = cached
             else:
@@ -131,8 +131,8 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
             )
             for index, checkpoint in zip(misses, captured):
                 attached[index] = checkpoint
-                if checkpoint is not None and store is not None:
-                    store.store(keys[index], checkpoint)
+                if checkpoint is not None and cache is not None:
+                    cache.store_record(CHECKPOINT, keys[index], checkpoint)
         for index in chunk:
             tasks[index] = dataclasses.replace(
                 tasks[index], checkpoint=attached.get(index))

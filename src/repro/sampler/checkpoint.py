@@ -26,12 +26,13 @@ outside an open iteration window — before the ROI begins.
   exactly this for every bundled workload).
 
 Checkpoints are content-addressed over the patched program image, the
-memory map and the warm-up budget — the core configuration is irrelevant to
-an architectural checkpoint, so every core config shares the same entry —
-and stored alongside the trace cache so reruns and ``--jobs`` workers reuse
-them.  The cross-config sweep engine (:mod:`repro.sampler.sweep`) leans on
-that sharing directly: the first config leg captures, every later leg's
-prepass degenerates to store loads.  The behaviour is pinned by
+memory map, the warm-up budget and the source digest — the core
+configuration is irrelevant to an architectural checkpoint, so every core
+config shares the same entry — and stored as ``checkpoint`` records of the
+cache (:mod:`repro.sampler.trace_cache`) so reruns and ``--jobs`` workers
+reuse them.  Cross-config sweeps (:mod:`repro.sampler.sweep`) lean on that
+sharing directly: the first config leg captures, every later leg's prepass
+degenerates to record loads.  The behaviour is pinned by
 ``tests/test_config_sweep.py`` (capture under one config, hit under
 another), so changing :func:`checkpoint_key` to include configuration
 state is a breaking change, not a cleanup.
@@ -40,26 +41,13 @@ state is a breaking change, not a cleanup.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from dataclasses import dataclass
-from pathlib import Path
 
-import repro
 from repro.isa.assembler import Program
 from repro.isa.interpreter import ExecutionError, Interpreter
 from repro.kernel.memory_map import MemoryMap
 from repro.kernel.proxy_kernel import ProxyKernel, SyscallError
 from repro.util.hashing import stable_hex_digest
-
-#: Bump when the checkpoint payload layout or key canonicalization changes.
-#: Version history: 1 = original layout; 2 = lockstep batch capture
-#: (``batch_lanes`` joined the key material, so batched and per-input
-#: captures — bit-identical by the differential test battery, but produced
-#: by different code paths — never shared an entry); 3 = key hash changed:
-#: SipHash → BLAKE2b; 4 = ``batch_lanes`` left the key material again: one
-#: entry per input, shared by every lane width and by ``--batch-lanes off``
-#: (``cache prune`` sweeps the width-keyed v3 entries).
-CHECKPOINT_FORMAT_VERSION = 4
 
 #: Default warm-up budget (instructions replayed cycle-accurately before the
 #: ROI).  Generous enough to cover every bundled workload's prologue, so the
@@ -114,8 +102,10 @@ class Checkpoint:
 
 
 def checkpoint_key(program: Program, memory_map: MemoryMap | None,
-                   warmup_insts: int) -> str:
-    """Content-addressed key for a (program, memory map, warm-up) triple.
+                   warmup_insts: int) -> str | None:
+    """Content-addressed key for a (program, memory map, warm-up) triple,
+    salted with the source digest; None when the sources cannot be
+    digested.
 
     How the entry was captured — one scalar functional pass, or one lane
     of a lockstep batch pass at any width — is not part of the key: the
@@ -124,16 +114,19 @@ def checkpoint_key(program: Program, memory_map: MemoryMap | None,
 
     The program text is digested once per instruction list (the memo in
     :func:`~repro.sampler.trace_cache.program_fingerprint`).  Pool workers
-    receive unpickled tasks, so that memo is per process: a worker pays the
-    text digest once per pickled lane group, whose tasks share one list.
+    receive copies of the tasks, so that memo is per process: a worker pays
+    the text digest once per lane group it receives, whose tasks share one
+    list.
     """
     # Imported lazily: trace_cache imports exec_backend at module scope, and
     # exec_backend reaches back into this module from its worker path.
-    from repro.sampler.trace_cache import program_fingerprint
+    from repro.sampler.trace_cache import program_fingerprint, source_digest
 
+    source = source_digest()
+    if source is None:
+        return None
     material = (
-        CHECKPOINT_FORMAT_VERSION,
-        getattr(repro, "__version__", "0"),
+        source,
         program_fingerprint(program),
         dataclasses.asdict(memory_map) if memory_map else None,
         warmup_insts,
@@ -285,100 +278,30 @@ def capture_checkpoints_batch(programs: list[Program], *,
     return results, divergences
 
 
-def _checkpoint_to_payload(checkpoint: Checkpoint) -> tuple:
-    return (
-        CHECKPOINT_FORMAT_VERSION,
-        checkpoint.pc,
-        checkpoint.regs,
-        checkpoint.pages,
-        checkpoint.console,
-        checkpoint.brk,
-        checkpoint.steps,
-        checkpoint.pre_roi_steps,
-    )
-
-
-def _checkpoint_from_payload(payload: tuple) -> Checkpoint | None:
-    if not isinstance(payload, tuple) or len(payload) != 8:
-        return None
-    if payload[0] != CHECKPOINT_FORMAT_VERSION:
-        return None
-    _, pc, regs, pages, console, brk, steps, pre_roi_steps = payload
-    return Checkpoint(pc=pc, regs=regs, pages=pages, console=console,
-                      brk=brk, steps=steps, pre_roi_steps=pre_roi_steps)
-
-
-class CheckpointStore:
-    """Filesystem-backed checkpoint cache, sharing the trace-cache root.
-
-    Same contract as :class:`~repro.sampler.trace_cache.TraceCache`: lookups
-    and stores never raise on I/O problems, and any unreadable, corrupt or
-    version-mismatched entry is a miss.  Entries live one file per key under
-    ``root/<key[:2]>/<key>.ckpt``.
-    """
-
-    SUBDIR = "checkpoints"
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @classmethod
-    def for_cache_root(cls, cache_root: str | Path) -> "CheckpointStore":
-        return cls(Path(cache_root) / cls.SUBDIR)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.ckpt"
-
-    def load(self, key: str) -> Checkpoint | None:
-        try:
-            raw = self._path(key).read_bytes()
-            checkpoint = _checkpoint_from_payload(pickle.loads(raw))
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                TypeError, AttributeError, ImportError, IndexError):
-            checkpoint = None
-        if checkpoint is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return checkpoint
-
-    def store(self, key: str, checkpoint: Checkpoint) -> bool:
-        from repro.sampler.trace_cache import atomic_write
-
-        payload = pickle.dumps(_checkpoint_to_payload(checkpoint),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            atomic_write(self._path(key), payload)
-        except OSError:
-            return False
-        self.stores += 1
-        return True
-
-
 def load_or_capture(program: Program, *,
                     memory_map: MemoryMap | None = None,
                     warmup_insts: int = 0,
-                    store: CheckpointStore | None = None,
+                    cache=None,
                     max_steps: int = MAX_CAPTURE_STEPS) -> Checkpoint | None:
-    """Fetch a checkpoint from ``store`` or capture (and persist) one.
+    """Fetch a checkpoint record from ``cache`` (a
+    :class:`~repro.sampler.trace_cache.TraceCache`) or capture (and store)
+    one.
 
     A missing ``roi.begin`` is not cached as a negative entry: programs
     without markers re-run the (cheap, aborted) scout pass each time.
-    The capture itself is always scalar here; the entry is the one the
+    The capture itself is always scalar here; the record is the one the
     lockstep batch prepass (:mod:`repro.sampler.batch`) reads and writes.
     """
-    key = None
-    if store is not None:
-        key = checkpoint_key(program, memory_map, warmup_insts)
-        cached = store.load(key)
-        if cached is not None:
-            return cached
+    from repro.sampler.trace_cache import CHECKPOINT
+
+    key = (checkpoint_key(program, memory_map, warmup_insts)
+           if cache is not None else None)
+    cached = cache.load_record(CHECKPOINT, key) if key is not None else None
+    if cached is not None:
+        return cached
     checkpoint = capture_checkpoint(program, memory_map=memory_map,
                                     warmup_insts=warmup_insts,
                                     max_steps=max_steps)
-    if checkpoint is not None and store is not None:
-        store.store(key, checkpoint)
+    if checkpoint is not None and key is not None:
+        cache.store_record(CHECKPOINT, key, checkpoint)
     return checkpoint

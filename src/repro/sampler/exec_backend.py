@@ -65,10 +65,10 @@ class RunTask:
     #: replayed cycle-accurately and untraced (``sampler/checkpoint.py``).
     #: Changes what the core simulates, so it joins the trace-cache key.
     warmup_insts: int | None = None
-    #: Directory for content-addressed checkpoint reuse (None = capture
-    #: in-memory only).  Storage location, not content — excluded from the
-    #: trace-cache key like ``profile``.
-    checkpoint_dir: str | None = None
+    #: Root of the cache the worker reuses checkpoint records from and
+    #: stores them to (None = capture in memory only).  Storage location,
+    #: not content — excluded from the trace-cache key like ``profile``.
+    cache_root: str | None = None
     #: Attach a per-stage wall-clock profiler to the core (``--profile``).
     #: Observational only — excluded from the trace-cache key, and cached
     #: replays simply carry no profile.
@@ -102,16 +102,19 @@ class RunOutput:
     run: RunResult | None = None
     cycles_sampled: int = 0
     sample_seconds: float = 0.0
-    #: True when this output was replayed from the trace cache.
+    #: True when this output was replayed from the trace cache: nothing was
+    #: simulated for it in this process.
     from_cache: bool = False
+    #: True once this output is in the trace cache, so
+    #: :meth:`~repro.sampler.runner.CampaignPlan.fill` stores it no more:
+    #: replayed from it, or stored by the pool that simulated it (the
+    #: campaign service's per-job view stores each group for the jobs
+    #: waiting on it).
+    stored: bool = False
     #: Instructions skipped via functional fast-forward (0 = full sim).
     ff_steps: int = 0
     #: Per-stage time breakdown when the task requested profiling.
     profile: object | None = None
-    #: Content address of the checkpoint this run used (None = no
-    #: checkpointing).  Persisted with cached traces so ``cache prune`` can
-    #: tell live checkpoints from orphans.
-    checkpoint_key: str | None = None
     #: Cross-lane divergence events observed while this input ran in a
     #: lane-batched core group (attached to the group's first output, with
     #: lanes remapped to run indices).  A divergence is simultaneously the
@@ -145,15 +148,15 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
 
 def _checkpoint(task: RunTask):
     """The task's checkpoint: attached by the batch prepass, else loaded
-    from (or captured into) its store; None means full simulation."""
+    from (or captured into) its cache; None means full simulation."""
     if task.checkpoint is not None or task.warmup_insts is None:
         return task.checkpoint
-    from repro.sampler.checkpoint import CheckpointStore, load_or_capture
+    from repro.sampler.checkpoint import load_or_capture
+    from repro.sampler.trace_cache import TraceCache
 
-    store = (CheckpointStore(task.checkpoint_dir)
-             if task.checkpoint_dir else None)
+    cache = TraceCache(task.cache_root) if task.cache_root else None
     return load_or_capture(task.program, memory_map=task.memory_map,
-                           warmup_insts=task.warmup_insts, store=store)
+                           warmup_insts=task.warmup_insts, cache=cache)
 
 
 def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
@@ -167,7 +170,6 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
     # Imported here, not at module top: the simulator loads only where a
     # run starts (a cache replay never imports it), and runner imports
     # this module.
-    from repro.sampler.checkpoint import checkpoint_key
     from repro.sampler.runner import WorkloadError
     from repro.trace.tracer import BatchTracer, MicroarchTracer
     from repro.uarch.core import Core, RunResult
@@ -248,11 +250,6 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
                             if lane == 0 else 0.0),
             ff_steps=ff_steps,
             profile=profile if lane == 0 else None,
-            checkpoint_key=(
-                checkpoint_key(task.program, task.memory_map,
-                               task.warmup_insts)
-                if task.warmup_insts is not None and task.checkpoint_dir
-                else None),
         ))
     return outputs
 
@@ -614,8 +611,9 @@ def maybe_inject_worker_fault() -> None:
 
 
 #: The simulator modules a worker's :func:`_run_shard` runs on.  A
-#: :class:`WorkerPool` imports them before its first fork, so that every
-#: worker starts with them loaded instead of importing them itself.
+#: :class:`WorkerPool` imports them, and digests the sources that salt every
+#: cache key, before its first fork, so that every worker starts with them
+#: loaded and keys with the parent's digest.
 ENGINE_MODULES = ("repro.sampler.checkpoint", "repro.trace.tracer",
                   "repro.uarch.batch_core")
 
@@ -747,6 +745,9 @@ class WorkerPool:
         }
         for name in ENGINE_MODULES:
             __import__(name)
+        from repro.sampler.trace_cache import source_digest
+
+        source_digest()
         self._wake_r, self._wake_w = os.pipe()
         with self._lock:
             for _ in range(self.n_workers):

@@ -164,11 +164,11 @@ class CampaignPlan:
     execute_seconds: float = 0.0
 
     def fill(self, index: int, output: RunOutput) -> None:
-        """Record one executed output and persist it to the cache, unless
-        the executor already served it from there."""
+        """Record one executed output and store it in the cache, unless it
+        is there already (:attr:`RunOutput.stored`)."""
         self.outputs[index] = output
         if (self.cache is not None and self.keys is not None
-                and not output.from_cache):
+                and not output.stored):
             self.cache.store(self.keys[index], output,
                              config=self.tasks[index].config)
 
@@ -181,7 +181,6 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      features=None, keep_raw=(), log_commits: bool = False,
                      cache=None,
                      warmup_insts: int | None = None,
-                     checkpoint_dir: str | None = None,
                      batch_lanes=None,
                      profile: bool = False,
                      pruned=()) -> CampaignPlan:
@@ -193,21 +192,23 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     :func:`~repro.sampler.exec_backend.stream_plans` does both for any
     number of plans on one backend — then :func:`finalize_campaign`
     merges.  :meth:`~repro.sampler.pipeline.MicroSampler.plan` calls this
-    with a sampler's knobs.
+    with a sampler's knobs.  Without a source digest
+    (:func:`~repro.sampler.trace_cache.source_digest`) the campaign plans
+    as with ``cache=None``: a record keyed without the code could outlive
+    it.
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
     if warmup_insts is not None and warmup_insts < 0:
         # A negative budget would checkpoint past roi.begin.
         raise ValueError(f"warm-up budget must be >= 0, got {warmup_insts}")
-    if cache is True:
-        from repro.sampler.trace_cache import TraceCache
+    if cache is not None:
+        from repro.sampler.trace_cache import TraceCache, source_digest
 
-        cache = TraceCache()
-    if warmup_insts is not None and checkpoint_dir is None and cache is not None:
-        from repro.sampler.checkpoint import CheckpointStore
-
-        checkpoint_dir = str(CheckpointStore.for_cache_root(cache.root).root)
+        if source_digest() is None:
+            cache = None
+        elif cache is True:
+            cache = TraceCache()
     # Resolve the lockstep lane width up front: ``core_lanes`` joins every
     # task's cache key (a lane-batched run records its group's divergence
     # events), so it must be stamped before the cache is consulted.  The
@@ -231,7 +232,7 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         keep_raw=True if keep_raw is True else tuple(keep_raw),
         log_commits=bool(log_commits),
         warmup_insts=warmup_insts,
-        checkpoint_dir=checkpoint_dir,
+        cache_root=str(cache.root) if cache is not None else None,
         profile=bool(profile),
         pruned=tuple(pruned),
         core_lanes=core_lanes,
@@ -273,7 +274,7 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         capture_started = time.perf_counter()
         divergences = attach_batch_checkpoints(
             tasks, to_run, lanes=core_lanes, warmup_insts=warmup_insts,
-            checkpoint_dir=checkpoint_dir,
+            cache=cache,
         )
         capture_seconds = time.perf_counter() - capture_started
 
@@ -356,9 +357,9 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     ``keep_raw``, ``log_commits`` (each iteration's ``(cycle, pc,
     mnemonic)`` commit stream, for :mod:`repro.localize`), ``cache`` (a
     :class:`~repro.sampler.trace_cache.TraceCache` or ``True``: inputs
-    simulated before are replayed, and identical inputs inside one
-    campaign simulate once), ``checkpoint_dir`` (default: the cache root's
-    ``checkpoints/``), ``pruned``, and the simulation knobs
+    simulated before are replayed, identical inputs inside one campaign
+    simulate once, and checkpoints are reused from it), ``pruned``, and the
+    simulation knobs
     ``warmup_insts``, ``batch_lanes`` and ``profile`` that
     :class:`~repro.sampler.pipeline.MicroSampler` documents.  Divergences
     land on ``CampaignResult.divergences``.

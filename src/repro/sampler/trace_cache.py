@@ -1,4 +1,5 @@
-"""Content-addressed cache of per-input simulation outputs.
+"""Content-addressed cache of simulation outputs and what is derived
+from them.
 
 MicroWalk-style campaigns re-simulate the same (program, input, core
 configuration) triples constantly — input-coverage sweeps re-run every
@@ -7,27 +8,13 @@ leaky workload is typically re-analyzed many times while a fix is iterated.
 Simulation dominates the pipeline cost (Table VI), so those repeats are
 worth eliminating entirely.
 
-Each campaign input is keyed by the *content* it is a pure function of: the
-assembled (and patched) program image, the core configuration, the memory
-map, and the tracer settings (tracked features, retained raw rows, commit
-logging), plus the warm-region and cycle-budget knobs.  Mutating any of them — a changed
-source line, a different secret key, one more ROB entry — yields a new key;
-everything else is a byte-identical replay.  Trace and checkpoint keys are
-salted with the package version and a cache format version, but **not**
-with the simulator source itself: after modifying the core model, clear
-the cache directory or pass ``--no-cache``/``cache=None``.
+Everything the cache holds is a *record* of one :class:`RecordKind`,
+stored as ``<root>/<kind>/<key[:2]>/<key>.json``:
 
-Entries are stored one file per key under ``root/<key[:2]>/<key>.pkl``
-(pickled *plain-value payloads*, not live objects — see
-:func:`repro.trace.tracer.iteration_to_payload`), written atomically so
-concurrent workers can share a cache directory.  Any unreadable, corrupt or
-version-mismatched entry is treated as a miss.
-
-The same root holds derived *records* (:class:`RecordKind`): checksummed
-JSON under ``root/<kind>/<key[:2]>/<key>.json``, keyed with
-:func:`source_digest` so they invalidate themselves when the source
-changes, and never unpickled.  Three kinds exist:
-
+* ``trace`` — one campaign input's simulation output (:func:`task_key`);
+* ``checkpoint`` — one input's pre-ROI architectural checkpoint
+  (:func:`repro.sampler.checkpoint.checkpoint_key`), shared by every core
+  configuration and lane width;
 * ``witness`` — the taint prescreen's publicness maps (see
   :func:`repro.taint.publicness.compute_publicness`), so a warm
   ``--taint on`` run replays them instead of re-running the taint engine;
@@ -40,9 +27,22 @@ changes, and never unpickled.  Three kinds exist:
   localize job replays it instead of re-running detection, the scans and
   the permutation tests.
 
-A report or localization record is only as fresh as the traces it was
-computed from: until trace keys are salted with the source too, a result
-computed after a simulator edit from stale traces is stored as current.
+Each key is a digest of the content its value is a pure function of — for
+a trace, the assembled and patched program image, the core configuration,
+the memory map, the tracer settings and the simulation knobs — and of
+:func:`source_digest`, the code that computes it.  Mutating any of them (a
+changed source line, a different secret key, one more ROB entry, an edit
+to the simulator) yields a new key; everything else is a byte-identical
+replay.  No cache is read or written when the sources cannot be digested.
+
+A record file is one JSON header line, ``{"source", "key",
+"body_blake2b"}``, then the body's JSON.  A load checks the header against
+the current source digest and the requested key, and the checksum against
+the body bytes, before it parses the body; anything else (unreadable,
+truncated, damaged, foreign or stale) is a miss, and the next store
+overwrites it.  Files are written atomically, so concurrent workers and
+processes can share a cache directory, and hold plain JSON only: loading
+one never runs code.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -64,42 +63,6 @@ from repro.sampler.exec_backend import RunOutput, RunTask
 from repro.trace.features import FEATURE_ORDER
 from repro.util.hashing import stable_hex_digest
 
-#: Bump when the payload layout or key canonicalization changes.  Version
-#: history: 1 = original layout; 2 = iteration payloads carry per-cycle
-#: digest sequences and commit logs (``log_commits`` joined the key
-#: material); 3 = fast-forward checkpointing (``warmup_insts`` joined the
-#: key material, payloads record the fast-forwarded instruction count);
-#: 4 = taint-pruned tracing (``pruned`` joined the key material, payloads
-#: record the checkpoint key the run used so ``cache prune`` can sweep
-#: orphaned checkpoint-store entries);
-#: 5 = lane-batched core simulation (``core_lanes`` joined the key
-#: material — the lane set determines which lane-batched checkpoint
-#: payloads a trace may reference — and payloads record the divergence
-#: events observed while the input ran in a batched group);
-#: 6 = cross-config sweeps (the key material canonicalizes the core
-#: configuration as its memoized :func:`config_digest` instead of the raw
-#: ``asdict`` dict, and payloads record the producing config's name and
-#: digest so ``cache stats`` can break warm entries down per core config);
-#: 7 = key hash changed: SipHash → BLAKE2b (and the program text enters
-#: the key material as its memoized digest).
-#: Entries written by older versions fail the version check and decode as
-#: misses, so campaigns needing localization inputs are transparently
-#: re-simulated instead of replaying traces without them; ``microsampler
-#: cache prune`` garbage-collects the stale files.
-CACHE_FORMAT_VERSION = 7
-
-#: Bump when the witness record layout or its key material changes.
-WITNESS_FORMAT_VERSION = 1
-
-#: Bump when the report record layout or its key material changes.
-#: 2 = no ``engine``; each unit carries its flagging rule.
-REPORT_FORMAT_VERSION = 2
-
-#: Bump when the localization record layout or its key material changes.
-#: 2 = each distinct association row stored once, indexed per offset;
-#: 3 = no ``engine``.
-LOCALIZATION_FORMAT_VERSION = 3
-
 #: ``MicroSampler`` fields a report does not depend on: the worker count,
 #: the cache handle and the simulator profiler (a replayed report carries
 #: no profile).  Every other field joins :func:`report_key`.
@@ -108,11 +71,13 @@ REPORT_KEY_EXCLUDED = frozenset({"jobs", "cache", "profile"})
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "MICROSAMPLER_CACHE_DIR"
 
-#: Shell pattern of the temporary files :func:`atomic_write` creates,
-#: ``.<key>.<random>``.  One survives only when its writer was killed
-#: mid-store; ``cache stats`` counts them and ``cache prune --all``
-#: deletes them.
-TEMP_GLOB = ".*.*"
+#: Shell patterns, under ``<root>/<kind>/``, of the record files and of
+#: the temporary files :func:`atomic_write` creates beside them,
+#: ``.<key>.<random>``.  A temporary file survives only when its writer was
+#: killed mid-store; ``cache stats`` counts them and ``cache prune --all``
+#: deletes them.  Maintenance touches nothing else under the root.
+RECORD_GLOB = "??/*.json"
+TEMP_GLOB = "??/.*"
 
 
 def atomic_write(path: Path, payload: bytes) -> None:
@@ -215,14 +180,17 @@ def config_digest(config) -> str:
     return digest
 
 
-def task_key(task: RunTask) -> str:
-    """Content-addressed cache key for one campaign input."""
+def task_key(task: RunTask) -> str | None:
+    """Content-addressed cache key for one campaign input, or None when the
+    sources cannot be digested."""
+    source = source_digest()
+    if source is None:
+        return None
     features = task.features if task.features is not None else FEATURE_ORDER
     keep_raw = (True if task.keep_raw is True
                 else tuple(sorted(task.keep_raw)))
     material = (
-        CACHE_FORMAT_VERSION,
-        getattr(repro, "__version__", "0"),
+        source,
         program_fingerprint(task.program),
         config_digest(task.config),
         dataclasses.asdict(task.memory_map) if task.memory_map else None,
@@ -233,8 +201,8 @@ def task_key(task: RunTask) -> str:
         task.max_cycles,
         task.expect_exit_code,
         # Fast-forward warm-up budget: changes which instructions are
-        # simulated cycle-accurately, hence the snapshots.  The checkpoint
-        # *directory* is storage location only and stays out of the key.
+        # simulated cycle-accurately, hence the snapshots.  The cache root
+        # is storage location only and stays out of the key.
         task.warmup_insts,
         # Taint-pruned features record constant empty snapshots, so a
         # pruned trace must never replay for an unpruned campaign (or with
@@ -261,7 +229,6 @@ def witness_key(programs, spans, memory_map, max_steps: int) -> str | None:
     if source is None:
         return None
     material = (
-        WITNESS_FORMAT_VERSION,
         source,
         tuple(program_fingerprint(program) for program in programs),
         tuple(tuple(per_input) for per_input in spans),
@@ -294,8 +261,7 @@ def report_key(sampler, workload) -> str | None:
                  for field in dataclasses.fields(sampler)
                  if field.name not in REPORT_KEY_EXCLUDED}
         knobs["config"] = config_digest(sampler.config)
-        return stable_hex_digest((REPORT_FORMAT_VERSION, source, fields,
-                                  knobs))
+        return stable_hex_digest((source, fields, knobs))
     except TypeError:
         return None
 
@@ -314,36 +280,24 @@ def localization_key(sampler, workload, features, permutations,
     report = report_key(sampler, workload)
     if report is None:
         return None
-    return stable_hex_digest((LOCALIZATION_FORMAT_VERSION, report, features,
-                              permutations, seed))
+    return stable_hex_digest((report, features, permutations, seed))
 
 
-# -- derived records -------------------------------------------------------
+# -- records ----------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class RecordKind:
-    """One kind of derived JSON record.
+    """One kind of cached JSON record, stored under ``<root>/<name>/``.
 
-    A record lives at ``<root>/<name>/<key[:2]>/<key>.json`` and reads
-    ``{"header": {"format", "source", "key", "body_blake2b"}, <field>:
-    body}``.  ``encode`` turns a value into its JSON-ready body and
-    ``decode`` turns a parsed body back, raising ValueError when it is
-    malformed.
+    ``encode`` turns a value into its JSON-ready body and ``decode`` turns a
+    parsed body back, raising ValueError (or the TypeError, KeyError,
+    IndexError or AttributeError of a misshapen body) when it is malformed.
     """
 
     name: str
-    format: int
-    field: str
     encode: Callable
     decode: Callable
-
-
-def _body_digest(body) -> str:
-    """BLAKE2b of the body's canonical JSON text, which a parsed body
-    serializes back to exactly."""
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def _expect(value, *types):
@@ -420,6 +374,91 @@ def _values(item) -> tuple:
                  for field in dataclasses.fields(item))
 
 
+def _events_body(events) -> list:
+    return [[event.pc, event.step, event.kind, event.mnemonic,
+             list(event.lanes)] for event in events]
+
+
+def _events_from_body(body) -> tuple:
+    """Inverse of :func:`_events_body`."""
+    events = []
+    for event in _expect(body, list):
+        pc, step, kind, mnemonic, lanes = _expect(event, list)
+        events.append(DivergenceEvent(
+            pc=_expect(pc, int), step=_expect(step, int),
+            kind=_expect(kind, str), mnemonic=_expect(mnemonic, str),
+            lanes=tuple(_ints(lanes))))
+    return tuple(events)
+
+
+def _trace_body(value) -> dict:
+    """One run's :class:`RunOutput` and, when the storer knew it, the core
+    config that produced it (recorded for the per-config ``cache stats``
+    breakdown; its digest already keys the record)."""
+    from repro.trace.tracer import iteration_to_payload
+
+    output, config = value
+    run = output.run
+    return {
+        "config": (None if config is None
+                   else [config.name, config_digest(config)]),
+        "iterations": [iteration_to_payload(record)
+                       for record in output.iterations],
+        "run": [run.exit_code, dataclasses.asdict(run.stats), run.console,
+                list(run.marker_cycles)],
+        "cycles_sampled": output.cycles_sampled,
+        "sample_seconds": output.sample_seconds,
+        "ff_steps": output.ff_steps,
+        "divergences": _events_body(output.divergences),
+    }
+
+
+def _trace_from_body(body) -> RunOutput:
+    """Inverse of :func:`_trace_body`: a replayed output, with run index 0
+    (the merge re-stamps it)."""
+    from repro.trace.tracer import iteration_from_payload
+    from repro.uarch.core import CoreStats, RunResult
+
+    exit_code, stats, console, marker_cycles = body["run"]
+    return RunOutput(
+        run_index=0,
+        iterations=[iteration_from_payload(item)
+                    for item in body["iterations"]],
+        run=RunResult(exit_code=exit_code, stats=CoreStats(**stats),
+                      console=console, marker_cycles=marker_cycles),
+        cycles_sampled=body["cycles_sampled"],
+        sample_seconds=body["sample_seconds"],
+        from_cache=True,
+        stored=True,
+        ff_steps=body["ff_steps"],
+        divergences=_events_from_body(body["divergences"]),
+    )
+
+
+def _checkpoint_body(checkpoint) -> dict:
+    """A :class:`~repro.sampler.checkpoint.Checkpoint`, bytes as hex."""
+    return {
+        "pc": checkpoint.pc,
+        "regs": list(checkpoint.regs),
+        "pages": [[base, data.hex()] for base, data in checkpoint.pages],
+        "console": checkpoint.console.hex(),
+        "brk": checkpoint.brk,
+        "steps": checkpoint.steps,
+        "pre_roi_steps": checkpoint.pre_roi_steps,
+    }
+
+
+def _checkpoint_from_body(body):
+    from repro.sampler.checkpoint import Checkpoint
+
+    return Checkpoint(
+        pc=body["pc"], regs=tuple(body["regs"]),
+        pages=tuple((base, bytes.fromhex(data))
+                    for base, data in body["pages"]),
+        console=bytes.fromhex(body["console"]), brk=body["brk"],
+        steps=body["steps"], pre_roi_steps=body["pre_roi_steps"])
+
+
 def _witness_body(maps) -> list:
     return [publicness.to_dict() for publicness in maps]
 
@@ -460,9 +499,7 @@ def _report_body(report) -> dict:
     return {
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
-        "divergences": [[event.pc, event.step, event.kind, event.mnemonic,
-                         list(event.lanes)]
-                        for event in report.divergences],
+        "divergences": _events_body(report.divergences),
         "units": [{"feature_id": unit.feature_id,
                    "association": numbers(unit.association),
                    "association_notiming": numbers(
@@ -528,20 +565,13 @@ def _report_from_body(body):
 
     _object(body, ("n_iterations", "n_classes", "divergences", "units"),
             "report")
-    divergences = []
-    for event in _expect(body["divergences"], list):
-        pc, step, kind, mnemonic, lanes = _expect(event, list)
-        divergences.append(DivergenceEvent(
-            pc=_expect(pc, int), step=_expect(step, int),
-            kind=_expect(kind, str), mnemonic=_expect(mnemonic, str),
-            lanes=tuple(_ints(lanes))))
     units = [unit(item) for item in _expect(body["units"], list)]
     return LeakageReport(
         workload_name="", config_name="",
         n_iterations=_expect(body["n_iterations"], int),
         n_classes=_expect(body["n_classes"], int),
         units={item.feature_id: item for item in units},
-        divergences=divergences)
+        divergences=list(_events_from_body(body["divergences"])))
 
 
 def _localization_columns() -> tuple:
@@ -695,115 +725,58 @@ def _localization_from_body(body):
         units={item.feature_id: item for item in units})
 
 
+#: One campaign input's :class:`RunOutput` (:func:`task_key`), stored as
+#: ``(output, config)``.
+TRACE = RecordKind("trace", _trace_body, _trace_from_body)
+#: One input's :class:`~repro.sampler.checkpoint.Checkpoint`
+#: (:func:`~repro.sampler.checkpoint.checkpoint_key`).
+CHECKPOINT = RecordKind("checkpoint", _checkpoint_body, _checkpoint_from_body)
 #: The taint prescreen's per-input publicness maps
 #: (:func:`witness_key`).
-WITNESS = RecordKind("witness", WITNESS_FORMAT_VERSION, "maps",
-                     _witness_body, _witness_from_body)
+WITNESS = RecordKind("witness", _witness_body, _witness_from_body)
 #: A campaign's finished :class:`~repro.sampler.pipeline.LeakageReport`
 #: (:func:`report_key`).
-REPORT = RecordKind("report", REPORT_FORMAT_VERSION, "report",
-                    _report_body, _report_from_body)
+REPORT = RecordKind("report", _report_body, _report_from_body)
 #: A workload's finished :class:`~repro.localize.LocalizationReport`
 #: (:func:`localization_key`).
-LOCALIZATION = RecordKind("localization", LOCALIZATION_FORMAT_VERSION,
-                          "localization", _localization_body,
+LOCALIZATION = RecordKind("localization", _localization_body,
                           _localization_from_body)
-RECORD_KINDS = (WITNESS, REPORT, LOCALIZATION)
+RECORD_KINDS = (TRACE, CHECKPOINT, WITNESS, REPORT, LOCALIZATION)
+
+
+def _checksum(body: bytes) -> str:
+    return hashlib.blake2b(body, digest_size=16).hexdigest()
 
 
 def _record_bytes(kind: RecordKind, key: str, value) -> bytes:
-    body = kind.encode(value)
-    header = {"format": kind.format, "source": source_digest(), "key": key,
-              "body_blake2b": _body_digest(body)}
-    return json.dumps({"header": header, kind.field: body}).encode()
+    body = json.dumps(kind.encode(value), separators=(",", ":")).encode()
+    header = {"source": source_digest(), "key": key,
+              "body_blake2b": _checksum(body)}
+    return json.dumps(header).encode() + b"\n" + body
 
 
-def _read_record(kind: RecordKind, path: Path, key: str):
-    """The value the ``kind`` record at ``path`` holds, or None when it is
-    unreadable, malformed (bad JSON, a mistyped field, a body failing its
-    digest), foreign (another key) or stale (another format or source
-    digest)."""
+def _read_body(path: Path, key: str) -> bytes | None:
+    """The body bytes of the record at ``path``, or None when the file is
+    unreadable or its header does not name the current source digest,
+    ``key`` and the body's checksum."""
     try:
-        record = json.loads(path.read_bytes())
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
     except (OSError, ValueError, RecursionError):
         return None
-    if not isinstance(record, dict) or set(record) != {"header", kind.field}:
-        return None
-    header, body = record["header"], record[kind.field]
     source = source_digest()
-    if source is None or not isinstance(header, dict) \
-            or type(header.get("format")) is not int or header != {
-                "format": kind.format, "source": source, "key": key,
-                "body_blake2b": _body_digest(body)}:
+    if source is None or header != {"source": source, "key": key,
+                                    "body_blake2b": _checksum(body)}:
         return None
-    try:
-        return kind.decode(body)
-    except ValueError:
-        return None
-
-
-# The trace-entry codec imports the tracer and the core where it runs, so
-# a run that replays only records never loads them.
-def _output_to_payload(output: RunOutput, config=None) -> tuple:
-    from repro.trace.tracer import iteration_to_payload
-
-    run = output.run
-    return (
-        CACHE_FORMAT_VERSION,
-        tuple(iteration_to_payload(record) for record in output.iterations),
-        (run.exit_code, dataclasses.asdict(run.stats), run.console,
-         tuple(run.marker_cycles)),
-        output.cycles_sampled,
-        output.sample_seconds,
-        output.ff_steps,
-        output.checkpoint_key,
-        tuple((d.pc, d.step, d.kind, d.mnemonic, tuple(d.lanes))
-              for d in output.divergences),
-        # Producing core config (name, digest): informational only — the
-        # digest already keys the entry — but it lets ``cache stats`` report
-        # which config legs of a sweep are warm without re-deriving keys.
-        (config.name, config_digest(config)) if config is not None else None,
-    )
-
-
-def _output_from_payload(payload: tuple) -> RunOutput | None:
-    if not isinstance(payload, tuple) or len(payload) != 9:
-        return None
-    (version, iterations, run, cycles_sampled, sample_seconds,
-     ff_steps, ckpt_key, divergences, _config) = payload
-    if version != CACHE_FORMAT_VERSION:
-        return None
-    from repro.trace.tracer import iteration_from_payload
-    from repro.uarch.core import CoreStats, RunResult
-
-    exit_code, stats, console, marker_cycles = run
-    return RunOutput(
-        run_index=0,
-        iterations=[iteration_from_payload(item) for item in iterations],
-        run=RunResult(
-            exit_code=exit_code,
-            stats=CoreStats(**stats),
-            console=console,
-            marker_cycles=list(marker_cycles),
-        ),
-        cycles_sampled=cycles_sampled,
-        sample_seconds=sample_seconds,
-        from_cache=True,
-        ff_steps=ff_steps,
-        checkpoint_key=ckpt_key,
-        divergences=tuple(
-            DivergenceEvent(pc=pc, step=step, kind=kind,
-                            mnemonic=mnemonic, lanes=tuple(lanes))
-            for pc, step, kind, mnemonic, lanes in divergences
-        ),
-    )
+    return body
 
 
 class TraceCache:
-    """Filesystem-backed cache of :class:`RunOutput` payloads.
+    """Filesystem-backed store of every :class:`RecordKind` under one root.
 
     Lookups and stores never raise on I/O problems: a cache must only ever
-    make a campaign faster, not able to fail it.
+    make a campaign faster, not able to fail it.  ``hits``, ``misses`` and
+    ``stores`` count trace records, the per-input simulation outputs.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -812,20 +785,12 @@ class TraceCache:
         self.misses = 0
         self.stores = 0
 
-    def key_for(self, task: RunTask) -> str:
+    def key_for(self, task: RunTask) -> str | None:
         return task_key(task)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
     def load(self, key: str) -> RunOutput | None:
-        """Replay a cached run, or None on miss/corruption."""
-        try:
-            raw = self._path(key).read_bytes()
-            output = _output_from_payload(pickle.loads(raw))
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                TypeError, AttributeError, ImportError, IndexError):
-            output = None
+        """Replay a cached run, or None on a miss."""
+        output = self.load_record(TRACE, key)
         if output is None:
             self.misses += 1
         else:
@@ -833,17 +798,13 @@ class TraceCache:
         return output
 
     def store(self, key: str, output: RunOutput, config=None) -> bool:
-        """Atomically persist one run's payload; best-effort.
+        """Atomically persist one run's output; best-effort.
 
         ``config`` (the producing :class:`CoreConfig`, when the caller has
-        it) is recorded in the payload for the per-config ``cache stats``
-        breakdown; it does not affect the key or replay.
+        it) is recorded for the per-config ``cache stats`` breakdown; it
+        does not affect the key or replay.
         """
-        payload = pickle.dumps(_output_to_payload(output, config),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            atomic_write(self._path(key), payload)
-        except OSError:
+        if not self.store_record(TRACE, key, (output, config)):
             return False
         self.stores += 1
         return True
@@ -851,188 +812,110 @@ class TraceCache:
     def _record_path(self, kind: RecordKind, key: str) -> Path:
         return self.root / kind.name / key[:2] / f"{key}.json"
 
-    def load_record(self, kind: RecordKind, key: str):
+    def load_record(self, kind: RecordKind, key: str | None):
         """Replay the value of the ``kind`` record ``key``, or None on a
-        miss (absent, unreadable, malformed, foreign or stale record)."""
-        return _read_record(kind, self._record_path(kind, key), key)
+        miss (no key, or an absent, unreadable, damaged, foreign or stale
+        record)."""
+        if key is None:
+            return None
+        body = _read_body(self._record_path(kind, key), key)
+        if body is None:
+            return None
+        try:
+            return kind.decode(json.loads(body))
+        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                RecursionError):
+            return None
 
-    def store_record(self, kind: RecordKind, key: str, value) -> None:
+    def store_record(self, kind: RecordKind, key: str | None, value) -> bool:
         """Atomically (over)write the ``kind`` record ``key``; best-effort,
-        so a failed store (read-only root, full disk) is ignored."""
+        so a failed store (read-only root, full disk) returns False."""
+        if key is None:
+            return False
         try:
             atomic_write(self._record_path(kind, key),
                          _record_bytes(kind, key, value))
         except OSError:
-            pass
+            return False
+        return True
 
 
 # -- maintenance (``microsampler cache``) -----------------------------------
 #
-# Format bumps orphan every entry written by earlier versions: they decode
-# as misses forever but keep their disk space.  These helpers let the CLI
-# inspect and garbage-collect them.  Every entry kind lives under one root:
-# trace payloads as ``<root>/<xx>/<key>.pkl``, checkpoints as
-# ``<root>/checkpoints/<xx>/<key>.ckpt`` and each record kind as
-# ``<root>/<kind>/<xx>/<key>.json``.  A record is stale when it fails
-# validation or was written under another format or source digest.
+# A record whose source or key the header does not match, or whose body
+# fails its checksum, can never hit again and only occupies disk until it is
+# pruned.  Maintenance checks headers and checksums only, decoding no body,
+# so it imports no engine; it touches only the record files and temporary
+# files inside ``<root>/<kind>/<xx>/``.
 
 
-def _read_payload(path: Path) -> tuple | None:
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-            TypeError, AttributeError, ImportError, IndexError,
-            MemoryError):
-        return None
-    return payload if isinstance(payload, tuple) and payload else None
-
-
-def _payload_version(path: Path) -> int | None:
-    """First element of a pickled payload tuple, or None if unreadable."""
-    payload = _read_payload(path)
-    if payload is None:
-        return None
-    return payload[0] if isinstance(payload[0], int) else None
-
-
-def _payload_checkpoint_key(payload: tuple) -> str | None:
-    """The checkpoint key a current-version trace payload references."""
-    if len(payload) >= 7 and isinstance(payload[6], str):
-        return payload[6]
-    return None
-
-
-def _payload_config(payload: tuple) -> tuple | None:
-    """``(name, digest)`` of the core config that produced a trace payload."""
-    if (len(payload) >= 9 and isinstance(payload[8], tuple)
-            and len(payload[8]) == 2):
-        return payload[8]
-    return None
-
-
-def _scan_entries(root: Path):
-    """Yield ``(path, kind, current_version)`` for every cache entry file."""
-    from repro.sampler.checkpoint import (CHECKPOINT_FORMAT_VERSION,
-                                          CheckpointStore)
-
-    checkpoint_root = root / CheckpointStore.SUBDIR
-    if root.is_dir():
-        for path in sorted(root.rglob("*.pkl")):
-            if checkpoint_root in path.parents:
-                continue
-            yield path, "trace", CACHE_FORMAT_VERSION
-    if checkpoint_root.is_dir():
-        for path in sorted(checkpoint_root.rglob("*.ckpt")):
-            yield path, "checkpoint", CHECKPOINT_FORMAT_VERSION
-
-
-def _record_paths(root: Path, kind: RecordKind) -> list:
-    return sorted((root / kind.name).rglob("*.json"))
-
-
-def _stale_record(kind: RecordKind, path: Path) -> bool:
-    return _read_record(kind, path, path.stem) is None
-
-
-def _temp_paths(root: Path) -> list:
-    """Temporary files of interrupted :func:`atomic_write` stores."""
-    return [path for path in sorted(root.rglob(TEMP_GLOB)) if path.is_file()]
+def _kind_paths(root: Path, kind: RecordKind, pattern: str) -> list:
+    return [path for path in sorted((root / kind.name).glob(pattern))
+            if path.is_file()]
 
 
 def cache_stats(root: str | Path | None = None) -> dict:
-    """Inventory of the cache directory, split by entry kind and staleness.
+    """Inventory of the cache directory, split by record kind and staleness.
 
-    An entry is *stale* when its recorded format version differs from the
-    current one (or it cannot be decoded at all): it can never hit again
-    and only occupies disk until pruned.
-
-    Live trace entries are additionally broken down per producing core
-    config under ``per_config`` (``digest -> {name, entries, bytes}``), so
-    before submitting a cross-config sweep one can see which config legs
-    are already warm.  Entries stored without a recorded config (older
-    callers) are grouped under the ``"unknown"`` digest.  Each record kind
-    of :data:`RECORD_KINDS` has its own bucket.  ``temp`` counts the
-    temporary files of interrupted stores.
+    Each kind of :data:`RECORD_KINDS` has a bucket ``{entries, bytes,
+    stale_entries, stale_bytes}``.  Live trace records are additionally
+    broken down per producing core config under ``per_config`` (``digest
+    -> {name, entries, bytes}``), so before submitting a cross-config sweep
+    one can see which config legs are already warm; traces stored without
+    a config are grouped under the ``"unknown"`` digest.  ``temp`` counts
+    the temporary files of interrupted stores.
     """
     root = Path(root) if root is not None else default_cache_dir()
-    stats = {
-        kind: {"entries": 0, "bytes": 0, "stale_entries": 0, "stale_bytes": 0}
-        for kind in ("trace", "checkpoint",
-                     *(record.name for record in RECORD_KINDS))
-    }
+    stats: dict = {"root": str(root)}
     per_config: dict = {}
-    for path, kind, current in _scan_entries(root):
-        try:
-            size = path.stat().st_size
-        except OSError:
-            continue
-        bucket = stats[kind]
-        bucket["entries"] += 1
-        bucket["bytes"] += size
-        payload = _read_payload(path)
-        version = (payload[0] if payload is not None
-                   and isinstance(payload[0], int) else None)
-        if version != current:
-            bucket["stale_entries"] += 1
-            bucket["stale_bytes"] += size
-            continue
-        if kind != "trace":
-            continue
-        name, digest = _payload_config(payload) or ("?", "unknown")
-        entry = per_config.setdefault(
-            digest, {"name": name, "entries": 0, "bytes": 0})
-        entry["entries"] += 1
-        entry["bytes"] += size
-    for record in RECORD_KINDS:
-        bucket = stats[record.name]
-        for path in _record_paths(root, record):
+    temp = {"entries": 0, "bytes": 0}
+    for kind in RECORD_KINDS:
+        bucket = stats[kind.name] = {"entries": 0, "bytes": 0,
+                                     "stale_entries": 0, "stale_bytes": 0}
+        for path in _kind_paths(root, kind, RECORD_GLOB):
             try:
                 size = path.stat().st_size
             except OSError:
                 continue
             bucket["entries"] += 1
             bucket["bytes"] += size
-            if _stale_record(record, path):
+            body = _read_body(path, path.stem)
+            if body is None:
                 bucket["stale_entries"] += 1
                 bucket["stale_bytes"] += size
-    temp = {"entries": 0, "bytes": 0}
-    for path in _temp_paths(root):
-        try:
-            temp["bytes"] += path.stat().st_size
-        except OSError:
-            continue
-        temp["entries"] += 1
-    return {"root": str(root), **stats, "temp": temp,
-            "per_config": per_config}
+            elif kind is TRACE:
+                try:
+                    name, digest = json.loads(body)["config"]
+                except (ValueError, TypeError, KeyError, RecursionError):
+                    name, digest = "?", "unknown"
+                entry = per_config.setdefault(
+                    digest, {"name": name, "entries": 0, "bytes": 0})
+                entry["entries"] += 1
+                entry["bytes"] += size
+        for path in _kind_paths(root, kind, TEMP_GLOB):
+            try:
+                temp["bytes"] += path.stat().st_size
+            except OSError:
+                continue
+            temp["entries"] += 1
+    return {**stats, "temp": temp, "per_config": per_config}
 
 
 def prune_cache(root: str | Path | None = None, *,
                 all_entries: bool = False) -> dict:
-    """Delete stale cache entries (or every entry with ``all_entries``).
+    """Delete stale records (or every record with ``all_entries``).
 
-    Both stores are swept *consistently*: after the stale trace entries go,
-    any checkpoint no surviving trace entry references is an **orphan**
-    (its parents can never hit again, so nothing will ever restore it) and
-    is removed too.  Surviving trace payloads record the checkpoint key
-    their run used, which is what ties the two stores together.
+    ``all_entries`` also deletes the temporary files of interrupted stores;
+    a plain prune leaves them, as a live writer may own one.
 
-    Stale records of every kind go too.  ``all_entries`` also deletes
-    the temporary files of interrupted stores; a plain prune leaves them,
-    as a live writer may own one.
-
-    Returns ``{"root", "removed_entries", "removed_bytes", "removed",
-    "removed_<kind>" per record kind, "removed_temp"}`` where
-    ``removed`` breaks the trace-side count down by kind (``trace``,
-    ``checkpoint``, ``orphan``).  ``removed_entries`` also counts the
-    records, and ``removed_bytes`` the temporary files.  Removal is
-    best-effort (a vanished or undeletable file is skipped) and empty
-    shard directories are cleaned up afterwards.
+    Returns ``{"root", "removed_entries", "removed_bytes",
+    "removed_<kind>" per record kind, "removed_temp"}``;
+    ``removed_entries`` counts the records, and ``removed_bytes`` the
+    temporary files too.  Removal is best-effort (a vanished or undeletable
+    file is skipped), and shard directories left empty are removed.
     """
     root = Path(root) if root is not None else default_cache_dir()
-    removed = {"trace": 0, "checkpoint": 0, "orphan": 0}
     removed_bytes = 0
-    referenced: set[str] = set()
-    checkpoints: list[tuple[Path, int | None]] = []
 
     def _unlink(path: Path) -> bool:
         nonlocal removed_bytes
@@ -1044,44 +927,23 @@ def prune_cache(root: str | Path | None = None, *,
         removed_bytes += size
         return True
 
-    removed_records = {
-        f"removed_{record.name}": sum(
-            _unlink(path) for path in _record_paths(root, record)
-            if all_entries or _stale_record(record, path))
-        for record in RECORD_KINDS}
-    removed_temp = (sum(_unlink(path) for path in _temp_paths(root))
+    removed = {
+        f"removed_{kind.name}": sum(
+            _unlink(path) for path in _kind_paths(root, kind, RECORD_GLOB)
+            if all_entries or _read_body(path, path.stem) is None)
+        for kind in RECORD_KINDS}
+    removed_temp = (sum(_unlink(path) for kind in RECORD_KINDS
+                        for path in _kind_paths(root, kind, TEMP_GLOB))
                     if all_entries else 0)
-    for path, kind, current in _scan_entries(root):
-        if kind == "checkpoint":
-            checkpoints.append((path, current))
-            continue
-        payload = _read_payload(path)
-        version = (payload[0] if payload is not None
-                   and isinstance(payload[0], int) else None)
-        if not all_entries and version == current:
-            key = _payload_checkpoint_key(payload)
-            if key is not None:
-                referenced.add(key)
-            continue
-        removed["trace"] += _unlink(path)
-    for path, current in checkpoints:
-        if all_entries or _payload_version(path) != current:
-            removed["checkpoint"] += _unlink(path)
-        elif path.stem not in referenced:
-            # Current-version checkpoint, but no surviving trace entry
-            # references it: its parents were pruned (or never cached).
-            removed["orphan"] += _unlink(path)
-    if root.is_dir():
-        for directory in sorted(root.rglob("*"), reverse=True):
-            if directory.is_dir():
-                try:
-                    directory.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
+    for kind in RECORD_KINDS:
+        for directory in (*sorted((root / kind.name).glob("??")),
+                          root / kind.name):
+            try:
+                directory.rmdir()  # only succeeds when empty
+            except OSError:
+                pass
     return {"root": str(root),
-            "removed_entries": (sum(removed.values())
-                                + sum(removed_records.values())),
+            "removed_entries": sum(removed.values()),
             "removed_bytes": removed_bytes,
-            "removed": removed,
-            **removed_records,
+            **removed,
             "removed_temp": removed_temp}

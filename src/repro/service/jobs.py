@@ -298,7 +298,9 @@ class JobPool:
       the cache — or, if the owner failed, claimed and simulated here;
     * a group the cache gained since planning is loaded;
     * any other group is claimed, simulated on the pool and stored, and
-      only then released.
+      only then released.  Each stored output is marked
+      :attr:`~repro.sampler.exec_backend.RunOutput.stored`, so the job's
+      plan does not store it again.
 
     Claims register on the loop in submission order, before any await, and
     waiting for one holds no thread.  Once the job ends (:meth:`close`) the
@@ -353,7 +355,8 @@ class JobPool:
                     manager.pool.submit(tasks))
                 # Stored before the claim is released, for the waiters.
                 for key, task, output in zip(keys, tasks, outputs):
-                    manager.cache.store(key, output, config=task.config)
+                    if manager.cache.store(key, output, config=task.config):
+                        output.stored = True
                 stats["shards_simulated"] += len(tasks)
             finally:
                 del manager._inflight[group]

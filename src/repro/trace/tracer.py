@@ -256,10 +256,13 @@ def build_feature_iteration(rows, keep_raw: bool = True) -> FeatureIteration:
 def iteration_to_payload(record: IterationRecord) -> tuple:
     """Flatten an :class:`IterationRecord` into plain tuples.
 
-    The payload contains only ints, strings and tuples, so persisted traces
-    (the content-addressed cache in :mod:`repro.sampler.trace_cache`) do not
-    depend on the pickle layout of these classes.  Feature order is
-    preserved, so a round trip reproduces the record exactly.
+    The payload contains only ints, strings, tuples and None, so persisted
+    traces (the JSON trace records of :mod:`repro.sampler.trace_cache`) do
+    not depend on the layout of these classes.  Each feature's value set is
+    left out: :meth:`_FeatureAccumulator.finalize` builds it as exactly the
+    set of its first-occurrence ``order``, so the round trip derives it.
+    Feature order is preserved, so a round trip reproduces the record
+    exactly.
     """
     return (
         record.index,
@@ -270,7 +273,7 @@ def iteration_to_payload(record: IterationRecord) -> tuple:
         record.ordinal,
         tuple(
             (feature_id, fi.snapshot_hash, fi.snapshot_hash_notiming,
-             tuple(fi.values), fi.order, fi.rows, fi.cycle_digests)
+             fi.order, fi.rows, fi.cycle_digests)
             for feature_id, fi in record.features.items()
         ),
         record.commits,
@@ -278,7 +281,8 @@ def iteration_to_payload(record: IterationRecord) -> tuple:
 
 
 def iteration_from_payload(payload: tuple) -> IterationRecord:
-    """Rebuild an :class:`IterationRecord` from :func:`iteration_to_payload`."""
+    """Rebuild an :class:`IterationRecord` from :func:`iteration_to_payload`
+    (or from its JSON form, whose tuples read back as lists)."""
     (index, label, start_cycle, end_cycle, run_index, ordinal, features,
      commits) = payload
     record = IterationRecord(
@@ -287,12 +291,12 @@ def iteration_from_payload(payload: tuple) -> IterationRecord:
         commits=(tuple(tuple(entry) for entry in commits)
                  if commits is not None else None),
     )
-    for (feature_id, digest, digest_notiming, values, order, rows,
+    for (feature_id, digest, digest_notiming, order, rows,
          cycle_digests) in features:
         record.features[feature_id] = FeatureIteration(
             snapshot_hash=digest,
             snapshot_hash_notiming=digest_notiming,
-            values=frozenset(values),
+            values=frozenset(order),
             order=tuple(order),
             rows=tuple(tuple(row) for row in rows) if rows is not None else None,
             cycle_digests=(tuple(cycle_digests)

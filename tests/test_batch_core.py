@@ -1,4 +1,4 @@
-"""Lane-batched OoO core: identity, divergence fallback, cache format v5.
+"""Lane-batched OoO core: identity, divergence fallback, cached events.
 
 The contract under test is the one :mod:`repro.uarch.batch_core` promises:
 carrying N campaign inputs as value lanes through one shared cycle-accurate
@@ -11,7 +11,6 @@ re-simulation (transparently) or is surfaced as a first-class
 
 from __future__ import annotations
 
-import pickle
 import shutil
 
 import pytest
@@ -26,11 +25,7 @@ from repro.sampler.exec_backend import (
 )
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import patch_program
-from repro.sampler.trace_cache import (
-    CACHE_FORMAT_VERSION,
-    TraceCache,
-    prune_cache,
-)
+from repro.sampler.trace_cache import TraceCache
 from repro.uarch.batch_core import BatchCore, LaneDivergence
 from repro.uarch.config import SMALL_BOOM
 from tests.test_checkpoint import _scrub_timings
@@ -354,70 +349,6 @@ def test_cache_key_includes_core_lanes():
     scalar_key = cache.key_for(
         RunTask(**{**task.__dict__, "core_lanes": None}))
     assert batched_key != scalar_key
-
-
-def test_prune_migrates_v4_entries_and_their_checkpoints(tmp_path):
-    """Format-4 payloads (and the checkpoints only they reference) sweep.
-
-    The orphan sweep must keep working across the 4 -> 5 payload layout
-    change: a stale v4 trace can no longer vouch for its checkpoint, while
-    a current v5 trace protects its own.
-    """
-    from repro.sampler.checkpoint import CHECKPOINT_FORMAT_VERSION
-
-    root = tmp_path / "cache"
-    cache = TraceCache(root)
-
-    # A current-version entry, produced by the real batched pipeline so its
-    # payload records both a checkpoint key and the divergence tuple slot.
-    # The prologue nop sled gives the functional fast-forward something to
-    # skip, so a checkpoint is actually captured and referenced.
-    source = """
-.data
-key: .byte 0
-.text
-main:
-""" + "    nop\n" * 24 + """
-    roi.begin
-    la t0, key
-    lbu t1, 0(t0)
-    andi t2, t1, 1
-    iter.begin t2
-    nop
-    iter.end
-    roi.end
-    li a0, 0
-    li a7, 93
-    ecall
-"""
-    workload = Workload(
-        name="migration", source=source,
-        inputs=[{"key": bytes([k])} for k in (0, 1)],
-    )
-    campaign = run_campaign(workload, SMALL_BOOM, cache=cache,
-                            warmup_insts=8, batch_lanes=2)
-    assert campaign.runs
-    live_traces = sorted(root.rglob("*.pkl"))
-    live_ckpts = sorted(root.rglob("*.ckpt"))
-    assert live_traces and live_ckpts
-
-    # Plant a pre-bump v4 entry: 7-element payload, old version stamp,
-    # referencing its own (current-format) checkpoint.
-    old_ckpt = root / "checkpoints" / "aa" / ("a" * 40 + ".ckpt")
-    old_ckpt.parent.mkdir(parents=True, exist_ok=True)
-    old_ckpt.write_bytes(pickle.dumps((CHECKPOINT_FORMAT_VERSION, "x")))
-    old_trace = root / "aa" / ("b" * 40 + ".pkl")
-    old_trace.parent.mkdir(parents=True, exist_ok=True)
-    old_trace.write_bytes(pickle.dumps(
-        (4, (), (0, {}, "", ()), 0, 0.0, 0, old_ckpt.stem)))
-    assert CACHE_FORMAT_VERSION == 7
-
-    result = prune_cache(root)
-    assert result["removed"]["trace"] == 1
-    assert result["removed"]["orphan"] == 1
-    assert not old_trace.exists() and not old_ckpt.exists()
-    assert sorted(root.rglob("*.pkl")) == live_traces
-    assert sorted(root.rglob("*.ckpt")) == live_ckpts
 
 
 def test_divergences_roundtrip_through_cache(tmp_path):

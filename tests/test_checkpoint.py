@@ -10,24 +10,22 @@ Three layers of guarantees:
 * **Bit-identity** — at the default warm-up budget (which covers every
   bundled workload's prologue) and at ``--warmup-insts full``, campaigns,
   reports and localization dicts are byte-for-byte identical to full
-  simulation, with or without the checkpoint store.
+  simulation, with or without a cache.
 * **Cache plumbing** — checkpoint keys react to exactly the inputs that
-  change the checkpoint, the store round-trips and shrugs off corruption,
-  and the trace-cache key covers the warm-up budget.
+  change the checkpoint, checkpoint records round-trip and shrug off
+  damage, and the trace-cache key covers the warm-up budget.
 """
 
 from __future__ import annotations
 
-import pickle
+import shutil
 
 import pytest
 
 from repro.kernel import ProxyKernel
 from repro.sampler.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
     DEFAULT_WARMUP_INSTS,
     Checkpoint,
-    CheckpointStore,
     capture_checkpoint,
     checkpoint_key,
     describe_warmup,
@@ -36,7 +34,13 @@ from repro.sampler.checkpoint import (
 )
 from repro.sampler.pipeline import MicroSampler
 from repro.sampler.runner import patch_program, run_campaign
-from repro.sampler.trace_cache import TraceCache, cache_stats, prune_cache
+from repro.sampler.trace_cache import (
+    CHECKPOINT,
+    TRACE,
+    TraceCache,
+    cache_stats,
+    prune_cache,
+)
 from repro.trace import MicroarchTracer
 from repro.uarch import SMALL_BOOM, Core
 from repro.workloads.bignum import make_mp_modexp_ct
@@ -195,7 +199,7 @@ def test_default_warmup_is_bit_identical_to_full(workload, tmp_path):
     full = run_campaign(workload, SMALL_BOOM, warmup_insts=None)
     ckpt = run_campaign(workload, SMALL_BOOM,
                         warmup_insts=DEFAULT_WARMUP_INSTS,
-                        checkpoint_dir=str(tmp_path / "ckpt"))
+                        cache=TraceCache(tmp_path / "cache"))
     assert _campaign_signature(full) == _campaign_signature(ckpt)
     assert ckpt.ff_steps_total == 0  # default budget covers the prologue
 
@@ -221,15 +225,16 @@ def test_localization_dict_bit_identical_under_default_warmup():
 
 
 def test_restored_run_matches_cold_capture(tmp_path):
-    """Cold capture vs checkpoint-store replay: identical campaigns."""
+    """Cold capture vs checkpoint-record replay: identical campaigns."""
     workload = with_bootstrap(make_sam_ct(n_keys=2), insts=2_000)
-    checkpoint_dir = tmp_path / "ckpt"
-    cold = run_campaign(workload, SMALL_BOOM, warmup_insts=64,
-                        checkpoint_dir=str(checkpoint_dir))
+    cache = TraceCache(tmp_path / "cache")
+    cold = run_campaign(workload, SMALL_BOOM, warmup_insts=64, cache=cache)
     assert cold.ff_steps_total > 0  # the restore path actually ran
-    assert list(checkpoint_dir.rglob("*.ckpt"))
-    warm = run_campaign(workload, SMALL_BOOM, warmup_insts=64,
-                        checkpoint_dir=str(checkpoint_dir))
+    assert list((cache.root / CHECKPOINT.name).rglob("*.json"))
+    # Without the traces, the rerun simulates from the stored checkpoints.
+    shutil.rmtree(cache.root / TRACE.name)
+    warm = run_campaign(workload, SMALL_BOOM, warmup_insts=64, cache=cache)
+    assert warm.n_cached_runs == 0
     assert _campaign_signature(cold) == _campaign_signature(warm)
 
 
@@ -314,35 +319,43 @@ def test_checkpoint_key_sensitivity():
 
 
 def test_store_round_trip_and_corruption(tmp_path):
-    store = CheckpointStore(tmp_path / "ckpt")
+    from tests import records
+
+    cache = TraceCache(tmp_path / "cache")
     checkpoint = Checkpoint(pc=0x1000, regs=tuple(range(32)),
                             pages=((0x2000, b"\x01" * 64),),
                             console=b"hi", brk=0x3000, steps=7,
                             pre_roi_steps=9)
-    assert store.load("ab" * 8) is None
-    assert store.misses == 1
-    assert store.store("ab" * 8, checkpoint)
-    loaded = store.load("ab" * 8)
-    assert loaded == checkpoint
-    assert store.hits == 1
+    key = "ab" * 8
+    assert cache.load_record(CHECKPOINT, key) is None
+    assert cache.store_record(CHECKPOINT, key, checkpoint)
+    assert cache.load_record(CHECKPOINT, key) == checkpoint
 
-    # Corruption and version mismatch degrade to a miss, never an error.
-    path = store._path("ab" * 8)
-    path.write_bytes(b"not a pickle")
-    assert store.load("ab" * 8) is None
-    path.write_bytes(pickle.dumps((CHECKPOINT_FORMAT_VERSION + 1,) * 8))
-    assert store.load("ab" * 8) is None
+    # Damage and a foreign source degrade to a miss, never an error.
+    path = cache._record_path(CHECKPOINT, key)
+    raw = path.read_bytes()
+    path.write_bytes(b"not a record")
+    assert cache.load_record(CHECKPOINT, key) is None
+    path.write_bytes(records.with_header(raw, source="0" * 16))
+    assert cache.load_record(CHECKPOINT, key) is None
 
 
-def test_load_or_capture_persists_and_replays(tmp_path):
+def test_load_or_capture_persists_and_replays(tmp_path, monkeypatch):
+    import repro.sampler.checkpoint as checkpoint_module
+
     workload = make_sam_ct(n_keys=1)
     program = patch_program(workload.assemble(), workload.inputs[0])
-    store = CheckpointStore(tmp_path / "ckpt")
-    first = load_or_capture(program, warmup_insts=0, store=store)
-    assert first is not None and store.stores == 1
-    second = load_or_capture(program, warmup_insts=0, store=store)
-    assert second == first
-    assert store.hits == 1
+    cache = TraceCache(tmp_path / "cache")
+    first = load_or_capture(program, warmup_insts=0, cache=cache)
+    assert first is not None
+    assert len(list(cache.root.rglob("*.json"))) == 1
+
+    def refuse_capture(*args, **kwargs):
+        raise AssertionError("expected a checkpoint record, got a capture")
+
+    monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
+                        refuse_capture)
+    assert load_or_capture(program, warmup_insts=0, cache=cache) == first
 
 
 def test_trace_cache_key_covers_warmup_budget():
@@ -361,7 +374,7 @@ def test_trace_cache_key_covers_warmup_budget():
     assert key(warmup_insts=64) != key(warmup_insts=65)
     # Storage location and observability knobs do not change content.
     assert key(warmup_insts=64) == key(warmup_insts=64,
-                                       checkpoint_dir="/somewhere",
+                                       cache_root="/somewhere",
                                        profile=True)
 
 
@@ -454,63 +467,62 @@ def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
 
     workload = with_bootstrap(make_sam_ct(n_keys=4), insts=500)
     program = workload.assemble()
-    checkpoint_dir = str(tmp_path / "ckpt")
+    cache = TraceCache(tmp_path / "cache")
 
     def build_tasks():
         return [RunTask(run_index=index, workload_name=workload.name,
                         program=patch_program(program, patches),
                         config=SMALL_BOOM, warmup_insts=64,
-                        checkpoint_dir=checkpoint_dir)
+                        cache_root=str(cache.root))
                 for index, patches in enumerate(workload.inputs)]
 
     tasks = build_tasks()
     divergences = attach_batch_checkpoints(tasks, list(range(4)), lanes=4,
-                                           warmup_insts=64,
-                                           checkpoint_dir=checkpoint_dir)
+                                           warmup_insts=64, cache=cache)
     assert divergences == []
     assert all(task.checkpoint is not None for task in tasks)
 
     # A second campaign over the same inputs must be served entirely from
-    # the store — no re-capture.
+    # the cache — no re-capture.
     import repro.sampler.checkpoint as checkpoint_module
 
     def refuse_capture(*args, **kwargs):
-        raise AssertionError("expected a checkpoint-store hit, got a capture")
+        raise AssertionError("expected a checkpoint record, got a capture")
 
     monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
                         refuse_capture)
     fresh = build_tasks()
     attach_batch_checkpoints(fresh, list(range(4)), lanes=4,
-                             warmup_insts=64, checkpoint_dir=checkpoint_dir)
+                             warmup_insts=64, cache=cache)
     assert [task.checkpoint for task in fresh] == \
         [task.checkpoint for task in tasks]
 
 
 def test_one_checkpoint_per_input_across_lane_widths(tmp_path, monkeypatch):
-    """Every lane width, and ``batch_lanes=None``, shares one store entry
-    per input: after a cold ``auto`` campaign, neither a partially warm
-    ``auto`` re-run (3 inputs pending) nor a scalar campaign captures."""
+    """Every lane width, and ``batch_lanes=None``, shares one checkpoint
+    record per input: after a cold ``auto`` campaign, neither a partially
+    warm ``auto`` re-run (3 inputs pending) nor a scalar campaign
+    captures."""
     import repro.sampler.checkpoint as checkpoint_module
 
     workload = with_bootstrap(make_sam_ct(n_keys=8), insts=400)
     cache = TraceCache(tmp_path)
-    checkpoint_root = tmp_path / CheckpointStore.SUBDIR
+    checkpoint_root = tmp_path / CHECKPOINT.name
 
     def campaign(batch_lanes):
         return run_campaign(workload, SMALL_BOOM, cache=cache,
                             warmup_insts=64, batch_lanes=batch_lanes)
 
     cold = campaign("auto")
-    assert len(list(checkpoint_root.rglob("*.ckpt"))) == 8
+    assert len(list(checkpoint_root.rglob("*.json"))) == 8
     assert cold.ff_steps_total > 0
-    traces = sorted(path for path in tmp_path.rglob("*.pkl")
-                    if checkpoint_root not in path.parents)
+    traces = sorted((tmp_path / TRACE.name).rglob("*.json"))
     assert len(traces) == 8
     for path in traces[:3]:
         path.unlink()
 
     def refuse_capture(*args, **kwargs):
-        raise AssertionError("expected a checkpoint-store hit, got a capture")
+        raise AssertionError("expected a checkpoint record, got a capture")
 
     monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
                         refuse_capture)
@@ -520,7 +532,7 @@ def test_one_checkpoint_per_input_across_lane_widths(tmp_path, monkeypatch):
     assert partial.n_cached_runs == 5
     scalar = campaign(None)
     assert scalar.n_cached_runs == 0  # core_lanes joins the trace key
-    assert len(list(checkpoint_root.rglob("*.ckpt"))) == 8
+    assert len(list(checkpoint_root.rglob("*.json"))) == 8
     for result in (partial, scalar):
         assert [run.stats for run in result.runs] == \
             [run.stats for run in cold.runs]
@@ -564,10 +576,15 @@ def test_interpreter_data_image_is_not_dirty():
 
 
 def _plant_stale_entries(root):
-    trace = root / "ab" / "stale.pkl"
+    """A trace record written under another source, and a garbage
+    checkpoint record."""
+    from tests import records
+
+    trace = root / TRACE.name / "ab" / ("ab" * 8 + ".json")
     trace.parent.mkdir(parents=True, exist_ok=True)
-    trace.write_bytes(pickle.dumps((1, [], None, 0, 0.0)))  # old version
-    ckpt = root / "checkpoints" / "cd" / "stale.ckpt"
+    trace.write_bytes(records.join(
+        {"source": "0" * 16, "key": trace.stem, "body_blake2b": "0"}, b"{}"))
+    ckpt = root / CHECKPOINT.name / "cd" / ("cd" * 8 + ".json")
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     ckpt.write_bytes(b"garbage")
     return trace, ckpt

@@ -68,10 +68,9 @@ def test_siphash_in_range_and_stable(data):
 
 
 def test_stable_hex_digest_known_answer():
-    # Pins canonicalization + keyed BLAKE2b-64.  Trace-cache and checkpoint
-    # keys are built from this digest, so changing either one orphans every
-    # cache entry: update this pin together with CACHE_FORMAT_VERSION and
-    # CHECKPOINT_FORMAT_VERSION.
+    # Pins canonicalization + keyed BLAKE2b-64.  Every cache key is built
+    # from this digest, and a pool worker must key exactly as its parent
+    # does: the digest must not vary by process or platform.
     value = {"none": None, "flags": (True, False), "ints": (0, -1, 255, 2**64),
              "str": "µsampler", "bytes": b"\x00\xff",
              "set": frozenset({3, 1, 2}), "nested": [1, (2, {"k": b"v"})]}

@@ -42,12 +42,12 @@ from repro.sampler.trace_cache import (
     LOCALIZATION,
     REPORT_KEY_EXCLUDED,
     TraceCache,
-    _body_digest,
     cache_stats,
     localization_key,
     prune_cache,
 )
 from repro.uarch import SMALL_BOOM
+from tests import records
 from tests.test_report_record import FLIPPED_FIELDS, FLIPPED_KNOBS
 
 #: The module, not the function ``repro.localize`` exports under its name.
@@ -254,7 +254,7 @@ def test_a_record_stores_each_distinct_association_row_once(tmp_path):
     cache.store_record(LOCALIZATION, "00" * 8, report)
 
     [path] = _records(cache.root)
-    table = json.loads(path.read_bytes())["localization"]["associations"]
+    table = json.loads(records.split(path.read_bytes())[1])["associations"]
     assert table["chi_squared"] == [0.0, 0, -0.0]  # 0, 0.0, -0.0 apart
     replayed = cache.load_record(LOCALIZATION, "00" * 8)
     assert _bare(replayed) == _bare(report)
@@ -321,57 +321,58 @@ def test_a_workload_that_is_not_a_dataclass_gets_no_key():
 # -- fault injection ----------------------------------------------------------
 
 
-def _reseal(record: dict) -> bytes:
-    record["header"]["body_blake2b"] = _body_digest(record["localization"])
-    return json.dumps(record).encode()
-
-
-def _truncate(record: dict, raw: bytes) -> bytes:
+def _truncate(raw: bytes) -> bytes:
     return raw[:len(raw) // 2]
 
 
-def _foreign_key(record: dict, raw: bytes) -> bytes:
-    record["header"]["key"] = "f" * 16
-    return json.dumps(record).encode()
+def _foreign_key(raw: bytes) -> bytes:
+    return records.with_header(raw, key="f" * 16)
 
 
-def _stale_source(record: dict, raw: bytes) -> bytes:
-    record["header"]["source"] = "0" * 16
-    return json.dumps(record).encode()
+def _stale_source(raw: bytes) -> bytes:
+    return records.with_header(raw, source="0" * 16)
 
 
-def _string_for_a_count(record: dict, raw: bytes) -> bytes:
+def _string_for_a_count(raw: bytes) -> bytes:
     # Resealed, so only the field type check can reject it.
-    rows = record["localization"]["associations"]
-    rows["n_categories"][0] = str(rows["n_categories"][0])
-    return _reseal(record)
+    def edit(body):
+        rows = body["associations"]
+        rows["n_categories"][0] = str(rows["n_categories"][0])
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _short_association_row(record: dict, raw: bytes) -> bytes:
+def _short_association_row(raw: bytes) -> bytes:
     # Resealed and well typed: the table's last row lacks its p-value.
-    record["localization"]["associations"]["p_value"].pop()
-    return _reseal(record)
+    def edit(body):
+        body["associations"]["p_value"].pop()
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _index_past_the_table(record: dict, raw: bytes) -> bytes:
-    body = record["localization"]
-    offsets = body["units"][0]["scan"]["offsets"]
-    offsets["association"][0] = len(body["associations"]["p_value"])
-    return _reseal(record)
+def _index_past_the_table(raw: bytes) -> bytes:
+    def edit(body):
+        offsets = body["units"][0]["scan"]["offsets"]
+        offsets["association"][0] = len(body["associations"]["p_value"])
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _negative_index(record: dict, raw: bytes) -> bytes:
+def _negative_index(raw: bytes) -> bytes:
     # Python would read row -1 as the table's last row.
-    offsets = record["localization"]["units"][0]["scan"]["offsets"]
-    offsets["association"][0] = -1
-    return _reseal(record)
+    def edit(body):
+        body["units"][0]["scan"]["offsets"]["association"][0] = -1
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _inverted_window(record: dict, raw: bytes) -> bytes:
+def _inverted_window(raw: bytes) -> bytes:
     # Resealed and well typed: only CycleWindow's own check rejects it.
-    scan = record["localization"]["units"][0]["scan"]
-    scan["window"] = [scan["window"][1], scan["window"][0] - 1]
-    return _reseal(record)
+    def edit(body):
+        scan = body["units"][0]["scan"]
+        scan["window"] = [scan["window"][1], scan["window"][0] - 1]
+
+    return records.with_body(raw, edit, reseal=True)
 
 
 @pytest.mark.parametrize("damage", [_truncate, _foreign_key, _stale_source,
@@ -386,7 +387,7 @@ def test_a_damaged_record_is_recomputed_and_overwritten(damage, tmp_path,
     expected = localize(workload, sampler=sampler, features=(FEATURE,))
     [path] = _records(sampler.cache.root)
     raw = path.read_bytes()
-    path.write_bytes(damage(json.loads(raw), raw))
+    path.write_bytes(damage(raw))
 
     _reset(counted)
     recomputed = localize(workload, sampler=sampler, features=(FEATURE,))

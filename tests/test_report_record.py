@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import json
 import shutil
 
 import pytest
@@ -27,15 +26,16 @@ from repro.sampler.report import report_to_dict
 from repro.sampler.runner import Workload
 from repro.sampler.trace_cache import (
     REPORT,
+    TRACE,
     REPORT_KEY_EXCLUDED,
     TraceCache,
-    _body_digest,
     cache_stats,
     prune_cache,
     report_key,
 )
 from repro.uarch import SMALL_BOOM
 
+from tests import records
 from tests.oracles import scalar_report
 from tests.test_engine_differential import assert_reports_agree
 
@@ -238,36 +238,37 @@ def test_a_workload_that_is_not_a_dataclass_gets_no_key():
 # -- fault injection ----------------------------------------------------------
 
 
-def _truncate(record: dict, raw: bytes) -> bytes:
+def _truncate(raw: bytes) -> bytes:
     return raw[:len(raw) // 2]
 
 
-def _invalid_json(record: dict, raw: bytes) -> bytes:
+def _invalid_json(raw: bytes) -> bytes:
     return b"{" + raw
 
 
-def _flip_a_p_value(record: dict, raw: bytes) -> bytes:
-    association = record["report"]["units"][0]["association"]
-    association["p_value"] = 1.0 - association["p_value"] / 2
-    return json.dumps(record).encode()
+def _flip_a_p_value(raw: bytes) -> bytes:
+    def edit(body):
+        association = body["units"][0]["association"]
+        association["p_value"] = 1.0 - association["p_value"] / 2
+
+    return records.with_body(raw, edit)
 
 
-def _string_for_a_count(record: dict, raw: bytes) -> bytes:
+def _string_for_a_count(raw: bytes) -> bytes:
     # Resealed, so only the field type check can reject it.
-    association = record["report"]["units"][0]["association"]
-    association["n_categories"] = str(association["n_categories"])
-    record["header"]["body_blake2b"] = _body_digest(record["report"])
-    return json.dumps(record).encode()
+    def edit(body):
+        association = body["units"][0]["association"]
+        association["n_categories"] = str(association["n_categories"])
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _foreign_source(record: dict, raw: bytes) -> bytes:
-    record["header"]["source"] = "0" * 16
-    return json.dumps(record).encode()
+def _foreign_source(raw: bytes) -> bytes:
+    return records.with_header(raw, source="0" * 16)
 
 
-def _foreign_key(record: dict, raw: bytes) -> bytes:
-    record["header"]["key"] = "f" * 16
-    return json.dumps(record).encode()
+def _foreign_key(raw: bytes) -> bytes:
+    return records.with_header(raw, key="f" * 16)
 
 
 @pytest.mark.parametrize("damage", [_truncate, _invalid_json, _flip_a_p_value,
@@ -280,7 +281,7 @@ def test_a_damaged_record_is_recomputed_and_overwritten(damage, tmp_path,
     expected = _sampler(cache).analyze(workload)
     [path] = _records(cache.root)
     raw = path.read_bytes()
-    path.write_bytes(damage(json.loads(raw), raw))
+    path.write_bytes(damage(raw))
     del analyzed[:]
 
     assert _bare(_sampler(cache).analyze(workload)) == _bare(expected)
@@ -312,8 +313,7 @@ def test_a_half_warm_streamed_audit_equals_a_cold_serial_one(tmp_path,
     for workload in workloads[1::2]:
         key = _key(sampler, workload)
         (cache.root / REPORT.name / key[:2] / f"{key}.json").unlink()
-    for path in cache.root.rglob("*.pkl"):
-        path.unlink()
+    shutil.rmtree(cache.root / TRACE.name)
     planned = []
     original = pipeline.prepare_campaign
 
@@ -388,7 +388,8 @@ def test_unreadable_sources_write_no_record(tmp_path, monkeypatch, analyzed,
     second = _sampler(cache).analyze(_workload())
     assert _bare(first) == _bare(second)
     assert analyzed == ["sam-leaky", "sam-leaky"]
-    assert not _records(cache.root)
+    # No record of any kind: traces and checkpoints are not cached either.
+    assert not list(tmp_path.rglob("*"))
 
 
 # -- maintenance --------------------------------------------------------------
@@ -400,9 +401,7 @@ def _stale_records(root):
     for name in ("sam-leaky", "sam-ct", "chacha20"):
         _sampler(cache).analyze(_workload(name))
     live, foreign, truncated = _records(root)
-    record = json.loads(foreign.read_bytes())
-    record["header"]["source"] = "0" * 16
-    foreign.write_text(json.dumps(record))
+    foreign.write_bytes(_foreign_source(foreign.read_bytes()))
     truncated.write_bytes(truncated.read_bytes()[:100])
     return live, foreign, truncated
 
@@ -426,7 +425,7 @@ def test_stats_and_prune_sweep_stale_report_records(tmp_path, capsys):
     result = prune_cache(root)
     assert result["removed_report"] == 2
     assert result["removed_witness"] == 0
-    assert result["removed"] == {"trace": 0, "checkpoint": 0, "orphan": 0}
+    assert result["removed_trace"] == result["removed_checkpoint"] == 0
     assert result["removed_entries"] == 2
     assert _records(root) == [live]
     assert main(["cache", "prune", "--cache-dir", str(root)]) == 0

@@ -255,7 +255,7 @@ class TestBatchLockstepCampaign:
         assert dicts["auto", "warm"] == dicts["off", "cold"]
         assert dicts["off", "warm"] == dicts["off", "cold"]
         # The prepass persisted its captures under the cache root.
-        assert list((tmp_path / "auto").rglob("*.ckpt"))
+        assert list((tmp_path / "auto" / "checkpoint").rglob("*.json"))
 
     def test_localization_identical_under_batch_prepass(self, tmp_path):
         from repro.localize.annotate import localization_to_dict

@@ -326,6 +326,32 @@ def test_cached_replay_never_occupies_a_simulation_slot():
         == strip_volatile(second["result"])
 
 
+def test_a_job_stores_each_simulated_output_once(monkeypatch):
+    # The job's view stores a simulated lane group for the jobs that may
+    # wait on it, and the job's plan does not store it again; the outputs
+    # still count as simulated, so their sample time is charged.
+    from repro.sampler.trace_cache import TraceCache
+
+    stored = []
+    real_store = TraceCache.store
+
+    def counted(self, key, output, config=None):
+        stored.append(key)
+        return real_store(self, key, output, config=config)
+
+    monkeypatch.setattr(TraceCache, "store", counted)
+
+    async def scenario(server, client):
+        return await submit_and_wait(client, {**ANALYZE_SPEC, "inputs": 4},
+                                     timeout=120)
+
+    final = run_service(scenario)
+    assert final["state"] == "done"
+    assert final["stats"]["shards_simulated"] == 4
+    assert len(stored) == len(set(stored)) == 4
+    assert final["result"]["timings_seconds"]["parse"] > 0
+
+
 def test_concurrent_duplicate_jobs_simulate_each_input_once():
     async def scenario(server, client):
         return await asyncio.gather(

@@ -1,8 +1,14 @@
-"""Trace-cache correctness: hits replay bit-identical traces, and every
+"""Trace-cache correctness: hits replay bit-identical traces; every
 component of the content address — program source, input patches, core
-configuration — independently invalidates the key."""
+configuration, simulator source — independently invalidates the key; and
+the one record store survives damaged records, failed writes and
+concurrent writers, and its maintenance touches nothing but its own files.
+"""
 
-import pickle
+import errno
+import json
+import multiprocessing
+import os
 import shutil
 
 import pytest
@@ -15,11 +21,20 @@ from repro.sampler import (
     run_campaign,
     task_key,
 )
+from repro.sampler import trace_cache
 from repro.sampler.exec_backend import RunTask
-from repro.sampler.trace_cache import default_cache_dir
+from repro.sampler.trace_cache import (
+    CHECKPOINT,
+    RECORD_KINDS,
+    TRACE,
+    cache_stats,
+    default_cache_dir,
+    prune_cache,
+)
 from repro.uarch import SMALL_BOOM
 from repro.workloads.memcmp import make_ct_memcmp
 
+from tests import records
 from tests.test_parallel_runner import assert_campaigns_identical
 
 _SOURCE = """
@@ -133,21 +148,40 @@ class TestKeying:
         assert task_key(base) == task_key(
             _task(workload, warmup_insts=64, checkpoint=checkpoint))
 
-    def test_key_is_pinned(self):
-        # A literal key for a fixed tiny program.  Canonicalization, the key
-        # hash and the key material (incl. the package version) all feed
-        # it: a change to any of them must update this pin *and* bump
-        # CACHE_FORMAT_VERSION, or old entries linger as live in ``prune``.
-        assert task_key(_task(_workload())) == "f87d9a1154ff812a"
+    def test_key_is_pinned(self, monkeypatch):
+        # A literal key for a fixed tiny program under a fixed source
+        # digest: keys must not vary by process (hash seed, dict order) or
+        # platform, or a pool worker would miss what its parent stored.
+        # Any edit of the sources changes every key by itself.
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
+        assert task_key(_task(_workload())) == "eabb5ee4a4aff5c0"
 
-    def test_checkpoint_key_is_pinned(self):
-        # Same rule for checkpoint-store keys: a change to the key material
-        # or its hashing must update this pin *and* bump
-        # CHECKPOINT_FORMAT_VERSION, or old entries linger as live.
+    def test_checkpoint_key_is_pinned(self, monkeypatch):
         from repro.sampler.checkpoint import checkpoint_key
 
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
         program = _task(_workload()).program
-        assert checkpoint_key(program, None, 64) == "bbf28372008ca3f6"
+        assert checkpoint_key(program, None, 64) == "4ae4b5b7d045d35e"
+
+    def test_the_source_digest_salts_every_key(self, monkeypatch, tmp_path):
+        from repro.sampler.checkpoint import checkpoint_key
+
+        task = _task(_workload())
+        keys = (task_key(task), checkpoint_key(task.program, None, 64))
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: "e" * 16)
+        salted = (task_key(task), checkpoint_key(task.program, None, 64))
+        assert keys[0] != salted[0] and keys[1] != salted[1]
+        # Without a digest there is no key, and a campaign plans as if it
+        # had no cache: nothing is read or written.
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: None)
+        assert task_key(task) is None
+        assert checkpoint_key(task.program, None, 64) is None
+        cache = TraceCache(tmp_path)
+        campaign = run_campaign(_workload(), SMALL_BOOM, cache=cache,
+                                warmup_insts=8)
+        assert campaign.n_cached_runs == 0
+        assert (cache.hits, cache.misses, cache.stores) == (0, 0, 0)
+        assert not list(tmp_path.rglob("*"))
 
 
 class TestTextDigestMemo:
@@ -275,26 +309,43 @@ class TestReplay:
     def test_corrupt_entry_is_a_miss(self, cache):
         workload = _workload(n_inputs=1)
         cold = run_campaign(workload, SMALL_BOOM, cache=cache)
-        for path in cache.root.rglob("*.pkl"):
+        for path in (cache.root / TRACE.name).rglob("*.json"):
             path.write_bytes(b"garbage")
         warm = run_campaign(workload, SMALL_BOOM, cache=cache)
         assert warm.n_cached_runs == 0
         assert_campaigns_identical(cold, warm)
 
-    def test_stale_format_version_is_a_miss(self, cache):
-        workload = _workload(n_inputs=1)
-        run_campaign(workload, SMALL_BOOM, cache=cache)
-        for path in cache.root.rglob("*.pkl"):
-            payload = pickle.loads(path.read_bytes())
-            path.write_bytes(pickle.dumps((-1,) + payload[1:]))
-        warm = run_campaign(workload, SMALL_BOOM, cache=cache)
-        assert warm.n_cached_runs == 0
+    def test_another_source_digest_misses_every_record(self, tmp_path,
+                                                       monkeypatch):
+        # An analysis and a localization with the taint prescreen on store
+        # records of every kind; after a source edit (here: another
+        # digest) each one misses.
+        from repro.cli import build_workload
+
+        cache = TraceCache(tmp_path)
+        sampler = MicroSampler(SMALL_BOOM, cache=cache, taint=True)
+        workload = build_workload("ee-mem-cmp", inputs=2, seed=3)
+        sampler.analyze(workload)
+        sampler.localize(workload, features=["ROB-PC"])
+        paths = {kind: sorted((tmp_path / kind.name).rglob("*.json"))
+                 for kind in RECORD_KINDS}
+        assert all(paths.values())
+        for kind, kind_paths in paths.items():
+            for path in kind_paths:
+                assert cache.load_record(kind, path.stem) is not None
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: "e" * 16)
+        for kind, kind_paths in paths.items():
+            for path in kind_paths:
+                assert cache.load_record(kind, path.stem) is None
+        assert all(cache.load(path.stem) is None for path in paths[TRACE])
+        assert cache_stats(tmp_path)[CHECKPOINT.name]["stale_entries"] \
+            == len(paths[CHECKPOINT])
 
     def test_no_cache_bypasses(self, tmp_path):
         workload = _workload()
         campaign = run_campaign(workload, SMALL_BOOM, cache=None)
         assert campaign.n_cached_runs == 0
-        assert not list(tmp_path.rglob("*.pkl"))
+        assert not list(tmp_path.rglob("*"))
 
     def test_default_cache_dir_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MICROSAMPLER_CACHE_DIR", str(tmp_path / "here"))
@@ -303,7 +354,7 @@ class TestReplay:
     def test_cache_true_uses_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MICROSAMPLER_CACHE_DIR", str(tmp_path / "auto"))
         run_campaign(_workload(), SMALL_BOOM, cache=True)
-        assert list((tmp_path / "auto").rglob("*.pkl"))
+        assert list((tmp_path / "auto" / TRACE.name).rglob("*.json"))
 
     def test_pipeline_with_cache(self, cache):
         workload = _workload(n_inputs=6)
@@ -327,113 +378,87 @@ class TestReplay:
 
 
 class TestPrune:
-    """Orphan-aware garbage collection across both entry stores."""
+    """Maintenance across every record kind."""
 
     @staticmethod
     def _populate(cache):
-        # warmup_insts + cache makes run_campaign store a checkpoint per
-        # unique program and record its key in each trace payload.
+        # warmup_insts + cache makes run_campaign store a checkpoint record
+        # per unique program beside its trace record.
         run_campaign(_workload(), SMALL_BOOM, cache=cache, warmup_insts=8)
-        traces = sorted(cache.root.rglob("*.pkl"))
-        checkpoints = sorted(cache.root.rglob("*.ckpt"))
+        traces = sorted((cache.root / TRACE.name).rglob("*.json"))
+        checkpoints = sorted((cache.root / CHECKPOINT.name).rglob("*.json"))
         assert traces and checkpoints
         return traces, checkpoints
 
     @staticmethod
     def _stale_ify(paths):
+        """Rewrite each record as if an older source had written it."""
         for path in paths:
-            payload = pickle.loads(path.read_bytes())
-            path.write_bytes(pickle.dumps((-1,) + payload[1:]))
+            path.write_bytes(records.with_header(path.read_bytes(),
+                                                 source="0" * 16))
 
     def test_fresh_cache_is_untouched(self, cache):
-        from repro.sampler.trace_cache import prune_cache
-
         traces, checkpoints = self._populate(cache)
         result = prune_cache(cache.root)
         assert result["removed_entries"] == 0
-        assert result["removed"] == {"trace": 0, "checkpoint": 0,
-                                     "orphan": 0}
-        assert sorted(cache.root.rglob("*.pkl")) == traces
-        assert sorted(cache.root.rglob("*.ckpt")) == checkpoints
+        assert all(result[f"removed_{kind.name}"] == 0
+                   for kind in RECORD_KINDS)
+        assert sorted((cache.root / TRACE.name).rglob("*.json")) == traces
+        assert sorted((cache.root / CHECKPOINT.name).rglob("*.json")) \
+            == checkpoints
 
-    def test_stale_traces_orphan_their_checkpoints(self, cache):
-        from repro.sampler.trace_cache import prune_cache
+    def test_stale_traces_orphan_their_checkpoints(self, cache, monkeypatch):
+        # Under one source salt a trace and its checkpoint go stale
+        # together: after a source edit, prune removes both.
+        traces, checkpoints = self._populate(cache)
+        monkeypatch.setattr(trace_cache, "source_digest", lambda: "e" * 16)
+        result = prune_cache(cache.root)
+        assert result["removed_trace"] == len(traces)
+        assert result["removed_checkpoint"] == len(checkpoints)
+        assert result["removed_entries"] == len(traces) + len(checkpoints)
+        assert result["removed_bytes"] > 0
+        assert not list(cache.root.rglob("*"))
+
+    def test_referenced_checkpoints_survive(self, cache, monkeypatch):
+        # A current checkpoint whose trace is gone is still a record a later
+        # run can use: prune keeps it, and the rerun captures nothing.
+        import repro.sampler.checkpoint as checkpoint_module
 
         traces, checkpoints = self._populate(cache)
         self._stale_ify(traces)
         result = prune_cache(cache.root)
-        # The checkpoints were current-version but nothing references them
-        # anymore: swept as orphans, counted separately from stale entries.
-        assert result["removed"]["trace"] == len(traces)
-        assert result["removed"]["checkpoint"] == 0
-        assert result["removed"]["orphan"] == len(checkpoints)
-        assert result["removed_entries"] == len(traces) + len(checkpoints)
-        assert result["removed_bytes"] > 0
-        assert not list(cache.root.rglob("*.pkl"))
-        assert not list(cache.root.rglob("*.ckpt"))
+        assert result["removed_trace"] == len(traces)
+        assert result["removed_checkpoint"] == 0
+        assert sorted((cache.root / CHECKPOINT.name).rglob("*.json")) \
+            == checkpoints
 
-    def test_referenced_checkpoints_survive(self, cache):
-        from repro.sampler.trace_cache import prune_cache
+        def refuse_capture(*args, **kwargs):
+            raise AssertionError("expected a checkpoint record, got a capture")
 
-        traces, checkpoints = self._populate(cache)
-        # Stale-ify only one trace entry.  Each patched input has its own
-        # checkpoint, so exactly that entry's checkpoint becomes an orphan;
-        # the ones the surviving traces reference must stay.
-        self._stale_ify(traces[:1])
-        result = prune_cache(cache.root)
-        assert result["removed"] == {"trace": 1, "checkpoint": 0,
-                                     "orphan": 1}
-        survivors = sorted(cache.root.rglob("*.ckpt"))
-        assert len(survivors) == len(checkpoints) - 1
-        assert set(survivors) < set(checkpoints)
+        monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
+                            refuse_capture)
+        rerun = run_campaign(_workload(), SMALL_BOOM, cache=cache,
+                             warmup_insts=8)
+        assert rerun.n_cached_runs == 0
 
     def test_stale_checkpoints_are_swept(self, cache):
-        from repro.sampler.trace_cache import prune_cache
-
-        _traces, checkpoints = self._populate(cache)
+        traces, checkpoints = self._populate(cache)
         self._stale_ify(checkpoints)
         result = prune_cache(cache.root)
-        assert result["removed"] == {"trace": 0,
-                                     "checkpoint": len(checkpoints),
-                                     "orphan": 0}
-        assert not list(cache.root.rglob("*.ckpt"))
-
-    def test_prune_sweeps_pre_blake2b_entries(self, cache):
-        # Trace format 6 and checkpoint format 2 were keyed with SipHash:
-        # their keys can never be derived again, so prune must count them
-        # stale (not live, not orphaned) and reclaim them.
-        from repro.sampler.trace_cache import prune_cache
-
-        traces, checkpoints = self._populate(cache)
-        old_ckpt = checkpoints[0].with_name("0" * 16 + ".ckpt")
-        payload = pickle.loads(checkpoints[0].read_bytes())
-        old_ckpt.write_bytes(pickle.dumps((2,) + payload[1:]))
-        old_trace = traces[0].with_name("0" * 16 + ".pkl")
-        payload = pickle.loads(traces[0].read_bytes())
-        old_trace.write_bytes(pickle.dumps(
-            (6,) + payload[1:6] + (old_ckpt.stem,) + payload[7:]))
-
-        result = prune_cache(cache.root)
-        assert result["removed"] == {"trace": 1, "checkpoint": 1,
-                                     "orphan": 0}
-        assert not old_trace.exists() and not old_ckpt.exists()
-        assert sorted(cache.root.rglob("*.pkl")) == traces
-        assert sorted(cache.root.rglob("*.ckpt")) == checkpoints
+        assert result["removed_trace"] == 0
+        assert result["removed_checkpoint"] == len(checkpoints)
+        assert not (cache.root / CHECKPOINT.name).exists()
+        assert sorted((cache.root / TRACE.name).rglob("*.json")) == traces
 
     def test_prune_all_empties_both_stores(self, cache):
-        from repro.sampler.trace_cache import prune_cache
-
         traces, checkpoints = self._populate(cache)
         result = prune_cache(cache.root, all_entries=True)
-        assert result["removed"]["trace"] == len(traces)
-        assert result["removed"]["checkpoint"] == len(checkpoints)
-        assert result["removed"]["orphan"] == 0
+        assert result["removed_trace"] == len(traces)
+        assert result["removed_checkpoint"] == len(checkpoints)
         # Empty shard directories are cleaned up with their entries.
         assert not list(cache.root.rglob("*"))
 
     def test_stats_inventories_both_kinds(self, cache):
-        from repro.sampler.trace_cache import cache_stats
-
         traces, checkpoints = self._populate(cache)
         self._stale_ify(traces[:1])
         stats = cache_stats(cache.root)
@@ -441,15 +466,185 @@ class TestPrune:
         assert stats["trace"]["stale_entries"] == 1
         assert stats["checkpoint"]["entries"] == len(checkpoints)
         assert stats["checkpoint"]["stale_entries"] == 0
+        [config] = stats["per_config"].values()
+        assert config["name"] == SMALL_BOOM.name
+        assert config["entries"] == len(traces) - 1
 
     def test_cli_prune_reports_per_kind_counts(self, cache, capsys):
         traces, checkpoints = self._populate(cache)
-        self._stale_ify(traces)
+        self._stale_ify(traces + checkpoints)
         assert main(["cache", "prune", "--cache-dir",
                      str(cache.root)]) == 0
         out = capsys.readouterr().out
         assert f"{len(traces)} stale trace" in out
-        assert f"{len(checkpoints)} orphaned checkpoint" in out
+        assert f"{len(checkpoints)} stale checkpoint" in out
+
+    def test_maintenance_touches_only_cache_files(self, cache, capsys):
+        """``cache stats`` counts, and ``cache prune [--all]`` deletes,
+        nothing outside ``<root>/<kind>/<xx>/``: not a user's pickle, a
+        dotfile or an empty directory that share the root."""
+        import pickle
+
+        self._populate(cache)
+        root = cache.root
+        planted = [root / "project" / "data" / "model.pkl",
+                   root / "project" / ".env.local",
+                   root / "ab" / "0123456789abcdef.pkl",
+                   root / "notes.json"]
+        for path in planted:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        planted[0].write_bytes(pickle.dumps({"weights": [1, 2, 3]}))
+        planted[1].write_text("TOKEN=1\n")
+        planted[2].write_bytes(pickle.dumps((7,)))
+        planted[3].write_text("{}")
+        empty = root / "project" / "empty"
+        empty.mkdir()
+
+        before = cache_stats(root)
+        assert before["temp"]["entries"] == 0
+        for kind in RECORD_KINDS:
+            records_on_disk = list((root / kind.name).rglob("*.json"))
+            assert before[kind.name]["entries"] == len(records_on_disk)
+            assert before[kind.name]["stale_entries"] == 0
+        assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "temp file" not in out and "cache prune" not in out
+        for argv in (["cache", "prune"], ["cache", "prune", "--all"]):
+            assert main([*argv, "--cache-dir", str(root)]) == 0
+            assert all(path.exists() for path in planted)
+            assert empty.is_dir()
+        assert not any((root / kind.name).exists() for kind in RECORD_KINDS)
+
+
+class TestFaults:
+    """Damaged records, failed writes and concurrent writers."""
+
+    @staticmethod
+    def _report(sampler, workload):
+        from repro.sampler.report import report_to_dict
+
+        payload = report_to_dict(sampler.analyze(workload))
+        payload.pop("timings_seconds")
+        return payload
+
+    @pytest.mark.parametrize("kind", [TRACE, CHECKPOINT], ids=lambda k: k.name)
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:len(raw) // 2],
+        records.flip_a_body_byte,
+        lambda raw: records.with_header(raw, key="f" * 16),
+        lambda raw: records.with_header(raw, source="0" * 16),
+    ], ids=["truncated", "flipped_byte", "foreign_key", "foreign_source"])
+    def test_a_damaged_record_is_resimulated_and_overwritten(
+            self, kind, damage, tmp_path, monkeypatch):
+        import repro.sampler.checkpoint as checkpoint_module
+
+        workload = _workload()
+        cache = TraceCache(tmp_path)
+        expected = self._report(MicroSampler(SMALL_BOOM, cache=cache),
+                                workload)
+        # The rerun must read traces (not the report), and for a damaged
+        # checkpoint simulate every input (so it reads the checkpoints).
+        shutil.rmtree(tmp_path / "report")
+        if kind is CHECKPOINT:
+            shutil.rmtree(tmp_path / TRACE.name)
+        path = sorted((tmp_path / kind.name).rglob("*.json"))[0]
+        raw = path.read_bytes()
+        path.write_bytes(damage(raw))
+        captured = []
+        real_capture = checkpoint_module.capture_checkpoints_batch
+
+        def counting(programs, **kwargs):
+            captured.extend(programs)
+            return real_capture(programs, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
+                            counting)
+        warm = TraceCache(tmp_path)
+        assert self._report(MicroSampler(SMALL_BOOM, cache=warm),
+                            workload) == expected
+        if kind is TRACE:
+            assert (warm.hits, warm.misses, warm.stores) == (3, 1, 1)
+            assert warm.load(path.stem) is not None
+        else:
+            assert len(captured) == 1
+            assert path.read_bytes() == raw  # overwritten, sound again
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EROFS],
+                             ids=["ENOSPC", "EROFS"])
+    def test_a_failed_write_leaves_no_file_and_the_right_report(
+            self, code, tmp_path, monkeypatch):
+        workload = _workload()
+        expected = self._report(MicroSampler(SMALL_BOOM), workload)
+        real_fdopen = os.fdopen
+
+        class FailingWrite:
+            def __init__(self, fd, mode):
+                self.handle = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(code, os.strerror(code))
+
+        stored = []
+        real_store = TraceCache.store
+
+        def spying_store(self, *args, **kwargs):
+            stored.append(real_store(self, *args, **kwargs))
+            return stored[-1]
+
+        monkeypatch.setattr(trace_cache.os, "fdopen", FailingWrite)
+        monkeypatch.setattr(TraceCache, "store", spying_store)
+        cache = TraceCache(tmp_path)
+        assert self._report(MicroSampler(SMALL_BOOM, cache=cache),
+                            workload) == expected
+        assert stored == [False] * len(workload.inputs)
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+    def test_concurrent_writers_never_tear_a_record(self, tmp_path):
+        """Two processes store one key over and over while a third loads
+        it: every load is a hit with the right value or a clean miss."""
+        from repro.sampler.exec_backend import execute_run
+
+        output = execute_run(_task(_workload()))
+        key = "ab" * 8
+
+        def view(run):
+            return (run.iterations, run.run, run.cycles_sampled,
+                    run.divergences)
+
+        def write():
+            cache = TraceCache(tmp_path)
+            for _ in range(60):
+                cache.store(key, output, config=SMALL_BOOM)
+
+        def read(conn):
+            hits = bad = 0
+            cache = TraceCache(tmp_path)
+            for _ in range(300):
+                loaded = cache.load(key)
+                if loaded is not None:
+                    hits += 1
+                    bad += view(loaded) != view(output)
+            conn.send((hits, bad))
+
+        ctx = multiprocessing.get_context("fork")
+        parent, child = ctx.Pipe(duplex=False)
+        processes = [ctx.Process(target=write), ctx.Process(target=write),
+                     ctx.Process(target=read, args=(child,))]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(60)
+        assert [process.exitcode for process in processes] == [0, 0, 0]
+        hits, bad = parent.recv()
+        assert bad == 0
+        assert TraceCache(tmp_path).load(key) is not None
+        assert not list(tmp_path.rglob(".*"))
 
 
 class TestCLI:
@@ -458,12 +653,12 @@ class TestCLI:
         argv = ["analyze", "sam-ct", "--inputs", "2", "--config", "small",
                 "--no-timing-removed", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
-        stored = list(cache_dir.rglob("*.pkl"))
-        assert stored
+        stored = sorted(cache_dir.rglob("*.json"))
+        assert list((cache_dir / TRACE.name).rglob("*.json"))
 
         # Second invocation replays from the cache and agrees.
         assert main(argv) == 0
-        assert list(cache_dir.rglob("*.pkl")) == stored
+        assert sorted(cache_dir.rglob("*.json")) == stored
 
         # --no-cache leaves the directory untouched.
         untouched = tmp_path / "untouched"
@@ -476,3 +671,30 @@ class TestCLI:
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "No statistically significant correlation" in out
+
+    def test_json_is_identical_cold_warm_and_without_each_kind(
+            self, tmp_path, capsys):
+        """Scrubbed ``--json`` and exit codes agree cold, warm, and after
+        each record kind is deleted in turn."""
+        common = ["--inputs", "2", "--config", "small", "--taint", "on",
+                  "--json", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        commands = (["analyze", "sam-leaky", *common],
+                    ["localize", "ee-mem-cmp", "--features", "ROB-PC",
+                     *common])
+
+        def run():
+            outputs = []
+            for argv in commands:
+                status = main(argv)
+                payload = json.loads(capsys.readouterr().out)
+                payload.pop("timings_seconds", None)
+                outputs.append((status, payload))
+            return outputs
+
+        cold = run()
+        assert [status for status, _ in cold] == [1, 1]
+        assert all((tmp_path / kind.name).is_dir() for kind in RECORD_KINDS)
+        assert run() == cold
+        for kind in RECORD_KINDS:
+            shutil.rmtree(tmp_path / kind.name)
+            assert run() == cold, kind.name

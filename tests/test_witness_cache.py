@@ -12,7 +12,6 @@ record kind.
 from __future__ import annotations
 
 import errno
-import json
 
 import pytest
 
@@ -20,12 +19,13 @@ from repro.cli import AUDIT_EXPECTATIONS, build_workload, main
 from repro.sampler import trace_cache
 from repro.sampler.trace_cache import (
     TraceCache,
-    _body_digest,
     cache_stats,
     prune_cache,
     source_digest,
 )
 from repro.taint import batch_engine, compute_publicness, publicness
+
+from tests import records
 
 WITNESS_WORKLOADS = [*AUDIT_EXPECTATIONS, "constant_time_eq",
                      "constant_time_select", "constant_time_cond_swap"]
@@ -74,29 +74,31 @@ def test_replay_equals_a_fresh_taint_run(name, tmp_path, engine_calls):
     assert len(_records(cache.root)) == 1
 
 
-def _truncate(record: dict, raw: bytes) -> bytes:
+def _truncate(raw: bytes) -> bytes:
     return raw[:len(raw) // 2]
 
 
-def _invalid_json(record: dict, raw: bytes) -> bytes:
+def _invalid_json(raw: bytes) -> bytes:
     return b"{" + raw
 
 
-def _flip_a_pc(record: dict, raw: bytes) -> bytes:
-    record["maps"][0]["executed_pcs"][0] += 4
-    return json.dumps(record).encode()
+def _flip_a_pc(raw: bytes) -> bytes:
+    def edit(body):
+        body[0]["executed_pcs"][0] += 4
+
+    return records.with_body(raw, edit)
 
 
-def _string_for_pcs(record: dict, raw: bytes) -> bytes:
+def _string_for_pcs(raw: bytes) -> bytes:
     # Resealed, so only the field type check can reject it.
-    record["maps"][0]["tainted_pcs"] = "0x10000"
-    record["header"]["body_blake2b"] = _body_digest(record["maps"])
-    return json.dumps(record).encode()
+    def edit(body):
+        body[0]["tainted_pcs"] = "0x10000"
+
+    return records.with_body(raw, edit, reseal=True)
 
 
-def _foreign_source(record: dict, raw: bytes) -> bytes:
-    record["header"]["source"] = "0" * 16
-    return json.dumps(record).encode()
+def _foreign_source(raw: bytes) -> bytes:
+    return records.with_header(raw, source="0" * 16)
 
 
 @pytest.mark.parametrize("damage", [_truncate, _invalid_json, _flip_a_pc,
@@ -108,7 +110,7 @@ def test_a_damaged_record_is_recomputed_and_overwritten(damage, tmp_path,
     expected = compute_publicness(workload, cache=cache)
     [path] = _records(cache.root)
     raw = path.read_bytes()
-    path.write_bytes(damage(json.loads(raw), raw))
+    path.write_bytes(damage(raw))
     del engine_calls[:]
 
     assert compute_publicness(workload, cache=cache) == expected
@@ -193,9 +195,7 @@ def _stale_records(root):
     compute_publicness(_workload("sam-ct"), cache=cache)
     compute_publicness(_workload("div-timing"), cache=cache)
     live, foreign, truncated = _records(root)
-    record = json.loads(foreign.read_bytes())
-    record["header"]["source"] = "0" * 16
-    foreign.write_text(json.dumps(record))
+    foreign.write_bytes(_foreign_source(foreign.read_bytes()))
     truncated.write_bytes(truncated.read_bytes()[:100])
     return live, foreign, truncated
 
@@ -224,7 +224,7 @@ def test_stats_and_prune_sweep_stale_witness_records(tmp_path, capsys):
 
 def test_prune_all_removes_temp_files_of_interrupted_stores(tmp_path):
     root = tmp_path / "cache"
-    temp = root / "00" / ".deadbeefdeadbeef.x1y2z3"
+    temp = root / "witness" / "de" / ".deadbeefdeadbeef.x1y2z3"
     temp.parent.mkdir(parents=True)
     temp.write_bytes(b"partial")
 
