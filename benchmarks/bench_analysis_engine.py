@@ -63,7 +63,7 @@ def synthetic_campaign(n_runs: int, *, iterations_per_run: int = 4,
     workload = Workload(name=f"synthetic-{n_runs}", source="",
                         inputs=[{}] * n_runs)
     return CampaignResult(workload=workload, config=MEGA_BOOM, tracer=tracer,
-                          runs=[], simulate_seconds=0.0, parse_seconds=0.0)
+                          runs=[])
 
 
 def scalar_scores(campaign: CampaignResult) -> dict:

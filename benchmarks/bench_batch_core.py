@@ -71,9 +71,9 @@ def _best(fn, repeats: int):
 def _identity_view(output):
     """The deterministic simulation payload of a RunOutput.
 
-    Timing observations (``sample_seconds``, ``profile``) and the batched
-    group's surfaced ``divergences`` are excluded; everything the tracer
-    and core produced must match bit-for-bit.
+    The timing observation (``span``) and the batched group's surfaced
+    ``divergences`` are excluded; everything the tracer and core produced
+    must match bit-for-bit.
     """
     return (output.iterations, output.run, output.cycles_sampled,
             output.ff_steps)

@@ -9,8 +9,9 @@ Commands
 ``analyze WORKLOAD``
     Run the full MicroSampler pipeline on a built-in workload.
 ``sweep WORKLOAD``
-    Run one workload across several core configurations as a single
-    planned job (config-invariant phases paid once).
+    Run one workload across several core configurations as one stream of
+    campaigns (with a cache, the legs share the taint witness and the
+    checkpoints).
 ``localize WORKLOAD``
     Detect leaks, then pin each one to a cycle window and the
     responsible instructions (annotated disassembly).
@@ -154,9 +155,9 @@ def _add_profile_argument(parser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="record a per-stage simulator time breakdown "
                              "(fetch/rename/issue/writeback/commit/memory/"
-                             "tracer); runs replayed from the trace cache do "
-                             "no simulation work and contribute nothing — "
-                             "combine with --no-cache to profile every run")
+                             "tracer) in the run's timing tree; runs replayed "
+                             "from the cache contribute nothing — combine "
+                             "with --no-cache to profile every run")
 
 
 def _add_core_arguments(parser, *, config: bool = True) -> None:
@@ -226,9 +227,9 @@ def _sampler(args, **knobs) -> MicroSampler:
     flag the verb lacks leaves its field at the default.
 
     Caching is on by default — campaign replays are deterministic, so a
-    repeated run skips simulation entirely.  ``--no-cache`` bypasses it
-    (do so after modifying the simulator itself: trace keys cover the
-    program, inputs and configuration, not the model's source).
+    repeated run skips simulation entirely, and every record key covers
+    the package's source, so an edit to the simulator misses every record
+    by itself.  ``--no-cache`` bypasses the cache.
     """
     flags = dict(
         warmup_iterations=getattr(args, "warmup", 0),
@@ -765,8 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="analyze one workload across several core configs, paying "
-             "the config-invariant phases once")
+        help="analyze one workload across several core configs as one "
+             "stream, the legs sharing the cache")
     sweep.add_argument("workload", help="workload name (see list-workloads)")
     sweep.add_argument("--configs", default="mega,small",
                        help="comma-separated core configs to sweep "

@@ -225,10 +225,6 @@ class BatchInterpreter:
 
     # -- lane state access (tests, checkpoint capture) -----------------------
 
-    @property
-    def n_active_lanes(self) -> int:
-        return len(self.lane_ids)
-
     def _local(self, lane: int) -> int:
         return self.lane_ids.index(lane)
 

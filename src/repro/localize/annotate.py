@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.isa.disasm import format_instruction
 from repro.localize.localize import LOCALIZATION_ALPHA, LocalizationReport
+from repro.util.profiling import render_profile
 
 #: Glyph ramp for the per-cycle leakage timeline (V in [0, 1]).
 _RAMP = " .:-=+*#@"
@@ -117,14 +118,15 @@ def render_localization(report: LocalizationReport, *, program=None,
             f"LEAKAGE LOCALIZED in: {', '.join(report.localized_units)}")
     else:
         lines.append("No cycle window passed the localization gate.")
+    timings = report.timings
     lines.append(
-        f"stage times: simulate={report.simulate_seconds:.2f}s "
-        f"scan={report.scan_seconds:.2f}s "
-        f"attribute={report.attribute_seconds:.2f}s"
+        f"stage times: simulate={timings['simulate']:.2f}s "
+        f"scan={timings['scan']:.2f}s "
+        f"attribute={timings['attribute']:.2f}s"
     )
     if report.profile is not None:
         lines.append("")
-        lines.append(report.profile.render())
+        lines.append(render_profile(report.profile))
     return "\n".join(lines)
 
 
@@ -188,10 +190,9 @@ def localization_to_dict(report: LocalizationReport, *,
         "alpha": alpha,
         "units": units,
         "timings_seconds": {
-            "simulate": report.simulate_seconds,
-            "scan": report.scan_seconds,
-            "attribute": report.attribute_seconds,
+            **report.timings,
+            "spans": (report.spans.to_dict()
+                      if report.spans is not None else None),
         },
-        "profile": (report.profile.to_dict()
-                    if report.profile is not None else None),
+        "profile": report.profile,
     }

@@ -7,12 +7,9 @@ and the commit log enabled, then runs the temporal scan and instruction
 attribution per unit.  Keeping the phases separate means the common
 no-leak path never pays the localization memory cost, while the
 content-addressed trace cache makes the second simulation a replay whenever
-a localization campaign ran before.
-
-The cache interaction is defensive on top of content addressing: a replay
-that somehow lacks per-cycle digests or commit logs (a poisoned or
-pre-versioning entry) is transparently re-simulated with the cache bypassed
-rather than crashing the scan.
+a localization campaign ran before.  A replayed trace always holds the
+per-cycle digests and commit logs: both settings join its key, and a
+record replays only under the key and source digest it was stored with.
 
 On top of the traces, the cache holds each finished localization as a
 source-salted record (:func:`~repro.sampler.trace_cache.localization_key`),
@@ -21,8 +18,7 @@ so a warm :func:`localize` replays it and runs neither phase.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.localize.attribution import (
     DEFAULT_PERMUTATIONS,
@@ -33,6 +29,7 @@ from repro.localize.temporal import TemporalScan, temporal_scan
 from repro.sampler.runner import Workload
 from repro.sampler.trace_cache import LOCALIZATION, localization_key
 from repro.trace.features import FEATURES
+from repro.util.profiling import Span, profile_view
 
 #: Significance gate for localized findings (acceptance: p < 0.01 on the
 #: secret-dependent instructions).  Stricter than the detection alpha
@@ -64,12 +61,29 @@ class LocalizationReport:
     #: units that phase 1 flagged (the localization targets).
     target_units: tuple = ()
     units: dict[str, UnitLocalization] = field(default_factory=dict)
-    simulate_seconds: float = 0.0
-    scan_seconds: float = 0.0
-    attribute_seconds: float = 0.0
-    #: Merged per-stage simulator time across both phases when the sampler
-    #: was profiling (:class:`repro.util.profiling.StageProfile`), else None.
-    profile: object | None = None
+    #: The localization's timing tree: detection's tree as ``detect`` when
+    #: this call ran it, then the phase-2 campaign's ``plan``,
+    #: ``simulate``, ``store`` and ``merge``, then ``scan`` and
+    #: ``attribute``.
+    spans: Span | None = None
+
+    @property
+    def timings(self) -> dict:
+        """Stage seconds: the phase-2 campaign's simulate (as in
+        :class:`~repro.sampler.pipeline.StageTimings`), scan and
+        attribute."""
+        from repro.sampler.pipeline import StageTimings
+
+        spans = self.spans or Span()
+        return {"simulate": StageTimings.of(spans).simulate_seconds,
+                **{stage: spans.seconds_at(stage)
+                   for stage in ("scan", "attribute")}}
+
+    @property
+    def profile(self) -> dict | None:
+        """Per-stage simulator time over the simulations this
+        localization ran, both phases (``--profile``)."""
+        return profile_view(self.spans)
 
     @property
     def localized_units(self) -> list[str]:
@@ -97,6 +111,8 @@ def localize_campaign(campaign, feature_ids, *, sampler=None,
     escalated map (secret-dependent control or address flow) voids the
     per-PC exoneration, so no restriction is applied then — which is why
     the bundled leaky workloads localize bit-identically with taint on.
+    The scans and attributions are timed into the campaign's tree, which
+    the report carries.
     """
     from repro.sampler.pipeline import MicroSampler
 
@@ -115,37 +131,23 @@ def localize_campaign(campaign, feature_ids, *, sampler=None,
         n_iterations=len(iterations),
         n_classes=len({r.label for r in iterations}),
         target_units=tuple(feature_ids),
-        simulate_seconds=campaign.simulate_seconds,
+        spans=campaign.spans,
     )
     for feature_id in feature_ids:
-        started = time.perf_counter()
-        scan = temporal_scan(iterations, feature_id,
-                             v_threshold=sampler.v_threshold,
-                             alpha=sampler.alpha)
-        report.scan_seconds += time.perf_counter() - started
+        with campaign.spans.time("scan"):
+            scan = temporal_scan(iterations, feature_id,
+                                 v_threshold=sampler.v_threshold,
+                                 alpha=sampler.alpha)
         unit = UnitLocalization(feature_id=feature_id, scan=scan)
         if scan.window is not None:
-            started = time.perf_counter()
-            unit.attribution = attribute_window(
-                iterations, feature_id, scan.window,
-                permutations=permutations, seed=seed,
-                allowed_pcs=allowed_pcs,
-            )
-            report.attribute_seconds += time.perf_counter() - started
+            with campaign.spans.time("attribute"):
+                unit.attribution = attribute_window(
+                    iterations, feature_id, scan.window,
+                    permutations=permutations, seed=seed,
+                    allowed_pcs=allowed_pcs,
+                )
         report.units[feature_id] = unit
     return report
-
-
-def _missing_localization_inputs(campaign, feature_ids) -> bool:
-    """True when any record lacks per-cycle digests or a commit log."""
-    for record in campaign.iterations:
-        if record.commits is None:
-            return True
-        for feature_id in feature_ids:
-            feature = record.features.get(feature_id)
-            if feature is None or feature.cycle_digests is None:
-                return True
-    return False
 
 
 def localization_targets(features) -> tuple:
@@ -173,12 +175,13 @@ def localize(workload: Workload, *, sampler=None, report=None,
 
     With a cache and no ``report``, the localization is first looked up
     as a record (:func:`~repro.sampler.trace_cache.localization_key`).  A
-    hit replays it under the caller's workload and config names, with zero
-    stage times and no profile, and skips detection, the taint prescreen,
-    planning, trace loads, the scans and the permutation tests.  A miss is
-    computed, then stored.  The key cannot cover a caller's ``report``, so
-    a localization given one neither reads nor writes a record; a caller
-    with a cache passes none and lets detection replay its report record.
+    hit replays it under the caller's workload and config names, with a
+    tree of ``plan`` alone (zero stage times, no profile), and skips
+    detection, the taint prescreen, planning, trace loads, the scans and
+    the permutation tests.  A miss is computed, then stored.  The key
+    cannot cover a caller's ``report``, so a localization given one
+    neither reads nor writes a record; a caller with a cache passes none
+    and lets detection replay its report record.
     """
     from repro.sampler.pipeline import MicroSampler
 
@@ -186,26 +189,33 @@ def localize(workload: Workload, *, sampler=None, report=None,
     if features is not None:
         features = localization_targets(features)
     cache = sampler.cache if report is None else None
-    key = (localization_key(sampler, workload, features, permutations, seed)
-           if cache is not None else None)
-    if key is not None:
-        replay = cache.load_record(LOCALIZATION, key)
-        if replay is not None:
-            replay.workload_name = workload.name
-            replay.config_name = sampler.config.name
-            return replay
-    result = _compute_localization(workload, sampler, report, features,
+    spans = Span()
+    key = replay = None
+    if cache is not None:
+        with spans.time("plan") as phase, phase.time("load"):
+            key = localization_key(sampler, workload, features,
                                    permutations, seed)
+            replay = cache.load_record(LOCALIZATION, key)
+    if replay is not None:
+        replay.workload_name = workload.name
+        replay.config_name = sampler.config.name
+        replay.spans = spans
+        return replay
+    result = _compute_localization(workload, sampler, report, features,
+                                   permutations, seed, spans)
     if key is not None:
-        cache.store_record(LOCALIZATION, key, result)
+        with spans.time("store"):
+            cache.store_record(LOCALIZATION, key, result)
     return result
 
 
 def _compute_localization(workload, sampler, report, features,
-                          permutations, seed) -> LocalizationReport:
-    """:func:`localize` without its record: detect, then localize."""
+                          permutations, seed, spans) -> LocalizationReport:
+    """:func:`localize` without its record: detect, then localize, timed
+    into ``spans``."""
     if report is None and features is None:
         report = sampler.analyze(workload)
+        spans.add(report.spans, "detect")
     taint = None
     if sampler.taint:
         # Reuse the phase-1 prescreen when available; the map is a pure
@@ -213,7 +223,8 @@ def _compute_localization(workload, sampler, report, features,
         if report is not None and report.taint is not None:
             taint = report.taint
         else:
-            taint = sampler.compute_taint(workload)
+            with spans.time("plan") as phase, phase.time("taint"):
+                taint = sampler.compute_taint(workload)
     targets = features if features is not None else tuple(report.leaky_units)
     if not targets:
         return LocalizationReport(
@@ -221,23 +232,10 @@ def _compute_localization(workload, sampler, report, features,
             config_name=sampler.config.name,
             n_iterations=report.n_iterations if report is not None else 0,
             n_classes=report.n_classes if report is not None else 0,
-            profile=report.profile if report is not None else None,
+            spans=spans,
         )
-    campaign_shape = dict(features=targets, keep_raw=True, log_commits=True)
-    campaign = sampler.run(workload, **campaign_shape)
-    if _missing_localization_inputs(campaign, targets):
-        # Stale or pre-versioning cache entries replayed without the
-        # localization inputs: re-simulate instead of crashing the scan.
-        campaign = replace(sampler, cache=None).run(workload,
-                                                    **campaign_shape)
-    result = localize_campaign(campaign, targets, sampler=sampler,
-                               permutations=permutations, seed=seed,
-                               taint=taint)
-    if sampler.profile:
-        from repro.util.profiling import merge_profiles
-
-        result.profile = merge_profiles([
-            report.profile if report is not None else None,
-            campaign.profile,
-        ])
-    return result
+    campaign = sampler.run(workload, features=targets, keep_raw=True,
+                           log_commits=True, spans=spans)
+    return localize_campaign(campaign, targets, sampler=sampler,
+                             permutations=permutations, seed=seed,
+                             taint=taint)

@@ -13,6 +13,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 
 from repro.sampler.pipeline import MicroSampler, with_knobs
+from repro.util.profiling import Span, profile_view, render_profile
 
 
 @dataclass
@@ -24,9 +25,10 @@ class AuditEntry:
     leaky_units: list
     max_v: float
     n_iterations: int
-    #: This campaign's own time: planning, its lane groups' in-worker
-    #: simulation, merge and statistics.  Under ``jobs > 1`` campaigns
-    #: overlap, so the entries can sum to more than the audit's wall clock.
+    #: This campaign's own time, the root of its timing tree: planning,
+    #: its lane groups' in-worker simulation, stores, merge and
+    #: statistics.  Under ``jobs > 1`` campaigns overlap, so the entries
+    #: can sum to more than the audit's wall clock.
     seconds: float
     expected: bool | None = None
     #: Taint prescreen outcome (``--taint on`` only, else all None/empty):
@@ -60,9 +62,9 @@ class AuditResult:
 
     config_name: str
     entries: list = field(default_factory=list)
-    #: Suite-wide per-stage simulator time breakdown when profiling was
-    #: requested (:class:`repro.util.profiling.StageProfile`).
-    profile: object | None = None
+    #: Every campaign's timing tree, folded into one (the suite-wide
+    #: ``--profile`` breakdown is its :func:`profile_view`).
+    spans: Span = field(default_factory=Span)
 
     @property
     def unexpected(self) -> list:
@@ -118,9 +120,10 @@ class AuditResult:
         lines.append("AUDIT PASSED" if self.passed else
                      f"AUDIT FAILED: {len(self.unexpected)} unexpected "
                      f"verdict(s)")
-        if self.profile is not None:
+        profile = profile_view(self.spans)
+        if profile is not None:
             lines.append("")
-            lines.append(self.profile.render())
+            lines.append(render_profile(profile))
         return "\n".join(lines)
 
 
@@ -169,8 +172,8 @@ def run_audit(workloads, *, sampler: MicroSampler | None = None,
 
     ``knobs`` are :class:`~repro.sampler.pipeline.MicroSampler` fields: they
     build the sampler, or replace fields of an explicit ``sampler``.  The
-    result is labelled with the sampler's core config; with ``profile`` the
-    suite-wide per-stage breakdown lands on ``AuditResult.profile``.
+    result is labelled with the sampler's core config and folds every
+    campaign's timing tree into ``AuditResult.spans``.
 
     ``taint`` runs the secret-taint prescreen alongside every analysis and
     records the taint-vs-statistics agreement per entry;
@@ -187,18 +190,17 @@ def run_audit(workloads, *, sampler: MicroSampler | None = None,
     expectations = expectations or {}
     taint_expectations = taint_expectations or {}
     result = AuditResult(config_name=sampler.config.name)
-    profiles = []
     with closing(sampler.analyze_stream(workloads)) as reports:
-        for report, seconds in reports:
+        for report in reports:
             name = report.workload_name
-            profiles.append(report.profile)
+            result.spans.add(report.spans)
             result.entries.append(AuditEntry(
                 name=name,
                 leakage_detected=report.leakage_detected,
                 leaky_units=report.leaky_units,
                 max_v=max(report.cramers_v_by_unit().values()),
                 n_iterations=report.n_iterations,
-                seconds=seconds,
+                seconds=report.spans.seconds,
                 expected=expectations.get(name),
                 taint_escalated=(report.taint.escalated
                                  if report.taint is not None else None),
@@ -207,8 +209,4 @@ def run_audit(workloads, *, sampler: MicroSampler | None = None,
                 taint_agreement=(dict(report.taint.agreement)
                                  if report.taint is not None else {}),
             ))
-    if any(profile is not None for profile in profiles):
-        from repro.util.profiling import merge_profiles
-
-        result.profile = merge_profiles(profiles)
     return result

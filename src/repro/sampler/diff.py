@@ -97,7 +97,7 @@ def diff_configs(workload, baseline: CoreConfig, candidate: CoreConfig, *,
     sampler = sampler or MicroSampler()
     campaigns = [(replace(sampler, config=design), workload)
                  for design in (baseline, candidate)]
-    (base_report, _, _), (cand_report, _, _) = stream_campaigns(
+    (base_report, _), (cand_report, _) = stream_campaigns(
         campaigns, jobs=sampler.jobs)
     diff = ConfigDiff(
         workload_name=workload.name,

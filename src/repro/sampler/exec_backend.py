@@ -29,18 +29,19 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
 import signal
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
 from repro.kernel.memory_map import MemoryMap
 from repro.uarch.config import CoreConfig
+from repro.util.profiling import Span, profile_stages
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,9 @@ class RunTask:
     #: stores them to (None = capture in memory only).  Storage location,
     #: not content — excluded from the trace-cache key like ``profile``.
     cache_root: str | None = None
-    #: Attach a per-stage wall-clock profiler to the core (``--profile``).
-    #: Observational only — excluded from the trace-cache key, and cached
-    #: replays simply carry no profile.
+    #: Time the core's pipeline stages into a ``profile`` span
+    #: (``--profile``).  Observational only — excluded from the trace-cache
+    #: key, and cached replays simply carry no span.
     profile: bool = False
     #: Checkpoint attached by the batch prepass (``sampler/batch.py``); the
     #: worker then skips its own capture.  Derived state, not configuration
@@ -101,10 +102,6 @@ class RunOutput:
     iterations: list[IterationRecord] = field(default_factory=list)
     run: RunResult | None = None
     cycles_sampled: int = 0
-    sample_seconds: float = 0.0
-    #: True when this output was replayed from the trace cache: nothing was
-    #: simulated for it in this process.
-    from_cache: bool = False
     #: True once this output is in the trace cache, so
     #: :meth:`~repro.sampler.runner.CampaignPlan.fill` stores it no more:
     #: replayed from it, or stored by the pool that simulated it (the
@@ -113,18 +110,17 @@ class RunOutput:
     stored: bool = False
     #: Instructions skipped via functional fast-forward (0 = full sim).
     ff_steps: int = 0
-    #: Per-stage time breakdown when the task requested profiling.
-    profile: object | None = None
     #: Cross-lane divergence events observed while this input ran in a
     #: lane-batched core group (attached to the group's first output, with
     #: lanes remapped to run indices).  A divergence is simultaneously the
     #: scalar-fallback trigger and a first-class leak signal, mirroring the
     #: functional batch prepass (PR 6).
     divergences: tuple = ()
-    #: In-worker wall-clock of the shard this output came from, stamped on
-    #: the shard's first output by :func:`_run_shard` (0 on the others).
-    #: Observational: the trace cache does not persist it.
-    worker_seconds: float = 0.0
+    #: What the simulation of this output's lane group or shard timed
+    #: (:class:`~repro.util.profiling.Span`), on its first output only:
+    #: :func:`_run_shard` returns the shard's span here.  Observational:
+    #: the trace cache does not persist it.
+    span: Span | None = None
 
 
 def execute_run(task: RunTask) -> RunOutput:
@@ -159,13 +155,23 @@ def _checkpoint(task: RunTask):
                            warmup_insts=task.warmup_insts, cache=cache)
 
 
+def _phase(profile: Span | None, name: str):
+    """Time a block into the ``profile`` node's child ``name`` (leaving the
+    node itself untimed), or not at all without a profile."""
+    if profile is None:
+        return contextlib.nullcontext()
+    return profile.child(name).time()
+
+
 def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
     """Simulate one task on a :class:`Core`, or several as the lanes of
     one :class:`~repro.uarch.batch_core.BatchCore`; one output per task.
 
     Several tasks must come from one campaign (same program stream,
     config, memory map and tracer settings; only patched data and run
-    indices differ).
+    indices differ).  The first output's span holds the tracer's sampling
+    and finalizing time as ``trace`` and, when profiling, the ``profile``
+    node.
     """
     # Imported here, not at module top: the simulator loads only where a
     # run starts (a cache replay never imports it), and runner imports
@@ -176,9 +182,10 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
 
     head = tasks[0]
     batched = len(tasks) > 1
-    started = time.perf_counter()
-    checkpoints = [_checkpoint(task) for task in tasks]
-    ff_seconds = time.perf_counter() - started
+    span = Span()
+    profile = span.child("profile") if head.profile else None
+    with _phase(profile, "fastforward"):
+        checkpoints = [_checkpoint(task) for task in tasks]
     settings = dict(features=head.features, keep_raw=head.keep_raw,
                     log_commits=head.log_commits, pruned=head.pruned)
     if batched:
@@ -197,35 +204,30 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
         kernels, lane_iterations = [core.kernel], [tracer.iterations]
     if head.log_commits:
         core.commit_listener = tracer.on_commit
-    profile = None
-    if head.profile:
-        from repro.util.profiling import profile_stages
-
-        profile = profile_stages(core)
-    run_started = time.perf_counter()
-    core.restore_architectural_states(checkpoints)
-    ff_seconds += time.perf_counter() - run_started
-    for symbol, length in head.warm_regions:
-        base = head.program.symbols[symbol]
-        for address in range(base, base + length, 64):
-            core.dcache.warm_line(address)
+    if profile is not None:
+        profile_stages(core, profile)
+    with _phase(profile if batched else None, "batchcore"):
+        with _phase(profile, "fastforward"):
+            core.restore_architectural_states(checkpoints)
+        for symbol, length in head.warm_regions:
+            base = head.program.symbols[symbol]
+            for address in range(base, base + length, 64):
+                core.dcache.warm_line(address)
+        if profile is not None:
+            # Attribute pre-ROI cycle-accurate simulation (the warm-up
+            # replay, or the whole prologue when checkpointing is off) to
+            # its own phase.
+            with profile.child("warmup").time():
+                while (not core.halted and not tracer.roi_seen
+                        and core.cycle < head.max_cycles):
+                    core.step()
+        core.run(max_cycles=head.max_cycles)
     ff_steps = checkpoints[0].steps if checkpoints[0] is not None else 0
     if profile is not None:
-        profile.fastforward_seconds += ff_seconds
-        profile.ff_steps += ff_steps
-        # Attribute pre-ROI cycle-accurate simulation (the warm-up replay,
-        # or the whole prologue when checkpointing is off) to its own phase.
-        started = time.perf_counter()
-        while (not core.halted and not tracer.roi_seen
-                and core.cycle < head.max_cycles):
-            core.step()
-        profile.warmup_seconds += time.perf_counter() - started
-    core.run(max_cycles=head.max_cycles)
-    if profile is not None:
-        profile.cycles += core.cycle
-        if batched:
-            profile.batchcore_seconds += time.perf_counter() - run_started
-            profile.batchcore_runs += 1
+        profile.counts.update(cycles=core.cycle, ff_steps=ff_steps,
+                              batchcore_runs=int(batched))
+    span.child("trace").seconds = (tracer.sample_seconds
+                                   + tracer.finalize_seconds)
     outputs = []
     for lane, task in enumerate(tasks):
         kernel = kernels[lane]
@@ -246,25 +248,22 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
                 console=kernel.console_text,
             ),
             cycles_sampled=tracer.cycles_sampled,
-            sample_seconds=(tracer.sample_seconds + tracer.finalize_seconds
-                            if lane == 0 else 0.0),
             ff_steps=ff_steps,
-            profile=profile if lane == 0 else None,
         ))
+    outputs[0].span = span
     return outputs
 
 
-def execute_run_batch(tasks: list[RunTask], *,
-                      _nested: bool = False) -> list[RunOutput]:
+def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
     """Execute one lane group, falling back to scalar on divergence.
 
     On :class:`~repro.uarch.batch_core.LaneDivergence` the lanes are
     partitioned by their divergence keys (lanes that still agree stay
     batched together) and re-run from the start; the event — with lanes
     remapped to campaign run indices — is attached to the group's first
-    output as a first-class leak signal.  The fallback's wall time is
-    charged once, by the outermost call, however often an agreement class
-    diverges again (``_nested`` marks the recursive calls).
+    output as a first-class leak signal.  The re-runs, however often an
+    agreement class diverges again, are timed once, as the ``fallback``
+    child of the span on the group's first output.
     """
     from repro.uarch.batch_core import LaneDivergence
 
@@ -273,38 +272,47 @@ def execute_run_batch(tasks: list[RunTask], *,
     try:
         return _execute_lockstep(tasks)
     except LaneDivergence as exc:
-        fallback_started = time.perf_counter()
-        event = _remap_event_lanes(exc.event, tasks)
-        groups: dict = {}
-        order = []
-        for lane, key in enumerate(exc.lane_keys):
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(lane)
-        outputs: list[RunOutput | None] = [None] * len(tasks)
-        if len(order) == 1:
-            # Defensive: a divergence with one equality class cannot be
-            # partitioned — run every lane scalar.
-            for lane, task in enumerate(tasks):
-                outputs[lane] = execute_run(task)
-        else:
-            for key in order:
-                members = groups[key]
-                results = execute_run_batch([tasks[lane] for lane in members],
-                                            _nested=True)
-                for member, result in zip(members, results):
-                    outputs[member] = result
-        events = [event]
-        for output in outputs:
-            if output.divergences:
-                events.extend(output.divergences)
-                output.divergences = ()
-        outputs[0].divergences = tuple(events)
-        if not _nested and outputs[0].profile is not None:
-            outputs[0].profile.fallback_seconds += (
-                time.perf_counter() - fallback_started)
-        return outputs
+        divergence = exc
+    span = Span()
+    with span.child("fallback").time() as fallback:
+        outputs = _rerun_classes(tasks, divergence, fallback)
+    outputs[0].span = span
+    return outputs
+
+
+def _rerun_classes(tasks, divergence, fallback: Span) -> list[RunOutput]:
+    """Re-run each agreement class of a diverged lane group, recursing
+    into a class that diverges again; what the re-runs timed folds into
+    ``fallback``.  The group's events (this divergence, then each class's
+    in lane order) land on the first output."""
+    from repro.uarch.batch_core import LaneDivergence
+
+    groups: dict = {}
+    for lane, key in enumerate(divergence.lane_keys):
+        groups.setdefault(key, []).append(lane)
+    # Defensive: a divergence with one equality class cannot be
+    # partitioned — run every lane scalar.
+    classes = (list(groups.values()) if len(groups) > 1
+               else [[lane] for lane in range(len(tasks))])
+    outputs: list[RunOutput | None] = [None] * len(tasks)
+    for members in classes:
+        members_tasks = [tasks[lane] for lane in members]
+        try:
+            results = (_execute_lockstep(members_tasks) if len(members) > 1
+                       else [execute_run(members_tasks[0])])
+        except LaneDivergence as exc:
+            results = _rerun_classes(members_tasks, exc, fallback)
+        if results[0].span is not None:
+            fallback.add(results[0].span)
+            results[0].span = None
+        for member, result in zip(members, results):
+            outputs[member] = result
+    events = [_remap_event_lanes(divergence.event, tasks)]
+    for output in outputs:
+        events.extend(output.divergences)
+        output.divergences = ()
+    outputs[0].divergences = tuple(events)
+    return outputs
 
 
 def _remap_event_lanes(event, tasks):
@@ -368,18 +376,31 @@ def _run_shard(tasks: list[RunTask]) -> list[RunOutput]:
     """Execute one shard, lane group by lane group, in task order.
 
     The one worker body: the in-process backend and every
-    :class:`WorkerPool` worker run it.  The shard's in-worker wall time is
-    stamped on its first output as :attr:`RunOutput.worker_seconds`; it is
-    observational, and the outputs are otherwise exactly
-    :func:`execute_run_batch`'s.
+    :class:`WorkerPool` worker run it.  The shard's span — its in-worker
+    wall time, with the tracer's time (``trace``), any ``profile`` nodes
+    and the re-runs of diverged groups (``fallback``) as children — rides
+    on its first output as :attr:`RunOutput.span`; it is observational,
+    and the outputs are otherwise exactly :func:`execute_run_batch`'s.
     """
-    started = time.perf_counter()
+    span = Span()
     outputs = []
-    for group in _lane_groups(tasks):
-        outputs.extend(execute_run_batch(group))
+    with span.time():
+        for group in _lane_groups(tasks):
+            results = execute_run_batch(group)
+            span.add(results[0].span)
+            results[0].span = None
+            outputs.extend(results)
     if outputs:
-        outputs[0].worker_seconds = time.perf_counter() - started
+        outputs[0].span = span
     return outputs
+
+
+def charge_shard(spans: Span, shard: Span) -> None:
+    """Charge a shard's span to a campaign's tree: the next ``shard <k>``
+    child of its ``simulate`` span, and part of the campaign's own time."""
+    spans.seconds += shard.seconds
+    simulate = spans.child("simulate")
+    simulate.add(shard, f"shard {len(simulate.children)}")
 
 
 def _process_pool(workers: int) -> WorkerPool:
@@ -460,12 +481,14 @@ class _Backend:
             flight.futures.append(future)
 
     def finish(self, flight: _Flight):
-        """Fill a finished flight's plan with its outputs, in task order."""
+        """Fill a finished flight's plan with its outputs, in task order,
+        and charge its shards' spans to the plan's tree."""
         plan = flight.plan
         outputs = [output for future in flight.futures
                    for output in future.result()]
         for index, output in zip(plan.to_run, outputs):
-            plan.execute_seconds += output.worker_seconds
+            if output.span is not None:
+                charge_shard(plan.spans, output.span)
             plan.fill(index, output)
         return plan
 
@@ -480,9 +503,9 @@ def stream_plans(plans, *, jobs=1):
     ``plans`` is any iterable, possibly lazy, of campaign plans
     (:class:`~repro.sampler.runner.CampaignPlan`, or anything with
     ``pending_tasks``, ``to_run``, ``fill(index, output)`` and
-    ``execute_seconds``).  Every plan's pending tasks are split into lane
-    groups (:func:`_lane_groups`, per plan: adjacent campaigns never share
-    a group), and the groups of all plans go to one backend:
+    ``spans``).  Every plan's pending tasks are split into lane groups
+    (:func:`_lane_groups`, per plan: adjacent campaigns never share a
+    group), and the groups of all plans go to one backend:
 
     * ``jobs <= 1``: in-process, one plan at a time — plan, simulate,
       yield, then draw the next plan;
@@ -493,9 +516,9 @@ def stream_plans(plans, *, jobs=1):
       lone group, e.g. a one-campaign ``analyze``, runs in-process.
 
     Plans come back **strictly in input order**, each as soon as its own
-    groups finish, with outputs filled in and ``execute_seconds``
-    increased by its groups' in-worker seconds
-    (:attr:`RunOutput.worker_seconds`).  While workers simulate, the next
+    groups finish, with outputs filled in and each shard's span
+    (:attr:`RunOutput.span`) charged to the plan's tree
+    (:func:`charge_shard`).  While workers simulate, the next
     plans are drawn from ``plans`` — so a lazy iterable plans campaign k+1
     while campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
     worker in hand.  A plan with nothing pending (warm cache) comes back
@@ -544,14 +567,16 @@ def stream_plans(plans, *, jobs=1):
         backend.close()
 
 
-class _TaskBatch:
-    """A bare task list dressed as a plan for :func:`stream_plans`."""
+class TaskBatch:
+    """A bare task list dressed as a plan for :func:`stream_plans`; with
+    no tasks, a plan that comes back as soon as it is due (a campaign
+    replayed from its report record)."""
 
-    def __init__(self, tasks: list[RunTask]):
+    def __init__(self, tasks=(), spans: Span | None = None):
         self.pending_tasks = list(tasks)
         self.to_run = range(len(self.pending_tasks))
         self.outputs: list[RunOutput | None] = [None] * len(self.to_run)
-        self.execute_seconds = 0.0
+        self.spans = Span() if spans is None else spans
 
     def fill(self, index: int, output: RunOutput) -> None:
         self.outputs[index] = output
@@ -567,7 +592,7 @@ def execute_tasks(tasks: list[RunTask], jobs=1) -> list[RunOutput]:
     merge, and a worker's ``WorkloadError`` propagates to the caller
     unchanged.
     """
-    batch = _TaskBatch(tasks)
+    batch = TaskBatch(tasks)
     for _ in stream_plans([batch], jobs=jobs):
         pass
     return batch.outputs
@@ -954,11 +979,6 @@ def merge_outputs(outputs: list[RunOutput],
             record.run_index = position
             tracer.append_record(record)  # re-stamps the global index
         tracer.cycles_sampled += output.cycles_sampled
-        if not output.from_cache:
-            # Cache hits replay stored snapshots without sampling anything
-            # this invocation; charging their original sample time here would
-            # make the stage-time report claim work that never happened.
-            tracer.sample_seconds += output.sample_seconds
         tracer.run_index = position
         if output.iterations:
             tracer.roi_seen = True

@@ -9,7 +9,6 @@ class/state association per tracked unit with chi-squared + Cramér's V, and
 from __future__ import annotations
 
 import collections
-import time
 from dataclasses import KW_ONLY, dataclass, field, replace
 
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
@@ -18,7 +17,7 @@ from repro.sampler.mutual_information import (
     MutualInformationResult,
     mutual_information_by_unit,
 )
-from repro.sampler.exec_backend import is_pool, stream_plans
+from repro.sampler.exec_backend import TaskBatch, is_pool, stream_plans
 from repro.sampler.runner import (
     CampaignPlan,
     CampaignResult,
@@ -35,6 +34,7 @@ from repro.sampler.stats import (
 from repro.sampler.trace_cache import REPORT, TraceCache, report_key
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.util.profiling import Span, profile_view
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,18 @@ class StageTimings:
     def total_seconds(self) -> float:
         return (self.simulate_seconds + self.parse_seconds
                 + self.stats_seconds + self.extract_seconds)
+
+    @classmethod
+    def of(cls, spans: Span) -> "StageTimings":
+        """The stages read off a campaign's tree: simulate is checkpoint
+        capture plus in-worker simulation outside the tracer, parse the
+        tracer's sampling and finalizing (every ``trace`` span under
+        ``simulate``), stats and extract their own spans."""
+        simulate = spans.children.get("simulate", Span())
+        parse = simulate.total("trace")
+        capture = spans.seconds_at("plan", "capture")
+        return cls(capture + simulate.seconds - parse, parse,
+                   spans.seconds_at("stats"), spans.seconds_at("extract"))
 
 
 @dataclass
@@ -123,10 +135,10 @@ class LeakageReport:
     n_iterations: int
     n_classes: int
     units: dict[str, UnitResult] = field(default_factory=dict)
-    timings: StageTimings | None = None
-    #: Per-stage simulator time breakdown (``--profile``), merged over all
-    #: simulated runs (:class:`repro.util.profiling.StageProfile`).
-    profile: object | None = None
+    #: The campaign's timing tree (:class:`~repro.util.profiling.Span`),
+    #: which :attr:`timings` and :attr:`profile` are read off; None on a
+    #: report no campaign produced here.
+    spans: Span | None = None
     #: Lockstep divergences observed by the batch prepass and by the
     #: lane-batched cycle-accurate core
     #: (:class:`~repro.isa.batch_interpreter.DivergenceEvent`): points
@@ -140,6 +152,16 @@ class LeakageReport:
     #: when the analysis ran with ``taint`` off, so off-mode reports
     #: serialize exactly as before.
     taint: TaintSummary | None = None
+
+    @property
+    def timings(self) -> StageTimings | None:
+        return StageTimings.of(self.spans) if self.spans is not None else None
+
+    @property
+    def profile(self) -> dict | None:
+        """Per-stage simulator time (``--profile``) over the simulated
+        runs (:func:`~repro.util.profiling.profile_view`)."""
+        return profile_view(self.spans)
 
     @property
     def leaky_units(self) -> list[str]:
@@ -174,14 +196,6 @@ def _attach_taint(report: LeakageReport,
             status = "agree-leak" if unit.leaky else "stats-clean"
         taint.agreement[feature_id] = status
     report.taint = taint
-
-
-class _ReplayedPlan:
-    """The plan of a campaign whose report record replayed: nothing is
-    pending, so :func:`stream_plans` yields it as soon as it is due."""
-
-    pending_tasks = to_run = ()
-    execute_seconds = 0.0
 
 
 def _is_count(value, minimum: int) -> bool:
@@ -249,8 +263,8 @@ class MicroSampler:
     #: (plus a label-permutation significance test) as a cross-check.
     measure_mi: bool = False
     mi_permutations: int = 200
-    #: Attach a per-stage wall-clock profiler to every simulated core
-    #: and surface the merged breakdown on ``LeakageReport.profile``.
+    #: Time the pipeline stages of every simulated core into the
+    #: campaign's tree, surfaced as ``LeakageReport.profile``.
     profile: bool = False
     #: Run the secret-taint prescreen (:mod:`repro.taint`) before
     #: simulation: prune units taint proves secret-free, restrict
@@ -288,20 +302,22 @@ class MicroSampler:
     # -- simulation -------------------------------------------------------------
 
     def plan(self, workload: Workload, *, features=None, keep_raw=(),
-             log_commits: bool = False, pruned=()) -> CampaignPlan:
+             log_commits: bool = False, pruned=(),
+             spans: Span | None = None) -> CampaignPlan:
         """Plan ``workload``'s campaign with this sampler's simulation knobs.
 
         The one place a sampler's knobs reach :func:`prepare_campaign`.
         ``features`` defaults to the sampler's tracked units; the other
         arguments describe the campaign, not the sampler (localization's
-        raw rows and commit log, the taint-pruned units).
+        raw rows and commit log, the taint-pruned units, the timing tree
+        to extend).
         """
         return prepare_campaign(
             workload, self.config,
             features=self.features if features is None else features,
             keep_raw=keep_raw, log_commits=log_commits, cache=self.cache,
             warmup_insts=self.warmup_insts, batch_lanes=self.batch_lanes,
-            profile=self.profile, pruned=pruned)
+            profile=self.profile, pruned=pruned, spans=spans)
 
     def run(self, workload: Workload, **plan) -> CampaignResult:
         """Plan (:meth:`plan`), simulate on ``self.jobs`` workers and merge
@@ -313,17 +329,15 @@ class MicroSampler:
 
     def analyze(self, workload: Workload) -> LeakageReport:
         """Run the complete Figure 1 flow on ``workload``."""
-        [(report, _seconds)] = self.analyze_stream([workload])
+        [report] = self.analyze_stream([workload])
         return report
 
     def analyze_stream(self, workloads):
         """Analyze ``workloads`` in order with this sampler, as one stream
-        (:func:`stream_campaigns`); yields ``(report, seconds)`` per
-        workload."""
+        (:func:`stream_campaigns`); yields one report per workload."""
         campaigns = ((self, workload) for workload in workloads)
-        for report, seconds, _ in stream_campaigns(campaigns,
-                                                   jobs=self.jobs):
-            yield report, seconds
+        for report, _ in stream_campaigns(campaigns, jobs=self.jobs):
+            yield report
 
     def compute_taint(self, workload: Workload) -> TaintSummary:
         """Run the taint prescreen: per-input maps + unit reachability.
@@ -352,7 +366,8 @@ class MicroSampler:
 
         Raises :class:`WorkloadError` when ``warmup_iterations`` drops
         every traced iteration, rather than reporting a clean verdict on
-        no data.
+        no data.  The whole analysis counts toward the campaign's own time
+        (the root of its tree), not only its ``stats`` and ``extract``.
         """
         campaign = finalize_campaign(plan)
         if self.warmup_iterations and not any(
@@ -363,7 +378,8 @@ class MicroSampler:
                 f"drops all {len(campaign.iterations)} traced iteration(s) "
                 f"of campaign {campaign.workload.name!r}: nothing is left "
                 "to analyze")
-        return self.analyze_campaign(campaign, taint=taint)
+        with campaign.spans.time():
+            return self.analyze_campaign(campaign, taint=taint)
 
     def analyze_campaign(self, campaign: CampaignResult, *,
                          taint: TaintSummary | None = None) -> LeakageReport:
@@ -377,53 +393,45 @@ class MicroSampler:
             n_iterations=len(iterations),
             n_classes=len(set(labels)),
             divergences=list(getattr(campaign, "divergences", None) or []),
+            spans=campaign.spans,
         )
-        stats_started = time.perf_counter()
-        # The numpy kernels load here, on a miss, never on a replay.
-        from repro.sampler.matrix import TraceMatrix
-        from repro.sampler.stats_vec import batched_association
+        with campaign.spans.time("stats"):
+            # The numpy kernels load here, on a miss, never on a replay.
+            from repro.sampler.matrix import TraceMatrix
+            from repro.sampler.stats_vec import batched_association
 
-        matrix = TraceMatrix.from_campaign(
-            campaign, self.features,
-            warmup_iterations=self.warmup_iterations,
-            notiming=self.analyze_timing_removed,
-        )
-        associations = batched_association(matrix)
-        associations_notiming = (
-            batched_association(matrix, notiming=True)
-            if self.analyze_timing_removed else {}
-        )
-        for feature_id in self.features:
-            report.units[feature_id] = UnitResult(
-                feature_id=feature_id,
-                association=associations[feature_id],
-                association_notiming=associations_notiming.get(feature_id),
-                v_threshold=self.v_threshold,
-                alpha=self.alpha,
+            matrix = TraceMatrix.from_campaign(
+                campaign, self.features,
+                warmup_iterations=self.warmup_iterations,
+                notiming=self.analyze_timing_removed,
             )
-        if self.measure_mi:
-            mi_by_unit = mutual_information_by_unit(
-                iterations, self.features,
-                permutations=self.mi_permutations,
+            associations = batched_association(matrix)
+            associations_notiming = (
+                batched_association(matrix, notiming=True)
+                if self.analyze_timing_removed else {}
             )
-            for feature_id, mi in mi_by_unit.items():
-                report.units[feature_id].mi = mi
-        stats_seconds = time.perf_counter() - stats_started
+            for feature_id in self.features:
+                report.units[feature_id] = UnitResult(
+                    feature_id=feature_id,
+                    association=associations[feature_id],
+                    association_notiming=associations_notiming.get(feature_id),
+                    v_threshold=self.v_threshold,
+                    alpha=self.alpha,
+                )
+            if self.measure_mi:
+                mi_by_unit = mutual_information_by_unit(
+                    iterations, self.features,
+                    permutations=self.mi_permutations,
+                )
+                for feature_id, mi in mi_by_unit.items():
+                    report.units[feature_id].mi = mi
 
-        extract_started = time.perf_counter()
-        if self.extract_root_causes_for_leaky:
-            for feature_id, unit in report.units.items():
-                if unit.leaky:
-                    unit.root_cause = extract_root_causes(iterations, feature_id)
-        extract_seconds = time.perf_counter() - extract_started
-
-        report.timings = StageTimings(
-            simulate_seconds=campaign.simulate_seconds,
-            parse_seconds=campaign.parse_seconds,
-            stats_seconds=stats_seconds,
-            extract_seconds=extract_seconds,
-        )
-        report.profile = campaign.profile
+        with campaign.spans.time("extract"):
+            if self.extract_root_causes_for_leaky:
+                for feature_id, unit in report.units.items():
+                    if unit.leaky:
+                        unit.root_cause = extract_root_causes(iterations,
+                                                              feature_id)
         _attach_taint(report, taint)
         return report
 
@@ -458,63 +466,73 @@ def stream_campaigns(campaigns, *, jobs):
     (:meth:`MicroSampler.plan`) — and its pending lane groups go to one
     dispatcher (:func:`~repro.sampler.exec_backend.stream_plans` on
     ``jobs``), so under ``jobs > 1`` (or a pool) campaign k+1 is planned
-    while workers simulate campaign k.  Yields ``(report, seconds,
-    n_simulated)`` per campaign, in input order; every report equals
-    ``sampler.analyze(workload)`` alone with the same cache state.
-    ``seconds`` is that campaign's own time: its planning, its lane
-    groups' in-worker simulation, and its merge + statistics, so
+    while workers simulate campaign k.  Yields ``(report, n_simulated)``
+    per campaign, in input order; every report equals
+    ``sampler.analyze(workload)`` alone with the same cache state, and
+    ``n_simulated`` counts the inputs sent to the dispatcher.
+
+    Each campaign's tree (``report.spans``) times its planning (``plan``:
+    ``taint``, ``load``, ``assemble``, ``capture``), its shards
+    (``simulate``), its cache stores (``store``), ``merge``, ``stats``
+    and ``extract``.  Its root's seconds are that campaign's own time —
+    the parent's work on it plus its shards' in-worker time — so
     overlapped campaigns' seconds can sum to more than the stream's wall
-    clock.  ``n_simulated`` counts the inputs sent to the dispatcher.
+    clock.
 
     With a cache, each campaign first looks up its report record
     (:func:`~repro.sampler.trace_cache.report_key`).  A hit replays the
     finished report — no assembly, trace keying or loading, merge,
     statistics or extraction — under the caller's workload and config
-    names, with all-zero ``timings`` (no stage ran), no ``profile`` and
-    ``n_simulated`` 0; it enters the dispatcher as a plan with nothing
-    pending.  A miss is planned, simulated and analyzed, then stored.  The
-    taint prescreen runs either way.  Config-invariant work is shared
-    through the cache too: later campaigns of a workload (a sweep's legs)
-    load the taint witness and checkpoints the first one stored.
+    names, with a tree of ``plan`` alone (all-zero ``timings``, no
+    ``profile``) and ``n_simulated`` 0; it enters the dispatcher as a plan
+    with nothing pending.  A miss is planned, simulated and analyzed, then
+    stored.  The taint prescreen runs either way.  Config-invariant work
+    is shared through the cache too: later campaigns of a workload (a
+    sweep's legs) load the taint witness and checkpoints the first one
+    stored.
     """
-    planned = collections.deque()  # (sampler, taint, key, replay, seconds)
+    planned = collections.deque()  # (sampler, taint, key, replay)
 
     def plan_campaign(sampler, workload):
-        started = time.perf_counter()
+        spans = Span()
         cache = sampler.cache
-        taint = sampler.compute_taint(workload) if sampler.taint else None
-        key = report_key(sampler, workload) if cache is not None else None
-        replay = (cache.load_record(REPORT, key) if key is not None
-                  else None)
-        if replay is not None:
-            replay.workload_name = workload.name
-            replay.config_name = sampler.config.name
-            replay.timings = StageTimings(0.0, 0.0, 0.0, 0.0)
-            campaign_plan = _ReplayedPlan()
-        else:
-            campaign_plan = sampler.plan(
-                workload, pruned=taint.pruned if taint else ())
-        planned.append((sampler, taint, key, replay,
-                        time.perf_counter() - started))
+        with spans.time("plan") as phase:
+            taint = None
+            if sampler.taint:
+                with phase.time("taint"):
+                    taint = sampler.compute_taint(workload)
+            key = replay = None
+            if cache is not None:
+                with phase.time("load"):
+                    key = report_key(sampler, workload)
+                    replay = cache.load_record(REPORT, key)
+            if replay is not None:
+                replay.workload_name = workload.name
+                replay.config_name = sampler.config.name
+                replay.spans = spans
+                campaign_plan = TaskBatch(spans=spans)
+            else:
+                campaign_plan = sampler.plan(
+                    workload, pruned=taint.pruned if taint else (),
+                    spans=spans)
+        planned.append((sampler, taint, key, replay))
         return campaign_plan
 
     plans = (plan_campaign(sampler, workload)
              for sampler, workload in campaigns)
     for plan in stream_plans(plans, jobs=jobs):
-        sampler, taint, key, report, plan_seconds = planned.popleft()
-        started = time.perf_counter()
+        sampler, taint, key, report = planned.popleft()
         if report is None:
             report = sampler.analyze_plan(plan, taint=taint)
             if key is not None:
-                sampler.cache.store_record(REPORT, key, report)
+                with plan.spans.time("store"):
+                    sampler.cache.store_record(REPORT, key, report)
         else:
             _attach_taint(report, taint)
-        seconds = (plan_seconds + plan.execute_seconds
-                   + time.perf_counter() - started)
         n_simulated = len(plan.to_run)
         # Drop the simulated outputs before the next plan is drawn.
         del plan
-        yield report, seconds, n_simulated
+        yield report, n_simulated
 
 
 def with_knobs(sampler: MicroSampler | None = None,

@@ -7,6 +7,7 @@ Cramér's V series the paper plots in Figures 3, 4, 7, 9 and 10.
 from __future__ import annotations
 
 from repro.sampler.pipeline import LeakageReport
+from repro.util.profiling import render_profile
 
 
 def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
@@ -53,8 +54,8 @@ def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
         lines.append(f"LEAKAGE DETECTED in: {', '.join(report.leaky_units)}")
     else:
         lines.append("No statistically significant correlation found.")
-    if report.timings is not None:
-        t = report.timings
+    t = report.timings
+    if t is not None:
         lines.append(
             f"stage times: simulate={t.simulate_seconds:.2f}s "
             f"parse={t.parse_seconds:.2f}s stats={t.stats_seconds:.2f}s "
@@ -62,7 +63,7 @@ def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
         )
     if report.profile is not None:
         lines.append("")
-        lines.append(report.profile.render())
+        lines.append(render_profile(report.profile))
     root_causes = [u.root_cause for u in report.units.values() if u.root_cause]
     if root_causes:
         lines.append("")
@@ -205,16 +206,19 @@ def report_to_dict(report: LeakageReport) -> dict:
         ],
         "units": units,
     }
-    if report.timings is not None:
+    t = report.timings
+    if t is not None:
         payload["timings_seconds"] = {
-            "simulate": report.timings.simulate_seconds,
-            "parse": report.timings.parse_seconds,
-            "stats": report.timings.stats_seconds,
-            "extract": report.timings.extract_seconds,
-            "total": report.timings.total_seconds,
+            "simulate": t.simulate_seconds,
+            "parse": t.parse_seconds,
+            "stats": t.stats_seconds,
+            "extract": t.extract_seconds,
+            "total": t.total_seconds,
+            # The tree every figure above is read off.
+            "spans": report.spans.to_dict(),
         }
     if report.profile is not None:
-        payload["profile"] = report.profile.to_dict()
+        payload["profile"] = report.profile
     if report.taint is not None:
         # Only present with --taint on, so off-mode JSON stays byte-stable;
         # the differential tests strip this key before comparing.

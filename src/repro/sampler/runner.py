@@ -15,18 +15,19 @@ back in input order, bit-identical to the serial result.  An optional
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program, assemble
 from repro.sampler.exec_backend import (
     RunOutput,
     RunTask,
-    execute_run,
+    _run_shard,
+    charge_shard,
     merge_outputs,
     stream_plans,
 )
 from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.util.profiling import Span
 
 
 class WorkloadError(RuntimeError):
@@ -91,14 +92,8 @@ class CampaignResult:
     config: CoreConfig
     tracer: MicroarchTracer
     runs: list[RunResult]
-    simulate_seconds: float
-    parse_seconds: float
     #: How many of the runs were replayed from the trace cache.
     n_cached_runs: int = 0
-    #: Merged per-stage time breakdown when profiling was requested
-    #: (:class:`repro.util.profiling.StageProfile`); cached runs contribute
-    #: nothing, so an all-cached campaign reports ``None``.
-    profile: object | None = None
     #: Instructions skipped via functional fast-forward, summed over runs
     #: (0 when checkpointing is disabled or nothing could be skipped).
     ff_steps_total: int = 0
@@ -110,6 +105,9 @@ class CampaignResult:
     #: absorbed; ``lanes`` on core-phase events holds campaign input
     #: indices.
     divergences: list = field(default_factory=list)
+    #: The campaign's timing tree (:class:`~repro.util.profiling.Span`):
+    #: ``plan``, ``simulate``, ``store`` and ``merge`` so far.
+    spans: Span = field(default_factory=Span)
 
     @property
     def iterations(self):
@@ -154,14 +152,11 @@ class CampaignPlan:
     features: object
     keep_raw: object
     log_commits: bool
-    profile: bool
-    #: Wall-clock the batch checkpoint prepass spent capturing (or loading)
-    #: checkpoints while this plan was prepared.
-    capture_seconds: float = 0.0
-    #: In-worker wall-clock of this plan's simulated lane groups, summed
-    #: (added by :func:`~repro.sampler.exec_backend.stream_plans`; 0 when
-    #: everything replayed from cache).
-    execute_seconds: float = 0.0
+    #: The campaign's timing tree: ``plan`` (children ``taint``, ``load``
+    #: for keying and cache loads, ``assemble`` and ``capture``), then one
+    #: ``shard <k>`` under ``simulate`` per simulated shard and the
+    #: ``store`` of each output.
+    spans: Span = field(default_factory=Span)
 
     def fill(self, index: int, output: RunOutput) -> None:
         """Record one executed output and store it in the cache, unless it
@@ -169,8 +164,9 @@ class CampaignPlan:
         self.outputs[index] = output
         if (self.cache is not None and self.keys is not None
                 and not output.stored):
-            self.cache.store(self.keys[index], output,
-                             config=self.tasks[index].config)
+            with self.spans.time("store"):
+                self.cache.store(self.keys[index], output,
+                                 config=self.tasks[index].config)
 
     @property
     def pending_tasks(self) -> list[RunTask]:
@@ -183,7 +179,7 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      warmup_insts: int | None = None,
                      batch_lanes=None,
                      profile: bool = False,
-                     pruned=()) -> CampaignPlan:
+                     pruned=(), spans: Span | None = None) -> CampaignPlan:
     """Plan a campaign: build tasks, replay cache hits, batch-prepass.
 
     This is everything :func:`run_campaign` does before simulation.  The
@@ -195,95 +191,99 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     with a sampler's knobs.  Without a source digest
     (:func:`~repro.sampler.trace_cache.source_digest`) the campaign plans
     as with ``cache=None``: a record keyed without the code could outlive
-    it.
+    it.  The planning is timed into the ``plan`` child of ``spans`` (the
+    campaign's tree; a new one when None), which the plan carries.
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
     if warmup_insts is not None and warmup_insts < 0:
         # A negative budget would checkpoint past roi.begin.
         raise ValueError(f"warm-up budget must be >= 0, got {warmup_insts}")
-    if cache is not None:
-        from repro.sampler.trace_cache import TraceCache, source_digest
+    spans = Span() if spans is None else spans
+    with spans.time("plan") as phase:
+        if cache is not None:
+            from repro.sampler.trace_cache import TraceCache, source_digest
 
-        if source_digest() is None:
-            cache = None
-        elif cache is True:
-            cache = TraceCache()
-    # Resolve the lockstep lane width up front: ``core_lanes`` joins every
-    # task's cache key (a lane-batched run records its group's divergence
-    # events), so it must be stamped before the cache is consulted.  The
-    # same width chunks the batch prepass below.
-    core_lanes = None
-    if batch_lanes is not None:
-        from repro.sampler.batch import resolve_batch_lanes
+            if source_digest() is None:
+                cache = None
+            elif cache is True:
+                cache = TraceCache()
+        # Resolve the lockstep lane width up front: ``core_lanes`` joins
+        # every task's cache key (a lane-batched run records its group's
+        # divergence events), so it must be stamped before the cache is
+        # consulted.  The same width chunks the batch prepass below.
+        core_lanes = None
+        if batch_lanes is not None:
+            from repro.sampler.batch import resolve_batch_lanes
 
-        width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
-        core_lanes = width if width > 1 else None
-    program = workload.assemble()
-    programs = [patch_program(program, patches)
-                for patches in workload.inputs]
-    template = RunTask(
-        run_index=0,
-        workload_name=workload.name,
-        program=programs[0],
-        config=config,
-        warm_regions=tuple(tuple(region) for region in workload.warm_regions),
-        features=tuple(features) if features is not None else None,
-        keep_raw=True if keep_raw is True else tuple(keep_raw),
-        log_commits=bool(log_commits),
-        warmup_insts=warmup_insts,
-        cache_root=str(cache.root) if cache is not None else None,
-        profile=bool(profile),
-        pruned=tuple(pruned),
-        core_lanes=core_lanes,
-    )
-    tasks = [replace(template, run_index=run_index, program=program)
-             for run_index, program in enumerate(programs)]
-
-    outputs: list[RunOutput | None] = [None] * len(tasks)
-    keys: list[str] | None = None
-    duplicate_of: dict[int, str] = {}
-    if cache is not None:
-        keys = [cache.key_for(task) for task in tasks]
-        for index, key in enumerate(keys):
-            outputs[index] = cache.load(key)
-    n_cached = sum(1 for output in outputs if output is not None)
-
-    # Within one campaign, identical (program, input, config) triples are
-    # simulated once and replayed for the duplicates (MicroWalk-style trace
-    # deduplication; requires a cache to clone the outputs through).
-    to_run: list[int] = []
-    seen_keys: set[str] = set()
-    for index, output in enumerate(outputs):
-        if output is not None:
-            continue
-        if keys is not None and keys[index] in seen_keys:
-            duplicate_of[index] = keys[index]
-            continue
-        if keys is not None:
-            seen_keys.add(keys[index])
-        to_run.append(index)
-
-    divergences: list = []
-    capture_seconds = 0.0
-    if warmup_insts is not None and core_lanes is not None \
-            and len(to_run) > 1:
-        # A lone pending input captures through the scalar path instead.
-        from repro.sampler.batch import attach_batch_checkpoints
-
-        capture_started = time.perf_counter()
-        divergences = attach_batch_checkpoints(
-            tasks, to_run, lanes=core_lanes, warmup_insts=warmup_insts,
-            cache=cache,
+            width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
+            core_lanes = width if width > 1 else None
+        with phase.time("assemble"):
+            program = workload.assemble()
+            programs = [patch_program(program, patches)
+                        for patches in workload.inputs]
+        template = RunTask(
+            run_index=0,
+            workload_name=workload.name,
+            program=programs[0],
+            config=config,
+            warm_regions=tuple(tuple(region)
+                               for region in workload.warm_regions),
+            features=tuple(features) if features is not None else None,
+            keep_raw=True if keep_raw is True else tuple(keep_raw),
+            log_commits=bool(log_commits),
+            warmup_insts=warmup_insts,
+            cache_root=str(cache.root) if cache is not None else None,
+            profile=bool(profile),
+            pruned=tuple(pruned),
+            core_lanes=core_lanes,
         )
-        capture_seconds = time.perf_counter() - capture_started
+        tasks = [replace(template, run_index=run_index, program=program)
+                 for run_index, program in enumerate(programs)]
+
+        outputs: list[RunOutput | None] = [None] * len(tasks)
+        keys: list[str] | None = None
+        duplicate_of: dict[int, str] = {}
+        if cache is not None:
+            with phase.time("load"):
+                keys = [cache.key_for(task) for task in tasks]
+                for index, key in enumerate(keys):
+                    outputs[index] = cache.load(key)
+        n_cached = sum(1 for output in outputs if output is not None)
+
+        # Within one campaign, identical (program, input, config) triples
+        # are simulated once and replayed for the duplicates (MicroWalk-style
+        # trace deduplication; requires a cache to clone the outputs
+        # through).
+        to_run: list[int] = []
+        seen_keys: set[str] = set()
+        for index, output in enumerate(outputs):
+            if output is not None:
+                continue
+            if keys is not None and keys[index] in seen_keys:
+                duplicate_of[index] = keys[index]
+                continue
+            if keys is not None:
+                seen_keys.add(keys[index])
+            to_run.append(index)
+
+        divergences: list = []
+        if warmup_insts is not None and core_lanes is not None \
+                and len(to_run) > 1:
+            # A lone pending input captures through the scalar path instead.
+            from repro.sampler.batch import attach_batch_checkpoints
+
+            with phase.time("capture"):
+                divergences = attach_batch_checkpoints(
+                    tasks, to_run, lanes=core_lanes,
+                    warmup_insts=warmup_insts, cache=cache)
 
     return CampaignPlan(
         workload=workload, config=config, tasks=tasks, cache=cache,
         keys=keys, outputs=outputs, duplicate_of=duplicate_of,
         to_run=to_run, n_cached=n_cached, divergences=divergences,
         features=features, keep_raw=keep_raw, log_commits=log_commits,
-        profile=profile, capture_seconds=capture_seconds,
+        spans=spans,
     )
 
 
@@ -294,22 +294,20 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     Duplicates are replayed from the cache (falling back to simulating if
     the store failed), then all outputs merge **in input order** — the
     deterministic merge from the parallel backend, so the result is
-    bit-identical no matter where or in what order shards executed.
-
-    ``simulate_seconds`` is the plan's own work — checkpoint capture plus
-    its lane groups' in-worker seconds — less the parse (snapshot) time
-    inside them; never a difference of two clock readings, which would
-    absorb other campaigns' work when plans stream through one pool.
+    bit-identical no matter where or in what order shards executed.  The
+    merge is timed into the plan's tree as ``merge``; the result carries
+    the tree on.
     """
     from repro.trace.tracer import MicroarchTracer
 
+    spans = plan.spans
     for index, key in plan.duplicate_of.items():
-        # Replay the stored twin; fall back to simulating if the store failed.
-        output = plan.cache.load(key)
+        # Replay the stored twin; simulate it if the store failed.
+        with spans.time("plan") as phase, phase.time("load"):
+            output = plan.cache.load(key)
         if output is None:
-            started = time.perf_counter()
-            output = execute_run(plan.tasks[index])
-            plan.execute_seconds += time.perf_counter() - started
+            [output] = _run_shard([plan.tasks[index]])
+            charge_shard(spans, output.span)
         plan.outputs[index] = output
     missing = [index for index, output in enumerate(plan.outputs)
                if output is None]
@@ -318,34 +316,26 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
             f"campaign {plan.workload.name!r} finalized with "
             f"{len(missing)} unexecuted input(s): {missing[:5]}")
 
-    tracer = MicroarchTracer(features=plan.features, keep_raw=plan.keep_raw,
-                             log_commits=plan.log_commits,
-                             pruned=plan.tasks[0].pruned if plan.tasks else ())
-    runs = merge_outputs(plan.outputs, tracer)
-    # Core-phase lockstep divergences ride on each batch group's first
-    # output; gather them after the prepass events, in input order.
-    divergences = list(plan.divergences)
-    for output in plan.outputs:
-        divergences.extend(output.divergences)
-    parse_seconds = tracer.sample_seconds
-    merged_profile = None
-    if plan.profile:
-        from repro.util.profiling import merge_profiles
-
-        merged_profile = merge_profiles(output.profile
-                                        for output in plan.outputs)
+    with spans.time("merge"):
+        tracer = MicroarchTracer(
+            features=plan.features, keep_raw=plan.keep_raw,
+            log_commits=plan.log_commits,
+            pruned=plan.tasks[0].pruned if plan.tasks else ())
+        runs = merge_outputs(plan.outputs, tracer)
+        # Core-phase lockstep divergences ride on each batch group's first
+        # output; gather them after the prepass events, in input order.
+        divergences = list(plan.divergences)
+        for output in plan.outputs:
+            divergences.extend(output.divergences)
     return CampaignResult(
         workload=plan.workload,
         config=plan.config,
         tracer=tracer,
         runs=runs,
-        simulate_seconds=max(plan.capture_seconds + plan.execute_seconds
-                             - parse_seconds, 0.0),
-        parse_seconds=parse_seconds,
         n_cached_runs=plan.n_cached,
-        profile=merged_profile,
         ff_steps_total=sum(output.ff_steps for output in plan.outputs),
         divergences=divergences,
+        spans=spans,
     )
 
 

@@ -31,7 +31,6 @@ records, its own.
 from __future__ import annotations
 
 import subprocess
-import time
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,6 +46,7 @@ from repro.sampler.report import report_to_dict
 from repro.sampler.runner import Workload
 from repro.sampler.stats import SIGNIFICANCE_ALPHA
 from repro.uarch.config import CoreConfig
+from repro.util.profiling import Span
 
 
 # -- convergence sweeps (Section VII-D) --------------------------------------
@@ -124,7 +124,7 @@ def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
     result = ConvergenceSweep(workload_name=workloads[0].name)
     campaigns = ((sampler, workload) for workload in workloads)
     with closing(stream_campaigns(campaigns, jobs=sampler.jobs)) as stream:
-        for n_inputs, (report, _seconds, _simulated) in zip(sizes, stream):
+        for n_inputs, (report, _simulated) in zip(sizes, stream):
             point = ConvergencePoint(n_inputs=n_inputs,
                                      n_iterations=report.n_iterations)
             for feature_id, unit in report.units.items():
@@ -143,9 +143,6 @@ class SweepLeg:
 
     config: CoreConfig
     report: LeakageReport
-    #: This leg's own time: planning, its lane groups' in-worker simulation
-    #: (0 under a pool) and its merge + statistics.
-    seconds: float
     n_inputs: int
     #: Inputs served from the cache (all of them when the leg's report
     #: record replayed).
@@ -155,6 +152,13 @@ class SweepLeg:
     @property
     def name(self) -> str:
         return self.config.name
+
+    @property
+    def seconds(self) -> float:
+        """This leg's own time, the root of its report's timing tree:
+        planning, its lane groups' in-worker simulation, stores, merge and
+        statistics."""
+        return self.report.spans.seconds
 
 
 @dataclass
@@ -329,16 +333,16 @@ def sweep_configs(workload: Workload, configs, *,
             "use CoreConfig.with_(name=...) to disambiguate variants")
 
     base = with_knobs(sampler, **knobs)
-    started = time.perf_counter()
+    wall = Span()
     n_inputs = len(workload.inputs)
     result = SweepResult(workload_name=workload.name, n_inputs=n_inputs)
     campaigns = ((replace(base, config=config), workload)
                  for config in configs)
-    with closing(stream_campaigns(campaigns, jobs=base.jobs)) as stream:
-        for config, (report, seconds, n_simulated) in zip(configs, stream):
+    with wall.time(), closing(stream_campaigns(campaigns,
+                                               jobs=base.jobs)) as stream:
+        for config, (report, n_simulated) in zip(configs, stream):
             result.legs.append(SweepLeg(
-                config=config, report=report, seconds=seconds,
-                n_inputs=n_inputs, n_cached=n_inputs - n_simulated,
-                n_simulated=n_simulated))
-    result.wall_seconds = time.perf_counter() - started
+                config=config, report=report, n_inputs=n_inputs,
+                n_cached=n_inputs - n_simulated, n_simulated=n_simulated))
+    result.wall_seconds = wall.seconds
     return result

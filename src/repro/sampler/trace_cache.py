@@ -36,13 +36,14 @@ to the simulator) yields a new key; everything else is a byte-identical
 replay.  No cache is read or written when the sources cannot be digested.
 
 A record file is one JSON header line, ``{"source", "key",
-"body_blake2b"}``, then the body's JSON.  A load checks the header against
-the current source digest and the requested key, and the checksum against
-the body bytes, before it parses the body; anything else (unreadable,
-truncated, damaged, foreign or stale) is a miss, and the next store
-overwrites it.  Files are written atomically, so concurrent workers and
-processes can share a cache directory, and hold plain JSON only: loading
-one never runs code.
+"body_blake2b"}`` (a trace's also names its producing core config), then
+the body's JSON.  A load checks the header against the current source
+digest and the requested key, and the checksum against the body bytes,
+before it parses the body; anything else is a miss, counted by reason
+(:attr:`TraceCache.misses_by_reason`), and the next store overwrites it.
+Files are written atomically, so concurrent workers and processes can
+share a cache directory, and hold plain JSON only: loading one never runs
+code.  No record holds host time.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Callable
 
@@ -391,23 +392,17 @@ def _events_from_body(body) -> tuple:
     return tuple(events)
 
 
-def _trace_body(value) -> dict:
-    """One run's :class:`RunOutput` and, when the storer knew it, the core
-    config that produced it (recorded for the per-config ``cache stats``
-    breakdown; its digest already keys the record)."""
+def _trace_body(output) -> dict:
+    """One run's :class:`RunOutput`: its snapshots and run statistics."""
     from repro.trace.tracer import iteration_to_payload
 
-    output, config = value
     run = output.run
     return {
-        "config": (None if config is None
-                   else [config.name, config_digest(config)]),
         "iterations": [iteration_to_payload(record)
                        for record in output.iterations],
         "run": [run.exit_code, dataclasses.asdict(run.stats), run.console,
                 list(run.marker_cycles)],
         "cycles_sampled": output.cycles_sampled,
-        "sample_seconds": output.sample_seconds,
         "ff_steps": output.ff_steps,
         "divergences": _events_body(output.divergences),
     }
@@ -427,8 +422,6 @@ def _trace_from_body(body) -> RunOutput:
         run=RunResult(exit_code=exit_code, stats=CoreStats(**stats),
                       console=console, marker_cycles=marker_cycles),
         cycles_sampled=body["cycles_sampled"],
-        sample_seconds=body["sample_seconds"],
-        from_cache=True,
         stored=True,
         ff_steps=body["ff_steps"],
         divergences=_events_from_body(body["divergences"]),
@@ -725,8 +718,7 @@ def _localization_from_body(body):
         units={item.feature_id: item for item in units})
 
 
-#: One campaign input's :class:`RunOutput` (:func:`task_key`), stored as
-#: ``(output, config)``.
+#: One campaign input's :class:`RunOutput` (:func:`task_key`).
 TRACE = RecordKind("trace", _trace_body, _trace_from_body)
 #: One input's :class:`~repro.sampler.checkpoint.Checkpoint`
 #: (:func:`~repro.sampler.checkpoint.checkpoint_key`).
@@ -748,27 +740,34 @@ def _checksum(body: bytes) -> str:
     return hashlib.blake2b(body, digest_size=16).hexdigest()
 
 
-def _record_bytes(kind: RecordKind, key: str, value) -> bytes:
+def _record_bytes(kind: RecordKind, key: str, value, **header) -> bytes:
     body = json.dumps(kind.encode(value), separators=(",", ":")).encode()
     header = {"source": source_digest(), "key": key,
-              "body_blake2b": _checksum(body)}
+              "body_blake2b": _checksum(body), **header}
     return json.dumps(header).encode() + b"\n" + body
 
 
-def _read_body(path: Path, key: str) -> bytes | None:
-    """The body bytes of the record at ``path``, or None when the file is
-    unreadable or its header does not name the current source digest,
-    ``key`` and the body's checksum."""
+def _read_record(path: Path, key: str) -> tuple:
+    """``(header, body bytes, reason)`` for the record at ``path``:
+    ``reason`` is None when the header names the current source digest,
+    ``key`` and the body's checksum (other header fields are the
+    storer's), else why it missed — ``absent`` (no file), ``damaged``
+    (unreadable, truncated or failing its checksum), ``foreign`` (the
+    header names another key) or ``stale`` (another source digest)."""
     try:
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
+    except FileNotFoundError:
+        return None, None, "absent"
     except (OSError, ValueError, RecursionError):
-        return None
+        return None, None, "damaged"
     source = source_digest()
-    if source is None or header != {"source": source, "key": key,
-                                    "body_blake2b": _checksum(body)}:
-        return None
-    return body
+    reason = ("damaged" if type(header) is not dict
+              else "stale" if source is None or header.get("source") != source
+              else "foreign" if header.get("key") != key
+              else "damaged" if header.get("body_blake2b") != _checksum(body)
+              else None)
+    return header, body, reason
 
 
 class TraceCache:
@@ -776,7 +775,10 @@ class TraceCache:
 
     Lookups and stores never raise on I/O problems: a cache must only ever
     make a campaign faster, not able to fail it.  ``hits``, ``misses`` and
-    ``stores`` count trace records, the per-input simulation outputs.
+    ``stores`` count trace records, the per-input simulation outputs;
+    ``misses_by_reason`` counts every record lookup that missed, ``kind
+    -> reason -> n``: a reason of :func:`_read_record`, or ``damaged``
+    for a body its decoder rejects.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -784,6 +786,7 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.misses_by_reason: dict[str, Counter] = defaultdict(Counter)
 
     def key_for(self, task: RunTask) -> str | None:
         return task_key(task)
@@ -801,10 +804,12 @@ class TraceCache:
         """Atomically persist one run's output; best-effort.
 
         ``config`` (the producing :class:`CoreConfig`, when the caller has
-        it) is recorded for the per-config ``cache stats`` breakdown; it
-        does not affect the key or replay.
+        it) is named in the record's header for the per-config ``cache
+        stats`` breakdown; it does not affect the key or replay.
         """
-        if not self.store_record(TRACE, key, (output, config)):
+        named = None if config is None else [config.name,
+                                             config_digest(config)]
+        if not self.store_record(TRACE, key, output, config=named):
             return False
         self.stores += 1
         return True
@@ -814,27 +819,29 @@ class TraceCache:
 
     def load_record(self, kind: RecordKind, key: str | None):
         """Replay the value of the ``kind`` record ``key``, or None on a
-        miss (no key, or an absent, unreadable, damaged, foreign or stale
-        record)."""
+        miss (no key, or an absent, damaged, foreign or stale record)."""
         if key is None:
             return None
-        body = _read_body(self._record_path(kind, key), key)
-        if body is None:
-            return None
-        try:
-            return kind.decode(json.loads(body))
-        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                RecursionError):
-            return None
+        _, body, reason = _read_record(self._record_path(kind, key), key)
+        if reason is None:
+            try:
+                return kind.decode(json.loads(body))
+            except (ValueError, TypeError, KeyError, IndexError,
+                    AttributeError, RecursionError):
+                reason = "damaged"
+        self.misses_by_reason[kind.name][reason] += 1
+        return None
 
-    def store_record(self, kind: RecordKind, key: str | None, value) -> bool:
-        """Atomically (over)write the ``kind`` record ``key``; best-effort,
-        so a failed store (read-only root, full disk) returns False."""
+    def store_record(self, kind: RecordKind, key: str | None, value,
+                     **header) -> bool:
+        """Atomically (over)write the ``kind`` record ``key``, with
+        ``header`` fields beside the checked ones; best-effort, so a failed
+        store (read-only root, full disk) returns False."""
         if key is None:
             return False
         try:
             atomic_write(self._record_path(kind, key),
-                         _record_bytes(kind, key, value))
+                         _record_bytes(kind, key, value, **header))
         except OSError:
             return False
         return True
@@ -859,11 +866,12 @@ def cache_stats(root: str | Path | None = None) -> dict:
 
     Each kind of :data:`RECORD_KINDS` has a bucket ``{entries, bytes,
     stale_entries, stale_bytes}``.  Live trace records are additionally
-    broken down per producing core config under ``per_config`` (``digest
-    -> {name, entries, bytes}``), so before submitting a cross-config sweep
-    one can see which config legs are already warm; traces stored without
-    a config are grouped under the ``"unknown"`` digest.  ``temp`` counts
-    the temporary files of interrupted stores.
+    broken down per producing core config, as their headers name it,
+    under ``per_config`` (``digest -> {name, entries, bytes}``), so before
+    submitting a cross-config sweep one can see which config legs are
+    already warm; traces stored without a config are grouped under the
+    ``"unknown"`` digest.  ``temp`` counts the temporary files of
+    interrupted stores.  No record body is parsed.
     """
     root = Path(root) if root is not None else default_cache_dir()
     stats: dict = {"root": str(root)}
@@ -879,15 +887,15 @@ def cache_stats(root: str | Path | None = None) -> dict:
                 continue
             bucket["entries"] += 1
             bucket["bytes"] += size
-            body = _read_body(path, path.stem)
-            if body is None:
+            header, _, reason = _read_record(path, path.stem)
+            if reason is not None:
                 bucket["stale_entries"] += 1
                 bucket["stale_bytes"] += size
             elif kind is TRACE:
-                try:
-                    name, digest = json.loads(body)["config"]
-                except (ValueError, TypeError, KeyError, RecursionError):
-                    name, digest = "?", "unknown"
+                named = header.get("config")
+                name, digest = (named if type(named) is list
+                                and list(map(type, named)) == [str, str]
+                                else ("?", "unknown"))
                 entry = per_config.setdefault(
                     digest, {"name": name, "entries": 0, "bytes": 0})
                 entry["entries"] += 1
@@ -930,7 +938,7 @@ def prune_cache(root: str | Path | None = None, *,
     removed = {
         f"removed_{kind.name}": sum(
             _unlink(path) for path in _kind_paths(root, kind, RECORD_GLOB)
-            if all_entries or _read_body(path, path.stem) is None)
+            if all_entries or _read_record(path, path.stem)[2] is not None)
         for kind in RECORD_KINDS}
     removed_temp = (sum(_unlink(path) for kind in RECORD_KINDS
                         for path in _kind_paths(root, kind, TEMP_GLOB))

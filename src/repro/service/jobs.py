@@ -439,6 +439,9 @@ class JobManager:
             "pool": self.pool.stats(),
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses,
                       "stores": self.cache.stores,
+                      "misses_by_reason": {
+                          kind: dict(reasons) for kind, reasons in
+                          self.cache.misses_by_reason.items()},
                       "root": str(self.cache.root)},
         }
 

@@ -314,8 +314,8 @@ class MicroarchTracer:
     are bit-identical to resampling every unit every cycle, which the
     differential tests in ``tests/test_tracer_incremental.py`` lock in.
     Time spent sampling (``sample_seconds``, per cycle) and finalizing
-    (``finalize_seconds``, at ``iter.end``) is accumulated separately for
-    the Table VI stage breakdown and ``--profile``.
+    (``finalize_seconds``, at ``iter.end``) is accumulated for the run's
+    ``trace`` span, the Table VI parse stage.
 
     Parameters
     ----------

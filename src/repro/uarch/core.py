@@ -215,10 +215,6 @@ class Core:
         base %= max(self.memory_map.memory_size - 64, 1)
         return zlib.crc32(self.memory.read_bytes(base, 64))
 
-    def _next_seq(self) -> int:
-        self.seq_counter += 1
-        return self.seq_counter
-
     # ------------------------------------------------------------------- run
 
     def step(self) -> None:
@@ -622,9 +618,6 @@ class Core:
 
     # ----------------------------------------------------------------- issue
 
-    def _operand_ready(self, phys: int) -> bool:
-        return phys < 0 or self.prf_ready[phys]
-
     def _issue(self) -> None:
         issued = 0
         still_queued = []
@@ -650,13 +643,6 @@ class Core:
             self._begin_execution(uop, unit)
             issued += 1
         self.iq = still_queued
-
-    @staticmethod
-    def _unit_kind(uop: MicroOp) -> str:
-        return _UNIT_KIND[uop.inst.func_class]
-
-    def _read_operand(self, phys: int) -> int:
-        return self.prf_value[phys] if phys >= 0 else 0
 
     def _begin_execution(self, uop: MicroOp, unit) -> None:
         inst = uop.inst

@@ -163,9 +163,6 @@ class ExecUnitPool:
                 return unit
         return None
 
-    def all_units(self):
-        yield from self._units
-
     def retire_finished(self, cycle: int) -> list[object]:
         if not self.versions["active"]:
             return []

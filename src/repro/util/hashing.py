@@ -27,10 +27,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 DEFAULT_KEY = (0x0706050403020100, 0x0F0E0D0C0B0A0908)
 
 
-def _rotl(value: int, amount: int) -> int:
-    return ((value << amount) | (value >> (64 - amount))) & _MASK64
-
-
 def _siprounds(n: int, v0: int, v1: int, v2: int, v3: int,
                _M: int = _MASK64) -> tuple[int, int, int, int]:
     """``n`` SipRounds with the rotations inlined (cold path helper)."""

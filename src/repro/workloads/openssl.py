@@ -57,13 +57,6 @@ def _gen_pair(width_bits=64):
     return gen
 
 
-def _gen_masked(width_bits=64):
-    def gen(rng):
-        return (rng.getrandbits(width_bits), rng.getrandbits(width_bits),
-                _mask(rng.randrange(2)))
-    return gen
-
-
 def _gen_zero(width_bytes):
     def gen(rng):
         value = 0 if rng.random() < 0.5 else (rng.getrandbits(8 * width_bytes)

@@ -308,16 +308,16 @@ def test_fallback_outputs_identical_to_scalar():
     assert all(output.divergences == () for output in batched[1:])
 
 
-def test_nested_fallback_time_is_charged_once():
-    """Re-partitioned agreement classes must not re-count the fallback."""
+def test_a_diverged_group_is_timed_under_one_fallback_span():
+    """Re-partitioned agreement classes are timed once, as the one
+    ``fallback`` child of the group's span, within the group's wall."""
     import time
 
     from repro.cli import build_workload
     from repro.sampler.runner import prepare_campaign
-    from repro.util.profiling import merge_profiles
 
     plan = prepare_campaign(build_workload("sam-leaky", inputs=8, seed=3),
-                            SMALL_BOOM, batch_lanes=8, profile=True)
+                            SMALL_BOOM, batch_lanes=8)
     tasks = plan.pending_tasks
     assert len(tasks) == 8 and tasks[0].core_lanes == 8
     started = time.perf_counter()
@@ -325,8 +325,12 @@ def test_nested_fallback_time_is_charged_once():
     wall = time.perf_counter() - started
     # More than one event: some agreement class diverged again.
     assert len(outputs[0].divergences) > 1
-    profile = merge_profiles(output.profile for output in outputs)
-    assert 0.0 < profile.fallback_seconds <= wall
+    assert all(output.span is None for output in outputs[1:])
+    [fallback] = outputs[0].span.find("fallback")
+    assert not list(fallback.find("fallback"))  # no nested charge
+    assert 0.0 < fallback.seconds <= wall
+    assert sum(child.seconds for child in fallback.children.values()) \
+        <= fallback.seconds
 
 
 def test_lane_groups_partitioning():

@@ -20,6 +20,7 @@ import pytest
 from repro.cli import build_parser
 from repro.sampler import (
     MicroSampler,
+    StageTimings,
     TraceCache,
     Workload,
     WorkloadError,
@@ -238,7 +239,9 @@ def test_plans_come_back_in_input_order_and_pools_are_sized(inline_pool):
 # -- honest per-campaign time -------------------------------------------------
 
 
-def test_simulate_seconds_is_capture_plus_worker_time_less_parse(tmp_path):
+def test_simulate_is_capture_plus_shard_time_less_trace(tmp_path):
+    """Table VI's simulate is read off the tree: checkpoint capture plus
+    the shards' in-worker time outside the tracer, pooled or not."""
     with exec_backend.WorkerPool(2) as pool:
         for jobs, name in ((1, "serial"), (pool, "pool")):
             cache = TraceCache(tmp_path / name)
@@ -246,11 +249,19 @@ def test_simulate_seconds_is_capture_plus_worker_time_less_parse(tmp_path):
                 plan = MicroSampler(SMALL_BOOM, cache=cache).plan(
                     make_sam_ct(n_keys=3, seed=3))
                 [plan] = exec_backend.stream_plans([plan], jobs=jobs)
-                campaign = finalize_campaign(plan)
-                assert (plan.execute_seconds > 0) is cold, (name, cold)
-                assert campaign.simulate_seconds == pytest.approx(max(
-                    plan.capture_seconds + plan.execute_seconds
-                    - campaign.parse_seconds, 0.0))
+                spans = finalize_campaign(plan).spans
+                timings = StageTimings.of(spans)
+                simulate = spans.children.get("simulate")
+                assert (simulate is not None) is cold, (name, cold)
+                if not cold:
+                    assert timings.simulate_seconds == 0.0
+                    continue
+                parse = simulate.total("trace")
+                assert 0 < parse < simulate.seconds
+                assert timings.parse_seconds == parse
+                assert timings.simulate_seconds == (
+                    spans.seconds_at("plan", "capture") + simulate.seconds
+                    - parse)
 
 
 def test_campaign_seconds_exclude_other_campaigns(inline_pool, monkeypatch):
@@ -269,7 +280,8 @@ def test_campaign_seconds_exclude_other_campaigns(inline_pool, monkeypatch):
     streamed = list(sampler.analyze_stream(
         [make_sam_leaky(n_keys=3, seed=3), make_sam_ct(n_keys=3, seed=3)]))
     assert len(inline_pool) == 1  # the two campaigns did overlap
-    (_, first), (second_report, second) = streamed
+    first_report, second_report = streamed
+    first, second = first_report.spans.seconds, second_report.spans.seconds
     assert first >= pause
     assert second < pause
     assert second_report.timings.simulate_seconds < pause
@@ -283,7 +295,7 @@ def test_audit_seconds_count_worker_time(monkeypatch):
 
     def slow_worker(group):
         outputs = run_shard(group)
-        outputs[0].worker_seconds += extra
+        outputs[0].span.seconds += extra
         return outputs
 
     monkeypatch.setattr(exec_backend, "_run_shard", slow_worker)

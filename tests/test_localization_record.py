@@ -72,9 +72,7 @@ def _records(root):
 def _bare(localization):
     """The localization as a dataclass, minus what a replay does not
     restore."""
-    return dataclasses.replace(localization, simulate_seconds=0.0,
-                               scan_seconds=0.0, attribute_seconds=0.0,
-                               profile=None)
+    return dataclasses.replace(localization, spans=None)
 
 
 def _scrubbed(localization):
@@ -161,8 +159,8 @@ def test_replay_equals_the_computed_localization(case, tmp_path, counted):
     assert _bare(replayed) == _bare(computed)
     assert _scrubbed(replayed) == _scrubbed(computed)
     assert _rendered(replayed, workload) == _rendered(computed, workload)
-    assert (replayed.simulate_seconds, replayed.scan_seconds,
-            replayed.attribute_seconds) == (0.0, 0.0, 0.0)
+    assert replayed.timings == dict.fromkeys(
+        ("simulate", "scan", "attribute"), 0.0)
     assert replayed.profile is None
     if case == "clean":
         assert computed.target_units == () and not computed.units

@@ -5,7 +5,8 @@ The profiler wraps the profiled core's stage methods
 profiling branch of its own.  These tests pin that a profiled campaign's
 report equals the unprofiled one on the scalar, lockstep and
 divergence-fallback paths, and that the profile's cycle count matches
-the simulated cycles.
+the simulated cycles.  The profile is a view of the campaign's timing
+tree (:func:`repro.util.profiling.profile_view`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from repro.sampler.pipeline import MicroSampler
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import patch_program, run_campaign
 from repro.uarch import SMALL_BOOM, Core
-from repro.util.profiling import STAGE_LABELS, profile_stages
+from repro.util.profiling import (STAGES, Span, profile_stages,
+                                  profile_view, render_profile)
 
 
 def _scrub(value):
@@ -42,17 +44,18 @@ def _campaigns(name, batch_lanes):
 
 
 def _assert_every_stage_timed(profile):
-    for attr, _label in STAGE_LABELS:
-        assert getattr(profile, attr) > 0, attr
+    for stage in STAGES:
+        assert profile[f"{stage}_seconds"] > 0, stage
 
 
 def test_scalar_profile_changes_no_result():
     (plain, plain_report), (profiled, report) = _campaigns("sam-ct", None)
-    assert plain.profile is None
+    assert profile_view(plain.spans) is None
     assert report == plain_report
-    profile = profiled.profile
-    assert profile.cycles == profiled.total_cycles() == plain.total_cycles()
-    assert profile.batchcore_runs == 0
+    profile = profile_view(profiled.spans)
+    assert profile["cycles"] == profiled.total_cycles() \
+        == plain.total_cycles()
+    assert profile["batchcore_runs"] == 0
     _assert_every_stage_timed(profile)
 
 
@@ -60,10 +63,10 @@ def test_lockstep_profile_counts_shared_cycles_once():
     (plain, plain_report), (profiled, report) = _campaigns("sam-ct", "auto")
     assert profiled.divergences == []
     assert report == plain_report
-    profile = profiled.profile
+    profile = profile_view(profiled.spans)
     # One shared pipeline carried all four inputs.
-    assert profile.batchcore_runs == 1
-    assert profile.cycles * 4 == profiled.total_cycles() \
+    assert profile["batchcore_runs"] == 1
+    assert profile["cycles"] * 4 == profiled.total_cycles() \
         == plain.total_cycles()
     _assert_every_stage_timed(profile)
 
@@ -74,27 +77,32 @@ def test_fallback_profile_changes_no_result():
     assert profiled.divergences, "ee-mem-cmp must diverge and fall back"
     assert report == plain_report
     assert profiled.total_cycles() == plain.total_cycles()
-    assert profiled.profile.fallback_seconds > 0
-    _assert_every_stage_timed(profiled.profile)
+    profile = profile_view(profiled.spans)
+    assert profile["fallback_seconds"] > 0
+    _assert_every_stage_timed(profile)
 
 
 def test_profile_stages_wraps_one_core_only():
     workload = build_workload("sam-ct", inputs=1, seed=3)
     program = patch_program(workload.assemble(), workload.inputs[0])
     profiled, plain = Core(program, SMALL_BOOM), Core(program, SMALL_BOOM)
-    profile = profile_stages(profiled)
+    profile = Span()
+    profile_stages(profiled, profile)
     assert "_commit" in vars(profiled) and "_commit" not in vars(plain)
     profiled.run()
     plain.run()
     assert profiled.stats == plain.stats
-    assert profile.commit_seconds > 0 and profile.fetch_seconds > 0
+    assert profile.seconds_at("commit") > 0
+    assert profile.seconds_at("fetch") > 0
     # No tracer attached: nothing to wrap, nothing charged.
-    assert profile.tracer_seconds == 0
+    assert profile.seconds_at("tracer") == 0
 
 
 def test_render_keeps_every_stage_row():
-    from repro.util.profiling import StageProfile
-
-    rendered = StageProfile(cycles=10, commit_seconds=1.0).render()
-    for _attr, label in STAGE_LABELS:
+    spans = Span()
+    profile = spans.child("profile")
+    profile.child("commit").seconds = 1.0
+    profile.counts["cycles"] = 10
+    rendered = render_profile(profile_view(spans))
+    for label, _methods in STAGES.values():
         assert f"\n  {label:<16s} " in rendered

@@ -66,7 +66,7 @@ def _records(root):
 
 def _bare(report):
     """The report as a dataclass, minus what a replay does not restore."""
-    return dataclasses.replace(report, timings=None, profile=None)
+    return dataclasses.replace(report, spans=None)
 
 
 def _scrubbed(report):

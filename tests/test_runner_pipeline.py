@@ -5,6 +5,7 @@ import pytest
 from repro.cli import build_workload
 from repro.sampler import (
     MicroSampler,
+    StageTimings,
     Workload,
     WorkloadError,
     adaptive_analyze,
@@ -81,8 +82,9 @@ class TestCampaign:
 
     def test_timings_are_measured(self):
         campaign = run_campaign(_tiny_workload(2), SMALL_BOOM)
-        assert campaign.simulate_seconds >= 0
-        assert campaign.parse_seconds >= 0
+        timings = StageTimings.of(campaign.spans)
+        assert timings.simulate_seconds >= 0
+        assert timings.parse_seconds >= 0
         assert campaign.total_cycles() > 0
 
 

@@ -326,6 +326,18 @@ def test_cached_replay_never_occupies_a_simulation_slot():
         == strip_volatile(second["result"])
 
 
+def test_stats_count_cache_misses_by_reason():
+    async def scenario(server, client):
+        await submit_and_wait(client, ANALYZE_SPEC, timeout=120)
+        return (await client.stats())["cache"]
+
+    cache = run_service(scenario)
+    # A fresh cache: every trace and report lookup found no file.
+    assert cache["misses"] > 0
+    assert cache["misses_by_reason"]["trace"] == {"absent": cache["misses"]}
+    assert cache["misses_by_reason"]["report"] == {"absent": 1}
+
+
 def test_a_job_stores_each_simulated_output_once(monkeypatch):
     # The job's view stores a simulated lane group for the jobs that may
     # wait on it, and the job's plan does not store it again; the outputs

@@ -26,8 +26,10 @@ from repro.sampler.exec_backend import RunTask
 from repro.sampler.trace_cache import (
     CHECKPOINT,
     RECORD_KINDS,
+    REPORT,
     TRACE,
     cache_stats,
+    config_digest,
     default_cache_dir,
     prune_cache,
 )
@@ -470,6 +472,24 @@ class TestPrune:
         assert config["name"] == SMALL_BOOM.name
         assert config["entries"] == len(traces) - 1
 
+    def test_stats_parse_no_trace_body(self, cache, monkeypatch):
+        """The per-config breakdown is read off the record headers."""
+        traces, _ = self._populate(cache)
+        bodies = {records.split(path.read_bytes())[1] for path in traces}
+        parsed = []
+        real_loads = trace_cache.json.loads
+
+        def loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(trace_cache.json, "loads", loads)
+        stats = cache_stats(cache.root)
+        assert parsed and not bodies & set(parsed)
+        assert stats["per_config"] == {config_digest(SMALL_BOOM): {
+            "name": SMALL_BOOM.name, "entries": len(traces),
+            "bytes": sum(path.stat().st_size for path in traces)}}
+
     def test_cli_prune_reports_per_kind_counts(self, cache, capsys):
         traces, checkpoints = self._populate(cache)
         self._stale_ify(traces + checkpoints)
@@ -528,14 +548,14 @@ class TestFaults:
         return payload
 
     @pytest.mark.parametrize("kind", [TRACE, CHECKPOINT], ids=lambda k: k.name)
-    @pytest.mark.parametrize("damage", [
-        lambda raw: raw[:len(raw) // 2],
-        records.flip_a_body_byte,
-        lambda raw: records.with_header(raw, key="f" * 16),
-        lambda raw: records.with_header(raw, source="0" * 16),
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda raw: raw[:len(raw) // 2], "damaged"),
+        (records.flip_a_body_byte, "damaged"),
+        (lambda raw: records.with_header(raw, key="f" * 16), "foreign"),
+        (lambda raw: records.with_header(raw, source="0" * 16), "stale"),
     ], ids=["truncated", "flipped_byte", "foreign_key", "foreign_source"])
     def test_a_damaged_record_is_resimulated_and_overwritten(
-            self, kind, damage, tmp_path, monkeypatch):
+            self, kind, damage, reason, tmp_path, monkeypatch):
         import repro.sampler.checkpoint as checkpoint_module
 
         workload = _workload()
@@ -562,6 +582,9 @@ class TestFaults:
         warm = TraceCache(tmp_path)
         assert self._report(MicroSampler(SMALL_BOOM, cache=warm),
                             workload) == expected
+        # The planted damage is the only miss of its kind, by its reason.
+        assert warm.misses_by_reason[kind.name] == {reason: 1}
+        assert warm.misses_by_reason[REPORT.name] == {"absent": 1}
         if kind is TRACE:
             assert (warm.hits, warm.misses, warm.stores) == (3, 1, 1)
             assert warm.load(path.stem) is not None
