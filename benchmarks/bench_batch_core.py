@@ -7,9 +7,10 @@ genuinely constant-time every lane makes identical timing-relevant
 decisions, so one fetch/rename/schedule/commit state machine can drive all
 lanes with only the architectural values vectorized.  This benchmark times
 that phase scalar (:func:`repro.sampler.exec_backend.execute_run` per task)
-vs lane-batched (:func:`repro.sampler.exec_backend.execute_tasks`,
-in-process, over one lockstep group) at N=8 on three constant-time workloads, asserts the
-traced outputs are bit-identical, and enforces a >= 3x speedup floor.
+vs lane-batched (:func:`repro.sampler.exec_backend.execute_run_batch`,
+in-process, per lockstep group) at N=8 on three constant-time workloads,
+asserts the traced outputs are bit-identical, and enforces a >= 3x speedup
+floor.
 
 A fourth, *informational* row runs the leaky ct-mem-cmp variant: its
 control-flow consumer branches on per-pair comparison outcomes, so lanes
@@ -26,12 +27,11 @@ floor) or through pytest, where the floor is enforced.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import time
 
 import pytest
 
-from repro.sampler.exec_backend import execute_run, execute_tasks
+from repro.sampler.exec_backend import execute_run, execute_run_batch
 from repro.sampler.runner import prepare_campaign
 from repro.workloads.bignum import make_mp_modexp_ct
 from repro.workloads.chacha import make_chacha20
@@ -71,9 +71,8 @@ def _best(fn, repeats: int):
 def _identity_view(output):
     """The deterministic simulation payload of a RunOutput.
 
-    The timing observation (``span``) and the batched group's surfaced
-    ``divergences`` are excluded; everything the tracer and core produced
-    must match bit-for-bit.
+    The timing observation (``span``) is excluded; everything the tracer
+    and core produced must match bit-for-bit.
     """
     return (output.iterations, output.run, output.cycles_sampled,
             output.ff_steps)
@@ -83,21 +82,23 @@ def measure(pairs, repeats: int = 2) -> list[dict]:
     rows = []
     for workload, floored in pairs:
         plan = prepare_campaign(workload, batch_lanes=N_LANES)
-        tasks = [plan.tasks[index] for index in plan.to_run]
-        scalar_tasks = [dataclasses.replace(task, core_lanes=None)
-                        for task in tasks]
+        groups = [tasks for tasks, _ in plan.pending_groups]
+        tasks = [task for group in groups for task in group]
 
         scalar_s, scalar_outputs = _best(
-            lambda: [execute_run(task) for task in scalar_tasks], repeats)
-        batch_s, batch_outputs = _best(
-            lambda: execute_tasks(tasks), repeats)
+            lambda: [execute_run(task) for task in tasks], repeats)
+        batch_s, batch_results = _best(
+            lambda: [execute_run_batch(group) for group in groups], repeats)
+        batch_outputs = [output for result in batch_results
+                         for output in result.outputs]
 
         identical = all(
             _identity_view(batched) == _identity_view(scalar)
             for batched, scalar in zip(batch_outputs, scalar_outputs)
         )
-        divergences = sum(len(output.divergences)
-                          for output in batch_outputs)
+        divergences = sum(len(result.events.prologue)
+                          + len(result.events.lockstep)
+                          for result in batch_results)
         rows.append({
             "workload": workload.name,
             "n_lanes": N_LANES,

@@ -2,10 +2,11 @@
 
 Evaluating a workload on several core configurations (the Section VII-B
 fast-bypass study, the contract-synthesis matrix) used to mean running the
-whole pipeline once per config.  Most of that work never looks at the
-config: assembly, input patching, the functional checkpoint prepass and
-the taint witness are all config-invariant.  ``sweep_configs`` pays those
-once, and fans every config leg's lane groups into one backend pool — a
+whole pipeline once per config.  Some of that work never looks at the
+config: the taint witness is config-invariant, and ``sweep_configs``
+pays it once (each leg's lane groups still capture their own
+checkpoints, where their divergence events come from).  It fans every
+config leg's lane groups into one backend pool — a
 lane-batched campaign is a *single* shard per config, so the naive loop
 cannot parallelize across configs while the sweep can.
 

@@ -25,29 +25,22 @@ outside an open iteration window — before the ROI begins.
   and the run is bit-identical to full simulation (the default setting does
   exactly this for every bundled workload).
 
-Checkpoints are content-addressed over the patched program image, the
-memory map, the warm-up budget and the source digest — the core
-configuration is irrelevant to an architectural checkpoint, so every core
-config shares the same entry — and stored as ``checkpoint`` records of the
-cache (:mod:`repro.sampler.trace_cache`) so reruns and ``--jobs`` workers
-reuse them.  Cross-config sweeps (:mod:`repro.sampler.sweep`) lean on that
-sharing directly: the first config leg captures, every later leg's prepass
-degenerates to record loads.  The behaviour is pinned by
-``tests/test_config_sweep.py`` (capture under one config, hit under
-another), so changing :func:`checkpoint_key` to include configuration
-state is a breaking change, not a cleanup.
+Checkpoints are not cached: the worker that simulates a lane group
+captures the group's checkpoints once
+(:func:`repro.sampler.batch.attach_batch_checkpoints`), because a batched
+capture is also where the group's prologue divergence events come from.
+What the cache replays is each input's trace, which a checkpoint only
+shortens.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.isa.assembler import Program
 from repro.isa.interpreter import ExecutionError, Interpreter
 from repro.kernel.memory_map import MemoryMap
 from repro.kernel.proxy_kernel import ProxyKernel, SyscallError
-from repro.util.hashing import stable_hex_digest
 
 #: Default warm-up budget (instructions replayed cycle-accurately before the
 #: ROI).  Generous enough to cover every bundled workload's prologue, so the
@@ -99,39 +92,6 @@ class Checkpoint:
     brk: int
     steps: int
     pre_roi_steps: int
-
-
-def checkpoint_key(program: Program, memory_map: MemoryMap | None,
-                   warmup_insts: int) -> str | None:
-    """Content-addressed key for a (program, memory map, warm-up) triple,
-    salted with the source digest; None when the sources cannot be
-    digested.
-
-    How the entry was captured — one scalar functional pass, or one lane
-    of a lockstep batch pass at any width — is not part of the key: the
-    captures are bit-identical (the batch differential tests enforce
-    that), so every mode loads what any other mode stored.
-
-    The program text is digested once per instruction list (the memo in
-    :func:`~repro.sampler.trace_cache.program_fingerprint`).  Pool workers
-    receive copies of the tasks, so that memo is per process: a worker pays
-    the text digest once per lane group it receives, whose tasks share one
-    list.
-    """
-    # Imported lazily: trace_cache imports exec_backend at module scope, and
-    # exec_backend reaches back into this module from its worker path.
-    from repro.sampler.trace_cache import program_fingerprint, source_digest
-
-    source = source_digest()
-    if source is None:
-        return None
-    material = (
-        source,
-        program_fingerprint(program),
-        dataclasses.asdict(memory_map) if memory_map else None,
-        warmup_insts,
-    )
-    return stable_hex_digest(material)
 
 
 def capture_checkpoint(program: Program, *,
@@ -276,32 +236,3 @@ def capture_checkpoints_batch(programs: list[Program], *,
             pre_roi_steps=pre_roi_steps,
         )
     return results, divergences
-
-
-def load_or_capture(program: Program, *,
-                    memory_map: MemoryMap | None = None,
-                    warmup_insts: int = 0,
-                    cache=None,
-                    max_steps: int = MAX_CAPTURE_STEPS) -> Checkpoint | None:
-    """Fetch a checkpoint record from ``cache`` (a
-    :class:`~repro.sampler.trace_cache.TraceCache`) or capture (and store)
-    one.
-
-    A missing ``roi.begin`` is not cached as a negative entry: programs
-    without markers re-run the (cheap, aborted) scout pass each time.
-    The capture itself is always scalar here; the record is the one the
-    lockstep batch prepass (:mod:`repro.sampler.batch`) reads and writes.
-    """
-    from repro.sampler.trace_cache import CHECKPOINT
-
-    key = (checkpoint_key(program, memory_map, warmup_insts)
-           if cache is not None else None)
-    cached = cache.load_record(CHECKPOINT, key) if key is not None else None
-    if cached is not None:
-        return cached
-    checkpoint = capture_checkpoint(program, memory_map=memory_map,
-                                    warmup_insts=warmup_insts,
-                                    max_steps=max_steps)
-    if checkpoint is not None and key is not None:
-        cache.store_record(CHECKPOINT, key, checkpoint)
-    return checkpoint

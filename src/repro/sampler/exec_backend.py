@@ -1,13 +1,17 @@
 """Campaign execution backends: in-process, or one crash-tolerant pool.
 
-Every campaign's per-input simulations fan out over this module through
-one dispatcher, :func:`stream_plans`.  Each input is wrapped in a
-self-contained, picklable :class:`RunTask` (patched program + core
-configuration + tracer settings); a worker — in-process for ``jobs=1``, a
-:class:`WorkerPool` member otherwise — rebuilds the core from the task,
-runs it to completion under a private
-:class:`~repro.trace.tracer.MicroarchTracer`, and returns a
-:class:`RunOutput` of finalized iteration snapshots.
+Every campaign's simulations fan out over this module through one
+dispatcher, :func:`stream_plans`, one *lane group* at a time: the
+campaign's plan splits its inputs into contiguous groups at its lane
+width.  Each input is wrapped in a self-contained, picklable
+:class:`RunTask` (patched program + core configuration + tracer
+settings); a worker — in-process for ``jobs=1``, a :class:`WorkerPool`
+member otherwise — captures the group's checkpoints, rebuilds the core
+from the tasks, runs them to completion under a private
+:class:`~repro.trace.tracer.MicroarchTracer` (one lockstep
+:class:`~repro.uarch.batch_core.BatchCore` for two or more), and returns
+a :class:`GroupOutput`: one :class:`RunOutput` of finalized iteration
+snapshots per input, plus the group's divergence events.
 
 Determinism is the design constraint: outputs are merged **in input order**
 (never completion order) and re-stamped with their global run index and
@@ -64,95 +68,120 @@ class RunTask:
     #: simulation (no checkpointing, today's behaviour); an int = functional
     #: fast-forward to ``roi.begin`` minus that many instructions, which are
     #: replayed cycle-accurately and untraced (``sampler/checkpoint.py``).
+    #: The worker running the task's lane group captures the checkpoint.
     #: Changes what the core simulates, so it joins the trace-cache key.
     warmup_insts: int | None = None
-    #: Root of the cache the worker reuses checkpoint records from and
-    #: stores them to (None = capture in memory only).  Storage location,
-    #: not content — excluded from the trace-cache key like ``profile``.
-    cache_root: str | None = None
     #: Time the core's pipeline stages into a ``profile`` span
     #: (``--profile``).  Observational only — excluded from the trace-cache
     #: key, and cached replays simply carry no span.
     profile: bool = False
-    #: Checkpoint attached by the batch prepass (``sampler/batch.py``); the
-    #: worker then skips its own capture.  Derived state, not configuration
-    #: — excluded from the trace-cache key.
-    checkpoint: object | None = None
     #: Feature IDs the taint prescreen proved secret-free
     #: (:mod:`repro.uarch.reachability`): the tracer skips sampling them and
     #: records the constant empty snapshot instead.  Changes the recorded
     #: trace, so it joins the trace-cache key.
     pruned: tuple = ()
-    #: The campaign's lockstep lane width (:mod:`repro.sampler.batch`):
-    #: consecutive tasks with the same width > 1 run through one shared
-    #: :mod:`repro.uarch.batch_core` pipeline, and the batch prepass
-    #: captured their checkpoints in chunks of it.  The traced results are
-    #: pinned bit-identical to scalar runs, but the lane set determines
-    #: which inputs *can* share a pipeline — and hence which divergence
-    #: events a group records on its outputs — so it **joins** the
-    #: trace-cache key.
-    core_lanes: int | None = None
 
 
 @dataclass
 class RunOutput:
-    """One input's simulation result: snapshots plus run statistics."""
+    """One input's simulation result: snapshots plus run statistics.
+
+    It depends only on the task, never on the lane group the task ran in:
+    lane-batched runs are pinned bit-identical to scalar ones, so one trace
+    record serves every lane width.
+    """
 
     run_index: int
     iterations: list[IterationRecord] = field(default_factory=list)
     run: RunResult | None = None
     cycles_sampled: int = 0
-    #: True once this output is in the trace cache, so
-    #: :meth:`~repro.sampler.runner.CampaignPlan.fill` stores it no more:
-    #: replayed from it, or stored by the pool that simulated it (the
-    #: campaign service's per-job view stores each group for the jobs
-    #: waiting on it).
-    stored: bool = False
     #: Instructions skipped via functional fast-forward (0 = full sim).
     ff_steps: int = 0
-    #: Cross-lane divergence events observed while this input ran in a
-    #: lane-batched core group (attached to the group's first output, with
-    #: lanes remapped to run indices).  A divergence is simultaneously the
-    #: scalar-fallback trigger and a first-class leak signal, mirroring the
-    #: functional batch prepass (PR 6).
-    divergences: tuple = ()
-    #: What the simulation of this output's lane group or shard timed
-    #: (:class:`~repro.util.profiling.Span`), on its first output only:
-    #: :func:`_run_shard` returns the shard's span here.  Observational:
-    #: the trace cache does not persist it.
+    #: What the run that produced this output timed
+    #: (:class:`~repro.util.profiling.Span`: its capture, the tracer's time
+    #: as ``trace`` and, when profiling, ``profile``), on the run's first
+    #: output only, until the lane group's span takes it over.
+    #: Observational: the trace cache does not persist it.
     span: Span | None = None
 
 
-def execute_run(task: RunTask) -> RunOutput:
-    """Simulate one input from reset and collect its iteration snapshots.
+@dataclass(frozen=True)
+class LaneEvents:
+    """The divergence events of one lane group
+    (:class:`~repro.isa.batch_interpreter.DivergenceEvent`), with ``lanes``
+    numbered within the group: what its ``lockstep`` cache record holds.
 
-    This is the worker entry point: module-level so it pickles under every
-    ``multiprocessing`` start method, and self-contained so the same code
-    path serves the serial backend, the pool workers and cache misses.
+    A divergence is data-dependent execution across inputs — itself a leak
+    signal — and the trigger of the scalar fallback.  Events are facts
+    about the whole group (which inputs shared a lockstep pass), not about
+    any one input, so they are kept apart from the per-input traces.
     """
-    return _simulate([task])[0]
+
+    #: Events of the group's batched checkpoint capture: a prologue that
+    #: splits the lanes before ``roi.begin``.
+    prologue: tuple = ()
+    #: Events of its lockstep cycle-accurate run: the first divergence,
+    #: then those of each agreement class that diverged again.
+    lockstep: tuple = ()
 
 
-def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
-    """Run one lane group through a shared :class:`BatchCore` pipeline.
+@dataclass
+class GroupOutput:
+    """One lane group's simulation result: what :func:`_run_shard` returns
+    and every pool future resolves to."""
+
+    #: One output per member, in task order.
+    outputs: list[RunOutput]
+    events: LaneEvents = LaneEvents()
+    #: The group's span: its in-worker wall time, with its ``capture``,
+    #: the tracer's ``trace``, any ``profile`` nodes and the re-runs of a
+    #: diverged group (``fallback``) as children.  Observational.
+    span: Span = field(default_factory=Span)
+    #: True once the group is in the trace cache (its traces and, for two
+    #: or more members, its ``lockstep`` record), so
+    #: :meth:`~repro.sampler.runner.CampaignPlan.fill` stores it no more:
+    #: the campaign service's per-job view stores each group for the jobs
+    #: waiting on it.
+    stored: bool = False
+
+
+def renumber_lanes(event, positions):
+    """``event`` with each lane ``k`` renumbered ``positions[k]``: from a
+    subgroup's lanes to its group's, or from a group's to run indices."""
+    return replace(event, lanes=tuple(positions[lane]
+                                      for lane in event.lanes))
+
+
+def execute_run(task: RunTask, checkpoints=None) -> RunOutput:
+    """Simulate one input and collect its iteration snapshots.
+
+    The body of a one-member lane group, and of a re-run agreement class
+    of one: module-level so it pickles under every ``multiprocessing``
+    start method, and self-contained so the same code path serves the
+    serial backend and the pool workers.  ``checkpoints`` holds the task's
+    checkpoint (a one-element list, as :func:`attach_batch_checkpoints
+    <repro.sampler.batch.attach_batch_checkpoints>` returns); without one
+    the task's checkpoint is captured here, scalar, and timed as the
+    ``capture`` child of the output's span.
+    """
+    span = Span()
+    if checkpoints is None:
+        from repro.sampler.batch import attach_batch_checkpoints
+
+        with span.child("capture").time():
+            checkpoints, _ = attach_batch_checkpoints([task])
+    [output] = _simulate([task], checkpoints, span)
+    return output
+
+
+def _execute_lockstep(tasks: list[RunTask], checkpoints) -> list[RunOutput]:
+    """Run several tasks, from their ``checkpoints``, through one shared
+    :class:`~repro.uarch.batch_core.BatchCore` pipeline.
 
     Raises :class:`~repro.uarch.batch_core.LaneDivergence` when the lanes
     cannot share a pipeline — the caller partitions and retries.
     """
-    return _simulate(tasks)
-
-
-def _checkpoint(task: RunTask):
-    """The task's checkpoint: attached by the batch prepass, else loaded
-    from (or captured into) its cache; None means full simulation."""
-    if task.checkpoint is not None or task.warmup_insts is None:
-        return task.checkpoint
-    from repro.sampler.checkpoint import load_or_capture
-    from repro.sampler.trace_cache import TraceCache
-
-    cache = TraceCache(task.cache_root) if task.cache_root else None
-    return load_or_capture(task.program, memory_map=task.memory_map,
-                           warmup_insts=task.warmup_insts, cache=cache)
+    return _simulate(tasks, checkpoints, Span())
 
 
 def _phase(profile: Span | None, name: str):
@@ -163,15 +192,17 @@ def _phase(profile: Span | None, name: str):
     return profile.child(name).time()
 
 
-def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
+def _simulate(tasks: list[RunTask], checkpoints,
+              span: Span) -> list[RunOutput]:
     """Simulate one task on a :class:`Core`, or several as the lanes of
-    one :class:`~repro.uarch.batch_core.BatchCore`; one output per task.
+    one :class:`~repro.uarch.batch_core.BatchCore`, from ``checkpoints``
+    (one per task, None = from reset); one output per task.
 
     Several tasks must come from one campaign (same program stream,
     config, memory map and tracer settings; only patched data and run
-    indices differ).  The first output's span holds the tracer's sampling
-    and finalizing time as ``trace`` and, when profiling, the ``profile``
-    node.
+    indices differ).  ``span`` gains the tracer's sampling and finalizing
+    time as ``trace`` and, when profiling, the ``profile`` node, and rides
+    on the first output.
     """
     # Imported here, not at module top: the simulator loads only where a
     # run starts (a cache replay never imports it), and runner imports
@@ -182,10 +213,7 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
 
     head = tasks[0]
     batched = len(tasks) > 1
-    span = Span()
     profile = span.child("profile") if head.profile else None
-    with _phase(profile, "fastforward"):
-        checkpoints = [_checkpoint(task) for task in tasks]
     settings = dict(features=head.features, keep_raw=head.keep_raw,
                     log_commits=head.log_commits, pruned=head.pruned)
     if batched:
@@ -223,11 +251,15 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
                     core.step()
         core.run(max_cycles=head.max_cycles)
     ff_steps = checkpoints[0].steps if checkpoints[0] is not None else 0
+    traced = tracer.sample_seconds + tracer.finalize_seconds
+    span.child("trace").seconds = traced
     if profile is not None:
         profile.counts.update(cycles=core.cycle, ff_steps=ff_steps,
                               batchcore_runs=int(batched))
-    span.child("trace").seconds = (tracer.sample_seconds
-                                   + tracer.finalize_seconds)
+        # The tracer's row is its own timers, the ``trace`` span above;
+        # finalizing runs at ``iter.end``, inside the commit stage.
+        profile.child("tracer").seconds = traced
+        profile.child("commit").seconds -= tracer.finalize_seconds
     outputs = []
     for lane, task in enumerate(tasks):
         kernel = kernels[lane]
@@ -254,37 +286,50 @@ def _simulate(tasks: list[RunTask]) -> list[RunOutput]:
     return outputs
 
 
-def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
-    """Execute one lane group, falling back to scalar on divergence.
+def execute_run_batch(tasks: list[RunTask]) -> GroupOutput:
+    """Simulate one lane group, falling back to scalar on divergence.
 
-    On :class:`~repro.uarch.batch_core.LaneDivergence` the lanes are
+    A one-member group is one :func:`execute_run`.  A larger group's
+    checkpoints are captured once, batched
+    (:func:`~repro.sampler.batch.attach_batch_checkpoints`, timed as the
+    ``capture`` child of the group's span), and its members run as the
+    lanes of one :class:`~repro.uarch.batch_core.BatchCore`.  On
+    :class:`~repro.uarch.batch_core.LaneDivergence` the lanes are
     partitioned by their divergence keys (lanes that still agree stay
-    batched together) and re-run from the start; the event — with lanes
-    remapped to campaign run indices — is attached to the group's first
-    output as a first-class leak signal.  The re-runs, however often an
-    agreement class diverges again, are timed once, as the ``fallback``
-    child of the span on the group's first output.
+    batched together) and re-run from the same checkpoints.  The re-runs,
+    however often an agreement class diverges again, are timed once, as
+    the ``fallback`` child.  The capture's and the lockstep run's
+    divergence events come back as the group's :class:`LaneEvents`.
     """
+    from repro.sampler.batch import attach_batch_checkpoints
     from repro.uarch.batch_core import LaneDivergence
 
     if len(tasks) == 1:
-        return [execute_run(tasks[0])]
-    try:
-        return _execute_lockstep(tasks)
-    except LaneDivergence as exc:
-        divergence = exc
+        output = execute_run(tasks[0])
+        span, output.span = output.span, None
+        return GroupOutput([output], span=span)
     span = Span()
-    with span.child("fallback").time() as fallback:
-        outputs = _rerun_classes(tasks, divergence, fallback)
-    outputs[0].span = span
-    return outputs
+    with span.child("capture").time():
+        checkpoints, prologue = attach_batch_checkpoints(tasks)
+    lockstep = ()
+    try:
+        outputs = _execute_lockstep(tasks, checkpoints)
+    except LaneDivergence as divergence:
+        with span.child("fallback").time() as fallback:
+            outputs, lockstep = _rerun_classes(tasks, checkpoints,
+                                               divergence, fallback)
+    else:
+        span.add(outputs[0].span)
+        outputs[0].span = None
+    return GroupOutput(outputs, LaneEvents(tuple(prologue), lockstep), span)
 
 
-def _rerun_classes(tasks, divergence, fallback: Span) -> list[RunOutput]:
-    """Re-run each agreement class of a diverged lane group, recursing
-    into a class that diverges again; what the re-runs timed folds into
-    ``fallback``.  The group's events (this divergence, then each class's
-    in lane order) land on the first output."""
+def _rerun_classes(tasks, checkpoints, divergence, fallback: Span) -> tuple:
+    """Re-run each agreement class of a diverged lane group from its
+    checkpoints, recursing into a class that diverges again; what the
+    re-runs timed folds into ``fallback``.  Returns the outputs, in task
+    order, and the events — this divergence, then each class's in class
+    order — with lanes numbered within ``tasks``."""
     from repro.uarch.batch_core import LaneDivergence
 
     groups: dict = {}
@@ -295,60 +340,34 @@ def _rerun_classes(tasks, divergence, fallback: Span) -> list[RunOutput]:
     classes = (list(groups.values()) if len(groups) > 1
                else [[lane] for lane in range(len(tasks))])
     outputs: list[RunOutput | None] = [None] * len(tasks)
+    events = [divergence.event]
     for members in classes:
         members_tasks = [tasks[lane] for lane in members]
+        members_checkpoints = [checkpoints[lane] for lane in members]
+        nested = ()
         try:
-            results = (_execute_lockstep(members_tasks) if len(members) > 1
-                       else [execute_run(members_tasks[0])])
+            results = (
+                _execute_lockstep(members_tasks, members_checkpoints)
+                if len(members) > 1
+                else [execute_run(members_tasks[0], members_checkpoints)])
         except LaneDivergence as exc:
-            results = _rerun_classes(members_tasks, exc, fallback)
+            results, nested = _rerun_classes(members_tasks,
+                                             members_checkpoints, exc,
+                                             fallback)
         if results[0].span is not None:
             fallback.add(results[0].span)
             results[0].span = None
         for member, result in zip(members, results):
             outputs[member] = result
-    events = [_remap_event_lanes(divergence.event, tasks)]
-    for output in outputs:
-        events.extend(output.divergences)
-        output.divergences = ()
-    outputs[0].divergences = tuple(events)
-    return outputs
-
-
-def _remap_event_lanes(event, tasks):
-    """Remap a divergence event's lane numbers to campaign run indices."""
-    return replace(
-        event, lanes=tuple(tasks[lane].run_index for lane in event.lanes))
-
-
-def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
-    """Partition tasks (order-preserving) into batched-core lane groups.
-
-    Consecutive tasks carrying the same ``core_lanes`` width > 1 form
-    groups of at most that width; everything else stays a singleton.
-    """
-    groups: list[list[RunTask]] = []
-    index = 0
-    count = len(tasks)
-    while index < count:
-        width = tasks[index].core_lanes or 0
-        if width > 1:
-            end = index + 1
-            while (end < count and end - index < width
-                    and (tasks[end].core_lanes or 0) > 1):
-                end += 1
-            groups.append(list(tasks[index:end]))
-            index = end
-        else:
-            groups.append([tasks[index]])
-            index += 1
-    return groups
+        events.extend(renumber_lanes(event, members) for event in nested)
+    return outputs, tuple(events)
 
 
 def is_pool(jobs) -> bool:
     """True when ``jobs`` is a pool rather than a worker count: an object
-    with ``n_workers`` and ``submit(tasks) -> Future`` (a
-    :class:`WorkerPool`, or the campaign service's per-job view of one)."""
+    with ``n_workers`` and ``submit(tasks, keys) -> Future`` of a
+    :class:`GroupOutput` (a :class:`WorkerPool`, or the campaign service's
+    per-job view of one)."""
     return hasattr(jobs, "submit") and hasattr(jobs, "n_workers")
 
 
@@ -372,27 +391,22 @@ def _pool_context():
     )
 
 
-def _run_shard(tasks: list[RunTask]) -> list[RunOutput]:
-    """Execute one shard, lane group by lane group, in task order.
+def _run_shard(tasks: list[RunTask]) -> GroupOutput:
+    """Execute one lane group (:func:`execute_run_batch`).
 
     The one worker body: the in-process backend and every
-    :class:`WorkerPool` worker run it.  The shard's span — its in-worker
-    wall time, with the tracer's time (``trace``), any ``profile`` nodes
-    and the re-runs of diverged groups (``fallback``) as children — rides
-    on its first output as :attr:`RunOutput.span`; it is observational,
-    and the outputs are otherwise exactly :func:`execute_run_batch`'s.
+    :class:`WorkerPool` worker run it, so the worker that simulates a
+    group also captures its checkpoints.  The group's span — its in-worker
+    wall time, with its ``capture``, the tracer's time (``trace``), any
+    ``profile`` nodes and the re-runs of a diverged group (``fallback``)
+    as children — is the shard's, charged to the campaign's tree by
+    :func:`charge_shard`.
     """
     span = Span()
-    outputs = []
     with span.time():
-        for group in _lane_groups(tasks):
-            results = execute_run_batch(group)
-            span.add(results[0].span)
-            results[0].span = None
-            outputs.extend(results)
-    if outputs:
-        outputs[0].span = span
-    return outputs
+        result = execute_run_batch(tasks)
+    result.span = span.add(result.span)
+    return result
 
 
 def charge_shard(spans: Span, shard: Span) -> None:
@@ -414,14 +428,14 @@ PLANS_PER_WORKER = 2
 
 
 class _Flight:
-    """One plan inside :func:`stream_plans`: its lane groups, and one
-    future per group dispatched so far."""
+    """One plan inside :func:`stream_plans`: its pending lane groups, and
+    one future per group dispatched so far."""
 
     __slots__ = ("plan", "groups", "futures")
 
     def __init__(self, plan):
         self.plan = plan
-        self.groups = _lane_groups(plan.pending_tasks)
+        self.groups = plan.pending_groups
         self.futures: list[concurrent.futures.Future] = []
 
     def undispatched(self) -> list:
@@ -471,25 +485,23 @@ class _Backend:
                 self.pool = _process_pool(
                     self.workers if more
                     else min(self.workers, len(pending)))
-        for flight, group in pending:
+        for flight, (tasks, keys) in pending:
             if in_process:
                 # Runs now; an exception propagates as in a serial loop.
                 future = concurrent.futures.Future()
-                future.set_result(_run_shard(group))
+                future.set_result(_run_shard(tasks))
             else:
-                future = self.pool.submit(group)
+                future = self.pool.submit(tasks, keys)
             flight.futures.append(future)
 
     def finish(self, flight: _Flight):
-        """Fill a finished flight's plan with its outputs, in task order,
-        and charge its shards' spans to the plan's tree."""
+        """Fill a finished flight's plan with its groups' results, in
+        order, and charge their spans to the plan's tree."""
         plan = flight.plan
-        outputs = [output for future in flight.futures
-                   for output in future.result()]
-        for index, output in zip(plan.to_run, outputs):
-            if output.span is not None:
-                charge_shard(plan.spans, output.span)
-            plan.fill(index, output)
+        for position, future in enumerate(flight.futures):
+            result = future.result()
+            charge_shard(plan.spans, result.span)
+            plan.fill(position, result)
         return plan
 
     def close(self) -> None:
@@ -502,23 +514,24 @@ def stream_plans(plans, *, jobs=1):
 
     ``plans`` is any iterable, possibly lazy, of campaign plans
     (:class:`~repro.sampler.runner.CampaignPlan`, or anything with
-    ``pending_tasks``, ``to_run``, ``fill(index, output)`` and
-    ``spans``).  Every plan's pending tasks are split into lane groups
-    (:func:`_lane_groups`, per plan: adjacent campaigns never share a
-    group), and the groups of all plans go to one backend:
+    ``pending_groups``, ``fill(position, result)`` and ``spans``).  A
+    plan hands over its pending lane groups, each as ``(tasks, keys)``
+    with the members' trace keys (None without a cache), so adjacent
+    campaigns never share a group; the groups of all plans go to one
+    backend:
 
     * ``jobs <= 1``: in-process, one plan at a time — plan, simulate,
       yield, then draw the next plan;
     * a pool as ``jobs`` (:func:`is_pool`: a :class:`WorkerPool`, or the
-      campaign service's per-job view of one): one submission per group;
+      campaign service's per-job view of one): one submission,
+      ``submit(tasks, keys)``, per group;
     * otherwise a :class:`WorkerPool` of ``jobs`` workers (``0``/``None``
       = one per CPU), started the first time two groups could overlap.  A
       lone group, e.g. a one-campaign ``analyze``, runs in-process.
 
     Plans come back **strictly in input order**, each as soon as its own
-    groups finish, with outputs filled in and each shard's span
-    (:attr:`RunOutput.span`) charged to the plan's tree
-    (:func:`charge_shard`).  While workers simulate, the next
+    groups finish, filled with each group's :class:`GroupOutput` and its
+    span charged to the plan's tree (:func:`charge_shard`).  While workers simulate, the next
     plans are drawn from ``plans`` — so a lazy iterable plans campaign k+1
     while campaign k simulates — up to :data:`PLANS_PER_WORKER` plans per
     worker in hand.  A plan with nothing pending (warm cache) comes back
@@ -568,29 +581,28 @@ def stream_plans(plans, *, jobs=1):
 
 
 class TaskBatch:
-    """A bare task list dressed as a plan for :func:`stream_plans`; with
-    no tasks, a plan that comes back as soon as it is due (a campaign
-    replayed from its report record)."""
+    """A bare task list dressed as a plan for :func:`stream_plans`, each
+    task its own lane group; with no tasks, a plan that comes back as soon
+    as it is due (a campaign replayed from its report record)."""
 
     def __init__(self, tasks=(), spans: Span | None = None):
-        self.pending_tasks = list(tasks)
-        self.to_run = range(len(self.pending_tasks))
-        self.outputs: list[RunOutput | None] = [None] * len(self.to_run)
+        self.pending_groups = [([task], None) for task in tasks]
+        self.outputs: list[RunOutput | None] = [None] * len(
+            self.pending_groups)
         self.spans = Span() if spans is None else spans
 
-    def fill(self, index: int, output: RunOutput) -> None:
-        self.outputs[index] = output
+    def fill(self, position: int, result: GroupOutput) -> None:
+        [self.outputs[position]] = result.outputs
 
 
 def execute_tasks(tasks: list[RunTask], jobs=1) -> list[RunOutput]:
-    """Execute ``tasks``, returning outputs in **task order**.
+    """Execute ``tasks``, each alone, returning outputs in **task order**.
 
-    A one-plan :func:`stream_plans`: with a pool as ``jobs`` every lane
-    group is its own submission; otherwise ``jobs <= 1`` or a single group
-    runs in-process, and ``jobs > 1`` starts a :class:`WorkerPool` of at
-    most one worker per group.  Completion order never influences the
-    merge, and a worker's ``WorkloadError`` propagates to the caller
-    unchanged.
+    A one-plan :func:`stream_plans`: with a pool as ``jobs`` every task is
+    its own submission; otherwise ``jobs <= 1`` or a single task runs
+    in-process, and ``jobs > 1`` starts a :class:`WorkerPool` of at most
+    one worker per task.  Completion order never influences the merge,
+    and a worker's ``WorkloadError`` propagates to the caller unchanged.
     """
     batch = TaskBatch(tasks)
     for _ in stream_plans([batch], jobs=jobs):
@@ -726,9 +738,9 @@ class _WorkerHandle:
 class WorkerPool:
     """Long-lived simulation worker pool with crash recovery.
 
-    ``submit(tasks)`` enqueues one *shard* (a list of :class:`RunTask`) and
-    returns a :class:`concurrent.futures.Future` resolving to the shard's
-    ``list[RunOutput]`` in task order.  Shards are assigned to idle workers
+    ``submit(tasks)`` enqueues one *shard* (a lane group: a list of
+    :class:`RunTask`) and returns a :class:`concurrent.futures.Future`
+    resolving to its :class:`GroupOutput`.  Shards are assigned to idle workers
     by a dispatcher thread; a worker that dies mid-shard (crash, OOM kill,
     :data:`FAULT_TOKEN_ENV` injection) is detected immediately via pipe
     EOF, replaced with a fresh process, and its shard re-dispatched — up to
@@ -784,8 +796,12 @@ class WorkerPool:
 
     # -- public API ---------------------------------------------------------
 
-    def submit(self, tasks: list[RunTask]) -> concurrent.futures.Future:
-        """Enqueue one shard; the future resolves to its ``RunOutput`` list."""
+    def submit(self, tasks: list[RunTask],
+               keys=None) -> concurrent.futures.Future:
+        """Enqueue one lane group as a shard; the future resolves to its
+        :class:`GroupOutput`.  ``keys`` (the members' trace keys) is the
+        pool protocol's, for a view that dedups by them; a pool simulates
+        without them."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")

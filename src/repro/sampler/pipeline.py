@@ -53,14 +53,14 @@ class StageTimings:
 
     @classmethod
     def of(cls, spans: Span) -> "StageTimings":
-        """The stages read off a campaign's tree: simulate is checkpoint
-        capture plus in-worker simulation outside the tracer, parse the
-        tracer's sampling and finalizing (every ``trace`` span under
-        ``simulate``), stats and extract their own spans."""
+        """The stages read off a campaign's tree: simulate is the
+        in-worker time of its shards (checkpoint capture included) outside
+        the tracer, parse the tracer's sampling and finalizing (every
+        ``trace`` span under ``simulate``), stats and extract their own
+        spans."""
         simulate = spans.children.get("simulate", Span())
         parse = simulate.total("trace")
-        capture = spans.seconds_at("plan", "capture")
-        return cls(capture + simulate.seconds - parse, parse,
+        return cls(simulate.seconds - parse, parse,
                    spans.seconds_at("stats"), spans.seconds_at("extract"))
 
 
@@ -139,8 +139,8 @@ class LeakageReport:
     #: which :attr:`timings` and :attr:`profile` are read off; None on a
     #: report no campaign produced here.
     spans: Span | None = None
-    #: Lockstep divergences observed by the batch prepass and by the
-    #: lane-batched cycle-accurate core
+    #: Lockstep divergences observed by the lane groups' batched
+    #: checkpoint captures and lane-batched cycle-accurate runs
     #: (:class:`~repro.isa.batch_interpreter.DivergenceEvent`): points
     #: where an input's control flow, memory footprint, syscall behaviour
     #: or timing-relevant microarchitectural state depended on its data.
@@ -250,10 +250,11 @@ class MicroSampler:
     #: statistical analysis.
     warmup_insts: int | None = DEFAULT_WARMUP_INSTS
     #: Lockstep lane batching (``None`` = off, ``"auto"``, or an int lane
-    #: width; see :mod:`repro.sampler.batch`): the functional warm-up runs
-    #: as a SIMD-across-inputs prepass (needs ``warmup_insts``), and the
-    #: cycle-accurate phase carries the campaign inputs as value lanes
-    #: through one shared :class:`~repro.uarch.batch_core.BatchCore`.
+    #: width; see :mod:`repro.sampler.batch`): each lane group of that
+    #: many inputs captures its checkpoints in one SIMD-across-inputs
+    #: functional pass (with ``warmup_insts``), and its cycle-accurate
+    #: phase carries the inputs as value lanes through one shared
+    #: :class:`~repro.uarch.batch_core.BatchCore`.
     #: Timing state is shared, so verdicts and per-unit digests are
     #: bit-identical to scalar simulation; cross-lane divergence falls the
     #: affected lanes back to the scalar core and is surfaced on
@@ -462,7 +463,7 @@ def stream_campaigns(campaigns, *, jobs):
     """Analyze ``(sampler, workload)`` campaigns in order, as one stream.
 
     The one loop that plans campaigns.  Each is planned here with its own
-    sampler — taint prescreen, trace-cache consult, checkpoint prepass
+    sampler — taint prescreen, lane groups, trace-cache consult
     (:meth:`MicroSampler.plan`) — and its pending lane groups go to one
     dispatcher (:func:`~repro.sampler.exec_backend.stream_plans` on
     ``jobs``), so under ``jobs > 1`` (or a pool) campaign k+1 is planned
@@ -472,9 +473,9 @@ def stream_campaigns(campaigns, *, jobs):
     ``n_simulated`` counts the inputs sent to the dispatcher.
 
     Each campaign's tree (``report.spans``) times its planning (``plan``:
-    ``taint``, ``load``, ``assemble``, ``capture``), its shards
-    (``simulate``), its cache stores (``store``), ``merge``, ``stats``
-    and ``extract``.  Its root's seconds are that campaign's own time —
+    ``taint``, ``load``, ``assemble``), its shards (``simulate``, one
+    per simulated lane group, each with its checkpoint ``capture``), its
+    cache stores (``store``), ``merge``, ``stats`` and ``extract``.  Its root's seconds are that campaign's own time —
     the parent's work on it plus its shards' in-worker time — so
     overlapped campaigns' seconds can sum to more than the stream's wall
     clock.
@@ -488,8 +489,7 @@ def stream_campaigns(campaigns, *, jobs):
     with nothing pending.  A miss is planned, simulated and analyzed, then
     stored.  The taint prescreen runs either way.  Config-invariant work
     is shared through the cache too: later campaigns of a workload (a
-    sweep's legs) load the taint witness and checkpoints the first one
-    stored.
+    sweep's legs) load the taint witness the first one stored.
     """
     planned = collections.deque()  # (sampler, taint, key, replay)
 
@@ -529,7 +529,7 @@ def stream_campaigns(campaigns, *, jobs):
                     sampler.cache.store_record(REPORT, key, report)
         else:
             _attach_taint(report, taint)
-        n_simulated = len(plan.to_run)
+        n_simulated = sum(len(tasks) for tasks, _ in plan.pending_groups)
         # Drop the simulated outputs before the next plan is drawn.
         del plan
         yield report, n_simulated

@@ -19,11 +19,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program, assemble
 from repro.sampler.exec_backend import (
+    GroupOutput,
+    LaneEvents,
     RunOutput,
     RunTask,
     _run_shard,
     charge_shard,
     merge_outputs,
+    renumber_lanes,
     stream_plans,
 )
 from repro.uarch.config import CoreConfig, MEGA_BOOM
@@ -97,12 +100,12 @@ class CampaignResult:
     #: Instructions skipped via functional fast-forward, summed over runs
     #: (0 when checkpointing is disabled or nothing could be skipped).
     ff_steps_total: int = 0
-    #: Lockstep divergences observed by the batch prepass **and** by the
-    #: lane-batched cycle-accurate core
-    #: (:class:`~repro.isa.batch_interpreter.DivergenceEvent`).  Divergent
-    #: execution across inputs is data-dependent execution — itself a leak
-    #: signal — so these are surfaced in reports rather than silently
-    #: absorbed; ``lanes`` on core-phase events holds campaign input
+    #: Lockstep divergences observed by the lane groups' batched checkpoint
+    #: captures, then by their lane-batched cycle-accurate runs
+    #: (:class:`~repro.isa.batch_interpreter.DivergenceEvent`), each in
+    #: group order.  Divergent execution across inputs is data-dependent
+    #: execution — itself a leak signal — so these are surfaced in reports
+    #: rather than silently absorbed; ``lanes`` holds campaign input
     #: indices.
     divergences: list = field(default_factory=list)
     #: The campaign's timing tree (:class:`~repro.util.profiling.Span`):
@@ -122,55 +125,73 @@ class CampaignPlan:
     """A campaign prepared for execution but not yet simulated.
 
     :func:`prepare_campaign` assembles the program, builds one
-    :class:`RunTask` per input, consults the trace cache (hits are replayed
-    immediately and **never occupy a simulation slot**), folds in-campaign
-    duplicates, and runs the lockstep batch prepass.  What remains —
-    ``to_run`` — is the shard-able simulation work: the
-    :func:`~repro.sampler.exec_backend.stream_plans` dispatcher may execute
-    those tasks in any order and on any of its backends, fill the outputs
-    in with :meth:`fill`, and obtain a campaign bit-identical to a serial
-    run from
-    :func:`finalize_campaign` — the deterministic input-order merge is what
-    makes placement free.
+    :class:`RunTask` per input and splits the inputs into lane groups.  A
+    group whose every trace and, for two or more inputs, whose
+    ``lockstep`` record the cache holds is replayed at once and **never
+    occupies a simulation slot**; an identical later group waits for its
+    twin.  What remains — ``to_run`` — is the shard-able simulation work:
+    the :func:`~repro.sampler.exec_backend.stream_plans` dispatcher may
+    execute those groups in any order and on any of its backends, fill
+    their results in with :meth:`fill`, and obtain a campaign
+    bit-identical to a serial run from :func:`finalize_campaign` — the
+    deterministic input-order merge is what makes placement free.
     """
 
     workload: Workload
     config: CoreConfig
     tasks: list[RunTask]
     cache: object | None
-    #: Per-task content-addressed cache keys (None when cache is off).
+    #: Per-task content-addressed trace keys (None when cache is off).
     keys: list[str] | None
-    #: Per-task outputs; cache hits pre-filled, the rest ``None`` until
-    #: :meth:`fill`.
+    #: The lane groups: contiguous runs of task indices at the campaign's
+    #: lane width (one task each when lanes are off).
+    groups: list[range]
+    #: Per-task outputs; replayed groups' pre-filled, the rest ``None``
+    #: until :meth:`fill`.
     outputs: list[RunOutput | None]
-    #: task index -> cache key of an identical earlier task in this campaign.
-    duplicate_of: dict[int, str]
-    #: Task indices that actually need simulating, in input order.
+    #: Per-group divergence events, lanes numbered within the group;
+    #: ``None`` until the group is replayed or simulated.
+    events: list[LaneEvents | None]
+    #: Groups identical to an earlier group of this campaign, replayed
+    #: from the cache once their twin is stored.
+    duplicates: list[int]
+    #: Group indices that actually need simulating, in input order.
     to_run: list[int]
+    #: Inputs replayed from the cache.
     n_cached: int
-    divergences: list
     features: object
     keep_raw: object
     log_commits: bool
     #: The campaign's timing tree: ``plan`` (children ``taint``, ``load``
-    #: for keying and cache loads, ``assemble`` and ``capture``), then one
-    #: ``shard <k>`` under ``simulate`` per simulated shard and the
-    #: ``store`` of each output.
+    #: for keying and cache loads, and ``assemble``), then one ``shard
+    #: <k>`` under ``simulate`` per simulated group and the ``store`` of
+    #: each group's records.
     spans: Span = field(default_factory=Span)
 
-    def fill(self, index: int, output: RunOutput) -> None:
-        """Record one executed output and store it in the cache, unless it
-        is there already (:attr:`RunOutput.stored`)."""
-        self.outputs[index] = output
-        if (self.cache is not None and self.keys is not None
-                and not output.stored):
+    def fill(self, position: int, result: GroupOutput) -> None:
+        """Record the result of the ``position``-th group of ``to_run``
+        and store its traces and ``lockstep`` record in the cache, unless
+        they are there already (:attr:`GroupOutput.stored`)."""
+        group = self.to_run[position]
+        for index, output in zip(self.groups[group], result.outputs):
+            self.outputs[index] = output
+        self.events[group] = result.events
+        if self.cache is not None and not result.stored:
             with self.spans.time("store"):
-                self.cache.store(self.keys[index], output,
-                                 config=self.tasks[index].config)
+                self.cache.store_group(self.group_keys(group), result,
+                                       config=self.config)
+
+    def group_keys(self, group: int) -> list[str] | None:
+        """The trace keys of a group's members (None without a cache)."""
+        if self.keys is None:
+            return None
+        return [self.keys[index] for index in self.groups[group]]
 
     @property
-    def pending_tasks(self) -> list[RunTask]:
-        return [self.tasks[index] for index in self.to_run]
+    def pending_groups(self) -> list[tuple]:
+        """``(tasks, keys)`` of every group in ``to_run``, in order."""
+        return [([self.tasks[index] for index in self.groups[group]],
+                 self.group_keys(group)) for group in self.to_run]
 
 
 def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
@@ -180,19 +201,22 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      batch_lanes=None,
                      profile: bool = False,
                      pruned=(), spans: Span | None = None) -> CampaignPlan:
-    """Plan a campaign: build tasks, replay cache hits, batch-prepass.
+    """Plan a campaign: build tasks and lane groups, replay cache hits.
 
     This is everything :func:`run_campaign` does before simulation.  The
-    returned plan's ``to_run`` tasks must each be executed and recorded
-    with ``plan.fill(index, output)`` —
+    returned plan's ``to_run`` groups must each be executed and recorded
+    with ``plan.fill(position, result)`` —
     :func:`~repro.sampler.exec_backend.stream_plans` does both for any
     number of plans on one backend — then :func:`finalize_campaign`
     merges.  :meth:`~repro.sampler.pipeline.MicroSampler.plan` calls this
-    with a sampler's knobs.  Without a source digest
-    (:func:`~repro.sampler.trace_cache.source_digest`) the campaign plans
-    as with ``cache=None``: a record keyed without the code could outlive
-    it.  The planning is timed into the ``plan`` child of ``spans`` (the
-    campaign's tree; a new one when None), which the plan carries.
+    with a sampler's knobs.  The groups are contiguous chunks of the
+    inputs at the resolved ``batch_lanes`` width, whatever the cache
+    holds, so a campaign's divergence events never depend on it.  Without
+    a source digest (:func:`~repro.sampler.trace_cache.source_digest`) the
+    campaign plans as with ``cache=None``: a record keyed without the code
+    could outlive it.  The planning is timed into the ``plan`` child of
+    ``spans`` (the campaign's tree; a new one when None), which the plan
+    carries.
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
@@ -208,16 +232,6 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                 cache = None
             elif cache is True:
                 cache = TraceCache()
-        # Resolve the lockstep lane width up front: ``core_lanes`` joins
-        # every task's cache key (a lane-batched run records its group's
-        # divergence events), so it must be stamped before the cache is
-        # consulted.  The same width chunks the batch prepass below.
-        core_lanes = None
-        if batch_lanes is not None:
-            from repro.sampler.batch import resolve_batch_lanes
-
-            width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
-            core_lanes = width if width > 1 else None
         with phase.time("assemble"):
             program = workload.assemble()
             programs = [patch_program(program, patches)
@@ -233,55 +247,58 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
             keep_raw=True if keep_raw is True else tuple(keep_raw),
             log_commits=bool(log_commits),
             warmup_insts=warmup_insts,
-            cache_root=str(cache.root) if cache is not None else None,
             profile=bool(profile),
             pruned=tuple(pruned),
-            core_lanes=core_lanes,
         )
         tasks = [replace(template, run_index=run_index, program=program)
                  for run_index, program in enumerate(programs)]
+        width = 1
+        if batch_lanes is not None:
+            from repro.sampler.batch import resolve_batch_lanes
+
+            width = resolve_batch_lanes(batch_lanes, len(tasks))
+        groups = [range(start, min(start + width, len(tasks)))
+                  for start in range(0, len(tasks), width)]
 
         outputs: list[RunOutput | None] = [None] * len(tasks)
+        events: list[LaneEvents | None] = [None] * len(groups)
         keys: list[str] | None = None
-        duplicate_of: dict[int, str] = {}
         if cache is not None:
             with phase.time("load"):
                 keys = [cache.key_for(task) for task in tasks]
-                for index, key in enumerate(keys):
-                    outputs[index] = cache.load(key)
-        n_cached = sum(1 for output in outputs if output is not None)
+                for group, members in enumerate(groups):
+                    # A group replays whole or not at all.
+                    replay = cache.load_group(
+                        [keys[index] for index in members])
+                    if replay is not None:
+                        for index, output in zip(members, replay.outputs):
+                            outputs[index] = output
+                        events[group] = replay.events
 
-        # Within one campaign, identical (program, input, config) triples
-        # are simulated once and replayed for the duplicates (MicroWalk-style
-        # trace deduplication; requires a cache to clone the outputs
-        # through).
+        # Within one campaign, identical groups (at width 1, identical
+        # (program, input, config) triples) are simulated once and
+        # replayed for the duplicates (MicroWalk-style trace deduplication;
+        # requires a cache to clone the outputs through).
         to_run: list[int] = []
-        seen_keys: set[str] = set()
-        for index, output in enumerate(outputs):
-            if output is not None:
-                continue
-            if keys is not None and keys[index] in seen_keys:
-                duplicate_of[index] = keys[index]
+        duplicates: list[int] = []
+        seen: set[tuple] = set()
+        for group, members in enumerate(groups):
+            if events[group] is not None:
                 continue
             if keys is not None:
-                seen_keys.add(keys[index])
-            to_run.append(index)
-
-        divergences: list = []
-        if warmup_insts is not None and core_lanes is not None \
-                and len(to_run) > 1:
-            # A lone pending input captures through the scalar path instead.
-            from repro.sampler.batch import attach_batch_checkpoints
-
-            with phase.time("capture"):
-                divergences = attach_batch_checkpoints(
-                    tasks, to_run, lanes=core_lanes,
-                    warmup_insts=warmup_insts, cache=cache)
+                members_keys = tuple(keys[index] for index in members)
+                if members_keys in seen:
+                    duplicates.append(group)
+                    continue
+                seen.add(members_keys)
+            to_run.append(group)
 
     return CampaignPlan(
         workload=workload, config=config, tasks=tasks, cache=cache,
-        keys=keys, outputs=outputs, duplicate_of=duplicate_of,
-        to_run=to_run, n_cached=n_cached, divergences=divergences,
+        keys=keys, groups=groups, outputs=outputs, events=events,
+        duplicates=duplicates, to_run=to_run,
+        n_cached=sum(len(groups[group]) for group, replayed in
+                     enumerate(events) if replayed is not None),
         features=features, keep_raw=keep_raw, log_commits=log_commits,
         spans=spans,
     )
@@ -290,25 +307,30 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     """Merge a fully executed plan into a :class:`CampaignResult`.
 
-    Every ``to_run`` index must have been :meth:`~CampaignPlan.fill`-ed.
-    Duplicates are replayed from the cache (falling back to simulating if
-    the store failed), then all outputs merge **in input order** — the
-    deterministic merge from the parallel backend, so the result is
-    bit-identical no matter where or in what order shards executed.  The
-    merge is timed into the plan's tree as ``merge``; the result carries
-    the tree on.
+    Every ``to_run`` group must have been :meth:`~CampaignPlan.fill`-ed.
+    Duplicate groups are replayed from the cache (falling back to
+    simulating if a store failed), then all outputs merge **in input
+    order** — the deterministic merge from the parallel backend, so the
+    result is bit-identical no matter where or in what order shards
+    executed.  The divergence events follow: every group's prologue
+    events in group order, then every group's lockstep events, with lanes
+    renumbered to input indices.  The merge is timed into the plan's tree
+    as ``merge``; the result carries the tree on.
     """
     from repro.trace.tracer import MicroarchTracer
 
     spans = plan.spans
-    for index, key in plan.duplicate_of.items():
-        # Replay the stored twin; simulate it if the store failed.
+    for group in plan.duplicates:
+        members = plan.groups[group]
+        # Replay the stored twin; simulate it if a store failed.
         with spans.time("plan") as phase, phase.time("load"):
-            output = plan.cache.load(key)
-        if output is None:
-            [output] = _run_shard([plan.tasks[index]])
-            charge_shard(spans, output.span)
-        plan.outputs[index] = output
+            result = plan.cache.load_group(plan.group_keys(group))
+        if result is None:
+            result = _run_shard([plan.tasks[index] for index in members])
+            charge_shard(spans, result.span)
+        for index, output in zip(members, result.outputs):
+            plan.outputs[index] = output
+        plan.events[group] = result.events
     missing = [index for index, output in enumerate(plan.outputs)
                if output is None]
     if missing:
@@ -322,11 +344,11 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
             log_commits=plan.log_commits,
             pruned=plan.tasks[0].pruned if plan.tasks else ())
         runs = merge_outputs(plan.outputs, tracer)
-        # Core-phase lockstep divergences ride on each batch group's first
-        # output; gather them after the prepass events, in input order.
-        divergences = list(plan.divergences)
-        for output in plan.outputs:
-            divergences.extend(output.divergences)
+        divergences = [
+            renumber_lanes(event, members)
+            for phase in ("prologue", "lockstep")
+            for members, events in zip(plan.groups, plan.events)
+            for event in getattr(events, phase)]
     return CampaignResult(
         workload=plan.workload,
         config=plan.config,
@@ -346,10 +368,9 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     ``plan`` is :func:`prepare_campaign`'s keywords: ``features``,
     ``keep_raw``, ``log_commits`` (each iteration's ``(cycle, pc,
     mnemonic)`` commit stream, for :mod:`repro.localize`), ``cache`` (a
-    :class:`~repro.sampler.trace_cache.TraceCache` or ``True``: inputs
-    simulated before are replayed, identical inputs inside one campaign
-    simulate once, and checkpoints are reused from it), ``pruned``, and the
-    simulation knobs
+    :class:`~repro.sampler.trace_cache.TraceCache` or ``True``: lane
+    groups simulated before are replayed, and identical groups inside one
+    campaign simulate once), ``pruned``, and the simulation knobs
     ``warmup_insts``, ``batch_lanes`` and ``profile`` that
     :class:`~repro.sampler.pipeline.MicroSampler` documents.  Divergences
     land on ``CampaignResult.divergences``.

@@ -12,20 +12,13 @@ Two sweep families live here, both clients of the one campaign stream
   campaign per config leg.  Pending lane groups from all legs fan out over
   one backend, and trace-cache hits never occupy a slot.  With a cache the
   legs share the config-invariant work through it: the first leg stores
-  the taint witness and captures the fast-forward checkpoints, later legs
-  load both, and a warm sweep replays every leg's report record.  Each
-  leg's :class:`~repro.sampler.pipeline.LeakageReport` is bit-identical to
-  running ``replace(sampler, config=config).analyze(workload)`` standalone
-  with the same cache state — pinned by ``tests/test_config_sweep.py`` and
+  the taint witness and later legs load it, and a warm sweep replays every
+  leg's report record.  Each leg simulates its own lane groups, capturing
+  their checkpoints and recording their divergence events, so each leg's
+  :class:`~repro.sampler.pipeline.LeakageReport` is bit-identical to a
+  standalone ``replace(sampler, config=config).analyze(workload)``, cached
+  or not — pinned by ``tests/test_config_sweep.py`` and
   ``benchmarks/bench_config_sweep.py``.
-
-One bookkeeping asymmetry is inherited from checkpoint reuse: prologue
-*divergence events* are recorded by whichever leg actually captures the
-checkpoints.  With a cache the first leg captures and later legs load — the
-same shape as a naive sequential per-config loop sharing one cache, which
-is the equivalence the differential suite asserts exactly.  A cacheless
-leg is exactly a standalone cacheless ``analyze``: it captures, and
-records, its own.
 """
 
 from __future__ import annotations
@@ -108,10 +101,12 @@ def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
     build the sampler, or replace fields of an explicit ``sampler``.  A
     built sampler skips the timing-removed pass and root-cause extraction,
     which a convergence point does not report.  The sizes run as one
-    stream (:func:`~repro.sampler.pipeline.stream_campaigns`).  Each point
-    re-simulates every smaller campaign's inputs, so with ``jobs=1`` a
-    ``cache`` makes it pay only for its newly added inputs; with more
+    stream (:func:`~repro.sampler.pipeline.stream_campaigns`); with more
     workers the next point is planned while the current one simulates.
+    Each point re-simulates every smaller campaign's inputs: its lane
+    groups differ from a smaller point's, and a group replays only whole,
+    so a ``cache`` spares a point only the inputs an earlier point ran as
+    one-input groups (``batch_lanes=None``).
     """
     if feature_ids:
         knobs["features"] = feature_ids

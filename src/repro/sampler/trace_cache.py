@@ -11,10 +11,12 @@ worth eliminating entirely.
 Everything the cache holds is a *record* of one :class:`RecordKind`,
 stored as ``<root>/<kind>/<key[:2]>/<key>.json``:
 
-* ``trace`` — one campaign input's simulation output (:func:`task_key`);
-* ``checkpoint`` — one input's pre-ROI architectural checkpoint
-  (:func:`repro.sampler.checkpoint.checkpoint_key`), shared by every core
-  configuration and lane width;
+* ``trace`` — one campaign input's simulation output (:func:`task_key`),
+  shared by every lane width: batched runs are bit-identical to scalar
+  ones;
+* ``lockstep`` — one lane group's divergence events, from its batched
+  checkpoint capture and its lockstep run (:func:`lockstep_key`, over its
+  members' trace keys), for every group of two or more inputs;
 * ``witness`` — the taint prescreen's publicness maps (see
   :func:`repro.taint.publicness.compute_publicness`), so a warm
   ``--taint on`` run replays them instead of re-running the taint engine;
@@ -29,7 +31,8 @@ stored as ``<root>/<kind>/<key[:2]>/<key>.json``:
 
 Each key is a digest of the content its value is a pure function of — for
 a trace, the assembled and patched program image, the core configuration,
-the memory map, the tracer settings and the simulation knobs — and of
+the memory map, the tracer settings and the simulation knobs; for a lane
+group's events, its members' trace keys in lane order — and of
 :func:`source_digest`, the code that computes it.  Mutating any of them (a
 changed source line, a different secret key, one more ROB entry, an edit
 to the simulator) yields a new key; everything else is a byte-identical
@@ -60,7 +63,8 @@ from typing import Callable
 
 import repro
 from repro.isa.interpreter import DivergenceEvent
-from repro.sampler.exec_backend import RunOutput, RunTask
+from repro.sampler.exec_backend import (GroupOutput, LaneEvents, RunOutput,
+                                        RunTask)
 from repro.trace.features import FEATURE_ORDER
 from repro.util.hashing import stable_hex_digest
 
@@ -202,19 +206,29 @@ def task_key(task: RunTask) -> str | None:
         task.max_cycles,
         task.expect_exit_code,
         # Fast-forward warm-up budget: changes which instructions are
-        # simulated cycle-accurately, hence the snapshots.  The cache root
-        # is storage location only and stays out of the key.
+        # simulated cycle-accurately, hence the snapshots.
         task.warmup_insts,
         # Taint-pruned features record constant empty snapshots, so a
         # pruned trace must never replay for an unpruned campaign (or with
         # a different pruned set) and vice versa.
         tuple(sorted(task.pruned)),
-        # Lane-batched core runs record the divergence events their batch
-        # group observed, which depend on the lane width the campaign ran
-        # at.
-        task.core_lanes,
     )
     return stable_hex_digest(material)
+
+
+def lockstep_key(keys) -> str | None:
+    """Key of one lane group's ``lockstep`` record: a digest of its
+    members' trace keys, in lane order (each salted with the source
+    digest); None when any is.
+
+    The events are a pure function of what those keys cover — the members'
+    programs, the config, the memory map and the warm-up budget decide
+    where a batched capture or a lockstep run splits — and of the group's
+    lane order, which numbers their ``lanes``.
+    """
+    if any(key is None for key in keys):
+        return None
+    return stable_hex_digest(tuple(keys))
 
 
 def witness_key(programs, spans, memory_map, max_steps: int) -> str | None:
@@ -404,7 +418,6 @@ def _trace_body(output) -> dict:
                 list(run.marker_cycles)],
         "cycles_sampled": output.cycles_sampled,
         "ff_steps": output.ff_steps,
-        "divergences": _events_body(output.divergences),
     }
 
 
@@ -422,34 +435,22 @@ def _trace_from_body(body) -> RunOutput:
         run=RunResult(exit_code=exit_code, stats=CoreStats(**stats),
                       console=console, marker_cycles=marker_cycles),
         cycles_sampled=body["cycles_sampled"],
-        stored=True,
         ff_steps=body["ff_steps"],
-        divergences=_events_from_body(body["divergences"]),
     )
 
 
-def _checkpoint_body(checkpoint) -> dict:
-    """A :class:`~repro.sampler.checkpoint.Checkpoint`, bytes as hex."""
-    return {
-        "pc": checkpoint.pc,
-        "regs": list(checkpoint.regs),
-        "pages": [[base, data.hex()] for base, data in checkpoint.pages],
-        "console": checkpoint.console.hex(),
-        "brk": checkpoint.brk,
-        "steps": checkpoint.steps,
-        "pre_roi_steps": checkpoint.pre_roi_steps,
-    }
+def _lockstep_body(events) -> dict:
+    """A lane group's :class:`~repro.sampler.exec_backend.LaneEvents`."""
+    return {"prologue": _events_body(events.prologue),
+            "lockstep": _events_body(events.lockstep)}
 
 
-def _checkpoint_from_body(body):
-    from repro.sampler.checkpoint import Checkpoint
-
-    return Checkpoint(
-        pc=body["pc"], regs=tuple(body["regs"]),
-        pages=tuple((base, bytes.fromhex(data))
-                    for base, data in body["pages"]),
-        console=bytes.fromhex(body["console"]), brk=body["brk"],
-        steps=body["steps"], pre_roi_steps=body["pre_roi_steps"])
+def _lockstep_from_body(body) -> LaneEvents:
+    """Inverse of :func:`_lockstep_body`; raises ValueError on a missing,
+    extra or mistyped field."""
+    _object(body, ("prologue", "lockstep"), "lockstep record")
+    return LaneEvents(prologue=_events_from_body(body["prologue"]),
+                      lockstep=_events_from_body(body["lockstep"]))
 
 
 def _witness_body(maps) -> list:
@@ -720,9 +721,9 @@ def _localization_from_body(body):
 
 #: One campaign input's :class:`RunOutput` (:func:`task_key`).
 TRACE = RecordKind("trace", _trace_body, _trace_from_body)
-#: One input's :class:`~repro.sampler.checkpoint.Checkpoint`
-#: (:func:`~repro.sampler.checkpoint.checkpoint_key`).
-CHECKPOINT = RecordKind("checkpoint", _checkpoint_body, _checkpoint_from_body)
+#: One lane group's :class:`~repro.sampler.exec_backend.LaneEvents`
+#: (:func:`lockstep_key`).
+LOCKSTEP = RecordKind("lockstep", _lockstep_body, _lockstep_from_body)
 #: The taint prescreen's per-input publicness maps
 #: (:func:`witness_key`).
 WITNESS = RecordKind("witness", _witness_body, _witness_from_body)
@@ -733,7 +734,7 @@ REPORT = RecordKind("report", _report_body, _report_from_body)
 #: (:func:`localization_key`).
 LOCALIZATION = RecordKind("localization", _localization_body,
                           _localization_from_body)
-RECORD_KINDS = (TRACE, CHECKPOINT, WITNESS, REPORT, LOCALIZATION)
+RECORD_KINDS = (TRACE, LOCKSTEP, WITNESS, REPORT, LOCALIZATION)
 
 
 def _checksum(body: bytes) -> str:
@@ -775,7 +776,9 @@ class TraceCache:
 
     Lookups and stores never raise on I/O problems: a cache must only ever
     make a campaign faster, not able to fail it.  ``hits``, ``misses`` and
-    ``stores`` count trace records, the per-input simulation outputs;
+    ``stores`` count trace records, the per-input simulation outputs
+    (replayed and stored a lane group at a time: :meth:`load_group`,
+    :meth:`store_group`);
     ``misses_by_reason`` counts every record lookup that missed, ``kind
     -> reason -> n``: a reason of :func:`_read_record`, or ``damaged``
     for a body its decoder rejects.
@@ -813,6 +816,33 @@ class TraceCache:
             return False
         self.stores += 1
         return True
+
+    def load_group(self, keys) -> GroupOutput | None:
+        """Replay one lane group by its members' trace keys: every
+        member's trace, then, for two or more members, the group's
+        ``lockstep`` record; None unless all of them hit.  Every trace is
+        looked up, so each member's hit or miss counts."""
+        outputs = [self.load(key) for key in keys]
+        if any(output is None for output in outputs):
+            return None
+        events = LaneEvents()
+        if len(keys) > 1:
+            events = self.load_record(LOCKSTEP, lockstep_key(keys))
+            if events is None:
+                return None
+        return GroupOutput(outputs, events, stored=True)
+
+    def store_group(self, keys, result: GroupOutput, config=None) -> bool:
+        """Store one simulated lane group: each member's trace (see
+        :meth:`store`), then, for two or more members, the group's
+        ``lockstep`` record, also when it holds no event.  True when every
+        store succeeded."""
+        stored = [self.store(key, output, config=config)
+                  for key, output in zip(keys, result.outputs)]
+        if len(keys) > 1:
+            stored.append(self.store_record(LOCKSTEP, lockstep_key(keys),
+                                            result.events))
+        return all(stored)
 
     def _record_path(self, kind: RecordKind, key: str) -> Path:
         return self.root / kind.name / key[:2] / f"{key}.json"
@@ -853,7 +883,9 @@ class TraceCache:
 # fails its checksum, can never hit again and only occupies disk until it is
 # pruned.  Maintenance checks headers and checksums only, decoding no body,
 # so it imports no engine; it touches only the record files and temporary
-# files inside ``<root>/<kind>/<xx>/``.
+# files inside ``<root>/<kind>/<xx>/``.  A directory of a kind that is gone
+# (``checkpoint/``, from before lane groups captured their own) is not
+# read, counted or pruned; it can be deleted once.
 
 
 def _kind_paths(root: Path, kind: RecordKind, pattern: str) -> list:

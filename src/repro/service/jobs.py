@@ -111,9 +111,10 @@ class JobSpec:
     #: fast-forward budget; "default" = the sampler's default, accepts the
     #: CLI's ``none``/``full``/int forms.
     warmup_insts: object = "default"
-    #: lockstep lane batching (functional prepass + lane-batched
-    #: cycle-accurate core).  Joins every task's trace-cache key via
-    #: ``core_lanes``; a job's pool submissions are its lane groups.
+    #: lockstep lane batching (batched checkpoint capture + lane-batched
+    #: cycle-accurate core).  The width sets the campaign's lane groups:
+    #: a job's pool submissions, each with its own ``lockstep`` record;
+    #: the per-input traces serve every width.
     batch_lanes: object = MicroSampler.batch_lanes
     no_timing_removed: bool = False
     #: secret-taint publicness prescreen (``--taint on``): prune tracing,
@@ -289,18 +290,20 @@ class Job:
 
 class JobPool:
     """One job's view of the shared worker pool, given to its sampler as
-    ``jobs``: the library dispatcher submits the job's lane groups here.
+    ``jobs``: the library dispatcher submits the job's lane groups here,
+    each with the trace keys its plan computed.
 
-    :meth:`submit` runs on the job's library thread and computes the
-    group's cache keys; the rest runs on the manager's event loop:
+    :meth:`submit` runs on the job's library thread; the rest runs on the
+    manager's event loop, claiming, loading and storing by those keys:
 
     * a group another in-flight job claimed is awaited, then loaded from
       the cache — or, if the owner failed, claimed and simulated here;
-    * a group the cache gained since planning is loaded;
+    * a group the cache gained since planning (its traces and, for two or
+      more inputs, its ``lockstep`` record) is loaded;
     * any other group is claimed, simulated on the pool and stored, and
-      only then released.  Each stored output is marked
-      :attr:`~repro.sampler.exec_backend.RunOutput.stored`, so the job's
-      plan does not store it again.
+      only then released.  It comes back marked
+      :attr:`~repro.sampler.exec_backend.GroupOutput.stored` when every
+      store succeeded, so the job's plan does not store it again.
 
     Claims register on the loop in submission order, before any await, and
     waiting for one holds no thread.  Once the job ends (:meth:`close`) the
@@ -314,49 +317,41 @@ class JobPool:
         self.n_workers = manager.pool.n_workers
         self.closed = False
 
-    def submit(self, tasks) -> concurrent.futures.Future:
+    def submit(self, tasks, keys=None) -> concurrent.futures.Future:
         if self.closed:
             raise RuntimeError(f"{self._job.id} is no longer running")
-        tasks = list(tasks)
-        keys = [self._manager.cache.key_for(task) for task in tasks]
-        return asyncio.run_coroutine_threadsafe(self._group(tasks, keys),
-                                                self._loop)
+        return asyncio.run_coroutine_threadsafe(
+            self._group(list(tasks), keys), self._loop)
 
     def close(self) -> None:
         self.closed = True
 
-    def _load(self, keys) -> list | None:
-        """The group's stored outputs, or None unless all are stored."""
-        outputs = []
-        for key in keys:
-            output = self._manager.cache.load(key)
-            if output is None:
-                return None
-            outputs.append(output)
-        return outputs
-
-    async def _group(self, tasks, keys) -> list:
+    async def _group(self, tasks, keys):
         manager, stats = self._manager, self._job.stats
+        if keys is None:  # a plan without a cache: nothing to share
+            stats["shards_dispatched"] += 1
+            result = await asyncio.wrap_future(manager.pool.submit(tasks))
+            stats["shards_simulated"] += len(tasks)
+            return result
         group = tuple(keys)
         waited = False
         while group in manager._inflight:
             await asyncio.shield(manager._inflight[group])
             waited = True
-        outputs = self._load(keys)
-        if outputs is not None and waited:
+        result = manager.cache.load_group(keys)
+        if result is not None and waited:
             stats["shards_deduped"] += len(tasks)
             manager.dedup_inflight_hits += len(tasks)
-        elif outputs is None:
+        elif result is None:
             claim = self._loop.create_future()
             manager._inflight[group] = claim
             try:
                 stats["shards_dispatched"] += 1
-                outputs = await asyncio.wrap_future(
+                result = await asyncio.wrap_future(
                     manager.pool.submit(tasks))
                 # Stored before the claim is released, for the waiters.
-                for key, task, output in zip(keys, tasks, outputs):
-                    if manager.cache.store(key, output, config=task.config):
-                        output.stored = True
+                result.stored = manager.cache.store_group(
+                    keys, result, config=tasks[0].config)
                 stats["shards_simulated"] += len(tasks)
             finally:
                 del manager._inflight[group]
@@ -364,7 +359,7 @@ class JobPool:
         if not self.closed:
             self._job.emit("progress", workload=tasks[0].workload_name,
                            stats=dict(stats))
-        return outputs
+        return result
 
 
 class JobManager:
@@ -384,8 +379,8 @@ class JobManager:
         self._active = asyncio.Semaphore(max_active)
         self._counter = itertools.count(1)
         self._start_counter = itertools.count(1)
-        #: lane group (its tasks' cache keys) -> asyncio.Future resolved
-        #: when the claiming job has stored its outputs (the cross-job
+        #: lane group (its tasks' trace keys) -> asyncio.Future resolved
+        #: when the claiming job has stored its records (the cross-job
         #: dedup registry, see :class:`JobPool`).
         self._inflight: dict[tuple, asyncio.Future] = {}
         self.dedup_inflight_hits = 0

@@ -14,14 +14,15 @@ into a child *and* into the span itself, and :meth:`Span.add` with a name
 charges the added seconds to the span too.  A span timed while it is
 already open is not timed again, so nested phases never count twice.
 
-``--profile`` adds one ``profile`` node per simulated lane group
+``--profile`` adds one ``profile`` node per simulated core run
 (:func:`profile_stages` wraps, on that core instance only, each stage
 method ``Core.step`` calls with a pair of ``perf_counter`` reads;
 ``Core.step`` itself has no profiling branch, so an unprofiled core pays
 nothing).  A ``profile`` node has no seconds of its own: its children
 break the simulated cycles down a second way — by pipeline stage, plus
 the fast-forward, warm-up and lane-batched phases that overlap them — so
-they overlap the shard's ``trace`` child and each other.  Profiling is
+they overlap each other.  Its ``tracer`` stage is the tracer's own
+timers, the run's ``trace`` span, so the two never disagree.  Profiling is
 observational: the wrapped methods run unchanged, so every snapshot hash
 is unchanged.
 """
@@ -126,7 +127,10 @@ STAGES = {
     "issue": ("issue", ("_issue",)),
     "rename": ("rename/dispatch", ("_rename_dispatch",)),
     "fetch": ("fetch", ("_fetch",)),
-    "tracer": ("tracer", ("tracer.on_cycle",)),
+    # Set from the tracer's own timers, not wrapped: its per-cycle
+    # sampling and its finalizing at ``iter.end``, which runs inside
+    # ``_commit`` and is taken off the commit row.
+    "tracer": ("tracer", ()),
 }
 
 
@@ -163,9 +167,10 @@ def profile_view(spans: Span | None) -> dict | None:
     ``profile`` nodes (``fallback_seconds`` over its ``fallback`` spans),
     or None when no simulated run of it was profiled.  Keys: ``<stage>_
     seconds`` per :data:`STAGES` stage and their ``total_seconds``,
-    ``cycles``, and the overlapping phases' ``fastforward_seconds``/
-    ``ff_steps``, ``warmup_seconds``, ``batchcore_seconds``/
-    ``batchcore_runs`` and ``fallback_seconds``."""
+    ``cycles``, and the overlapping phases' ``fastforward_seconds``
+    (checkpoint ``capture`` spans plus restores)/``ff_steps``,
+    ``warmup_seconds``, ``batchcore_seconds``/``batchcore_runs`` and
+    ``fallback_seconds``."""
     profiles = list(spans.find("profile")) if spans is not None else []
     if not profiles:
         return None
@@ -176,6 +181,7 @@ def profile_view(spans: Span | None) -> dict | None:
     view["total_seconds"] = sum(view.values())
     for phase in ("fastforward", "warmup", "batchcore"):
         view[f"{phase}_seconds"] = merged.seconds_at(phase)
+    view["fastforward_seconds"] += spans.total("capture")
     view.update({"cycles": 0, "ff_steps": 0, "batchcore_runs": 0,
                  **merged.counts})
     view["fallback_seconds"] = spans.total("fallback")

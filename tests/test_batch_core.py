@@ -12,6 +12,7 @@ re-simulation (transparently) or is surfaced as a first-class
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +22,10 @@ from repro.sampler.exec_backend import (
     RunTask,
     execute_run,
     execute_run_batch,
-    _lane_groups,
 )
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import patch_program
-from repro.sampler.trace_cache import TraceCache
+from repro.sampler.trace_cache import LOCKSTEP, TRACE, TraceCache
 from repro.uarch.batch_core import BatchCore, LaneDivergence
 from repro.uarch.config import SMALL_BOOM
 from tests.test_checkpoint import _scrub_timings
@@ -50,24 +50,42 @@ def _strip_divergences(payload: dict) -> dict:
 def _bundled_workloads():
     from repro.cli import AUDIT_EXPECTATIONS, build_workload
 
-    return [build_workload(name, inputs=2, seed=3)
+    # Four inputs, so that 3 lanes splits each campaign into groups of 3
+    # and 1 while "auto" runs one group of 4.
+    return [build_workload(name, inputs=4, seed=3)
             for name in AUDIT_EXPECTATIONS]
 
 
-def test_batched_identical_to_scalar_on_all_bundled_workloads():
+def _trace_records(root) -> dict:
+    """Every stored trace record under ``root``, by file name."""
+    return {path.name: path.read_bytes()
+            for path in (root / TRACE.name).rglob("*.json")}
+
+
+def test_batched_identical_to_scalar_on_all_bundled_workloads(tmp_path):
     """Digests and verdicts pin bit-identical, leaky and constant-time alike.
 
     The scalar core stays the authoritative reference: for every bundled
     workload the lane-batched report must equal the scalar one on every
     field except the surfaced divergences (which scalar simulation cannot
-    observe).
+    observe).  Every input's stored trace — header and body — is the same
+    record at every lane width, which is what lets one trace serve them
+    all.
     """
     for workload in _bundled_workloads():
-        scalar = _report_dict(workload, batch_lanes=None)
-        batched = _report_dict(workload, batch_lanes="auto")
+        reports, traces = {}, {}
+        for lanes in (None, "auto", 3):
+            root = tmp_path / workload.name / str(lanes)
+            reports[lanes] = _report_dict(workload, batch_lanes=lanes,
+                                          cache=TraceCache(root))
+            traces[lanes] = _trace_records(root)
+        scalar = reports.pop(None)
         assert scalar.pop("divergences") == []
-        batched.pop("divergences")
-        assert batched == scalar, workload.name
+        for lanes, batched in reports.items():
+            batched.pop("divergences")
+            assert batched == scalar, (workload.name, lanes)
+        assert len(traces[None]) == len(workload.inputs), workload.name
+        assert traces[None] == traces["auto"] == traces[3], workload.name
 
 
 def test_batched_identical_cold_and_warm_cache_parallel(tmp_path):
@@ -279,13 +297,12 @@ def test_lockstep_run_keeps_identical_lanes_together():
 # -------------------------------------------------------- fallback semantics
 
 
-def _tasks(source, payloads, config=SMALL_BOOM, lanes=None):
+def _tasks(source, payloads, config=SMALL_BOOM):
     base = assemble(source, entry="main")
-    width = lanes if lanes is not None else len(payloads)
     return [
         RunTask(run_index=index, workload_name="trigger",
                 program=patch_program(base, {"key": payload}),
-                config=config, core_lanes=width)
+                config=config)
         for index, payload in enumerate(payloads)
     ]
 
@@ -295,73 +312,103 @@ def test_fallback_outputs_identical_to_scalar():
     tasks = _tasks(_TRIGGERS["branch"], (b"\x00", b"\x01", b"\x01", b"\x02"))
     batched = execute_run_batch(tasks)
     scalar = [execute_run(task) for task in tasks]
-    assert len(batched) == len(scalar)
-    for got, want in zip(batched, scalar):
+    assert len(batched.outputs) == len(scalar)
+    for got, want in zip(batched.outputs, scalar):
         assert got.run_index == want.run_index
         assert got.run.exit_code == want.run.exit_code
         assert got.run.stats == want.run.stats
         assert got.run.console == want.run.console
         assert got.cycles_sampled == want.cycles_sampled
-    # All events land on the group's first output, remapped to run indices.
-    events = batched[0].divergences
+    # The events belong to the group, lanes numbered within it.
+    events = batched.events.lockstep
     assert events and all(e.kind == "branch" for e in events)
-    assert all(output.divergences == () for output in batched[1:])
+    assert all(lane in range(len(tasks)) for e in events for lane in e.lanes)
+    assert batched.events.prologue == ()
 
 
 def test_a_diverged_group_is_timed_under_one_fallback_span():
     """Re-partitioned agreement classes are timed once, as the one
-    ``fallback`` child of the group's span, within the group's wall."""
+    ``fallback`` child of the group's span, within the group's wall, and
+    reuse the group's one capture."""
     import time
 
+    import repro.sampler.batch as batch
     from repro.cli import build_workload
     from repro.sampler.runner import prepare_campaign
 
     plan = prepare_campaign(build_workload("sam-leaky", inputs=8, seed=3),
-                            SMALL_BOOM, batch_lanes=8)
-    tasks = plan.pending_tasks
-    assert len(tasks) == 8 and tasks[0].core_lanes == 8
-    started = time.perf_counter()
-    outputs = execute_run_batch(tasks)
-    wall = time.perf_counter() - started
+                            SMALL_BOOM, warmup_insts=64, batch_lanes=8)
+    [(tasks, _keys)] = plan.pending_groups
+    assert len(tasks) == 8
+    captures = []
+    real_capture = batch.attach_batch_checkpoints
+
+    def counting(group):
+        captures.append(len(group))
+        return real_capture(group)
+
+    batch.attach_batch_checkpoints = counting
+    try:
+        started = time.perf_counter()
+        result = execute_run_batch(tasks)
+        wall = time.perf_counter() - started
+    finally:
+        batch.attach_batch_checkpoints = real_capture
+    assert captures == [8]
     # More than one event: some agreement class diverged again.
-    assert len(outputs[0].divergences) > 1
-    assert all(output.span is None for output in outputs[1:])
-    [fallback] = outputs[0].span.find("fallback")
+    assert len(result.events.lockstep) > 1
+    assert all(output.span is None for output in result.outputs)
+    [fallback] = result.span.find("fallback")
     assert not list(fallback.find("fallback"))  # no nested charge
     assert 0.0 < fallback.seconds <= wall
     assert sum(child.seconds for child in fallback.children.values()) \
         <= fallback.seconds
+    assert 0.0 < result.span.seconds_at("capture") <= wall
 
 
 def test_lane_groups_partitioning():
-    scalar_task = _tasks(_TRIGGERS["branch"], (b"\x00",), lanes=None)[0]
-    scalar_task = RunTask(**{**scalar_task.__dict__, "core_lanes": None})
-    batch_tasks = _tasks(_TRIGGERS["branch"],
-                         (b"\x00", b"\x01", b"\x02"), lanes=2)
-    groups = _lane_groups([scalar_task, *batch_tasks])
-    assert [len(group) for group in groups] == [1, 2, 1]
-    assert groups[0][0].core_lanes is None
+    """A campaign's lane groups are contiguous chunks of its inputs at the
+    resolved width, whatever the cache holds; the dispatcher receives each
+    pending group with its members' trace keys."""
+    from repro.cli import build_workload
+    from repro.sampler.runner import prepare_campaign
+
+    workload = build_workload("sam-ct", inputs=5, seed=3)
+
+    def groups(lanes, **kwargs):
+        plan = prepare_campaign(workload, SMALL_BOOM, batch_lanes=lanes,
+                                **kwargs)
+        return plan, [list(group) for group in plan.groups]
+
+    assert groups(None)[1] == [[0], [1], [2], [3], [4]]
+    assert groups(2)[1] == [[0, 1], [2, 3], [4]]
+    assert groups("auto")[1] == [[0, 1, 2, 3, 4]]
+    plan, _ = groups(2)
+    assert [[task.run_index for task in tasks] for tasks, keys in
+            plan.pending_groups] == [[0, 1], [2, 3], [4]]
+    assert all(keys is None for _, keys in plan.pending_groups)
 
 
-# ------------------------------------------------------ cache-format bump
-
-
-def test_cache_key_includes_core_lanes():
-    task = _tasks(_TRIGGERS["branch"], (b"\x00",), lanes=4)[0]
-    cache = TraceCache("/nonexistent")
-    batched_key = cache.key_for(task)
-    scalar_key = cache.key_for(
-        RunTask(**{**task.__dict__, "core_lanes": None}))
-    assert batched_key != scalar_key
+# ------------------------------------------------------ cache records
 
 
 def test_divergences_roundtrip_through_cache(tmp_path):
+    """A group's events live in its ``lockstep`` record, not in its
+    members' traces, and replay with the group."""
     cache = TraceCache(tmp_path / "cache")
     tasks = _tasks(_TRIGGERS["branch"], (b"\x00", b"\x01"))
-    outputs = execute_run_batch(tasks)
-    assert outputs[0].divergences
-    key = cache.key_for(tasks[0])
-    assert cache.store(key, outputs[0])
-    replayed = cache.load(key)
-    assert replayed is not None
-    assert replayed.divergences == outputs[0].divergences
+    result = execute_run_batch(tasks)
+    assert result.events.lockstep
+    keys = [cache.key_for(task) for task in tasks]
+    assert cache.store_group(keys, result, config=SMALL_BOOM)
+    replayed = cache.load_group(keys)
+    assert replayed is not None and replayed.stored
+    assert replayed.events == result.events
+    assert [output.run.stats for output in replayed.outputs] == \
+        [output.run.stats for output in result.outputs]
+    traces = (cache.root / TRACE.name).rglob("*.json")
+    assert b"divergences" not in b"".join(map(Path.read_bytes, traces))
+    # Without the lockstep record, the group does not replay.
+    for path in (cache.root / LOCKSTEP.name).rglob("*.json"):
+        path.unlink()
+    assert cache.load_group(keys) is None

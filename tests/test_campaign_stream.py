@@ -148,26 +148,26 @@ class _ManualPool:
 
 
 class _DictCache:
-    """Cache keys are the tasks' ``key``; entries live in a dict."""
+    """Lane groups stored whole in a dict, by their members' keys."""
 
     def __init__(self):
         self.entries = {}
 
-    def key_for(self, task):
-        return task.key
+    def load_group(self, keys):
+        return self.entries.get(tuple(keys))
 
-    def load(self, key):
-        return self.entries.get(key)
-
-    def store(self, key, output, config=None):
-        self.entries[key] = output
+    def store_group(self, keys, result, config=None):
+        self.entries[tuple(keys)] = result
+        return True
 
 
 def test_job_pool_dedups_lane_groups_across_jobs():
+    from repro.sampler.exec_backend import GroupOutput
     from repro.service.jobs import Job, JobManager, JobPool, JobSpec
 
-    group = [SimpleNamespace(key=f"k{index}", workload_name="w",
-                             config=None) for index in range(2)]
+    group = [SimpleNamespace(workload_name="w", config=None)
+             for _ in range(2)]
+    keys = ["k0", "k1"]
 
     async def scenario():
         pool, cache = _ManualPool(), _DictCache()
@@ -180,7 +180,7 @@ def test_job_pool_dedups_lane_groups_across_jobs():
                 await asyncio.sleep(0)
 
         # a claims the group; b waits on a's claim.
-        first, second = (asyncio.wrap_future(view.submit(group))
+        first, second = (asyncio.wrap_future(view.submit(group, keys))
                          for view in views[:2])
         await settle()
         assert len(pool.submitted) == 1 and len(manager._inflight) == 1
@@ -191,20 +191,21 @@ def test_job_pool_dedups_lane_groups_across_jobs():
         await settle()
         assert len(pool.submitted) == 2
         # c arrives while b holds the claim, so it waits and loads.
-        third = asyncio.wrap_future(views[2].submit(group))
+        third = asyncio.wrap_future(views[2].submit(group, keys))
         await settle()
-        pool.submitted[1][1].set_result(["out0", "out1"])
-        assert await second == ["out0", "out1"]
-        assert await third == ["out0", "out1"]
-        assert cache.entries == {"k0": "out0", "k1": "out1"}
+        simulated = GroupOutput(["out0", "out1"])
+        pool.submitted[1][1].set_result(simulated)
+        assert await second is simulated and simulated.stored
+        assert await third is simulated
+        assert cache.entries == {("k0", "k1"): simulated}
         assert manager._inflight == {}
         # d finds the group stored since it planned: loaded, not simulated.
-        assert await asyncio.wrap_future(views[3].submit(group)) \
-            == ["out0", "out1"]
+        assert await asyncio.wrap_future(views[3].submit(group, keys)) \
+            is simulated
         assert len(pool.submitted) == 2
         views[3].close()
         with pytest.raises(RuntimeError, match="no longer running"):
-            views[3].submit(group)
+            views[3].submit(group, keys)
         return [job.stats for job in jobs]
 
     a, b, c, d = asyncio.run(scenario())

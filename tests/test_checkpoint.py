@@ -11,9 +11,10 @@ Three layers of guarantees:
   bundled workload's prologue) and at ``--warmup-insts full``, campaigns,
   reports and localization dicts are byte-for-byte identical to full
   simulation, with or without a cache.
-* **Cache plumbing** — checkpoint keys react to exactly the inputs that
-  change the checkpoint, checkpoint records round-trip and shrug off
-  damage, and the trace-cache key covers the warm-up budget.
+* **Cache plumbing** — checkpoints are captured by the worker that runs
+  a lane group and never cached, one trace per input serves every lane
+  width, ``lockstep`` records round-trip and shrug off damage, and the
+  trace-cache key covers the warm-up budget.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ import pytest
 from repro.kernel import ProxyKernel
 from repro.sampler.checkpoint import (
     DEFAULT_WARMUP_INSTS,
-    Checkpoint,
     capture_checkpoint,
-    checkpoint_key,
     describe_warmup,
-    load_or_capture,
     parse_warmup,
 )
 from repro.sampler.pipeline import MicroSampler
 from repro.sampler.runner import patch_program, run_campaign
 from repro.sampler.trace_cache import (
-    CHECKPOINT,
+    LOCKSTEP,
     TRACE,
     TraceCache,
     cache_stats,
@@ -225,13 +223,14 @@ def test_localization_dict_bit_identical_under_default_warmup():
 
 
 def test_restored_run_matches_cold_capture(tmp_path):
-    """Cold capture vs checkpoint-record replay: identical campaigns."""
+    """A cold campaign vs one re-run without its traces: the re-run
+    captures its checkpoints again, and the campaigns are identical."""
     workload = with_bootstrap(make_sam_ct(n_keys=2), insts=2_000)
     cache = TraceCache(tmp_path / "cache")
     cold = run_campaign(workload, SMALL_BOOM, warmup_insts=64, cache=cache)
     assert cold.ff_steps_total > 0  # the restore path actually ran
-    assert list((cache.root / CHECKPOINT.name).rglob("*.json"))
-    # Without the traces, the rerun simulates from the stored checkpoints.
+    # Checkpoints are never cached: only traces (and reports) are.
+    assert sorted(path.name for path in cache.root.iterdir()) == [TRACE.name]
     shutil.rmtree(cache.root / TRACE.name)
     warm = run_campaign(workload, SMALL_BOOM, warmup_insts=64, cache=cache)
     assert warm.n_cached_runs == 0
@@ -308,54 +307,37 @@ def test_parse_and_describe_warmup():
     assert describe_warmup(64) == "64 insts"
 
 
-def test_checkpoint_key_sensitivity():
-    workload = make_sam_ct(n_keys=2)
-    program_a = patch_program(workload.assemble(), workload.inputs[0])
-    program_b = patch_program(workload.assemble(), workload.inputs[1])
-    key = checkpoint_key(program_a, None, 64)
-    assert key == checkpoint_key(program_a, None, 64)
-    assert key != checkpoint_key(program_a, None, 65)
-    assert key != checkpoint_key(program_b, None, 64)
-
-
 def test_store_round_trip_and_corruption(tmp_path):
+    """A ``lockstep`` record replays the group's events exactly; damage
+    and a foreign source degrade to a miss, never an error."""
+    from repro.isa.interpreter import DivergenceEvent
+    from repro.sampler.exec_backend import LaneEvents
     from tests import records
 
     cache = TraceCache(tmp_path / "cache")
-    checkpoint = Checkpoint(pc=0x1000, regs=tuple(range(32)),
-                            pages=((0x2000, b"\x01" * 64),),
-                            console=b"hi", brk=0x3000, steps=7,
-                            pre_roi_steps=9)
+    events = LaneEvents(
+        prologue=(DivergenceEvent(pc=0x1000, step=3, kind="branch",
+                                  mnemonic="beqz", lanes=(1, 3)),),
+        lockstep=(DivergenceEvent(pc=0x1008, step=40, kind="mem",
+                                  mnemonic="lw", lanes=(2,)),))
     key = "ab" * 8
-    assert cache.load_record(CHECKPOINT, key) is None
-    assert cache.store_record(CHECKPOINT, key, checkpoint)
-    assert cache.load_record(CHECKPOINT, key) == checkpoint
+    assert cache.load_record(LOCKSTEP, key) is None
+    assert cache.store_record(LOCKSTEP, key, events)
+    assert cache.load_record(LOCKSTEP, key) == events
+    assert cache.store_record(LOCKSTEP, key, LaneEvents())
+    assert cache.load_record(LOCKSTEP, key) == LaneEvents()
 
-    # Damage and a foreign source degrade to a miss, never an error.
-    path = cache._record_path(CHECKPOINT, key)
+    path = cache._record_path(LOCKSTEP, key)
     raw = path.read_bytes()
     path.write_bytes(b"not a record")
-    assert cache.load_record(CHECKPOINT, key) is None
+    assert cache.load_record(LOCKSTEP, key) is None
     path.write_bytes(records.with_header(raw, source="0" * 16))
-    assert cache.load_record(CHECKPOINT, key) is None
-
-
-def test_load_or_capture_persists_and_replays(tmp_path, monkeypatch):
-    import repro.sampler.checkpoint as checkpoint_module
-
-    workload = make_sam_ct(n_keys=1)
-    program = patch_program(workload.assemble(), workload.inputs[0])
-    cache = TraceCache(tmp_path / "cache")
-    first = load_or_capture(program, warmup_insts=0, cache=cache)
-    assert first is not None
-    assert len(list(cache.root.rglob("*.json"))) == 1
-
-    def refuse_capture(*args, **kwargs):
-        raise AssertionError("expected a checkpoint record, got a capture")
-
-    monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
-                        refuse_capture)
-    assert load_or_capture(program, warmup_insts=0, cache=cache) == first
+    assert cache.load_record(LOCKSTEP, key) is None
+    path.write_bytes(records.with_body(
+        raw, lambda body: body.pop("prologue"), reseal=True))
+    assert cache.load_record(LOCKSTEP, key) is None
+    assert cache.misses_by_reason[LOCKSTEP.name] == {
+        "absent": 1, "damaged": 2, "stale": 1}
 
 
 def test_trace_cache_key_covers_warmup_budget():
@@ -372,10 +354,8 @@ def test_trace_cache_key_covers_warmup_budget():
 
     assert key(warmup_insts=None) != key(warmup_insts=DEFAULT_WARMUP_INSTS)
     assert key(warmup_insts=64) != key(warmup_insts=65)
-    # Storage location and observability knobs do not change content.
-    assert key(warmup_insts=64) == key(warmup_insts=64,
-                                       cache_root="/somewhere",
-                                       profile=True)
+    # Observability knobs do not change content.
+    assert key(warmup_insts=64) == key(warmup_insts=64, profile=True)
 
 
 # ----------------------------------------------- lockstep batch capture
@@ -461,81 +441,71 @@ def test_batch_capture_returns_none_without_roi_marker(sum_program):
     assert divergences == []
 
 
-def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
+def test_attach_batch_checkpoints_captures_one_group():
+    """A lane group's capture: batched for two or more tasks, scalar for
+    one, none without a warm-up budget; events numbered within the
+    group."""
+    from repro.isa import assemble
     from repro.sampler import attach_batch_checkpoints
     from repro.sampler.exec_backend import RunTask
 
-    workload = with_bootstrap(make_sam_ct(n_keys=4), insts=500)
-    program = workload.assemble()
-    cache = TraceCache(tmp_path / "cache")
+    program = assemble(_DIVERGENT_PROLOGUE, entry="main")
+    programs = [patch_program(program, {"key": bytes([k])})
+                for k in (0, 1, 0, 1)]
 
-    def build_tasks():
-        return [RunTask(run_index=index, workload_name=workload.name,
-                        program=patch_program(program, patches),
-                        config=SMALL_BOOM, warmup_insts=64,
-                        cache_root=str(cache.root))
-                for index, patches in enumerate(workload.inputs)]
+    def tasks(warmup_insts, members=programs):
+        return [RunTask(run_index=10 + index, workload_name="prologue",
+                        program=member, config=SMALL_BOOM,
+                        warmup_insts=warmup_insts)
+                for index, member in enumerate(members)]
 
-    tasks = build_tasks()
-    divergences = attach_batch_checkpoints(tasks, list(range(4)), lanes=4,
-                                           warmup_insts=64, cache=cache)
-    assert divergences == []
-    assert all(task.checkpoint is not None for task in tasks)
-
-    # A second campaign over the same inputs must be served entirely from
-    # the cache — no re-capture.
-    import repro.sampler.checkpoint as checkpoint_module
-
-    def refuse_capture(*args, **kwargs):
-        raise AssertionError("expected a checkpoint record, got a capture")
-
-    monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
-                        refuse_capture)
-    fresh = build_tasks()
-    attach_batch_checkpoints(fresh, list(range(4)), lanes=4,
-                             warmup_insts=64, cache=cache)
-    assert [task.checkpoint for task in fresh] == \
-        [task.checkpoint for task in tasks]
+    scalar = [capture_checkpoint(member, warmup_insts=0)
+              for member in programs]
+    checkpoints, events = attach_batch_checkpoints(tasks(0))
+    assert list(checkpoints) == scalar
+    assert [(event.kind, event.lanes) for event in events] == [
+        ("branch", (1, 3))]
+    assert attach_batch_checkpoints(tasks(0, programs[1:2])) == (
+        [scalar[1]], [])
+    assert attach_batch_checkpoints(tasks(None)) == ([None] * 4, [])
 
 
-def test_one_checkpoint_per_input_across_lane_widths(tmp_path, monkeypatch):
-    """Every lane width, and ``batch_lanes=None``, shares one checkpoint
-    record per input: after a cold ``auto`` campaign, neither a partially
-    warm ``auto`` re-run (3 inputs pending) nor a scalar campaign
-    captures."""
-    import repro.sampler.checkpoint as checkpoint_module
+def test_one_trace_per_input_across_lane_widths(tmp_path, monkeypatch):
+    """Every lane width, and ``batch_lanes=None``, shares one trace record
+    per input: after a cold ``auto`` campaign, a scalar campaign captures
+    and simulates nothing.  A group replays only whole, so an ``auto``
+    re-run that misses three traces simulates the whole group again."""
+    import repro.sampler.exec_backend as exec_backend
 
     workload = with_bootstrap(make_sam_ct(n_keys=8), insts=400)
     cache = TraceCache(tmp_path)
-    checkpoint_root = tmp_path / CHECKPOINT.name
 
     def campaign(batch_lanes):
         return run_campaign(workload, SMALL_BOOM, cache=cache,
                             warmup_insts=64, batch_lanes=batch_lanes)
 
     cold = campaign("auto")
-    assert len(list(checkpoint_root.rglob("*.json"))) == 8
     assert cold.ff_steps_total > 0
     traces = sorted((tmp_path / TRACE.name).rglob("*.json"))
     assert len(traces) == 8
+    assert len(list((tmp_path / LOCKSTEP.name).rglob("*.json"))) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expected a replay, got a simulation")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(exec_backend, "execute_run_batch", refuse)
+        scalar = campaign(None)
+    assert scalar.n_cached_runs == 8
     for path in traces[:3]:
         path.unlink()
-
-    def refuse_capture(*args, **kwargs):
-        raise AssertionError("expected a checkpoint record, got a capture")
-
-    monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
-                        refuse_capture)
-    monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
-                        refuse_capture)
     partial = campaign("auto")
-    assert partial.n_cached_runs == 5
-    scalar = campaign(None)
-    assert scalar.n_cached_runs == 0  # core_lanes joins the trace key
-    assert len(list(checkpoint_root.rglob("*.json"))) == 8
+    assert partial.n_cached_runs == 0
+    assert len(list((tmp_path / TRACE.name).rglob("*.json"))) == 8
     for result in (partial, scalar):
         assert [run.stats for run in result.runs] == \
             [run.stats for run in cold.runs]
+        assert result.divergences == cold.divergences
 
 
 def test_prepare_campaign_rejects_a_negative_warmup_budget():
@@ -577,17 +547,17 @@ def test_interpreter_data_image_is_not_dirty():
 
 def _plant_stale_entries(root):
     """A trace record written under another source, and a garbage
-    checkpoint record."""
+    lockstep record."""
     from tests import records
 
     trace = root / TRACE.name / "ab" / ("ab" * 8 + ".json")
     trace.parent.mkdir(parents=True, exist_ok=True)
     trace.write_bytes(records.join(
         {"source": "0" * 16, "key": trace.stem, "body_blake2b": "0"}, b"{}"))
-    ckpt = root / CHECKPOINT.name / "cd" / ("cd" * 8 + ".json")
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    ckpt.write_bytes(b"garbage")
-    return trace, ckpt
+    lockstep = root / LOCKSTEP.name / "cd" / ("cd" * 8 + ".json")
+    lockstep.parent.mkdir(parents=True, exist_ok=True)
+    lockstep.write_bytes(b"garbage")
+    return trace, lockstep
 
 
 def test_cache_stats_and_prune(tmp_path):
@@ -595,23 +565,23 @@ def test_cache_stats_and_prune(tmp_path):
     workload = make_sam_ct(n_keys=1)
     run_campaign(workload, SMALL_BOOM, cache=TraceCache(root),
                  warmup_insts=DEFAULT_WARMUP_INSTS)
-    trace, ckpt = _plant_stale_entries(root)
+    trace, lockstep = _plant_stale_entries(root)
 
     stats = cache_stats(root)
     assert stats["trace"]["entries"] >= 2
     assert stats["trace"]["stale_entries"] == 1
-    assert stats["checkpoint"]["stale_entries"] == 1
+    assert stats["lockstep"]["stale_entries"] == 1
 
     removed = prune_cache(root)
     assert removed["removed_entries"] == 2
-    assert not trace.exists() and not ckpt.exists()
+    assert not trace.exists() and not lockstep.exists()
     # Fresh entries survive a stale-only prune...
     assert cache_stats(root)["trace"]["entries"] >= 1
     # ...and a full prune clears everything.
     prune_cache(root, all_entries=True)
     stats = cache_stats(root)
     assert stats["trace"]["entries"] == 0
-    assert stats["checkpoint"]["entries"] == 0
+    assert stats["lockstep"]["entries"] == 0
 
 
 def test_cache_cli_stats_and_prune(tmp_path, capsys):
@@ -621,7 +591,7 @@ def test_cache_cli_stats_and_prune(tmp_path, capsys):
     _plant_stale_entries(root)
     assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
     out = capsys.readouterr().out
-    assert "trace" in out and "checkpoint" in out
+    assert "trace" in out and "lockstep" in out
     assert "1 stale" in out and "cache prune" in out
 
     assert main(["cache", "prune", "--cache-dir", str(root)]) == 0

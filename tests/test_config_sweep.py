@@ -4,10 +4,10 @@ The sweep's contract is that it changes *where* work happens, never *what*
 comes out: every config leg's report must be bit-identical to running
 ``MicroSampler(config).analyze(workload)`` standalone with the same cache
 state — serially, under ``jobs=4``, through a ``WorkerPool``, with the
-taint prescreen on, and on both cold and warm caches.  The satellites are
-pinned here too: cross-config checkpoint sharing (capture under MegaBoom,
-hit under SmallBoom), the memoized config digest, and the per-config
-``cache stats`` breakdown.
+taint prescreen on, and on both cold and warm caches.  A cached leg also
+equals a cacheless one: each leg captures its own checkpoints and records
+its own divergence events.  The memoized config digest and the per-config
+``cache stats`` breakdown are pinned here too.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def test_sweep_matches_standalone_cold_and_warm(tmp_path):
     configs = (SMALL_BOOM, MEGA_BOOM)
 
     # Naive loop: sequential standalone runs sharing one cold cache (the
-    # first leg captures checkpoints, the second loads them — the same
+    # first leg stores the taint witness, later legs load it — the same
     # shape the sweep produces).
     naive_cache = TraceCache(tmp_path / "naive")
     naive = {
@@ -199,39 +199,28 @@ def test_sweep_rejects_duplicate_config_names():
         sweep_configs(_chacha(), ())
 
 
-# -- cross-config checkpoint sharing (satellite: pinned behaviour) -----------
+# -- every leg records its own divergence events -----------------------------
 
 
-def test_checkpoints_shared_across_configs(tmp_path, monkeypatch):
-    """Capture under MegaBoom, then run SmallBoom: the store is hit.
+def test_cached_sweep_legs_equal_cacheless_standalone_runs(tmp_path):
+    """A cached sweep over MegaBoom and SmallBoom of a workload whose
+    prologue diverges: each leg captures its own checkpoints, so each
+    reports both events (the capture's and the lockstep run's), as a
+    cacheless standalone ``analyze`` of that leg does."""
+    from repro.sampler.runner import Workload
+    from tests.test_runner_pipeline import _DIVERGENT_PROLOGUE
 
-    ``checkpoint_key`` deliberately excludes the core configuration — a
-    checkpoint is architectural state.  This test turns that comment into
-    behaviour: the second config's campaign must not capture anything.
-    """
-    import repro.sampler.checkpoint as checkpoint_mod
-
-    calls = []
-    real_capture = checkpoint_mod.capture_checkpoints_batch
-
-    def counting_capture(*args, **kwargs):
-        calls.append(1)
-        return real_capture(*args, **kwargs)
-
-    monkeypatch.setattr(checkpoint_mod, "capture_checkpoints_batch",
-                        counting_capture)
-
-    workload = _ee_memcmp()
-    cache = TraceCache(tmp_path / "cache")
-    _standalone(workload, MEGA_BOOM, cache=cache,
-                warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
-    captures_after_first = len(calls)
-    assert captures_after_first >= 1
-
-    _standalone(workload, SMALL_BOOM, cache=cache,
-                warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
-    assert len(calls) == captures_after_first, \
-        "SmallBoom re-captured checkpoints MegaBoom already stored"
+    workload = Workload(name="divergent-prologue",
+                        source=_DIVERGENT_PROLOGUE,
+                        inputs=[{"key": bytes([k])} for k in (0, 1, 2, 3)])
+    knobs = dict(warmup_insts=64, batch_lanes="auto")
+    configs = (MEGA_BOOM, SMALL_BOOM)
+    result = sweep_configs(workload, configs,
+                           cache=TraceCache(tmp_path / "cache"), **knobs)
+    for config in configs:
+        alone = _standalone(workload, config, **knobs)
+        assert len(alone.divergences) == 2
+        assert _scrub(result.reports[config.name]) == _scrub(alone)
 
 
 # -- satellite: memoized config digest ---------------------------------------

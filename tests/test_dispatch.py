@@ -69,7 +69,7 @@ class _InlineExecutor:
         self.workers = workers
         self.groups: list = []
 
-    def submit(self, group):
+    def submit(self, group, keys=None):
         self.groups.append(group)
         future = concurrent.futures.Future()
         future.set_result(exec_backend._run_shard(group))
@@ -240,8 +240,9 @@ def test_plans_come_back_in_input_order_and_pools_are_sized(inline_pool):
 
 
 def test_simulate_is_capture_plus_shard_time_less_trace(tmp_path):
-    """Table VI's simulate is read off the tree: checkpoint capture plus
-    the shards' in-worker time outside the tracer, pooled or not."""
+    """Table VI's simulate is read off the tree: the shards' in-worker
+    time outside the tracer, pooled or not, where each shard's time
+    includes its lane group's checkpoint capture."""
     with exec_backend.WorkerPool(2) as pool:
         for jobs, name in ((1, "serial"), (pool, "pool")):
             cache = TraceCache(tmp_path / name)
@@ -259,9 +260,10 @@ def test_simulate_is_capture_plus_shard_time_less_trace(tmp_path):
                 parse = simulate.total("trace")
                 assert 0 < parse < simulate.seconds
                 assert timings.parse_seconds == parse
-                assert timings.simulate_seconds == (
-                    spans.seconds_at("plan", "capture") + simulate.seconds
-                    - parse)
+                assert timings.simulate_seconds == simulate.seconds - parse
+                assert "capture" not in spans.children["plan"].children
+                [shard] = simulate.children.values()
+                assert 0 < shard.seconds_at("capture") < shard.seconds
 
 
 def test_campaign_seconds_exclude_other_campaigns(inline_pool, monkeypatch):
@@ -294,9 +296,9 @@ def test_audit_seconds_count_worker_time(monkeypatch):
     run_shard = exec_backend._run_shard
 
     def slow_worker(group):
-        outputs = run_shard(group)
-        outputs[0].span.seconds += extra
-        return outputs
+        result = run_shard(group)
+        result.span.seconds += extra
+        return result
 
     monkeypatch.setattr(exec_backend, "_run_shard", slow_worker)
     started = time.perf_counter()

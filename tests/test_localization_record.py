@@ -496,7 +496,7 @@ def test_stats_and_prune_know_the_localization_kind(tmp_path, capsys,
     assert stats == {"entries": 1, "bytes": path.stat().st_size,
                      "stale_entries": 0, "stale_bytes": 0}
 
-    kinds = ["trace", "checkpoint", "witness", "report", LOCALIZATION.name]
+    kinds = ["trace", "lockstep", "witness", "report", LOCALIZATION.name]
     assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.split()[0] in kinds and " entries (" in line]

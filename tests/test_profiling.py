@@ -106,3 +106,24 @@ def test_render_keeps_every_stage_row():
     rendered = render_profile(profile_view(spans))
     for label, _methods in STAGES.values():
         assert f"\n  {label:<16s} " in rendered
+
+
+def test_tracer_row_is_the_parse_stage(capsys):
+    """``--profile``'s tracer row and Table VI's parse stage read the same
+    timers (sampling plus ``iter.end`` finalizing), so they agree; the
+    commit row no longer absorbs the finalizing."""
+    import json
+
+    from repro.cli import main
+
+    argv = ["analyze", "ee-mem-cmp", "--config", "small", "--inputs", "4",
+            "--profile", "--no-cache", "--jobs", "1"]
+    assert main([*argv, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    parse = payload["timings_seconds"]["parse"]
+    assert parse > 0
+    assert abs(payload["profile"]["tracer_seconds"] - parse) <= 1e-9
+    assert main(argv) == 1
+    rendered = capsys.readouterr().out
+    for label, _methods in STAGES.values():
+        assert f"\n  {label:<16s} " in rendered, label

@@ -425,7 +425,7 @@ def test_stats_and_prune_sweep_stale_report_records(tmp_path, capsys):
     result = prune_cache(root)
     assert result["removed_report"] == 2
     assert result["removed_witness"] == 0
-    assert result["removed_trace"] == result["removed_checkpoint"] == 0
+    assert result["removed_trace"] == result["removed_lockstep"] == 0
     assert result["removed_entries"] == 2
     assert _records(root) == [live]
     assert main(["cache", "prune", "--cache-dir", str(root)]) == 0

@@ -256,8 +256,15 @@ class TestBatchLockstepCampaign:
         assert dicts["auto", "cold"] == dicts["off", "cold"]
         assert dicts["auto", "warm"] == dicts["off", "cold"]
         assert dicts["off", "warm"] == dicts["off", "cold"]
-        # The prepass persisted its captures under the cache root.
-        assert list((tmp_path / "auto" / "checkpoint").rglob("*.json"))
+        # Both widths stored the same trace records; only the auto
+        # campaign's one lane group has a lockstep record.
+        traces = {mode: sorted(path.name for path in
+                               (tmp_path / mode / "trace").rglob("*.json"))
+                  for mode in ("off", "auto")}
+        assert len(traces["auto"]) == 4 and traces["off"] == traces["auto"]
+        assert len(list((tmp_path / "auto" / "lockstep").rglob("*.json"))) \
+            == 1
+        assert not (tmp_path / "off" / "lockstep").exists()
 
     def test_localization_identical_under_batch_prepass(self, tmp_path):
         from repro.localize.annotate import localization_to_dict

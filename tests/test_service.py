@@ -364,6 +364,30 @@ def test_a_job_stores_each_simulated_output_once(monkeypatch):
     assert final["result"]["timings_seconds"]["parse"] > 0
 
 
+def test_a_job_keys_each_input_once(monkeypatch):
+    # The job's plan keys every input once; its view of the pool claims,
+    # loads and stores each lane group by the keys the plan hands it.
+    from repro.sampler.trace_cache import TraceCache
+
+    keyed = []
+    real_key_for = TraceCache.key_for
+
+    def counted(self, task):
+        keyed.append(task.run_index)
+        return real_key_for(self, task)
+
+    monkeypatch.setattr(TraceCache, "key_for", counted)
+
+    async def scenario(server, client):
+        return await submit_and_wait(
+            client, {**ANALYZE_SPEC, "inputs": 4}, timeout=120)
+
+    final = run_service(scenario)
+    assert final["state"] == "done"
+    assert final["stats"]["shards_simulated"] == 4
+    assert sorted(keyed) == [0, 1, 2, 3]
+
+
 def test_concurrent_duplicate_jobs_simulate_each_input_once():
     async def scenario(server, client):
         return await asyncio.gather(

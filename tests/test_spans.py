@@ -129,7 +129,7 @@ def test_no_record_holds_host_time(tmp_path):
     localize(workload, sampler=sampler)
     paths = sorted(tmp_path.rglob("*.json"))
     assert {path.parent.parent.name for path in paths} == {
-        "trace", "checkpoint", "witness", "report", "localization"}
+        "trace", "lockstep", "witness", "report", "localization"}
     for path in paths:
         head, _, body = path.read_bytes().partition(b"\n")
         keys = [*_keys(json.loads(head)), *_keys(json.loads(body))]

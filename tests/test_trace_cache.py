@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.sampler import (
 from repro.sampler import trace_cache
 from repro.sampler.exec_backend import RunTask
 from repro.sampler.trace_cache import (
-    CHECKPOINT,
+    LOCKSTEP,
     RECORD_KINDS,
     REPORT,
     TRACE,
@@ -136,19 +137,22 @@ class TestKeying:
             == task_key(_task(_workload(), pruned=("Cache-ADDR", "ROB-PC")))
 
     def test_batch_prepass_fields_do_not_change_key(self):
-        # The lockstep prepass only changes how the roi.begin checkpoint is
-        # captured, never the simulated trace, so --batch-lanes auto and
-        # off (and an attached checkpoint) must share trace-cache entries.
-        from repro.sampler import patch_program
-        from repro.sampler.checkpoint import capture_checkpoint
+        # Lockstep lanes change how a group captures its checkpoints and
+        # runs, never an input's trace, so every lane width plans the same
+        # trace keys; only the groups (and their lockstep keys) differ.
+        from repro.sampler.runner import prepare_campaign
+        from repro.sampler.trace_cache import lockstep_key
 
-        workload = _workload()
-        base = _task(workload, warmup_insts=64)
-        checkpoint = capture_checkpoint(
-            patch_program(workload.assemble(), workload.inputs[0]),
-            warmup_insts=64)
-        assert task_key(base) == task_key(
-            _task(workload, warmup_insts=64, checkpoint=checkpoint))
+        plans = {lanes: prepare_campaign(
+            _workload(), SMALL_BOOM, cache=TraceCache("/nonexistent"),
+            warmup_insts=64, batch_lanes=lanes) for lanes in (None, 2, 4)}
+        keys = {lanes: plan.keys for lanes, plan in plans.items()}
+        assert keys[None] == keys[2] == keys[4]
+        assert [list(group) for group in plans[2].groups] == [[0, 1],
+                                                             [2, 3]]
+        assert lockstep_key(keys[2][:2]) != lockstep_key(keys[2][2:])
+        assert lockstep_key(keys[4]) not in (lockstep_key(keys[2][:2]),
+                                             lockstep_key(keys[2][2:]))
 
     def test_key_is_pinned(self, monkeypatch):
         # A literal key for a fixed tiny program under a fixed source
@@ -156,28 +160,31 @@ class TestKeying:
         # platform, or a pool worker would miss what its parent stored.
         # Any edit of the sources changes every key by itself.
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
-        assert task_key(_task(_workload())) == "eabb5ee4a4aff5c0"
+        assert task_key(_task(_workload())) == "3347b4a284d5ab74"
 
-    def test_checkpoint_key_is_pinned(self, monkeypatch):
-        from repro.sampler.checkpoint import checkpoint_key
+    def test_lockstep_key_is_pinned(self, monkeypatch):
+        # A group's key is its members' trace keys, in lane order.
+        from repro.sampler.trace_cache import lockstep_key
 
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
-        program = _task(_workload()).program
-        assert checkpoint_key(program, None, 64) == "4ae4b5b7d045d35e"
+        key = task_key(_task(_workload()))
+        assert lockstep_key([key, "f" * 16]) == "3a3bedbb91fbb274"
+        assert lockstep_key(["f" * 16, key]) != lockstep_key([key, "f" * 16])
+        assert lockstep_key([key, None]) is None
 
     def test_the_source_digest_salts_every_key(self, monkeypatch, tmp_path):
-        from repro.sampler.checkpoint import checkpoint_key
+        from repro.sampler.trace_cache import lockstep_key
 
         task = _task(_workload())
-        keys = (task_key(task), checkpoint_key(task.program, None, 64))
+        keys = (task_key(task), lockstep_key([task_key(task)] * 2))
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "e" * 16)
-        salted = (task_key(task), checkpoint_key(task.program, None, 64))
+        salted = (task_key(task), lockstep_key([task_key(task)] * 2))
         assert keys[0] != salted[0] and keys[1] != salted[1]
         # Without a digest there is no key, and a campaign plans as if it
         # had no cache: nothing is read or written.
         monkeypatch.setattr(trace_cache, "source_digest", lambda: None)
         assert task_key(task) is None
-        assert checkpoint_key(task.program, None, 64) is None
+        assert lockstep_key([task_key(task)] * 2) is None
         cache = TraceCache(tmp_path)
         campaign = run_campaign(_workload(), SMALL_BOOM, cache=cache,
                                 warmup_insts=8)
@@ -197,17 +204,12 @@ class TestTextDigestMemo:
         return trace_cache
 
     def test_equal_text_in_distinct_lists_keys_identically(self):
-        from repro.sampler.checkpoint import checkpoint_key
-
         a, b = _task(_workload()), _task(_workload())
         assert a.program.instructions is not b.program.instructions
         assert task_key(a) == task_key(b)
-        assert checkpoint_key(a.program, None, 64) == \
-            checkpoint_key(b.program, None, 64)
 
     def test_shared_list_still_keys_on_data(self):
         from repro.sampler import patch_program
-        from repro.sampler.checkpoint import checkpoint_key
 
         program = _workload().assemble()
         one, two, one_again = (patch_program(program, {"key": bytes([k])})
@@ -216,13 +218,10 @@ class TestTextDigestMemo:
         keys = [task_key(_task(_workload(), program=p))
                 for p in (one, two, one_again)]
         assert keys[0] != keys[1] and keys[0] == keys[2]
-        ckpts = [checkpoint_key(p, None, 64) for p in (one, two, one_again)]
-        assert ckpts[0] != ckpts[1] and ckpts[0] == ckpts[2]
 
     def test_campaign_canonicalizes_text_once(self, fresh_memo, monkeypatch,
                                               tmp_path):
         from repro.cli import build_workload
-        from repro.sampler.checkpoint import checkpoint_key
         from repro.sampler.runner import prepare_campaign
 
         calls = []
@@ -238,7 +237,7 @@ class TestTextDigestMemo:
                                 cache=TraceCache(tmp_path), warmup_insts=512)
         assert len(set(plan.keys)) == 64
         for task in plan.tasks:
-            checkpoint_key(task.program, task.memory_map, task.warmup_insts)
+            task_key(task)
         assert len(calls) == 1
 
     def test_memo_is_bounded_and_identity_checked(self, fresh_memo):
@@ -340,8 +339,8 @@ class TestReplay:
             for path in kind_paths:
                 assert cache.load_record(kind, path.stem) is None
         assert all(cache.load(path.stem) is None for path in paths[TRACE])
-        assert cache_stats(tmp_path)[CHECKPOINT.name]["stale_entries"] \
-            == len(paths[CHECKPOINT])
+        assert cache_stats(tmp_path)[LOCKSTEP.name]["stale_entries"] \
+            == len(paths[LOCKSTEP])
 
     def test_no_cache_bypasses(self, tmp_path):
         workload = _workload()
@@ -384,13 +383,14 @@ class TestPrune:
 
     @staticmethod
     def _populate(cache):
-        # warmup_insts + cache makes run_campaign store a checkpoint record
-        # per unique program beside its trace record.
-        run_campaign(_workload(), SMALL_BOOM, cache=cache, warmup_insts=8)
+        # Lanes make run_campaign store a lockstep record per lane group
+        # beside its members' trace records.
+        run_campaign(_workload(), SMALL_BOOM, cache=cache, warmup_insts=8,
+                     batch_lanes=2)
         traces = sorted((cache.root / TRACE.name).rglob("*.json"))
-        checkpoints = sorted((cache.root / CHECKPOINT.name).rglob("*.json"))
-        assert traces and checkpoints
-        return traces, checkpoints
+        lockstep = sorted((cache.root / LOCKSTEP.name).rglob("*.json"))
+        assert len(traces) == 4 and len(lockstep) == 2
+        return traces, lockstep
 
     @staticmethod
     def _stale_ify(paths):
@@ -400,74 +400,83 @@ class TestPrune:
                                                  source="0" * 16))
 
     def test_fresh_cache_is_untouched(self, cache):
-        traces, checkpoints = self._populate(cache)
+        traces, lockstep = self._populate(cache)
         result = prune_cache(cache.root)
         assert result["removed_entries"] == 0
         assert all(result[f"removed_{kind.name}"] == 0
                    for kind in RECORD_KINDS)
         assert sorted((cache.root / TRACE.name).rglob("*.json")) == traces
-        assert sorted((cache.root / CHECKPOINT.name).rglob("*.json")) \
-            == checkpoints
+        assert sorted((cache.root / LOCKSTEP.name).rglob("*.json")) \
+            == lockstep
 
-    def test_stale_traces_orphan_their_checkpoints(self, cache, monkeypatch):
-        # Under one source salt a trace and its checkpoint go stale
-        # together: after a source edit, prune removes both.
-        traces, checkpoints = self._populate(cache)
+    def test_stale_traces_orphan_their_lockstep_records(self, cache,
+                                                        monkeypatch):
+        # Under one source salt a group's traces and its lockstep record
+        # go stale together: after a source edit, prune removes both.
+        traces, lockstep = self._populate(cache)
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "e" * 16)
         result = prune_cache(cache.root)
         assert result["removed_trace"] == len(traces)
-        assert result["removed_checkpoint"] == len(checkpoints)
-        assert result["removed_entries"] == len(traces) + len(checkpoints)
+        assert result["removed_lockstep"] == len(lockstep)
+        assert result["removed_entries"] == len(traces) + len(lockstep)
         assert result["removed_bytes"] > 0
         assert not list(cache.root.rglob("*"))
 
-    def test_referenced_checkpoints_survive(self, cache, monkeypatch):
-        # A current checkpoint whose trace is gone is still a record a later
-        # run can use: prune keeps it, and the rerun captures nothing.
-        import repro.sampler.checkpoint as checkpoint_module
+    def test_a_group_missing_a_record_simulates_whole(self, cache):
+        # A group replays whole or not at all: without one member's trace,
+        # or without its lockstep record, every member simulates again,
+        # and the other group still replays.
+        traces, lockstep = self._populate(cache)
+        for missing in (traces[0], lockstep[0]):
+            missing.unlink()
+            rerun = run_campaign(_workload(), SMALL_BOOM, cache=cache,
+                                 warmup_insts=8, batch_lanes=2)
+            assert rerun.n_cached_runs == 2
+        assert sorted((cache.root / TRACE.name).rglob("*.json")) == traces
+        assert sorted((cache.root / LOCKSTEP.name).rglob("*.json")) \
+            == lockstep
 
-        traces, checkpoints = self._populate(cache)
-        self._stale_ify(traces)
-        result = prune_cache(cache.root)
-        assert result["removed_trace"] == len(traces)
-        assert result["removed_checkpoint"] == 0
-        assert sorted((cache.root / CHECKPOINT.name).rglob("*.json")) \
-            == checkpoints
-
-        def refuse_capture(*args, **kwargs):
-            raise AssertionError("expected a checkpoint record, got a capture")
-
-        monkeypatch.setattr(checkpoint_module, "capture_checkpoint",
-                            refuse_capture)
-        rerun = run_campaign(_workload(), SMALL_BOOM, cache=cache,
-                             warmup_insts=8)
-        assert rerun.n_cached_runs == 0
-
-    def test_stale_checkpoints_are_swept(self, cache):
-        traces, checkpoints = self._populate(cache)
-        self._stale_ify(checkpoints)
+    def test_stale_lockstep_records_are_swept(self, cache):
+        traces, lockstep = self._populate(cache)
+        self._stale_ify(lockstep)
         result = prune_cache(cache.root)
         assert result["removed_trace"] == 0
-        assert result["removed_checkpoint"] == len(checkpoints)
-        assert not (cache.root / CHECKPOINT.name).exists()
+        assert result["removed_lockstep"] == len(lockstep)
+        assert not (cache.root / LOCKSTEP.name).exists()
         assert sorted((cache.root / TRACE.name).rglob("*.json")) == traces
 
+    def test_a_retired_checkpoint_directory_is_left_alone(self, cache,
+                                                          capsys):
+        # Checkpoint records are gone: an older cache's ``checkpoint/`` is
+        # not read, counted or pruned, so deleting it is the user's call.
+        self._populate(cache)
+        old = cache.root / "checkpoint" / "ab" / ("ab" * 8 + ".json")
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"{}\n{}")
+        assert "checkpoint" not in cache_stats(cache.root)
+        prune_cache(cache.root, all_entries=True)
+        assert old.exists()
+        assert main(["cache", "stats", "--cache-dir", str(cache.root)]) == 0
+        kinds = [line.split()[0] for line in
+                 capsys.readouterr().out.splitlines()[1:]]
+        assert "checkpoint" not in kinds and "lockstep" in kinds
+
     def test_prune_all_empties_both_stores(self, cache):
-        traces, checkpoints = self._populate(cache)
+        traces, lockstep = self._populate(cache)
         result = prune_cache(cache.root, all_entries=True)
         assert result["removed_trace"] == len(traces)
-        assert result["removed_checkpoint"] == len(checkpoints)
+        assert result["removed_lockstep"] == len(lockstep)
         # Empty shard directories are cleaned up with their entries.
         assert not list(cache.root.rglob("*"))
 
     def test_stats_inventories_both_kinds(self, cache):
-        traces, checkpoints = self._populate(cache)
+        traces, lockstep = self._populate(cache)
         self._stale_ify(traces[:1])
         stats = cache_stats(cache.root)
         assert stats["trace"]["entries"] == len(traces)
         assert stats["trace"]["stale_entries"] == 1
-        assert stats["checkpoint"]["entries"] == len(checkpoints)
-        assert stats["checkpoint"]["stale_entries"] == 0
+        assert stats["lockstep"]["entries"] == len(lockstep)
+        assert stats["lockstep"]["stale_entries"] == 0
         [config] = stats["per_config"].values()
         assert config["name"] == SMALL_BOOM.name
         assert config["entries"] == len(traces) - 1
@@ -491,13 +500,13 @@ class TestPrune:
             "bytes": sum(path.stat().st_size for path in traces)}}
 
     def test_cli_prune_reports_per_kind_counts(self, cache, capsys):
-        traces, checkpoints = self._populate(cache)
-        self._stale_ify(traces + checkpoints)
+        traces, lockstep = self._populate(cache)
+        self._stale_ify(traces + lockstep)
         assert main(["cache", "prune", "--cache-dir",
                      str(cache.root)]) == 0
         out = capsys.readouterr().out
         assert f"{len(traces)} stale trace" in out
-        assert f"{len(checkpoints)} stale checkpoint" in out
+        assert f"{len(lockstep)} stale lockstep" in out
 
     def test_maintenance_touches_only_cache_files(self, cache, capsys):
         """``cache stats`` counts, and ``cache prune [--all]`` deletes,
@@ -547,7 +556,7 @@ class TestFaults:
         payload.pop("timings_seconds")
         return payload
 
-    @pytest.mark.parametrize("kind", [TRACE, CHECKPOINT], ids=lambda k: k.name)
+    @pytest.mark.parametrize("kind", [TRACE, LOCKSTEP], ids=lambda k: k.name)
     @pytest.mark.parametrize("damage, reason", [
         (lambda raw: raw[:len(raw) // 2], "damaged"),
         (records.flip_a_body_byte, "damaged"),
@@ -556,41 +565,26 @@ class TestFaults:
     ], ids=["truncated", "flipped_byte", "foreign_key", "foreign_source"])
     def test_a_damaged_record_is_resimulated_and_overwritten(
             self, kind, damage, reason, tmp_path, monkeypatch):
-        import repro.sampler.checkpoint as checkpoint_module
-
         workload = _workload()
         cache = TraceCache(tmp_path)
-        expected = self._report(MicroSampler(SMALL_BOOM, cache=cache),
-                                workload)
-        # The rerun must read traces (not the report), and for a damaged
-        # checkpoint simulate every input (so it reads the checkpoints).
+        sampler = MicroSampler(SMALL_BOOM, cache=cache, batch_lanes=2)
+        expected = self._report(sampler, workload)
+        # The rerun must read traces (not the report).
         shutil.rmtree(tmp_path / "report")
-        if kind is CHECKPOINT:
-            shutil.rmtree(tmp_path / TRACE.name)
         path = sorted((tmp_path / kind.name).rglob("*.json"))[0]
         raw = path.read_bytes()
         path.write_bytes(damage(raw))
-        captured = []
-        real_capture = checkpoint_module.capture_checkpoints_batch
-
-        def counting(programs, **kwargs):
-            captured.extend(programs)
-            return real_capture(programs, **kwargs)
-
-        monkeypatch.setattr(checkpoint_module, "capture_checkpoints_batch",
-                            counting)
         warm = TraceCache(tmp_path)
-        assert self._report(MicroSampler(SMALL_BOOM, cache=warm),
+        assert self._report(replace(sampler, cache=warm),
                             workload) == expected
-        # The planted damage is the only miss of its kind, by its reason.
+        # The planted damage is the only miss of its kind, by its reason,
+        # and its group simulates whole: both traces are stored again.
         assert warm.misses_by_reason[kind.name] == {reason: 1}
         assert warm.misses_by_reason[REPORT.name] == {"absent": 1}
-        if kind is TRACE:
-            assert (warm.hits, warm.misses, warm.stores) == (3, 1, 1)
-            assert warm.load(path.stem) is not None
-        else:
-            assert len(captured) == 1
-            assert path.read_bytes() == raw  # overwritten, sound again
+        assert (warm.hits, warm.misses, warm.stores) == (
+            (3, 1, 2) if kind is TRACE else (4, 0, 2))
+        assert warm.load_record(kind, path.stem) is not None
+        assert path.read_bytes() == raw  # overwritten, sound again
 
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EROFS],
                              ids=["ENOSPC", "EROFS"])
@@ -638,7 +632,7 @@ class TestFaults:
 
         def view(run):
             return (run.iterations, run.run, run.cycles_sampled,
-                    run.divergences)
+                    run.ff_steps)
 
         def write():
             cache = TraceCache(tmp_path)

@@ -91,7 +91,7 @@ def test_shard_submission_preserves_task_order():
     tasks = make_tasks(4)
     with WorkerPool(3) as pool:
         future = pool.submit(tasks)
-        outputs = future.result(timeout=120)
+        outputs = future.result(timeout=120).outputs
     assert [output.run_index for output in outputs] \
         == [task.run_index for task in tasks]
 
