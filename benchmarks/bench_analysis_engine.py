@@ -23,7 +23,7 @@ from repro.sampler import (
 )
 from repro.sampler.runner import CampaignResult, Workload
 from repro.trace.features import FEATURE_ORDER
-from repro.trace.tracer import FeatureIteration, IterationRecord, MicroarchTracer
+from repro.trace.tracer import FeatureIteration, IterationRecord
 from repro.uarch import MEGA_BOOM
 
 from _harness import emit
@@ -43,13 +43,13 @@ def synthetic_campaign(n_runs: int, *, iterations_per_run: int = 4,
     expected verdict per unit is known.
     """
     rng = random.Random(seed)
-    tracer = MicroarchTracer()
+    iterations = []
     for run_index in range(n_runs):
         label = run_index % 2
         for ordinal in range(iterations_per_run):
-            record = IterationRecord(index=0, label=label, start_cycle=0,
-                                     end_cycle=100, run_index=run_index,
-                                     ordinal=ordinal)
+            record = IterationRecord(index=len(iterations), label=label,
+                                     start_cycle=0, end_cycle=100,
+                                     run_index=run_index, ordinal=ordinal)
             for feature_id in FEATURE_ORDER:
                 offset = (label * n_categories
                           if feature_id in LEAKY_UNITS else 0)
@@ -59,11 +59,11 @@ def synthetic_campaign(n_runs: int, *, iterations_per_run: int = 4,
                     values=frozenset(),
                     order=(),
                 )
-            tracer.append_record(record)
+            iterations.append(record)
     workload = Workload(name=f"synthetic-{n_runs}", source="",
                         inputs=[{}] * n_runs)
-    return CampaignResult(workload=workload, config=MEGA_BOOM, tracer=tracer,
-                          runs=[])
+    return CampaignResult(workload=workload, config=MEGA_BOOM,
+                          iterations=iterations, runs=[])
 
 
 def scalar_scores(campaign: CampaignResult) -> dict:

@@ -74,8 +74,7 @@ def _identity_view(output):
     The timing observation (``span``) is excluded; everything the tracer
     and core produced must match bit-for-bit.
     """
-    return (output.iterations, output.run, output.cycles_sampled,
-            output.ff_steps)
+    return output.iterations, output.run, output.ff_steps
 
 
 def measure(pairs, repeats: int = 2) -> list[dict]:

@@ -10,8 +10,7 @@ Commands
     Run the full MicroSampler pipeline on a built-in workload.
 ``sweep WORKLOAD``
     Run one workload across several core configurations as one stream of
-    campaigns (with a cache, the legs share the taint witness and the
-    checkpoints).
+    campaigns (with a cache, the legs share the taint witness).
 ``localize WORKLOAD``
     Detect leaks, then pin each one to a cycle window and the
     responsible instructions (annotated disassembly).
@@ -20,8 +19,8 @@ Commands
 ``disasm FILE``
     Assemble a file and print its disassembly with addresses.
 ``cache {stats,prune}``
-    Inspect or garbage-collect the cache directory (traces, checkpoints,
-    taint witness, report and localization records).
+    Inspect or garbage-collect the cache directory (trace, lockstep, taint
+    witness, report and localization records).
 """
 
 from __future__ import annotations
@@ -53,24 +52,54 @@ from repro.workloads.modexp import (
 from repro.workloads.openssl import make_primitive_workload, primitive_names
 from repro.workloads.spectre import make_spectre_v1
 
-#: name -> (factory(n, seed), description)
+
+def _keyed(make):
+    """A factory of ``inputs`` secret keys."""
+    return lambda inputs, seed: make(n_keys=inputs, seed=seed)
+
+
+def _memcmp(make):
+    """A factory of two runs of ``4 * inputs`` (at least 16) pairs."""
+    return lambda inputs, seed: make(n_pairs=max(4 * inputs, 16), seed=seed,
+                                     n_runs=2)
+
+
+#: name -> (factory(inputs, seed) -> Workload, description)
 WORKLOADS = {
-    "sam-leaky": (make_sam_leaky, "square-and-multiply with secret branch"),
-    "sam-ct": (make_sam_ct, "constant-time SAM, register cmov"),
-    "sam-ct-window": (make_sam_ct_window, "2-bit-window CT exponentiation"),
-    "me-v1-cv": (make_me_v1_cv, "libgcrypt CCOPY, compiler vulnerability"),
-    "me-v1-mv": (make_me_v1_mv, "branchless CCOPY, address leak"),
-    "me-v2-safe": (make_me_v2_safe, "BearSSL CCOPY (safe baseline)"),
-    "div-timing": (make_div_timing, "secret divisor on early-exit divider"),
-    "mp-modexp-ct": (make_mp_modexp_ct, "128-bit 2-limb CT modexp"),
-    "mp-modexp-leaky": (make_mp_modexp_leaky, "128-bit modexp, secret branch"),
-    "ct-mem-cmp": (None, "OpenSSL CRYPTO_memcmp + consumer (Listing 7-8)"),
-    "ee-mem-cmp": (None, "classic early-exit memcmp (localization demo)"),
-    "ct-mem-cmp-safe": (None, "CRYPTO_memcmp + branchless consumer (fixed)"),
-    "sbox-lookup": (None, "table-lookup S-box (cache side channel)"),
-    "sbox-ct": (None, "constant-time scan S-box"),
-    "spectre-v1": (None, "Spectre-PHT bounds-check-bypass litmus"),
-    "chacha20": (None, "RFC 7539 ChaCha20 block function (ARX)"),
+    "sam-leaky": (_keyed(make_sam_leaky),
+                  "square-and-multiply with secret branch"),
+    "sam-ct": (_keyed(make_sam_ct), "constant-time SAM, register cmov"),
+    "sam-ct-window": (_keyed(make_sam_ct_window),
+                      "2-bit-window CT exponentiation"),
+    "me-v1-cv": (_keyed(make_me_v1_cv),
+                 "libgcrypt CCOPY, compiler vulnerability"),
+    "me-v1-mv": (_keyed(make_me_v1_mv), "branchless CCOPY, address leak"),
+    "me-v2-safe": (_keyed(make_me_v2_safe), "BearSSL CCOPY (safe baseline)"),
+    "div-timing": (_keyed(make_div_timing),
+                   "secret divisor on early-exit divider"),
+    "mp-modexp-ct": (_keyed(make_mp_modexp_ct), "128-bit 2-limb CT modexp"),
+    "mp-modexp-leaky": (_keyed(make_mp_modexp_leaky),
+                        "128-bit modexp, secret branch"),
+    "ct-mem-cmp": (_memcmp(make_ct_memcmp),
+                   "OpenSSL CRYPTO_memcmp + consumer (Listing 7-8)"),
+    "ee-mem-cmp": (_memcmp(make_early_exit_memcmp),
+                   "classic early-exit memcmp (localization demo)"),
+    "ct-mem-cmp-safe": (_memcmp(make_ct_memcmp_safe),
+                        "CRYPTO_memcmp + branchless consumer (fixed)"),
+    # The secret-dependent address takes 64 distinct values, so the
+    # contingency table needs more samples per category for power.
+    "sbox-lookup": (lambda inputs, seed: make_sbox_lookup(
+                        n_sets=16, n_runs=max(inputs, 8), seed=seed),
+                    "table-lookup S-box (cache side channel)"),
+    "sbox-ct": (lambda inputs, seed: make_sbox_ct(
+                    n_sets=16, n_runs=max(inputs // 2, 2), seed=seed),
+                "constant-time scan S-box"),
+    "spectre-v1": (lambda inputs, seed: make_spectre_v1(
+                       n_iters=16, n_runs=max(inputs // 2, 2), seed=seed),
+                   "Spectre-PHT bounds-check-bypass litmus"),
+    "chacha20": (lambda inputs, seed: make_chacha20(
+                     n_keys=inputs, n_blocks=2, seed=seed),
+                 "RFC 7539 ChaCha20 block function (ARX)"),
 }
 
 
@@ -278,31 +307,9 @@ def build_workload(name, *, inputs: int = 8, seed: int = 3):
     produce identical workloads or cache keys (and therefore service
     dedup and bit-identity with the one-shot CLI) silently break.
     """
-    if name == "ct-mem-cmp":
-        return make_ct_memcmp(n_pairs=max(4 * inputs, 16),
-                              seed=seed, n_runs=2)
-    if name == "ee-mem-cmp":
-        return make_early_exit_memcmp(n_pairs=max(4 * inputs, 16),
-                                      seed=seed, n_runs=2)
-    if name == "ct-mem-cmp-safe":
-        return make_ct_memcmp_safe(n_pairs=max(4 * inputs, 16),
-                                   seed=seed, n_runs=2)
-    if name == "sbox-lookup":
-        # The secret-dependent address takes 64 distinct values, so the
-        # contingency table needs more samples per category for power.
-        return make_sbox_lookup(n_sets=16, n_runs=max(inputs, 8),
-                                seed=seed)
-    if name == "sbox-ct":
-        return make_sbox_ct(n_sets=16, n_runs=max(inputs // 2, 2),
-                            seed=seed)
-    if name == "chacha20":
-        return make_chacha20(n_keys=inputs, n_blocks=2, seed=seed)
-    if name == "spectre-v1":
-        return make_spectre_v1(n_iters=16, n_runs=max(inputs // 2, 2),
-                               seed=seed)
     if name in WORKLOADS:
         factory, _ = WORKLOADS[name]
-        return factory(n_keys=inputs, seed=seed)
+        return factory(inputs, seed)
     if name in primitive_names():
         return make_primitive_workload(name, n_sets=16,
                                        n_runs=max(inputs // 4, 1),
@@ -869,13 +876,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     cache = sub.add_parser(
-        "cache", help="inspect or prune the trace/checkpoint/witness/report/"
+        "cache", help="inspect or prune the trace/lockstep/witness/report/"
                       "localization cache")
     cache.add_argument("action", choices=["stats", "prune"],
                        help="'stats' inventories entries by kind (trace, "
-                            "checkpoint, taint witness, campaign report, "
-                            "localization) and staleness, and counts temp "
-                            "files of interrupted stores; 'prune' deletes "
+                            "lane-group lockstep events, taint witness, "
+                            "campaign report, localization) and "
+                            "staleness, and counts temp files of "
+                            "interrupted stores; 'prune' deletes "
                             "stale entries (records whose header names "
                             "another source digest or key, or whose body "
                             "fails its checksum)")

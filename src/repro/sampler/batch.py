@@ -95,8 +95,7 @@ def attach_batch_checkpoints(tasks: list) -> tuple:
     )
 
     if len(tasks) == 1:
-        return [capture_checkpoint(head.program, memory_map=head.memory_map,
+        return [capture_checkpoint(head.program,
                                    warmup_insts=head.warmup_insts)], []
     return capture_checkpoints_batch([task.program for task in tasks],
-                                     memory_map=head.memory_map,
                                      warmup_insts=head.warmup_insts)

@@ -95,7 +95,6 @@ class Checkpoint:
 
 
 def capture_checkpoint(program: Program, *,
-                       memory_map: MemoryMap | None = None,
                        warmup_insts: int = 0,
                        max_steps: int = MAX_CAPTURE_STEPS) -> Checkpoint | None:
     """Functionally execute ``program`` and checkpoint it before the ROI.
@@ -104,7 +103,7 @@ def capture_checkpoint(program: Program, *,
     no ``roi.begin``, halts first, traps, or exceeds ``max_steps``.  Callers
     fall back to full cycle-accurate simulation in that case.
     """
-    mm = memory_map or MemoryMap()
+    mm = MemoryMap()
 
     # Pass A: locate roi.begin (first marker wins, matching the tracer's
     # roi_seen latch).  The scout run needs no dirty-page tracking.
@@ -149,7 +148,6 @@ def capture_checkpoint(program: Program, *,
 
 
 def capture_checkpoints_batch(programs: list[Program], *,
-                              memory_map: MemoryMap | None = None,
                               warmup_insts: int = 0,
                               max_steps: int = MAX_CAPTURE_STEPS) -> tuple:
     """Capture all N lanes' checkpoints in one lockstep pass.
@@ -170,10 +168,10 @@ def capture_checkpoints_batch(programs: list[Program], *,
     results: list[Checkpoint | None] = [None] * len(programs)
     if not programs:
         return results, []
-    mm = memory_map or MemoryMap()
+    mm = MemoryMap()
 
     def scalar(lane: int) -> Checkpoint | None:
-        return capture_checkpoint(programs[lane], memory_map=mm,
+        return capture_checkpoint(programs[lane],
                                   warmup_insts=warmup_insts,
                                   max_steps=max_steps)
 

@@ -13,20 +13,17 @@ from the tasks, runs them to completion under a private
 a :class:`GroupOutput`: one :class:`RunOutput` of finalized iteration
 snapshots per input, plus the group's divergence events.
 
-Determinism is the design constraint: outputs are merged **in input order**
-(never completion order) and re-stamped with their global run index and
-iteration index, so the resulting trace matrix is bit-identical to a serial
-campaign regardless of worker scheduling.  This is what lets the parallel
-backend share a result cache with the serial one (see
+Determinism is the design constraint: :func:`merge_outputs` merges the
+outputs **in input order** (never completion order) into one list of
+iteration records, re-stamped with their global run index and iteration
+index, so the campaign's records are bit-identical to a serial campaign's
+regardless of worker scheduling.  This is what lets the parallel backend
+share a result cache with the serial one (see
 :mod:`repro.sampler.trace_cache`) and what the differential test layer in
-``tests/test_parallel_runner.py`` locks in.
-
-The simulation itself is pure — a core built from the same program, patches
-and configuration commits the same per-cycle state — so per-run tracers see
-exactly what one shared tracer would have seen.  The one behavioural
-subtlety is the tracer's ``roi_seen`` latch, which in a shared tracer
-persists across runs; every run re-executes its own ``roi.begin``, so for
-well-formed workloads the per-run latch is indistinguishable.
+``tests/test_parallel_runner.py`` locks in.  The simulation itself is pure
+— a core built from the same program, patches and configuration commits
+the same per-cycle state — so each run's private tracer records what any
+other run of that input would.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
-from repro.kernel.memory_map import MemoryMap
 from repro.uarch.config import CoreConfig
 from repro.util.profiling import Span, profile_stages
 
@@ -61,9 +57,6 @@ class RunTask:
     keep_raw: tuple | bool = ()
     #: record per-iteration (cycle, pc, mnemonic) commit logs (localization).
     log_commits: bool = False
-    memory_map: MemoryMap | None = None
-    max_cycles: int = 5_000_000
-    expect_exit_code: int | None = 0
     #: Fast-forward warm-up budget: ``None`` = full cycle-accurate
     #: simulation (no checkpointing, today's behaviour); an int = functional
     #: fast-forward to ``roi.begin`` minus that many instructions, which are
@@ -94,7 +87,6 @@ class RunOutput:
     run_index: int
     iterations: list[IterationRecord] = field(default_factory=list)
     run: RunResult | None = None
-    cycles_sampled: int = 0
     #: Instructions skipped via functional fast-forward (0 = full sim).
     ff_steps: int = 0
     #: What the run that produced this output timed
@@ -199,8 +191,8 @@ def _simulate(tasks: list[RunTask], checkpoints,
     (one per task, None = from reset); one output per task.
 
     Several tasks must come from one campaign (same program stream,
-    config, memory map and tracer settings; only patched data and run
-    indices differ).  ``span`` gains the tracer's sampling and finalizing
+    config and tracer settings; only patched data and run indices
+    differ).  ``span`` gains the tracer's sampling and finalizing
     time as ``trace`` and, when profiling, the ``profile`` node, and rides
     on the first output.
     """
@@ -209,7 +201,7 @@ def _simulate(tasks: list[RunTask], checkpoints,
     # this module.
     from repro.sampler.runner import WorkloadError
     from repro.trace.tracer import BatchTracer, MicroarchTracer
-    from repro.uarch.core import Core, RunResult
+    from repro.uarch.core import MAX_CYCLES, Core, RunResult
 
     head = tasks[0]
     batched = len(tasks) > 1
@@ -222,13 +214,12 @@ def _simulate(tasks: list[RunTask], checkpoints,
         tracer = BatchTracer(len(tasks), **settings)
         tracer.begin_lane_runs([task.run_index for task in tasks])
         core = BatchCore([task.program for task in tasks], head.config,
-                         memory_map=head.memory_map, tracer=tracer)
+                         tracer=tracer)
         kernels, lane_iterations = core.kernel.kernels, tracer.lane_iterations
     else:
         tracer = MicroarchTracer(**settings)
         tracer.begin_run(head.run_index)
-        core = Core(head.program, head.config, memory_map=head.memory_map,
-                    tracer=tracer)
+        core = Core(head.program, head.config, tracer=tracer)
         kernels, lane_iterations = [core.kernel], [tracer.iterations]
     if head.log_commits:
         core.commit_listener = tracer.on_commit
@@ -247,9 +238,9 @@ def _simulate(tasks: list[RunTask], checkpoints,
             # its own phase.
             with profile.child("warmup").time():
                 while (not core.halted and not tracer.roi_seen
-                        and core.cycle < head.max_cycles):
+                        and core.cycle < MAX_CYCLES):
                     core.step()
-        core.run(max_cycles=head.max_cycles)
+        core.run()
     ff_steps = checkpoints[0].steps if checkpoints[0] is not None else 0
     traced = tracer.sample_seconds + tracer.finalize_seconds
     span.child("trace").seconds = traced
@@ -263,11 +254,10 @@ def _simulate(tasks: list[RunTask], checkpoints,
     outputs = []
     for lane, task in enumerate(tasks):
         kernel = kernels[lane]
-        if (task.expect_exit_code is not None
-                and kernel.exit_code != task.expect_exit_code):
+        if kernel.exit_code != 0:
             raise WorkloadError(
                 f"workload {task.workload_name!r} exited with "
-                f"{kernel.exit_code} (expected {task.expect_exit_code})"
+                f"{kernel.exit_code} (expected 0)"
             )
         outputs.append(RunOutput(
             run_index=task.run_index,
@@ -279,7 +269,6 @@ def _simulate(tasks: list[RunTask], checkpoints,
                 stats=replace(core.stats),
                 console=kernel.console_text,
             ),
-            cycles_sampled=tracer.cycles_sampled,
             ff_steps=ff_steps,
         ))
     outputs[0].span = span
@@ -979,24 +968,23 @@ class WorkerPool:
                 del reply  # the future holds the outputs now
 
 
-def merge_outputs(outputs: list[RunOutput],
-                  tracer: MicroarchTracer) -> list[RunResult]:
-    """Deterministically merge per-run outputs into a shared-tracer view.
+def merge_outputs(outputs: list[RunOutput]) -> tuple[list, list]:
+    """Deterministically merge per-run outputs into one campaign's
+    ``(iterations, runs)``: every output's iteration records, and every
+    output's :class:`~repro.uarch.core.RunResult`, in the order given.
 
-    Outputs must already be ordered by campaign input.  Records are
-    re-stamped with their global iteration index and run index (cached
-    outputs are normalized to ``run_index=0``, and a cached input may be
-    replayed at a different position), which reproduces exactly what one
-    tracer shared across a serial campaign would have recorded.
+    Outputs must already be ordered by campaign input.  Each record is
+    re-stamped with its run index (its output's position: a replayed
+    output carries ``run_index=0``, and a cached input may be replayed at
+    another position) and with its global iteration index, so the records
+    are those a serial campaign over the inputs would have recorded.
     """
+    iterations: list[IterationRecord] = []
     runs: list[RunResult] = []
     for position, output in enumerate(outputs):
         for record in output.iterations:
             record.run_index = position
-            tracer.append_record(record)  # re-stamps the global index
-        tracer.cycles_sampled += output.cycles_sampled
-        tracer.run_index = position
-        if output.iterations:
-            tracer.roi_seen = True
+            record.index = len(iterations)
+            iterations.append(record)
         runs.append(output.run)
-    return runs
+    return iterations, runs

@@ -19,7 +19,10 @@ arrays.  Category dictionaries are sorted, matching the column order of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -47,7 +50,8 @@ def encode_column(values) -> tuple[np.ndarray, tuple]:
             column = values.astype(np.uint64, copy=False)
     else:
         values = list(values)
-        if all(type(v) is int and 0 <= v < 2 ** 64 for v in values):
+        if set(map(type, values)) <= {int} and (
+                not values or 0 <= min(values) and max(values) < 2 ** 64):
             column = np.fromiter(values, dtype=np.uint64,
                                  count=len(values))
     if column is None:
@@ -179,67 +183,61 @@ class TraceMatrix:
     def from_campaign(cls, campaign, feature_ids=None, *,
                       warmup_iterations: int = 0,
                       notiming: bool = True) -> TraceMatrix:
-        """Lower a :class:`CampaignResult` into a matrix.
-
-        Uses the tracer's columnar view (``feature_columns``) when it is in
-        sync with the record list — the common case, where no per-record
-        Python traversal is needed at all — and falls back to
-        :meth:`from_iterations` otherwise.  ``warmup_iterations`` drops each
-        run's first iterations, mirroring the scalar pipeline's
-        ``ordinal >= warmup`` filter.
-        """
-        tracer = campaign.tracer
-        if feature_ids is None:
-            feature_ids = tuple(tracer.feature_columns)
-        feature_ids = tuple(feature_ids)
-        columnar = (
-            tracer.columns_in_sync()
-            and all(fid in tracer.feature_columns for fid in feature_ids)
-        )
-        if not columnar:
-            iterations = [r for r in campaign.iterations
-                          if r.ordinal >= warmup_iterations]
-            return cls.from_iterations(iterations, feature_ids,
-                                       notiming=notiming)
-        labels = tracer.label_column
-        # np.array on an array('Q') buffer is a single memcpy; copying (vs. a
-        # frombuffer view) keeps the tracer's columns appendable afterwards.
-        timed = {fid: np.array(tracer.feature_columns[fid], dtype=np.uint64)
-                 for fid in feature_ids}
-        removed = ({fid: np.array(tracer.feature_columns_notiming[fid],
-                                  dtype=np.uint64)
-                    for fid in feature_ids} if notiming else None)
-        if warmup_iterations > 0:
-            keep = (np.array(tracer.ordinal_column, dtype=np.int64)
-                    >= warmup_iterations)
-            select = np.flatnonzero(keep)
-            labels = [labels[i] for i in select]
-            timed = {fid: col[select] for fid, col in timed.items()}
-            if removed is not None:
-                removed = {fid: col[select] for fid, col in removed.items()}
-        return cls.from_observations(labels, timed,
-                                     notiming_by_unit=removed)
+        """Lower a :class:`CampaignResult`'s iteration records into a
+        matrix (:meth:`from_iterations`).  ``warmup_iterations`` drops each
+        run's first iterations, mirroring the scalar pipeline's ``ordinal
+        >= warmup`` filter."""
+        iterations = campaign.iterations
+        if warmup_iterations:
+            iterations = [record for record in iterations
+                          if record.ordinal >= warmup_iterations]
+        return cls.from_iterations(iterations, feature_ids,
+                                   notiming=notiming)
 
     @classmethod
     def from_iterations(cls, iterations, feature_ids=None, *,
                         notiming: bool = True) -> TraceMatrix:
-        """Lower a campaign's :class:`IterationRecord` list into a matrix."""
+        """Lower a campaign's :class:`IterationRecord` list into a matrix.
+
+        The records' snapshots are gathered into one flat list (C-level
+        ``itemgetter``), and each hash kind is read off it by one
+        comprehension into a ``uint64`` array whose rows per unit are the
+        columns: a pass per unit and record would cost more than the
+        statistics on a large campaign.
+        """
         iterations = list(iterations)
         if feature_ids is None:
             feature_ids = tuple(iterations[0].features) if iterations else ()
         feature_ids = tuple(feature_ids)
-        hashes_by_unit = {
-            fid: [r.features[fid].snapshot_hash for r in iterations]
-            for fid in feature_ids
-        }
+        snapshots = _snapshots(iterations, feature_ids)
         notiming_by_unit = None
         if notiming:
-            notiming_by_unit = {
-                fid: [r.features[fid].snapshot_hash_notiming
-                      for r in iterations]
-                for fid in feature_ids
-            }
+            notiming_by_unit = _unit_columns(feature_ids, [
+                snapshot.snapshot_hash_notiming for snapshot in snapshots])
         return cls.from_observations(
-            [r.label for r in iterations], hashes_by_unit,
+            [record.label for record in iterations],
+            _unit_columns(feature_ids,
+                          [snapshot.snapshot_hash for snapshot in snapshots]),
             notiming_by_unit=notiming_by_unit,
         )
+
+
+def _snapshots(iterations, feature_ids: tuple) -> list:
+    """The :class:`FeatureIteration` of each of ``feature_ids`` in each
+    record, record by record."""
+    if not feature_ids:
+        return []
+    by_record = map(itemgetter(*feature_ids),
+                    map(attrgetter("features"), iterations))
+    if len(feature_ids) == 1:  # itemgetter of one key returns no tuple
+        return list(by_record)
+    return list(chain.from_iterable(by_record))
+
+
+def _unit_columns(feature_ids: tuple, hashes: list) -> dict:
+    """``hashes``, each record's hash of every unit in turn, as one
+    ``uint64`` column per unit."""
+    if not feature_ids:
+        return {}
+    flat = np.frombuffer(array("Q", hashes), dtype=np.uint64)
+    return dict(zip(feature_ids, flat.reshape(-1, len(feature_ids)).T))

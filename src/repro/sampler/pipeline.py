@@ -385,17 +385,10 @@ class MicroSampler:
     def analyze_campaign(self, campaign: CampaignResult, *,
                          taint: TaintSummary | None = None) -> LeakageReport:
         """Stages ③ and ④ on an existing simulation campaign."""
-        iterations = [r for r in campaign.iterations
-                      if r.ordinal >= self.warmup_iterations]
-        labels = [record.label for record in iterations]
-        report = LeakageReport(
-            workload_name=campaign.workload.name,
-            config_name=campaign.config.name,
-            n_iterations=len(iterations),
-            n_classes=len(set(labels)),
-            divergences=list(getattr(campaign, "divergences", None) or []),
-            spans=campaign.spans,
-        )
+        iterations = campaign.iterations
+        if self.warmup_iterations:
+            iterations = [r for r in iterations
+                          if r.ordinal >= self.warmup_iterations]
         with campaign.spans.time("stats"):
             # The numpy kernels load here, on a miss, never on a replay.
             from repro.sampler.matrix import TraceMatrix
@@ -405,6 +398,14 @@ class MicroSampler:
                 campaign, self.features,
                 warmup_iterations=self.warmup_iterations,
                 notiming=self.analyze_timing_removed,
+            )
+            report = LeakageReport(
+                workload_name=campaign.workload.name,
+                config_name=campaign.config.name,
+                n_iterations=matrix.n_iterations,
+                n_classes=matrix.n_classes,
+                divergences=list(getattr(campaign, "divergences", None) or []),
+                spans=campaign.spans,
             )
             associations = batched_association(matrix)
             associations_notiming = (

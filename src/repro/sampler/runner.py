@@ -23,8 +23,6 @@ from repro.sampler.exec_backend import (
     LaneEvents,
     RunOutput,
     RunTask,
-    _run_shard,
-    charge_shard,
     merge_outputs,
     renumber_lanes,
     stream_plans,
@@ -93,7 +91,10 @@ class CampaignResult:
 
     workload: Workload
     config: CoreConfig
-    tracer: MicroarchTracer
+    #: Every run's iteration records, in input order
+    #: (:func:`~repro.sampler.exec_backend.merge_outputs`): what the
+    #: statistics read.
+    iterations: list[IterationRecord]
     runs: list[RunResult]
     #: How many of the runs were replayed from the trace cache.
     n_cached_runs: int = 0
@@ -112,10 +113,6 @@ class CampaignResult:
     #: ``plan``, ``simulate``, ``store`` and ``merge`` so far.
     spans: Span = field(default_factory=Span)
 
-    @property
-    def iterations(self):
-        return self.tracer.iterations
-
     def total_cycles(self) -> int:
         return sum(run.stats.cycles for run in self.runs)
 
@@ -128,8 +125,8 @@ class CampaignPlan:
     :class:`RunTask` per input and splits the inputs into lane groups.  A
     group whose every trace and, for two or more inputs, whose
     ``lockstep`` record the cache holds is replayed at once and **never
-    occupies a simulation slot**; an identical later group waits for its
-    twin.  What remains — ``to_run`` — is the shard-able simulation work:
+    occupies a simulation slot**.  Every other group — ``to_run`` — is
+    the shard-able simulation work, a repeated input's group included:
     the :func:`~repro.sampler.exec_backend.stream_plans` dispatcher may
     execute those groups in any order and on any of its backends, fill
     their results in with :meth:`fill`, and obtain a campaign
@@ -152,16 +149,10 @@ class CampaignPlan:
     #: Per-group divergence events, lanes numbered within the group;
     #: ``None`` until the group is replayed or simulated.
     events: list[LaneEvents | None]
-    #: Groups identical to an earlier group of this campaign, replayed
-    #: from the cache once their twin is stored.
-    duplicates: list[int]
     #: Group indices that actually need simulating, in input order.
     to_run: list[int]
     #: Inputs replayed from the cache.
     n_cached: int
-    features: object
-    keep_raw: object
-    log_commits: bool
     #: The campaign's timing tree: ``plan`` (children ``taint``, ``load``
     #: for keying and cache loads, and ``assemble``), then one ``shard
     #: <k>`` under ``simulate`` per simulated group and the ``store`` of
@@ -203,9 +194,9 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      pruned=(), spans: Span | None = None) -> CampaignPlan:
     """Plan a campaign: build tasks and lane groups, replay cache hits.
 
-    This is everything :func:`run_campaign` does before simulation.  The
-    returned plan's ``to_run`` groups must each be executed and recorded
-    with ``plan.fill(position, result)`` —
+    This is everything :func:`run_campaign` does before simulation.  Every
+    group the cache does not replay whole goes to ``to_run``; each must be
+    executed and recorded with ``plan.fill(position, result)`` —
     :func:`~repro.sampler.exec_backend.stream_plans` does both for any
     number of plans on one backend — then :func:`finalize_campaign`
     merges.  :meth:`~repro.sampler.pipeline.MicroSampler.plan` calls this
@@ -275,31 +266,13 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                             outputs[index] = output
                         events[group] = replay.events
 
-        # Within one campaign, identical groups (at width 1, identical
-        # (program, input, config) triples) are simulated once and
-        # replayed for the duplicates (MicroWalk-style trace deduplication;
-        # requires a cache to clone the outputs through).
-        to_run: list[int] = []
-        duplicates: list[int] = []
-        seen: set[tuple] = set()
-        for group, members in enumerate(groups):
-            if events[group] is not None:
-                continue
-            if keys is not None:
-                members_keys = tuple(keys[index] for index in members)
-                if members_keys in seen:
-                    duplicates.append(group)
-                    continue
-                seen.add(members_keys)
-            to_run.append(group)
-
     return CampaignPlan(
         workload=workload, config=config, tasks=tasks, cache=cache,
         keys=keys, groups=groups, outputs=outputs, events=events,
-        duplicates=duplicates, to_run=to_run,
+        to_run=[group for group, replayed in enumerate(events)
+                if replayed is None],
         n_cached=sum(len(groups[group]) for group, replayed in
                      enumerate(events) if replayed is not None),
-        features=features, keep_raw=keep_raw, log_commits=log_commits,
         spans=spans,
     )
 
@@ -307,30 +280,17 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     """Merge a fully executed plan into a :class:`CampaignResult`.
 
-    Every ``to_run`` group must have been :meth:`~CampaignPlan.fill`-ed.
-    Duplicate groups are replayed from the cache (falling back to
-    simulating if a store failed), then all outputs merge **in input
-    order** — the deterministic merge from the parallel backend, so the
-    result is bit-identical no matter where or in what order shards
-    executed.  The divergence events follow: every group's prologue
-    events in group order, then every group's lockstep events, with lanes
-    renumbered to input indices.  The merge is timed into the plan's tree
-    as ``merge``; the result carries the tree on.
+    Every ``to_run`` group must have been :meth:`~CampaignPlan.fill`-ed;
+    nothing simulates here.  The outputs merge **in input order**
+    (:func:`~repro.sampler.exec_backend.merge_outputs`) into the
+    campaign's iteration records, so the result is bit-identical no
+    matter where or in what order shards executed.  The divergence events
+    follow: every group's prologue events in group order, then every
+    group's lockstep events, with lanes renumbered to input indices.  The
+    merge is timed into the plan's tree as ``merge``; the result carries
+    the tree on.
     """
-    from repro.trace.tracer import MicroarchTracer
-
     spans = plan.spans
-    for group in plan.duplicates:
-        members = plan.groups[group]
-        # Replay the stored twin; simulate it if a store failed.
-        with spans.time("plan") as phase, phase.time("load"):
-            result = plan.cache.load_group(plan.group_keys(group))
-        if result is None:
-            result = _run_shard([plan.tasks[index] for index in members])
-            charge_shard(spans, result.span)
-        for index, output in zip(members, result.outputs):
-            plan.outputs[index] = output
-        plan.events[group] = result.events
     missing = [index for index, output in enumerate(plan.outputs)
                if output is None]
     if missing:
@@ -339,11 +299,7 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
             f"{len(missing)} unexecuted input(s): {missing[:5]}")
 
     with spans.time("merge"):
-        tracer = MicroarchTracer(
-            features=plan.features, keep_raw=plan.keep_raw,
-            log_commits=plan.log_commits,
-            pruned=plan.tasks[0].pruned if plan.tasks else ())
-        runs = merge_outputs(plan.outputs, tracer)
+        iterations, runs = merge_outputs(plan.outputs)
         divergences = [
             renumber_lanes(event, members)
             for phase in ("prologue", "lockstep")
@@ -352,7 +308,7 @@ def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
     return CampaignResult(
         workload=plan.workload,
         config=plan.config,
-        tracer=tracer,
+        iterations=iterations,
         runs=runs,
         n_cached_runs=plan.n_cached,
         ff_steps_total=sum(output.ff_steps for output in plan.outputs),
@@ -369,8 +325,9 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     ``keep_raw``, ``log_commits`` (each iteration's ``(cycle, pc,
     mnemonic)`` commit stream, for :mod:`repro.localize`), ``cache`` (a
     :class:`~repro.sampler.trace_cache.TraceCache` or ``True``: lane
-    groups simulated before are replayed, and identical groups inside one
-    campaign simulate once), ``pruned``, and the simulation knobs
+    groups simulated by an earlier campaign are replayed; a group that
+    repeats another of this campaign simulates like any other), ``pruned``,
+    and the simulation knobs
     ``warmup_insts``, ``batch_lanes`` and ``profile`` that
     :class:`~repro.sampler.pipeline.MicroSampler` documents.  Divergences
     land on ``CampaignResult.divergences``.

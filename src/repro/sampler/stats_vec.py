@@ -2,10 +2,13 @@
 
 The numpy analysis engine: contingency counts come from one ``bincount``
 per (unit, variant), the chi-squared statistic from a masked array
-reduction over all cells at once, and the p-values from the scalar
-closed-form survival function.  The only Python-level loops left are over
-the tracked units (~14 for the paper's Table IV) — all per-cell and
-per-iteration work runs inside numpy.
+reduction over all cells at once, and the p-values from the closed-form
+survival function, every table's series terms formed in one array pass
+(:func:`p_values`).  Python-level loops are left over the tracked units
+(~14 for the paper's Table IV) and over each p-value's series terms,
+which ``math.exp`` and ``math.fsum`` take one by one so that the result
+is the reference's bit for bit; all per-cell and per-iteration work runs
+inside numpy.
 
 The scalar implementation in :mod:`repro.sampler.stats` remains the golden
 reference: this module must agree with it on every field of
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from repro.sampler.matrix import TraceMatrix
-from repro.sampler.stats import AssociationResult, chi_squared_p_value
+from repro.sampler.stats import AssociationResult
 
 
 def chi_squared_from_counts(counts: np.ndarray) -> tuple[float, int]:
@@ -80,15 +83,48 @@ def cramers_v_corrected_from_statistic(statistic: float, total: float,
 def p_values(statistics, dofs) -> np.ndarray:
     """Upper-tail chi-squared p-values for whole arrays at once.
 
-    Array counterpart of :func:`repro.sampler.stats.chi_squared_p_value`
-    (``dof <= 0`` maps to 1.0), evaluated element by element: a campaign
-    or a temporal scan scores at most a few thousand tables.
+    Bit for bit :func:`repro.sampler.stats.chi_squared_p_value`
+    (``dof <= 0`` maps to 1.0), faster: every table's log-space series
+    terms are formed in one array expression by the same float operations
+    (``lgamma`` tabulated once per call), and each table's terms are
+    exponentiated by ``math.exp`` and summed largest first.  ``math.fsum``
+    is exact in any order, and several times faster in this one than in
+    the reference's index order, which rises to the peak.
     """
     statistics = np.asarray(statistics, dtype=np.float64)
     dofs = np.asarray(dofs, dtype=np.int64)
-    return np.array([chi_squared_p_value(float(statistic), int(dof))
-                     for statistic, dof in zip(statistics, dofs)],
-                    dtype=np.float64)
+    ys = statistics / 2.0
+    halves, odds = np.divmod(dofs, 2)
+    live = (dofs > 0) & (ys > 0.0)
+    n_terms = np.where(live, halves, 0)
+    ends = np.cumsum(n_terms)
+    # Series term k is term j[k] of table owner[k].
+    owner = np.repeat(np.arange(len(dofs)), n_terms)
+    j = np.arange(len(owner)) - (ends - n_terms)[owner]
+    log_ys = np.array([math.log(y) if y > 0.0 else 0.0 for y in ys.tolist()])
+    # lgammas[odd, j] = lgamma(j + shift + 1) with shift = odd / 2.
+    lgammas = np.array([[math.lgamma(index + shift + 1.0)
+                         for index in range(int(n_terms.max(initial=0)))]
+                        for shift in (0.0, 0.5)])
+    logs = ((j + 0.5 * odds[owner]) * log_ys[owner] - ys[owner]
+            - lgammas[odds[owner], j]).tolist()
+    probabilities = []
+    for y, odd, is_live, end, count in zip(
+            ys.tolist(), odds.tolist(), live.tolist(), ends.tolist(),
+            n_terms.tolist()):
+        if not is_live:
+            probabilities.append(1.0)
+            continue
+        series = 0.0
+        if count:
+            terms = logs[end - count:end]
+            terms.sort(reverse=True)
+            peak = terms[0]
+            series = math.exp(peak + math.log(math.fsum(
+                [math.exp(term - peak) for term in terms])))
+        tail = math.erfc(math.sqrt(y)) if odd else 0.0
+        probabilities.append(min(1.0, tail + series))
+    return np.array(probabilities, dtype=np.float64)
 
 
 def measure_association_counts(counts: np.ndarray) -> AssociationResult:

@@ -315,8 +315,9 @@ def sweep_configs(workload: Workload, configs, *,
     cache state, and a warm leg replays its report record.  The legs' lane
     groups fan out over the base sampler's ``jobs`` (a worker count or a
     pool), so a slow leg cannot serialize the others.  With a cache, the
-    legs share the config-invariant taint witness and checkpoints through
-    it.
+    legs share the config-invariant taint witness through it; each leg
+    simulates its own traces (a trace's key covers its config), and every
+    worker captures its lane group's checkpoints.
     """
     configs = tuple(configs)
     if not configs:

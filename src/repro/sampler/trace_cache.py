@@ -31,7 +31,7 @@ stored as ``<root>/<kind>/<key[:2]>/<key>.json``:
 
 Each key is a digest of the content its value is a pure function of — for
 a trace, the assembled and patched program image, the core configuration,
-the memory map, the tracer settings and the simulation knobs; for a lane
+the tracer settings and the simulation knobs; for a lane
 group's events, its members' trace keys in lane order — and of
 :func:`source_digest`, the code that computes it.  Mutating any of them (a
 changed source line, a different secret key, one more ROB entry, an edit
@@ -198,13 +198,10 @@ def task_key(task: RunTask) -> str | None:
         source,
         program_fingerprint(task.program),
         config_digest(task.config),
-        dataclasses.asdict(task.memory_map) if task.memory_map else None,
         tuple(features),
         keep_raw,
         bool(task.log_commits),
         tuple(tuple(region) for region in task.warm_regions),
-        task.max_cycles,
-        task.expect_exit_code,
         # Fast-forward warm-up budget: changes which instructions are
         # simulated cycle-accurately, hence the snapshots.
         task.warmup_insts,
@@ -222,7 +219,7 @@ def lockstep_key(keys) -> str | None:
     digest); None when any is.
 
     The events are a pure function of what those keys cover — the members'
-    programs, the config, the memory map and the warm-up budget decide
+    programs, the config and the warm-up budget decide
     where a batched capture or a lockstep run splits — and of the group's
     lane order, which numbers their ``lanes``.
     """
@@ -416,7 +413,6 @@ def _trace_body(output) -> dict:
                        for record in output.iterations],
         "run": [run.exit_code, dataclasses.asdict(run.stats), run.console,
                 list(run.marker_cycles)],
-        "cycles_sampled": output.cycles_sampled,
         "ff_steps": output.ff_steps,
     }
 
@@ -434,7 +430,6 @@ def _trace_from_body(body) -> RunOutput:
                     for item in body["iterations"]],
         run=RunResult(exit_code=exit_code, stats=CoreStats(**stats),
                       console=console, marker_cycles=marker_cycles),
-        cycles_sampled=body["cycles_sampled"],
         ff_steps=body["ff_steps"],
     )
 

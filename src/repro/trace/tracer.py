@@ -25,7 +25,6 @@ leaking cycle window back onto instructions.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,20 +362,6 @@ class MicroarchTracer:
         else:
             self.keep_raw = set(keep_raw)
         self.iterations: list[IterationRecord] = []
-        #: Columnar view of the finalized records, grown in lock-step with
-        #: ``iterations`` by :meth:`append_record`: per-feature snapshot-hash
-        #: columns plus the label/ordinal columns.  Hash and ordinal columns
-        #: are C-contiguous ``array`` buffers, so the vectorized analysis
-        #: engine lowers them into a
-        #: :class:`~repro.sampler.matrix.TraceMatrix` with one memcpy per
-        #: column instead of re-walking every record (MicroWalk-style
-        #: columnar trace storage).
-        self.feature_columns: dict[str, array] = {
-            spec.feature_id: array("Q") for spec in self.specs}
-        self.feature_columns_notiming: dict[str, array] = {
-            spec.feature_id: array("Q") for spec in self.specs}
-        self.label_column: list = []
-        self.ordinal_column: array = array("q")
         self.roi_active = False
         self.roi_seen = False
         #: bumped by the runner between runs; stamped onto records.
@@ -396,7 +381,6 @@ class MicroarchTracer:
         #: shared across features, iterations and tracer instances (see
         #: ``_FeatureAccumulator.finalize``).
         self._snapshot_cache: dict[bytes, tuple] = _SNAPSHOT_CACHE
-        self.cycles_sampled = 0
         self.sample_seconds = 0.0
         self.finalize_seconds = 0.0
 
@@ -459,7 +443,7 @@ class MicroarchTracer:
                 record.features[spec.feature_id] = accumulator.finalize(
                     spec.feature_id in self.keep_raw, combine, snapshot_cache
                 )
-            self.append_record(record)
+            self.iterations.append(record)
             self._open = None
             self._accumulators = {}
             self.finalize_seconds += time.perf_counter() - started
@@ -506,7 +490,6 @@ class MicroarchTracer:
         if self._open is None:
             return
         started = time.perf_counter()
-        self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
                 token = version(core)
@@ -519,41 +502,10 @@ class MicroarchTracer:
             accumulator.add(sample(core))
         self.sample_seconds += time.perf_counter() - started
 
-    # -- results ----------------------------------------------------------------
-
-    def append_record(self, record: IterationRecord) -> None:
-        """Append a finalized record, keeping the columnar view in sync.
-
-        Re-stamps the record's global iteration index.  Every producer of
-        finalized records (the ``iter.end`` handler above, the parallel
-        merge in :mod:`repro.sampler.exec_backend`, synthetic campaign
-        builders) must go through here so that ``feature_columns`` stays a
-        faithful transpose of ``iterations``.
-        """
-        record.index = len(self.iterations)
-        self.iterations.append(record)
-        self.label_column.append(record.label)
-        self.ordinal_column.append(record.ordinal)
-        features = record.features
-        for feature_id, column in self.feature_columns.items():
-            column.append(features[feature_id].snapshot_hash)
-        for feature_id, column in self.feature_columns_notiming.items():
-            column.append(features[feature_id].snapshot_hash_notiming)
-
-    def columns_in_sync(self) -> bool:
-        """True when the columnar view covers every recorded iteration."""
-        return len(self.label_column) == len(self.iterations)
-
     def begin_run(self, run_index: int) -> None:
         """Mark the start of a new simulation run (called by the runner)."""
         self.run_index = run_index
         self._run_ordinal = 0
-
-    def labels(self) -> list[int]:
-        return [record.label for record in self.iterations]
-
-    def iteration_cycle_counts(self) -> list[int]:
-        return [record.cycles for record in self.iterations]
 
 
 class BatchTracer(MicroarchTracer):
@@ -569,7 +521,7 @@ class BatchTracer(MicroarchTracer):
     lane at ``iter.end`` via run-length replay.
 
     Results live in :attr:`lane_iterations` (one record list per lane);
-    the inherited ``iterations``/columnar views stay empty.
+    the inherited ``iterations`` stays empty.
     """
 
     _accumulator_factory = _BatchFeatureAccumulator
@@ -620,7 +572,6 @@ class BatchTracer(MicroarchTracer):
         if self._open is None:
             return
         started = time.perf_counter()
-        self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
                 token = version(core)

@@ -44,6 +44,10 @@ from repro.uarch.uop import MicroOp
 
 _RA = 1  # return-address register (x1)
 
+#: Cycle budget of :meth:`Core.run`: a program that has not exited by then
+#: raises :class:`SimulationError`.
+MAX_CYCLES = 5_000_000
+
 #: Execution-unit kind by functional class (AGU handles both memory classes;
 #: everything without a dedicated unit executes on an ALU).
 _UNIT_KIND = {
@@ -259,7 +263,7 @@ class Core:
         if self.tracer is not None:
             self.tracer.on_cycle(self, cycle)
 
-    def run(self, max_cycles: int = 5_000_000) -> RunResult:
+    def run(self, max_cycles: int = MAX_CYCLES) -> RunResult:
         """Run to completion (program exit via the proxy kernel)."""
         while not self.halted:
             if self.cycle >= max_cycles:

@@ -318,7 +318,6 @@ def test_fallback_outputs_identical_to_scalar():
         assert got.run.exit_code == want.run.exit_code
         assert got.run.stats == want.run.stats
         assert got.run.console == want.run.console
-        assert got.cycles_sampled == want.cycles_sampled
     # The events belong to the group, lanes numbered within it.
     events = batched.events.lockstep
     assert events and all(e.kind == "branch" for e in events)

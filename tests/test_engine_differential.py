@@ -21,7 +21,12 @@ from repro.sampler import (
     run_campaign,
 )
 from repro.sampler.matrix import TraceMatrix, encode_column
-from repro.sampler.stats_vec import batched_association, measure_association_counts
+from repro.sampler.stats import chi_squared_p_value
+from repro.sampler.stats_vec import (
+    batched_association,
+    measure_association_counts,
+    p_values,
+)
 from repro.uarch import MEGA_BOOM
 from repro.workloads.chacha import make_chacha20
 from repro.workloads.memcmp import make_ct_memcmp
@@ -84,15 +89,23 @@ def test_engines_agree_with_warmup_filter(campaign):
     assert_reports_agree(scalar, vectorized)
 
 
-def test_record_fallback_matches_columnar_path(campaign):
-    """from_iterations (the reanalyze path) equals the columnar fast path."""
-    columnar = TraceMatrix.from_campaign(campaign)
-    fallback = TraceMatrix.from_iterations(campaign.iterations,
-                                           columnar.feature_ids)
-    for feature_id in columnar.feature_ids:
-        for notiming in (False, True):
-            assert (columnar.table(feature_id, notiming=notiming)
-                    == fallback.table(feature_id, notiming=notiming))
+def test_from_campaign_drops_each_runs_warmup_iterations(campaign):
+    """from_campaign's warm-up filter keeps the iterations of ordinal >=
+    the warm-up (here each run's last, where runs have several), and each
+    unit's table equals the scalar construction on them."""
+    warmup = max(r.ordinal for r in campaign.iterations)
+    matrix = TraceMatrix.from_campaign(campaign, warmup_iterations=warmup)
+    kept = [r for r in campaign.iterations if r.ordinal >= warmup]
+    assert matrix.n_iterations == len(kept) > 0
+    assert matrix.feature_ids == tuple(campaign.iterations[0].features)
+    labels = [r.label for r in kept]
+    for feature_id in matrix.feature_ids:
+        for notiming, attribute in ((False, "snapshot_hash"),
+                                    (True, "snapshot_hash_notiming")):
+            hashes = [getattr(r.features[feature_id], attribute)
+                      for r in kept]
+            assert matrix.table(feature_id, notiming=notiming) == \
+                build_contingency_table(labels, hashes)
 
 
 def test_matrix_tables_match_scalar_construction(campaign):
@@ -143,6 +156,24 @@ def test_counts_kernel_agrees_with_scalar_on_extreme_hashes():
     reference = measure_association(build_contingency_table(labels, hashes))
     assert_associations_agree(
         reference, measure_association_counts(matrix.counts(0)))
+
+
+def test_p_values_equal_the_reference_bit_for_bit():
+    """The engine's p-values (``lgamma`` tabulated, terms summed largest
+    first) are the reference's exactly: across dof parities, a table
+    that grows mid-call, tiny and huge statistics."""
+    rng = random.Random(3)
+    pairs = [(0.0, 4), (5.0, 0), (1e-300, 1), (1e5, 2), (1e6, 600)]
+    for _ in range(3000):
+        dof = rng.choice([rng.randint(1, 40), rng.randint(1, 3000)])
+        pairs.append((rng.choice([
+            rng.uniform(0, 2 * dof), rng.uniform(0, 10 * dof + 50),
+            rng.expovariate(0.001), max(0.0, rng.gauss(dof, 3 * dof ** 0.5)),
+        ]), dof))
+    pairs.append((0.5, 5999))
+    statistics, dofs = zip(*pairs)
+    assert p_values(statistics, dofs).tolist() == [
+        chi_squared_p_value(statistic, dof) for statistic, dof in pairs]
 
 
 # -- category coding ----------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.sampler import (
     TraceCache,
     Workload,
     run_campaign,
+    sweep_configs,
     task_key,
 )
 from repro.sampler import trace_cache
@@ -114,8 +115,6 @@ class TestKeying:
             _task(_workload(), features=("ROB-PC",)))
         assert task_key(base) != task_key(
             _task(_workload(), keep_raw=("ROB-PC",)))
-        assert task_key(base) != task_key(
-            _task(_workload(), max_cycles=1000))
 
     def test_log_commits_changes_key(self):
         # Localization campaigns (commit logs on) must never replay an
@@ -160,7 +159,7 @@ class TestKeying:
         # platform, or a pool worker would miss what its parent stored.
         # Any edit of the sources changes every key by itself.
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
-        assert task_key(_task(_workload())) == "3347b4a284d5ab74"
+        assert task_key(_task(_workload())) == "d6922624def3690e"
 
     def test_lockstep_key_is_pinned(self, monkeypatch):
         # A group's key is its members' trace keys, in lane order.
@@ -168,7 +167,7 @@ class TestKeying:
 
         monkeypatch.setattr(trace_cache, "source_digest", lambda: "5" * 16)
         key = task_key(_task(_workload()))
-        assert lockstep_key([key, "f" * 16]) == "3a3bedbb91fbb274"
+        assert lockstep_key([key, "f" * 16]) == "d7b9c05709ddf2d9"
         assert lockstep_key(["f" * 16, key]) != lockstep_key([key, "f" * 16])
         assert lockstep_key([key, None]) is None
 
@@ -291,20 +290,22 @@ class TestReplay:
         run_campaign(different_inputs, SMALL_BOOM, cache=cache)
         assert cache.hits == 0
 
-    def test_identical_inputs_deduplicated_within_campaign(self, cache):
+    def test_identical_inputs_each_simulate_within_campaign(self, cache):
         duplicated = Workload(
             name="tiny", source=_SOURCE,
             inputs=[{"key": b"\x01"}, {"key": b"\x02"},
                     {"key": b"\x01"}, {"key": b"\x02"}],
         )
         campaign = run_campaign(duplicated, SMALL_BOOM, cache=cache)
-        # Only the two unique inputs were simulated; their twins replayed.
-        assert cache.stores == 2
+        # A repeated input simulates like any other: nothing replays
+        # within the campaign that fills the cache.
+        assert (cache.stores, cache.hits) == (4, 0)
+        assert campaign.n_cached_runs == 0
         assert len(campaign.runs) == 4
         assert [r.label for r in campaign.iterations] == [1, 0, 1, 0]
         sig = [r.features["ROB-PC"].snapshot_hash for r in campaign.iterations]
         assert sig[0] == sig[2] and sig[1] == sig[3]
-        # ... and the replayed twins carry their own run indices.
+        # ... and the repeated inputs carry their own run indices.
         assert [r.run_index for r in campaign.iterations] == [0, 1, 2, 3]
 
     def test_corrupt_entry_is_a_miss(self, cache):
@@ -376,6 +377,58 @@ class TestReplay:
         assert cold.cramers_v_by_unit() == warm.cramers_v_by_unit()
         assert cold.units["ROB-PC"].association.p_value == \
             warm.units["ROB-PC"].association.p_value
+
+
+def _repeated_sam_ct():
+    """sam-ct's two inputs repeated as four: a, b, a, b."""
+    from repro.cli import build_workload
+
+    workload = build_workload("sam-ct", inputs=2, seed=3)
+    return replace(workload, inputs=workload.inputs * 2)
+
+
+class TestRepeatedInputs:
+    """A repeated input simulates like any other, through the dispatcher,
+    so every count of a campaign's runs agrees."""
+
+    @pytest.mark.parametrize("lanes", [None, "auto", 2])
+    def test_every_input_simulates_and_the_counts_agree(self, tmp_path,
+                                                        lanes):
+        workload = _repeated_sam_ct()
+        cacheless = run_campaign(workload, SMALL_BOOM, batch_lanes=lanes)
+        cache = TraceCache(tmp_path / "campaign")
+        campaign = run_campaign(workload, SMALL_BOOM, cache=cache,
+                                batch_lanes=lanes)
+        assert (cache.stores, cache.hits, campaign.n_cached_runs) == (4, 0, 0)
+        assert_campaigns_identical(campaign, cacheless)
+        assert campaign.divergences == cacheless.divergences
+        cache = TraceCache(tmp_path / "sweep")
+        [leg] = sweep_configs(workload, [SMALL_BOOM], cache=cache,
+                              batch_lanes=lanes).legs
+        assert (leg.n_simulated, leg.n_cached) == (4, 0)
+        assert (cache.stores, cache.hits) == (4, 0)
+
+    def test_with_every_store_failing_each_group_runs_in_the_dispatcher(
+            self, tmp_path, monkeypatch):
+        from repro.sampler import exec_backend
+
+        workload = _repeated_sam_ct()
+        cacheless = run_campaign(workload, SMALL_BOOM)
+        shards = []
+        run_shard = exec_backend._run_shard
+
+        def spy(tasks):
+            shards.append([task.run_index for task in tasks])
+            return run_shard(tasks)
+
+        monkeypatch.setattr(TraceCache, "store_record",
+                            lambda *args, **kwargs: False)
+        monkeypatch.setattr(exec_backend, "_run_shard", spy)
+        cache = TraceCache(tmp_path)
+        campaign = run_campaign(workload, SMALL_BOOM, cache=cache, jobs=1)
+        assert shards == [[0], [1], [2], [3]]
+        assert (cache.stores, cache.hits, campaign.n_cached_runs) == (0, 0, 0)
+        assert_campaigns_identical(campaign, cacheless)
 
 
 class TestPrune:
@@ -631,8 +684,7 @@ class TestFaults:
         key = "ab" * 8
 
         def view(run):
-            return (run.iterations, run.run, run.cycles_sampled,
-                    run.ff_steps)
+            return run.iterations, run.run, run.ff_steps
 
         def write():
             cache = TraceCache(tmp_path)

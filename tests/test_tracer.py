@@ -77,8 +77,12 @@ class TestMarkerProtocol:
     def test_sampling_only_inside_iterations(self):
         tracer = MicroarchTracer(features=["ROB-OCPNCY"])
         core = FakeCore([(1,), (2,)])
-        tracer.on_cycle(core, 1)  # outside any iteration
-        assert tracer.cycles_sampled == 0
+        tracer.on_cycle(core, 1)  # before any iteration
+        tracer.on_marker("iter.begin", 0, 1)
+        tracer.on_cycle(core, 2)
+        tracer.on_marker("iter.end", 0, 2)
+        tracer.on_cycle(core, 3)  # after it
+        assert core._index == 1  # only the in-iteration cycle read a row
 
 
 class TestSnapshots:
@@ -87,8 +91,6 @@ class TestSnapshots:
         record = tracer.iterations[0]
         assert record.label == 7
         assert record.cycles == 3
-        assert tracer.labels() == [7]
-        assert tracer.iteration_cycle_counts() == [3]
 
     def test_identical_rows_hash_equal(self):
         a = _drive([(1,), (2,)]).iterations[0].features["ROB-OCPNCY"]

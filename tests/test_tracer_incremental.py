@@ -89,16 +89,6 @@ class TestDifferentialWorkloads:
         _assert_bit_identical(_trace(patched, SMALL_BOOM, True),
                               _trace(patched, SMALL_BOOM, False))
 
-    def test_columnar_view_identical(self):
-        workload = WORKLOADS["ee-mem-cmp"]()
-        patched = patch_program(workload.assemble(), workload.inputs[0])
-        incremental = _trace(patched, MEGA_BOOM, True)
-        naive = _trace(patched, MEGA_BOOM, False)
-        assert incremental.feature_columns == naive.feature_columns
-        assert incremental.feature_columns_notiming == \
-            naive.feature_columns_notiming
-        assert incremental.label_column == naive.label_column
-
 
 class _VersionContractChecker:
     """Pseudo-tracer asserting the change-detection contract every cycle.
